@@ -9,7 +9,7 @@
 //! validating every output against it.
 
 use sc_graph::{Coloring, Edge, Graph};
-use sc_stream::{EngineConfig, EngineSession, SignedEdge, StreamingColorer};
+use sc_stream::{EngineConfig, Session, SignedEdge, StreamingColorer};
 
 /// An adaptive stream-generating adversary.
 pub trait Adversary {
@@ -111,7 +111,7 @@ where
     // round pushes one edge and observes the prefix. Per-edge chunking is
     // forced by the model — the adversary sees each output before its
     // next move.
-    let mut session = EngineSession::new(colorer, EngineConfig { chunk_size: 1, ..config });
+    let mut session = Session::borrowing(colorer, EngineConfig { chunk_size: 1, ..config });
 
     // Initial output (empty graph — everything is proper, but the
     // adversary gets to see the coloring before its first move).
@@ -190,7 +190,7 @@ where
     let mut rounds = 0usize;
     let mut deletions = 0usize;
 
-    let mut session = EngineSession::new(colorer, EngineConfig { chunk_size: 1, ..config });
+    let mut session = Session::borrowing(colorer, EngineConfig { chunk_size: 1, ..config });
     let mut output: Coloring = session.observe().coloring;
 
     for round in 1..=max_rounds {

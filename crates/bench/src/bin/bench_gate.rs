@@ -22,7 +22,7 @@
 //! not noise, and it must not read like a gate crash. Only a malformed
 //! *baseline* file aborts the run.
 
-use sc_bench::flatjson::{parse_array, FlatObject};
+use sc_engine::flatjson::{parse_array, FlatObject};
 use std::process::ExitCode;
 
 struct Args {
@@ -171,7 +171,7 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sc_bench::flatjson::parse_array;
+    use sc_engine::flatjson::parse_array;
 
     fn fixture(measured_speedup: &str) -> (Vec<FlatObject>, Vec<(String, Vec<FlatObject>)>) {
         let baselines =

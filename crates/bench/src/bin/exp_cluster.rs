@@ -12,7 +12,7 @@
 //!   in_process_ms / cluster_ms` is the pure protocol-overhead floor
 //!   (≈ 1.0; a sustained drop means the `run_job` line codec or spec
 //!   re-encoding got expensive);
-//! * `stdio` — real `shard_worker --serve` child processes: protocol
+//! * `stdio` — real `cluster_worker` child processes: protocol
 //!   overhead plus spawn cost, minus process-level parallelism, so
 //!   efficiency can exceed 1.0 on multi-core hosts;
 //! * `retry` — loopback workers plus one injected mid-job death
@@ -99,17 +99,18 @@ impl Profile {
     }
 }
 
-/// Locates `shard_worker` next to this executable.
+/// Locates `cluster_worker` (a bare `Service::serve` loop) next to this
+/// executable.
 fn sibling_worker() -> Result<std::path::PathBuf, String> {
     let exe = std::env::current_exe().map_err(|e| format!("cannot locate myself: {e}"))?;
     let dir = exe.parent().ok_or("executable has no parent directory")?;
-    let candidate = dir.join(if cfg!(windows) { "shard_worker.exe" } else { "shard_worker" });
+    let candidate = dir.join(if cfg!(windows) { "cluster_worker.exe" } else { "cluster_worker" });
     if candidate.exists() {
         Ok(candidate)
     } else {
         Err(format!(
             "worker binary not found at {candidate:?}; build it with \
-             `cargo build --release --bin shard_worker`"
+             `cargo build --release --bin cluster_worker`"
         ))
     }
 }
@@ -141,7 +142,7 @@ impl Fleet {
                 let worker = sibling_worker()?;
                 (0..workers)
                     .map(|_| -> Result<Box<dyn Transport>, String> {
-                        Ok(Box::new(ChildStdio::spawn(&worker, &["--serve"])?))
+                        Ok(Box::new(ChildStdio::spawn(&worker, &[] as &[&str])?))
                     })
                     .collect::<Result<_, _>>()?
             }

@@ -22,14 +22,11 @@
 //! byte-identical per session — the determinism law, re-checked where
 //! the numbers are produced.
 //!
-//! A final section leaves process memory and times the two `--listen`
-//! serving modes over real sockets: the same K tenant scripts fanned
-//! across K pipelined TCP connections against the single-threaded
-//! [`Reactor`] and against the thread-per-connection [`TcpServer`],
-//! transcripts asserted byte-identical first. Its `ratio = threads_ms / reactor_ms` (the
-//! reactor's throughput relative to the threaded reference) is gated in
-//! `ci/bench_baselines.json` so an event-loop regression — a busy poll,
-//! a quadratic buffer drain — shows up as a gate failure, not a hunch.
+//! A serving section leaves process memory: the same K tenant scripts
+//! fanned across K pipelined TCP connections to the [`Reactor`] behind
+//! `serve --listen`, transcripts asserted byte-identical to isolated
+//! in-process services, then timed (`reactor_ms`, informational; the
+//! repo benchmark's `reactor.overhead_us` is the reactor's gated cost).
 //!
 //! A persistence section snapshots one fully-ingested session and
 //! times the snapshot→restore round trip against replaying the same
@@ -42,7 +39,7 @@
 //! (CI-sized; never clobbers the committed full-profile file).
 
 use sc_cluster::transport::{Tcp, Transport as _};
-use sc_cluster::{Reactor, TcpServer};
+use sc_cluster::Reactor;
 use sc_engine::{wire, ColorerSpec};
 use sc_graph::generators;
 use sc_service::Service;
@@ -175,7 +172,7 @@ fn drive_connection(addr: &str, lines: &[String]) -> Vec<String> {
 
 /// Fans the tenant scripts across one connection each (a client thread
 /// per connection), returning per-session transcripts and the wall time
-/// in ms. The server behind `addr` is whichever mode is being measured.
+/// in ms.
 fn run_over_wire(addr: &str, scripts: &[Vec<String>]) -> (Vec<Vec<String>>, f64) {
     let start = Instant::now();
     let workers: Vec<_> = scripts
@@ -190,9 +187,8 @@ fn run_over_wire(addr: &str, scripts: &[Vec<String>]) -> (Vec<Vec<String>>, f64)
     (transcripts, start.elapsed().as_secs_f64() * 1e3)
 }
 
-/// One timed pass of the reactor mode: bind, serve exactly K
-/// connections, join. Setup and teardown ride the measurement for both
-/// modes equally.
+/// One timed pass of the reactor: bind, serve exactly K connections,
+/// join. Setup and teardown ride the measurement.
 fn run_reactor(scripts: &[Vec<String>]) -> (Vec<Vec<String>>, f64) {
     let mut reactor = Reactor::bind("127.0.0.1:0").expect("reactor binds");
     let addr = reactor.local_addr().expect("reactor addr").to_string();
@@ -200,17 +196,6 @@ fn run_reactor(scripts: &[Vec<String>]) -> (Vec<Vec<String>>, f64) {
     let server = std::thread::spawn(move || reactor.run(Some(k)).expect("reactor serves"));
     let result = run_over_wire(&addr, scripts);
     server.join().expect("reactor thread");
-    result
-}
-
-/// One timed pass of the thread-per-connection mode, same shape.
-fn run_threads(scripts: &[Vec<String>]) -> (Vec<Vec<String>>, f64) {
-    let server = TcpServer::bind("127.0.0.1:0").expect("server binds");
-    let addr = server.local_addr().expect("server addr").to_string();
-    let k = scripts.len();
-    let handle = std::thread::spawn(move || server.run(Some(k)).expect("server serves"));
-    let result = run_over_wire(&addr, scripts);
-    handle.join().expect("server thread");
     result
 }
 
@@ -277,10 +262,10 @@ fn main() {
         ));
     }
 
-    // Reactor vs thread-per-connection serving over real sockets. The
-    // store-all colorer keeps per-command compute cheap, so the numbers
-    // weigh what this section is about: event-loop dispatch, buffering,
-    // and syscall overhead per protocol line.
+    // Reactor serving over real sockets. The store-all colorer keeps
+    // per-command compute cheap, so the number weighs what this section
+    // is about: event-loop dispatch, buffering, and syscall overhead per
+    // protocol line.
     {
         let spec = ColorerSpec::StoreAll;
         let scripts: Vec<Vec<String>> = (0..profile.sessions)
@@ -288,13 +273,11 @@ fn main() {
             .collect();
         let commands: usize = scripts.iter().map(Vec::len).sum();
 
-        // Determinism first: both serving modes must answer exactly what
+        // Determinism first: the reactor must answer exactly what
         // isolated in-process services answer.
         let (reference, _) = run_isolated(&scripts);
         let (from_reactor, _) = run_reactor(&scripts);
-        let (from_threads, _) = run_threads(&scripts);
         assert_eq!(from_reactor, reference, "reactor responses diverged from isolated services");
-        assert_eq!(from_threads, reference, "per-connection responses diverged");
 
         let median = |times: &mut Vec<f64>| -> f64 {
             times.sort_by(f64::total_cmp);
@@ -302,19 +285,14 @@ fn main() {
         };
         let mut reactor_times: Vec<f64> =
             (0..profile.reps).map(|_| run_reactor(&scripts).1).collect();
-        let mut threads_times: Vec<f64> =
-            (0..profile.reps).map(|_| run_threads(&scripts).1).collect();
         let reactor_ms = median(&mut reactor_times);
-        let threads_ms = median(&mut threads_times);
-        let ratio = threads_ms / reactor_ms.max(1e-9);
         println!(
-            "  reactor: {sessions} connections, {commands} commands — reactor {reactor_ms:.1} ms, \
-             threads {threads_ms:.1} ms, ratio {ratio:.3}",
+            "  reactor: {sessions} connections, {commands} commands — {reactor_ms:.1} ms",
             sessions = profile.sessions,
         );
         entries.push(format!(
-            "  {{\"algo\":\"reactor\",\"kind\":\"serving\",\"sessions\":{},\"n\":{},\"delta\":{},\"commands\":{},\"reactor_ms\":{:.3},\"threads_ms\":{:.3},\"ratio\":{:.3}}}",
-            profile.sessions, profile.n, profile.delta, commands, reactor_ms, threads_ms, ratio,
+            "  {{\"algo\":\"reactor\",\"kind\":\"serving\",\"sessions\":{},\"n\":{},\"delta\":{},\"commands\":{},\"reactor_ms\":{:.3}}}",
+            profile.sessions, profile.n, profile.delta, commands, reactor_ms,
         ));
     }
 

@@ -6,10 +6,8 @@
 //! theorem bound rendered as a measured curve; binaries print aligned
 //! text tables to stdout.
 //!
-//! The flat-JSON reader/writer the `bench_gate` and `shard_worker` bins
-//! use lives in [`sc_engine::flatjson`] (it moved there when the shard
-//! wire format needed it lower in the stack); [`flatjson`] re-exports it
-//! under the old path.
+//! `bench_gate` reads the `BENCH_*.json` files with
+//! [`sc_engine::flatjson`], the workspace's one flat-JSON codec.
 //!
 //! **Ownership contract** (see ROADMAP.md, "which layer owns what"):
 //! this crate owns *measurement and reporting* — the `exp_*` binaries,
@@ -18,8 +16,6 @@
 //! algorithmic or protocol semantics: every run goes through the same
 //! `sc-engine` scenario vocabulary as everything else, so a bench can
 //! never observe behavior the tests don't.
-
-pub use sc_engine::flatjson;
 
 use std::fmt::Display;
 

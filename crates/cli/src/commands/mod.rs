@@ -16,7 +16,7 @@ use std::io::Write;
 fn switches(command_hint: Option<&str>) -> &'static [&'static str] {
     match command_hint {
         Some("info") => &["chromatic"],
-        Some("serve") => &["reactor", "per-conn", "shared-sessions"],
+        Some("serve") => &["reactor", "shared-sessions"],
         Some("shard") => &["smoke", "in-process"],
         _ => &[],
     }
@@ -41,27 +41,30 @@ SUBCOMMANDS:
              --rounds, --seed; --lists overrides ps list sizing)
     shard    run a scenario grid sharded across workers and write the
              merged summary JSON (--smoke or --spec FILE; --workers N,
-             --out FILE, --worker-bin PATH, --worker-threads K;
-             --in-process runs the single-process reference;
-             --transport process|stdio|tcp dispatches over the cluster
-             layer instead — stragglers/dead workers are re-dispatched
-             [--timeout-ms N], tcp dials a --connect ADDR listener)
+             --out FILE; --in-process runs the single-process
+             reference; otherwise --transport stdio [default] spawns
+             `streamcolor serve` workers, process hosts them in this
+             process, tcp dials a --connect ADDR listener (one loop:
+             its slices run one at a time), ssh --connect DEST starts
+             remote serve processes; stragglers/dead workers are
+             re-dispatched [--timeout-ms N, --speculate-after F,
+             --skew-ms N])
     serve    host named coloring sessions behind the flat-JSON line
              protocol: one command object per stdin line, one canonical
              response per stdout line (--script FILE executes a command
              file, where --threads N fans independent sessions out;
-             --listen ADDR serves over TCP: --per-conn [default] runs
-             one fresh service per connection thread, --reactor
-             multiplexes every connection onto one event loop sharing
-             one service [--idle-ms N evicts idle connections;
-             --max-sessions N evicts least-recently-used sessions at
-             the cap, --snapshot-dir DIR upgrades that to evict-to-disk
-             with transparent restore, --shared-sessions makes session
-             names host-global and sessions outlive connections]
-             [--accept N]; --max-sessions N bounds open sessions; any
-             serve endpoint doubles as a cluster shard worker via the
-             run_job command; sessions can be checkpointed with the
-             snapshot command and revived with restore)
+             --listen ADDR serves over TCP, multiplexing every
+             connection onto one event loop sharing one service
+             [--reactor names this, the only mode; --idle-ms N evicts
+             idle connections; --max-sessions N evicts
+             least-recently-used sessions at the cap, --snapshot-dir
+             DIR upgrades that to evict-to-disk with transparent
+             restore, --shared-sessions makes session names host-global
+             and sessions outlive connections; --accept N]; otherwise
+             --max-sessions N bounds open sessions; any serve endpoint
+             doubles as a cluster shard worker via the run_job command;
+             sessions can be checkpointed with the snapshot command and
+             revived with restore)
     migrate  move one live session between two serve endpoints
              (--session NAME, --from ADDR, --to ADDR [HOST:PORT or
              ssh:DEST], --timeout-ms N): snapshot on the source,

@@ -22,38 +22,36 @@
 //! every thread count** (CI's `service-smoke` job diffs them against a
 //! committed golden file).
 //!
-//! `--listen ADDR` serves over a TCP socket instead of stdio, in one of
-//! two modes:
+//! `--listen ADDR` serves over a TCP socket instead of stdio: every
+//! connection is multiplexed onto **one** event loop over one shared
+//! `Service` (`sc_cluster::Reactor`). Sessions stay owner-scoped per
+//! connection, so each client's responses are byte-identical to a
+//! private service's, while thousands of idle connections cost one
+//! thread. `--reactor` is accepted for compatibility and names this,
+//! the only `--listen` mode. `--idle-ms N` evicts connections silent
+//! for N milliseconds; with `--max-sessions N` the host-wide cap evicts
+//! the least-recently-used session (an error response on its owner's
+//! next command) instead of rejecting the `open`. `--snapshot-dir DIR`
+//! upgrades that eviction to evict-to-disk: the victim's state is
+//! written as a snapshot file and its owner's next command
+//! transparently restores it, replaying byte-identically instead of
+//! erroring. `--shared-sessions` makes session names host-global (one
+//! shared owner for every connection) and lets sessions outlive their
+//! opening connection — the mode `streamcolor migrate` needs to address
+//! sessions other clients opened. `--accept N` closes the listener
+//! after N connections (demos and tests — default is to accept
+//! forever).
 //!
-//! * `--per-conn` (the default): every accepted connection gets its own
-//!   fresh `Service` on its own thread (`sc_cluster::TcpServer`) —
-//!   tenants on different connections share nothing.
-//! * `--reactor`: every connection is multiplexed onto **one** event
-//!   loop over one shared `Service` (`sc_cluster::Reactor`) — sessions
-//!   stay owner-scoped per connection, so the responses are
-//!   byte-identical to `--per-conn` for any client, while thousands of
-//!   idle connections cost one thread. `--idle-ms N` evicts connections
-//!   silent for N milliseconds; with `--max-sessions N` the cap evicts
-//!   the least-recently-used session (an error response on its owner's
-//!   next command) instead of rejecting the `open`. `--snapshot-dir DIR`
-//!   upgrades that eviction to evict-to-disk: the victim's state is
-//!   written as a snapshot file and its owner's next command
-//!   transparently restores it, replaying byte-identically instead of
-//!   erroring. `--shared-sessions` makes session names host-global (one
-//!   shared owner for every connection) and lets sessions outlive their
-//!   opening connection — the mode `streamcolor migrate` needs to
-//!   address sessions other clients opened.
-//!
-//! Either endpoint is what `streamcolor shard --transport tcp` dials —
-//! any serve process doubles as a remote shard worker via the protocol's
-//! `run_job` command. `--max-sessions N` bounds the open sessions per
-//! service (per connection under `--per-conn`, host-wide under
-//! `--reactor`), turning a rogue client's unbounded `open`s into error
-//! responses (or LRU evictions); `--accept N` closes the listener after
-//! N connections (demos and tests — default is to accept forever).
+//! A serve process is what `streamcolor shard --transport stdio|tcp|ssh`
+//! talks to — any serve endpoint doubles as a shard worker via the
+//! protocol's `run_job` command. The loop answers one command at a
+//! time, so the connections of a `--transport tcp` fleet to one
+//! `--listen` process run their slices one after another. Outside
+//! `--listen`, `--max-sessions N` turns a rogue client's unbounded
+//! `open`s into error responses.
 
 use crate::args::{err, Args, CliError};
-use sc_cluster::{Reactor, TcpServer};
+use sc_cluster::Reactor;
 use sc_service::Service;
 use std::io::Write;
 use std::time::Duration;
@@ -66,8 +64,8 @@ pub fn run(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let listen = args.optional("listen").map(String::from);
     let max_sessions: Option<usize> = args.parse_optional("max-sessions")?;
     let accept: Option<usize> = args.parse_optional("accept")?;
+    // The only --listen mode; the switch is still accepted by name.
     let reactor = args.switch("reactor");
-    let per_conn = args.switch("per-conn");
     let idle_ms: Option<u64> = args.parse_optional("idle-ms")?;
     let snapshot_dir = args.optional("snapshot-dir").map(String::from);
     let shared_sessions = args.switch("shared-sessions");
@@ -95,56 +93,32 @@ pub fn run(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     if max_sessions == Some(0) {
         return Err(err("--max-sessions must be at least 1"));
     }
-    if reactor && per_conn {
-        return Err(err("--reactor and --per-conn are mutually exclusive"));
-    }
-    if (reactor || per_conn) && listen.is_none() {
-        return Err(err("--reactor/--per-conn apply to --listen mode only"));
-    }
-    if idle_ms.is_some() && !reactor {
-        return Err(err("--idle-ms applies to --reactor mode only"));
-    }
     if idle_ms == Some(0) {
         return Err(err("--idle-ms must be at least 1"));
     }
-    // Evict-to-disk is a property of the shared-service reactor: under
-    // --per-conn each connection's service dies with the connection, so
-    // a snapshot dir there would silently never restore anything.
-    if snapshot_dir.is_some() && !reactor {
-        return Err(err("--snapshot-dir applies to --reactor mode only"));
-    }
-    // Only the reactor shares one service across connections; per-conn
-    // services have nothing to share.
-    if shared_sessions && !reactor {
-        return Err(err("--shared-sessions applies to --reactor mode only"));
+    // The reactor's knobs would be silent no-ops on stdio or a script.
+    if listen.is_none()
+        && (reactor || idle_ms.is_some() || snapshot_dir.is_some() || shared_sessions)
+    {
+        return Err(err(
+            "--reactor / --idle-ms / --snapshot-dir / --shared-sessions apply to --listen mode only",
+        ));
     }
 
     if let Some(addr) = listen {
-        if reactor {
-            let mut server =
-                Reactor::bind(&addr).map_err(|e| err(format!("cannot listen on {addr}: {e}")))?;
-            if let Some(limit) = max_sessions {
-                server = server.with_max_sessions(limit);
-            }
-            if let Some(ms) = idle_ms {
-                server = server.with_idle_timeout(Duration::from_millis(ms));
-            }
-            if let Some(dir) = snapshot_dir {
-                server = server.with_snapshot_dir(std::path::PathBuf::from(dir));
-            }
-            if shared_sessions {
-                server = server.with_shared_sessions();
-            }
-            let local = server.local_addr().map_err(|e| err(e.to_string()))?;
-            writeln!(out, "listening on {local}")
-                .and_then(|()| out.flush())
-                .map_err(|e| err(e.to_string()))?;
-            return server.run(accept).map_err(|e| err(e.to_string()));
-        }
         let mut server =
-            TcpServer::bind(&addr).map_err(|e| err(format!("cannot listen on {addr}: {e}")))?;
+            Reactor::bind(&addr).map_err(|e| err(format!("cannot listen on {addr}: {e}")))?;
         if let Some(limit) = max_sessions {
             server = server.with_max_sessions(limit);
+        }
+        if let Some(ms) = idle_ms {
+            server = server.with_idle_timeout(Duration::from_millis(ms));
+        }
+        if let Some(dir) = snapshot_dir {
+            server = server.with_snapshot_dir(std::path::PathBuf::from(dir));
+        }
+        if shared_sessions {
+            server = server.with_shared_sessions();
         }
         let local = server.local_addr().map_err(|e| err(e.to_string()))?;
         // Announce the bound address (port 0 resolves here) so scripts
@@ -177,19 +151,21 @@ pub fn run(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
 mod tests {
     use super::*;
 
+    /// Parses `line` with serve's switches and runs it, collecting output.
+    fn serve(line: &str) -> Result<String, CliError> {
+        let toks: Vec<String> = line.split_whitespace().map(String::from).collect();
+        let args = Args::parse(&toks, &["reactor", "shared-sessions"])?;
+        let mut out = Vec::new();
+        run(&args, &mut out)?;
+        Ok(String::from_utf8(out).unwrap())
+    }
+
     fn run_script_file(script: &str, extra: &str) -> Result<String, CliError> {
         let dir = std::env::temp_dir().join("streamcolor-serve-cli-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join(format!("script-{}.commands", std::process::id()));
         std::fs::write(&path, script).unwrap();
-        let toks: Vec<String> = format!("serve --script {} {extra}", path.display())
-            .split_whitespace()
-            .map(String::from)
-            .collect();
-        let args = Args::parse(&toks, &[]).unwrap();
-        let mut out = Vec::new();
-        run(&args, &mut out)?;
-        Ok(String::from_utf8(out).unwrap())
+        serve(&format!("serve --script {} {extra}", path.display()))
     }
 
     const SCRIPT: &str = r#"# two tenants
@@ -232,93 +208,76 @@ mod tests {
         assert!(run_script_file(SCRIPT, "--bogus 1").is_err());
         assert!(run_script_file(SCRIPT, "--listen 127.0.0.1:0").is_err(), "script+listen");
         assert!(run_script_file(SCRIPT, "--max-sessions x").is_err());
-        let toks: Vec<String> = ["serve", "--script", "/nonexistent/x.commands"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let args = Args::parse(&toks, &[]).unwrap();
-        assert!(run(&args, &mut Vec::new()).is_err());
-        // --threads is script-mode-only: stdin serving is interactive,
-        // so the flag would be a silent no-op — reject it instead.
-        let toks: Vec<String> = ["serve", "--threads", "4"].iter().map(|s| s.to_string()).collect();
-        let args = Args::parse(&toks, &[]).unwrap();
-        let e = run(&args, &mut Vec::new()).unwrap_err();
-        assert!(e.to_string().contains("--script mode only"), "{e}");
-        // --accept needs --listen; zero connections make no sense.
-        for bad in [vec!["serve", "--accept", "2"], vec!["serve", "--listen", "x", "--accept", "0"]]
-        {
-            let toks: Vec<String> = bad.iter().map(|s| s.to_string()).collect();
-            let args = Args::parse(&toks, &[]).unwrap();
-            assert!(run(&args, &mut Vec::new()).is_err(), "{toks:?}");
-        }
-        // A zero session cap could never host anything — friendly error,
-        // exactly like --accept 0.
-        let toks: Vec<String> = ["serve", "--listen", "127.0.0.1:0", "--max-sessions", "0"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let args = Args::parse(&toks, &[]).unwrap();
-        let e = run(&args, &mut Vec::new()).unwrap_err();
-        assert!(e.to_string().contains("--max-sessions must be at least 1"), "{e}");
-        // Reactor-flag grammar: the modes are exclusive, listen-only,
-        // and --idle-ms belongs to the reactor.
-        const SERVE_SWITCHES: &[&str] = &["reactor", "per-conn", "shared-sessions"];
+        assert!(serve("serve --script /nonexistent/x.commands").is_err());
         for (bad, want) in [
-            (vec!["serve", "--listen", "127.0.0.1:0", "--reactor", "--per-conn"], "exclusive"),
-            (vec!["serve", "--reactor"], "--listen mode only"),
-            (vec!["serve", "--listen", "127.0.0.1:0", "--idle-ms", "5"], "--reactor mode only"),
-            (vec!["serve", "--listen", "127.0.0.1:0", "--reactor", "--idle-ms", "0"], "at least 1"),
-            (
-                vec!["serve", "--listen", "127.0.0.1:0", "--snapshot-dir", "/tmp/x"],
-                "--reactor mode only",
-            ),
-            (vec!["serve", "--listen", "127.0.0.1:0", "--shared-sessions"], "--reactor mode only"),
+            // --threads is script-mode-only: stdin serving is interactive,
+            // so the flag would be a silent no-op — reject it instead.
+            ("serve --threads 4", "--script mode only"),
+            // --accept needs --listen; zero connections make no sense.
+            ("serve --accept 2", "--listen mode only"),
+            ("serve --listen x --accept 0", "at least 1"),
+            // A zero session cap could never host anything.
+            ("serve --listen 127.0.0.1:0 --max-sessions 0", "--max-sessions must be at least 1"),
+            // The reactor's knobs are listen-only, and the removed
+            // thread-per-connection mode is no longer a flag.
+            ("serve --reactor", "--listen mode only"),
+            ("serve --idle-ms 5", "--listen mode only"),
+            ("serve --listen 127.0.0.1:0 --idle-ms 0", "at least 1"),
+            ("serve --snapshot-dir /tmp/x", "--listen mode only"),
+            ("serve --shared-sessions", "--listen mode only"),
+            ("serve --listen 127.0.0.1:0 --per-conn", "--per-conn"),
+            // An unbindable listen address is a friendly error.
+            ("serve --listen 256.0.0.1:1", "cannot listen"),
         ] {
-            let toks: Vec<String> = bad.iter().map(|s| s.to_string()).collect();
-            let args = Args::parse(&toks, SERVE_SWITCHES).unwrap();
-            let e = run(&args, &mut Vec::new()).unwrap_err();
-            assert!(e.to_string().contains(want), "{bad:?}: {e}");
+            let e = serve(bad).unwrap_err();
+            assert!(e.to_string().contains(want), "{bad}: {e}");
         }
-        // An unbindable listen address is a friendly error.
-        let toks: Vec<String> =
-            ["serve", "--listen", "256.0.0.1:1"].iter().map(|s| s.to_string()).collect();
-        let args = Args::parse(&toks, &[]).unwrap();
-        let e = run(&args, &mut Vec::new()).unwrap_err();
-        assert!(e.to_string().contains("cannot listen"), "{e}");
     }
 
-    #[test]
-    fn reactor_mode_serves_protocol_lines_over_tcp() {
+    /// Runs `serve --listen 127.0.0.1:0 --accept 1 {flags}` through the
+    /// CLI on a thread; returns the address it announces and the thread.
+    fn listen_via_cli(flags: &str) -> (String, std::thread::JoinHandle<()>) {
+        use std::io::BufRead as _;
+        let toks: Vec<String> = format!("serve --listen 127.0.0.1:0 --accept 1 {flags}")
+            .split_whitespace()
+            .map(String::from)
+            .collect();
+        let args = Args::parse(&toks, &["reactor", "shared-sessions"]).unwrap();
+        let (announced, mut writer) = std::io::pipe().unwrap();
+        let handle = std::thread::spawn(move || run(&args, &mut writer).unwrap());
+        let mut line = String::new();
+        std::io::BufReader::new(announced).read_line(&mut line).unwrap();
+        (line.trim().strip_prefix("listening on ").unwrap().to_string(), handle)
+    }
+
+    /// Opens a session, then reads `host_stats`: only the reactor
+    /// records connections, so `connections_accepted` proves which
+    /// server answered.
+    fn open_and_probe(addr: &str) -> String {
         use sc_cluster::{Tcp, Transport as _};
-        // Same drive as the per-connection test below, but through the
-        // event-loop server the --reactor flag selects.
-        let mut server = Reactor::bind("127.0.0.1:0").unwrap().with_max_sessions(2);
-        let addr = server.local_addr().unwrap().to_string();
-        let handle = std::thread::spawn(move || server.run(Some(1)).unwrap());
-        let mut t = Tcp::connect(&addr).unwrap();
+        let mut t = Tcp::connect(addr).unwrap();
         t.send(r#"{"cmd":"open","session":"a","n":10,"colorer":"trivial"}"#).unwrap();
         let response = t.recv(std::time::Duration::from_secs(10)).unwrap();
         assert!(response.contains("\"ok\":true"), "{response}");
         t.send(r#"{"cmd":"host_stats","session":"probe"}"#).unwrap();
-        let stats = t.recv(std::time::Duration::from_secs(10)).unwrap();
+        t.recv(std::time::Duration::from_secs(10)).unwrap()
+    }
+
+    #[test]
+    fn reactor_mode_serves_protocol_lines_over_tcp() {
+        // --reactor is still accepted and names the only --listen mode.
+        let (addr, handle) = listen_via_cli("--reactor --max-sessions 2");
+        let stats = open_and_probe(&addr);
         assert!(stats.contains("\"connections_accepted\":1"), "{stats}");
-        drop(t);
         handle.join().unwrap();
     }
 
     #[test]
     fn listen_mode_serves_protocol_lines_over_tcp() {
-        use sc_cluster::{Tcp, Transport as _};
-        // Bind on an ephemeral port via the library (the CLI path prints
-        // the resolved address; here we drive the same server directly).
-        let server = TcpServer::bind("127.0.0.1:0").unwrap().with_max_sessions(2);
-        let addr = server.local_addr().unwrap().to_string();
-        let handle = std::thread::spawn(move || server.run(Some(1)).unwrap());
-        let mut t = Tcp::connect(&addr).unwrap();
-        t.send(r#"{"cmd":"open","session":"a","n":10,"colorer":"trivial"}"#).unwrap();
-        let response = t.recv(std::time::Duration::from_secs(10)).unwrap();
-        assert!(response.contains("\"ok\":true"), "{response}");
-        drop(t);
+        // No mode flag: --listen runs the reactor.
+        let (addr, handle) = listen_via_cli("--max-sessions 2");
+        let stats = open_and_probe(&addr);
+        assert!(stats.contains("\"connections_accepted\":1"), "{stats}");
         handle.join().unwrap();
     }
 }

@@ -1,78 +1,65 @@
 //! `streamcolor shard` — run a scenario grid sharded across workers and
 //! write the merged summary JSON.
 //!
-//! Four execution modes over the same spec vocabulary, all merging
-//! byte-identically (CI literally `diff`s them):
+//! Every mode merges byte-identically to the single-process reference
+//! (CI literally `diff`s them):
 //!
 //! ```text
-//! cargo build --release --bin streamcolor --bin shard_worker
+//! cargo build --release --bin streamcolor
 //! # single-process reference
 //! target/release/streamcolor shard --smoke --in-process --out single.json
-//! # PR 3 file-based coordinator: spec files + shard_worker processes
+//! # the default: --transport stdio, N spawned `streamcolor serve` workers
 //! target/release/streamcolor shard --smoke --workers 4 --out merged.json
-//! # cluster transports: run_job dispatch lines over the service protocol
+//! # the other transports: run_job dispatch lines over the service protocol
 //! target/release/streamcolor shard --smoke --transport process --workers 4
-//! target/release/streamcolor shard --smoke --transport stdio   --workers 4
 //! target/release/streamcolor serve --listen 127.0.0.1:7841 &
 //! target/release/streamcolor shard --smoke --transport tcp --connect 127.0.0.1:7841 --workers 4
 //! ```
 //!
-//! `--transport` selects an `sc_cluster::TransportSpec`: `process` hosts
-//! loopback services in this process (protocol fidelity, no spawn cost),
-//! `stdio` spawns `streamcolor serve` children and speaks over their
-//! pipes, `tcp` opens `--workers` connections to a `--connect ADDR`
-//! listener, and `ssh` starts `--workers` remote serve processes via
-//! `ssh USER@HOST[:PATH] serve` (`--connect` names the destination).
-//! Cluster modes survive dead workers and stragglers by re-dispatching
-//! their slices (`--timeout-ms` sets the straggler deadline); the run
-//! report counts any retries. Scheduling knobs: `--dispatch
-//! static|stealing` picks fixed partitions vs the work-stealing slice
-//! queue (the default), `--speculate-after FRAC` launches a duplicate of
-//! a slice held past `FRAC × timeout` on an idle worker (first answer
-//! wins — byte-identical either way), and `--skew-ms N` deliberately
-//! slows the last worker's answers (the reproducible straggler CI's
-//! skewed-fleet smoke run measures scheduling against). `--spec FILE`
-//! runs an arbitrary `ShardJob::encode` spec file instead of the
-//! built-in `--smoke` grid.
+//! `--transport` selects an `sc_cluster::TransportSpec`: `stdio` (the
+//! default) spawns `streamcolor serve` children and speaks over their
+//! pipes, `process` hosts loopback services in this process (protocol
+//! fidelity, no spawn cost), `tcp` opens `--workers` connections to a
+//! `--connect ADDR` listener, and `ssh` starts `--workers` remote serve
+//! processes via `ssh USER@HOST[:PATH] serve` (`--connect` names the
+//! destination). One `serve --listen` process answers on a single event
+//! loop, so a `tcp` fleet's slices run one at a time; stdio and ssh
+//! fleets run them in parallel. Every fleet survives dead workers and
+//! stragglers by re-dispatching their slices (`--timeout-ms` sets the
+//! straggler deadline); the run report counts any retries. Scheduling
+//! knobs: `--speculate-after FRAC` launches a duplicate of a slice held
+//! past `FRAC × timeout` on an idle worker (first answer wins —
+//! byte-identical either way), and `--skew-ms N` deliberately slows the
+//! last worker's answers (the reproducible straggler CI's skewed-fleet
+//! smoke run measures scheduling against). `--spec FILE` runs an
+//! arbitrary `ShardJob::encode` spec file instead of the built-in
+//! `--smoke` grid.
 
 use crate::args::{err, Args, CliError};
 use sc_cluster::{ClusterCoordinator, TransportSpec};
-use sc_engine::shard::{run_in_process, smoke_grid, Coordinator, ShardJob, ShardOutcome};
+use sc_engine::shard::{run_in_process, smoke_grid, ShardJob, ShardOutcome};
 use std::io::Write;
-use std::path::PathBuf;
 use std::time::Duration;
 
 /// Runs the subcommand.
 pub fn run(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let workers: usize = args.parse_or("workers", 2)?;
-    let threads: usize = args.parse_or("worker-threads", 1)?;
     let smoke = args.switch("smoke");
     let in_process = args.switch("in-process");
     let spec_path = args.optional("spec").map(String::from);
     let out_path = args.optional("out").map(String::from);
-    let worker_bin = args.optional("worker-bin").map(PathBuf::from);
     let transport = args.optional("transport").map(String::from);
     let connect = args.optional("connect").map(String::from);
     let timeout_ms: u64 = args.parse_optional("timeout-ms")?.unwrap_or(600_000);
     let timeout_given = args.optional("timeout-ms").is_some();
     let speculate_after: Option<f64> = args.parse_optional("speculate-after")?;
     let skew_ms: Option<u64> = args.parse_optional("skew-ms")?;
-    let dispatch = args.optional("dispatch").map(String::from);
     args.reject_unknown()?;
     if workers == 0 {
         return Err(err("--workers must be at least 1 (0 processes cannot run anything)"));
     }
-    if threads == 0 {
-        return Err(err("--worker-threads must be at least 1"));
-    }
     if timeout_ms == 0 {
         return Err(err("--timeout-ms must be at least 1"));
-    }
-    if timeout_given && transport.is_none() {
-        return Err(err(
-            "--timeout-ms applies to --transport modes only (the file-based coordinator waits \
-             for its workers to exit)",
-        ));
     }
     // NaN-safe: `NaN > 0.0` is false, so `--speculate-after nan` lands here too.
     if let Some(fraction) = speculate_after {
@@ -85,30 +72,16 @@ pub fn run(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     if skew_ms == Some(0) {
         return Err(err("--skew-ms must be at least 1 (omit it for an unskewed fleet)"));
     }
-    let static_dispatch = match dispatch.as_deref() {
-        None | Some("stealing") => false,
-        Some("static") => true,
-        Some(other) => {
-            return Err(err(format!("unknown --dispatch {other:?} (stealing | static)")))
-        }
-    };
-    if transport.is_none() && (speculate_after.is_some() || skew_ms.is_some() || dispatch.is_some())
+    if in_process
+        && (transport.is_some() || timeout_given || speculate_after.is_some() || skew_ms.is_some())
     {
         return Err(err(
-            "--speculate-after / --skew-ms / --dispatch apply to --transport modes only (the \
-             file-based coordinator partitions up front)",
+            "--in-process runs no workers: --transport / --timeout-ms / --speculate-after / \
+             --skew-ms do not apply",
         ));
     }
-    if transport.is_some() && in_process {
-        return Err(err("--transport and --in-process are mutually exclusive"));
-    }
-    if transport.is_some() && (worker_bin.is_some() || threads != 1) {
-        return Err(err(
-            "--worker-bin / --worker-threads apply to the file-based coordinator only \
-             (cluster workers are serve processes; see `streamcolor serve`)",
-        ));
-    }
-    if connect.is_some() && !matches!(transport.as_deref(), Some("tcp") | Some("ssh")) {
+    let mode = transport.as_deref().unwrap_or("stdio");
+    if connect.is_some() && !matches!(mode, "tcp" | "ssh") {
         return Err(err("--connect applies to --transport tcp and ssh only"));
     }
 
@@ -126,8 +99,8 @@ pub fn run(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     // `how` describes what actually ran, for the report line.
     let (outcome, how) = if in_process {
         (run_in_process(&job, workers).map_err(err)?, "1 process".to_string())
-    } else if let Some(mode) = transport {
-        let spec = match mode.as_str() {
+    } else {
+        let spec = match mode {
             "process" => TransportSpec::InProcess { workers },
             "stdio" => {
                 let exe = std::env::current_exe()
@@ -154,9 +127,6 @@ pub fn run(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         };
         let mut coordinator =
             ClusterCoordinator::new(spec).with_timeout(Duration::from_millis(timeout_ms));
-        if static_dispatch {
-            coordinator = coordinator.with_static_dispatch();
-        }
         if let Some(fraction) = speculate_after {
             coordinator = coordinator.with_speculation(fraction);
         }
@@ -173,14 +143,6 @@ pub fn run(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
             n => format!(", {n} speculated ({} wasted)", report.wasted),
         };
         (report.outcome, format!("{} {mode} worker(s){retries}{speculated}", report.shards))
-    } else {
-        let mut coordinator =
-            Coordinator::new(workers, worker_bin.map_or_else(default_worker_bin, Ok)?);
-        coordinator.worker_threads = threads;
-        let outcome = coordinator.run(&job).map_err(err)?;
-        // The coordinator clamps the worker count to the job size;
-        // report what actually ran.
-        (outcome, format!("{} worker(s)", workers.clamp(1, job.len().max(1))))
     };
 
     let json = outcome.encode();
@@ -199,21 +161,6 @@ pub fn run(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     Ok(())
 }
 
-/// `shard_worker` next to the running executable (`target/<profile>/`).
-fn default_worker_bin() -> Result<PathBuf, CliError> {
-    let exe = std::env::current_exe().map_err(|e| err(format!("cannot locate myself: {e}")))?;
-    let dir = exe.parent().ok_or_else(|| err("executable has no parent directory"))?;
-    let candidate = dir.join(if cfg!(windows) { "shard_worker.exe" } else { "shard_worker" });
-    if candidate.exists() {
-        Ok(candidate)
-    } else {
-        Err(err(format!(
-            "worker binary not found at {candidate:?}; build it with \
-             `cargo build --release --bin shard_worker` or pass --worker-bin PATH"
-        )))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -226,9 +173,9 @@ mod tests {
         Ok(String::from_utf8(out).unwrap())
     }
 
-    // Worker-process spawning is covered by `crates/bench`'s
-    // `shard_determinism` integration test and `crates/cluster`'s
-    // `cluster_determinism` (which can name built worker binaries via
+    // The default stdio path spawns `current_exe() serve`, which here is
+    // the test harness, so real worker processes are covered by
+    // `tests/shard_determinism.rs` (which names the built binary via
     // CARGO_BIN_EXE); here we cover the in-process paths and the flag
     // grammar.
 
@@ -297,17 +244,20 @@ mod tests {
         assert!(run_str("shard --smoke --transport process --in-process").is_err());
         assert!(run_str("shard --smoke --transport warp").is_err(), "unknown transport");
         assert!(run_str("shard --smoke --transport tcp").is_err(), "tcp needs --connect");
-        assert!(run_str("shard --smoke --transport process --worker-threads 2").is_err());
-        assert!(run_str("shard --smoke --transport process --worker-bin x").is_err());
         assert!(run_str("shard --smoke --connect 1.2.3.4:5").is_err(), "connect needs tcp/ssh");
+        // The file-based coordinator's and static dispatch's flags are gone.
+        for flags in ["--worker-bin x", "--worker-threads 2", "--dispatch static"] {
+            let e = run_str(&format!("shard --smoke --transport process {flags}")).unwrap_err();
+            assert!(e.to_string().contains("unknown flag"), "{flags}: {e}");
+        }
         assert!(run_str("shard --smoke --transport process --timeout-ms 0").is_err());
         assert!(run_str("shard --smoke --transport ssh").is_err(), "ssh needs --connect");
         // A malformed ssh destination fails fleet validation, not spawn.
         let e = run_str("shard --smoke --transport ssh --connect host:").unwrap_err();
         assert!(e.to_string().contains("empty remote path"), "{e}");
-        // --timeout-ms would be a silent no-op without a transport.
+        // --timeout-ms would be a silent no-op without workers.
         let e = run_str("shard --smoke --in-process --timeout-ms 5000").unwrap_err();
-        assert!(e.to_string().contains("--transport modes only"), "{e}");
+        assert!(e.to_string().contains("do not apply"), "{e}");
         // An unreachable tcp endpoint is a friendly error.
         let e = run_str("shard --smoke --transport tcp --connect 127.0.0.1:1").unwrap_err();
         assert!(e.to_string().contains("cannot connect"), "{e}");
@@ -323,26 +273,23 @@ mod tests {
         }
         let e = run_str("shard --smoke --transport process --skew-ms 0").unwrap_err();
         assert!(e.to_string().contains("--skew-ms must be at least 1"), "{e}");
-        let e = run_str("shard --smoke --transport process --dispatch warp").unwrap_err();
-        assert!(e.to_string().contains("stealing | static"), "{e}");
-        // Scheduling knobs without a transport would be silent no-ops.
-        for flags in ["--speculate-after 0.5", "--skew-ms 50", "--dispatch static"] {
+        // Scheduling knobs without workers would be silent no-ops.
+        for flags in ["--speculate-after 0.5", "--skew-ms 50"] {
             let e = run_str(&format!("shard --smoke --in-process {flags}")).unwrap_err();
-            assert!(e.to_string().contains("--transport modes only"), "{flags}: {e}");
+            assert!(e.to_string().contains("do not apply"), "{flags}: {e}");
         }
     }
 
     #[test]
     fn scheduling_modes_preserve_the_merged_bytes() {
-        // Static partitioning, speculation, and a skewed worker are all
-        // byte-invisible: every variant reproduces the reference.
+        // Speculation and a skewed worker are byte-invisible: every
+        // variant reproduces the reference.
         let dir = std::env::temp_dir().join("streamcolor-shard-scheduling-test");
         std::fs::create_dir_all(&dir).unwrap();
         let spec = dir.join("spec.json");
         std::fs::write(&spec, ShardJob::Grid(smoke_grid()[..3].to_vec()).encode()).unwrap();
         let reference = run_str(&format!("shard --spec {} --in-process", spec.display())).unwrap();
-        for flags in ["--dispatch static", "--speculate-after 1 --timeout-ms 60000", "--skew-ms 1"]
-        {
+        for flags in ["--speculate-after 1 --timeout-ms 60000", "--skew-ms 1"] {
             let text = run_str(&format!(
                 "shard --spec {} --transport process --workers 2 {flags}",
                 spec.display()
@@ -358,8 +305,6 @@ mod tests {
             let e = run_str(&format!("shard {flags}")).unwrap_err();
             assert!(e.to_string().contains("--workers must be at least 1"), "{e}");
         }
-        let e = run_str("shard --smoke --in-process --worker-threads 0").unwrap_err();
-        assert!(e.to_string().contains("--worker-threads must be at least 1"), "{e}");
     }
 
     #[test]

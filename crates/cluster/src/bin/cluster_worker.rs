@@ -1,40 +1,14 @@
-//! The minimal cluster worker: `sc_service::Service` over stdin/stdout.
-//!
-//! Everything a remote shard worker needs is the service line protocol —
-//! the coordinator dispatches `run_job` lines and this loop answers them
-//! (plus the full session vocabulary, since it is the same `Service`).
-//! `streamcolor serve` and `shard_worker --serve` are equivalent
-//! endpoints; this binary exists so `sc-cluster`'s own tests and demos
-//! can spawn a worker without depending on the CLI crate.
-//!
-//! ```text
-//! cluster_worker [--max-sessions N]
-//! ```
+//! A bare `sc_service::Service` loop over stdin/stdout — the same
+//! endpoint as `streamcolor serve`, kept as `sc-cluster`'s test fixture
+//! and `exp_cluster`'s stdio worker: `CARGO_BIN_EXE_*` cannot name the
+//! CLI crate's binary from this crate, so the tests spawn this instead.
 
 use std::process::ExitCode;
 
-fn run() -> Result<(), String> {
-    let mut service = sc_service::Service::new();
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--max-sessions" => {
-                let raw = it.next().ok_or("--max-sessions needs a value")?;
-                let limit: usize =
-                    raw.parse().map_err(|e| format!("bad --max-sessions {raw:?}: {e}"))?;
-                service = service.with_max_sessions(limit);
-            }
-            other => return Err(format!("unknown argument {other:?}")),
-        }
-    }
+fn main() -> ExitCode {
     let stdin = std::io::stdin();
     let stdout = std::io::stdout();
-    let mut out = stdout.lock();
-    service.serve(stdin.lock(), &mut out).map_err(|e| e.to_string())
-}
-
-fn main() -> ExitCode {
-    match run() {
+    match sc_service::Service::new().serve(stdin.lock(), &mut stdout.lock()) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("cluster_worker: {e}");

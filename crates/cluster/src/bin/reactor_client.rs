@@ -1,5 +1,5 @@
-//! Drives a `streamcolor serve --listen` host (reactor or
-//! per-connection) with a protocol script fanned across many concurrent
+//! Drives a `streamcolor serve --listen` host (the reactor) with a
+//! protocol script fanned across many concurrent
 //! TCP connections, and reassembles the responses **in script order** so
 //! the output is byte-comparable to `streamcolor serve --script` — the
 //! CI `service-smoke` job diffs exactly that.

@@ -6,9 +6,8 @@
 //! [`WorkerPool`], and returns the merged [`DispatchReport`]. This is
 //! the `streamcolor shard --transport {process,stdio,tcp,ssh}` back
 //! end; the scheduling knobs ([`ClusterCoordinator::with_speculation`],
-//! [`ClusterCoordinator::with_static_dispatch`],
 //! [`ClusterCoordinator::with_skewed_worker`]) are the
-//! `--speculate-after` / `--dispatch` / `--skew-ms` flags.
+//! `--speculate-after` / `--skew-ms` flags.
 
 use crate::pool::{DispatchReport, WorkerPool};
 use crate::transport::{ChildStdio, InProcess, Ssh, Tcp, Transport, Unreliable};
@@ -26,16 +25,17 @@ pub enum TransportSpec {
     },
     /// `workers` child processes of `command` (program + args), each
     /// speaking the protocol over its stdin/stdout — e.g.
-    /// `["streamcolor", "serve"]` or `["shard_worker", "--serve"]`.
+    /// `["streamcolor", "serve"]`.
     ChildStdio {
         /// Program and arguments to spawn per worker.
         command: Vec<String>,
         /// Worker processes to spawn.
         workers: usize,
     },
-    /// `connections` sockets to a `streamcolor serve --listen` endpoint
-    /// (each connection is an independent worker; the listener serves
-    /// them on its own threads).
+    /// `connections` sockets to a `streamcolor serve --listen` endpoint.
+    /// Each connection is an independent worker, but one reactor
+    /// answers them on a single loop, so their slices run one at a
+    /// time.
     Tcp {
         /// The listener address, e.g. `127.0.0.1:7841`.
         addr: String,
@@ -95,8 +95,7 @@ impl TransportSpec {
 /// The determinism law this layer adds (tested in
 /// `tests/cluster_determinism.rs`, gated by CI's `cluster-smoke` job):
 /// for every [`TransportSpec`], worker count, and scheduling mode —
-/// work stealing, static partition, speculation on or off, a skewed
-/// worker injected or not — and under any worker deaths the pool
+/// speculation on or off, a skewed worker injected or not — and under any worker deaths the pool
 /// survives, [`ClusterCoordinator::run`] merges to bytes identical to
 /// [`sc_engine::shard::run_in_process`].
 #[derive(Debug, Clone)]
@@ -108,8 +107,6 @@ pub struct ClusterCoordinator {
     /// Soft speculation deadline as a fraction of `timeout`; `None`
     /// disables speculative re-dispatch.
     pub speculate_after: Option<f64>,
-    /// Eager fixed-partition assignment instead of work stealing.
-    pub static_dispatch: bool,
     /// When set, the last fleet member is wrapped in
     /// [`Unreliable::slowed_by`] with this delay — the reproducible
     /// skewed fleet CI and `exp_cluster` measure scheduling against.
@@ -119,13 +116,7 @@ pub struct ClusterCoordinator {
 impl ClusterCoordinator {
     /// A coordinator over `spec` with the pool's default deadline.
     pub fn new(spec: TransportSpec) -> Self {
-        Self {
-            spec,
-            timeout: Duration::from_secs(600),
-            speculate_after: None,
-            static_dispatch: false,
-            skew: None,
-        }
+        Self { spec, timeout: Duration::from_secs(600), speculate_after: None, skew: None }
     }
 
     /// Sets the straggler deadline.
@@ -140,14 +131,6 @@ impl ClusterCoordinator {
     #[must_use]
     pub fn with_speculation(mut self, fraction: f64) -> Self {
         self.speculate_after = Some(fraction);
-        self
-    }
-
-    /// Switches the pool to eager fixed-partition assignment (see
-    /// [`WorkerPool::with_static_dispatch`]).
-    #[must_use]
-    pub fn with_static_dispatch(mut self) -> Self {
-        self.static_dispatch = true;
         self
     }
 
@@ -170,9 +153,6 @@ impl ClusterCoordinator {
             transports.push(Box::new(Unreliable::slowed_by(last, delay)));
         }
         let mut pool = WorkerPool::new(transports).with_timeout(self.timeout);
-        if self.static_dispatch {
-            pool = pool.with_static_dispatch();
-        }
         if let Some(fraction) = self.speculate_after {
             pool = pool.with_speculation(fraction);
         }
@@ -203,19 +183,19 @@ mod tests {
 
     #[test]
     fn skewed_fleets_reproduce_the_reference_in_both_scheduling_modes() {
-        // The skewed-worker wrapper must change timing only: static and
-        // stealing+speculation dispatches both merge byte-identically.
+        // The skewed-worker wrapper must change timing only: stealing
+        // with and without speculation both merge byte-identically.
         let job = two_scenario_job();
         let reference = run_in_process(&job, 1).unwrap().encode();
         let base = ClusterCoordinator::new(TransportSpec::InProcess { workers: 2 })
             .with_timeout(Duration::from_secs(4))
             .with_skewed_worker(Duration::from_millis(500));
-        let stealing = base.clone().with_speculation(0.01).run(&job).unwrap();
-        assert_eq!(stealing.outcome.encode(), reference, "skewed stealing merge diverged");
-        assert_eq!(stealing.speculative, 1, "the slowed slice must be speculated");
-        let fixed = base.with_static_dispatch().run(&job).unwrap();
-        assert_eq!(fixed.outcome.encode(), reference, "skewed static merge diverged");
-        assert_eq!(fixed.speculative, 0);
+        let speculating = base.clone().with_speculation(0.01).run(&job).unwrap();
+        assert_eq!(speculating.outcome.encode(), reference, "skewed speculating merge diverged");
+        assert_eq!(speculating.speculative, 1, "the slowed slice must be speculated");
+        let plain = base.run(&job).unwrap();
+        assert_eq!(plain.outcome.encode(), reference, "skewed stealing merge diverged");
+        assert_eq!(plain.speculative, 0);
     }
 
     #[test]

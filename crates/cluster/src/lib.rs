@@ -1,25 +1,28 @@
-//! # `sc-cluster` — the machines half of sharding
+//! # `sc-cluster` — process and machine distribution, and TCP serving
 //!
-//! PR 3 fanned scenario grids and attack-trial sweeps across OS
-//! *processes* (`sc_engine::shard`: spec files, `shard_worker`, a
-//! file-based [`Coordinator`](sc_engine::Coordinator)); PR 4 proved the
-//! whole interactive session vocabulary survives a byte-stable wire
-//! (`sc-service`'s flat-JSON line protocol). This crate is the layer
-//! those two were pointing at: ship a shard of a
-//! [`ShardJob`](sc_engine::shard::ShardJob) to a **remote worker** over
-//! a transport, fetch its output, survive stragglers and dead workers,
-//! and merge **byte-identically** to the single-process reference.
+//! `sc_engine::shard` defines the unit of distribution (a
+//! [`ShardJob`](sc_engine::shard::ShardJob) and its deterministic
+//! slices); `sc-service` proves the whole session vocabulary survives a
+//! byte-stable wire (its flat-JSON line protocol). This crate ships a
+//! slice to a **worker** over a transport, fetches its output, survives
+//! stragglers and dead workers, and merges **byte-identically** to the
+//! single-process reference. It also hosts the one TCP server, the
+//! [`Reactor`] behind `streamcolor serve --listen ADDR`.
 //!
 //! ```text
 //!  ClusterCoordinator ─► WorkerPool ──┬─ Transport: InProcess  (loopback Service)
 //!   (TransportSpec,      (work-       ├─ Transport: ChildStdio (spawn `streamcolor
-//!    merge = shard        stealing    │     serve` / `shard_worker --serve` /
-//!    determinism law)     slice queue │     `cluster_worker`, speak over its pipes)
-//!                         + straggler ├─ Transport: Tcp        (connect to
-//!                         timeout +   │     `streamcolor serve --listen ADDR`)
-//!                         speculative └─ Transport: Ssh        (spawn `ssh host
-//!                         re-dispatch)      streamcolor serve`, same pipes)
+//!    merge = shard        stealing    │     serve`, speak over its pipes)
+//!    determinism law)     slice queue ├─ Transport: Tcp        (connect to the
+//!                         + straggler │     Reactor behind `serve --listen ADDR`)
+//!                         timeout +   └─ Transport: Ssh        (spawn `ssh host
+//!                         speculative       streamcolor serve`, same pipes)
+//!                         re-dispatch)
 //! ```
+//!
+//! `streamcolor serve` is the one worker endpoint. The `cluster_worker`
+//! bin is the same `Service::serve` loop, kept only so this crate's
+//! tests and `exp_cluster` can spawn a worker without the CLI crate.
 //!
 //! **Ownership contract** (see `ROADMAP.md`, "which layer owns what"):
 //! this crate owns *placement and failure handling* — which worker runs
@@ -45,7 +48,7 @@
 //! * `"spec"` is a whole [`ShardJob::encode`](sc_engine::shard::ShardJob::encode)
 //!   spec file carried as a JSON string (the line codec escapes its
 //!   newlines), so the sharding and serving vocabularies never fork —
-//!   the same bytes a PR 3 spec *file* holds travel in the line.
+//!   the same bytes `ShardJob::encode` produces travel in the line.
 //! * `"shard"`/`"of"` select the deterministic
 //!   [`partition`](sc_engine::shard::partition) slice. Because shard `i`
 //!   of `N` always owns the same items, **re-dispatching a shard to any
@@ -55,8 +58,7 @@
 //! * `"output"` is the
 //!   [`encode_worker_output`](sc_engine::shard::encode_worker_output)
 //!   file verbatim (a `shard-result` header + outcome objects), so the
-//!   pool validates the embedded `(shard, of)` header exactly like the
-//!   file-based coordinator does.
+//!   pool validates the embedded `(shard, of)` header before merging.
 //! * An `"ok":false` response is a **job error** (malformed spec, bad
 //!   slice) and aborts the dispatch — every worker would answer the
 //!   same. A transport failure (closed pipe, dead process, timeout) or
@@ -77,19 +79,18 @@
 //! because a slice's bytes depend only on `(spec, shard, of)`, never on
 //! which worker ran it or how many times. Tested in
 //! `tests/cluster_determinism.rs` (including a worker killed mid-job)
-//! and gated by CI's `cluster-smoke` job, which diffs
-//! `streamcolor shard --transport {process,stdio,tcp}` — plus a
-//! skewed-fleet stealing run — against the single-process JSON.
+//! and gated by CI's `cluster-smoke` job, which diffs `streamcolor
+//! shard` over every transport (stdio, the default, at 2, 3 and 7
+//! workers) — plus a skewed-fleet stealing run — against the
+//! single-process JSON.
 
 pub mod coordinator;
-pub mod listener;
 pub mod migrate;
 pub mod pool;
 pub mod reactor;
 pub mod transport;
 
 pub use coordinator::{ClusterCoordinator, TransportSpec};
-pub use listener::{should_retry_accept, TcpServer};
 pub use migrate::{migrate_session, MigrationReport};
 pub use pool::{DispatchReport, WorkerPool};
 pub use reactor::Reactor;

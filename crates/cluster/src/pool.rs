@@ -20,10 +20,11 @@
 //!   past a *soft* deadline (a fraction of the straggler timeout) is
 //!   additionally launched on an idle healthy worker and the first
 //!   answer wins — free, because both answers carry identical bytes.
-//! * **static** ([`WorkerPool::with_static_dispatch`]) — the PR 5
+//! * **static** ([`WorkerPool::with_static_dispatch`]) — the
 //!   fixed-partition shape: every slice is assigned up front to the
-//!   shortest queue. Kept as the baseline `exp_cluster`'s skewed-fleet
-//!   comparison measures stealing against.
+//!   shortest queue. Used only as the baseline `exp_cluster`'s
+//!   skewed-fleet comparison measures stealing against; no CLI flag
+//!   selects it.
 
 use crate::transport::{Transport, TransportError};
 use sc_engine::flatjson::{encode_object, parse_object, FlatObject, Scalar};
@@ -165,8 +166,9 @@ impl WorkerPool {
     }
 
     /// Switches to eager fixed-partition assignment (every slice placed
-    /// on the shortest queue before collection starts) — the PR 5
-    /// baseline that skewed-fleet benchmarks compare stealing against.
+    /// on the shortest queue before collection starts). Used only as
+    /// the `exp_cluster` skew baseline that stealing is measured
+    /// against.
     #[must_use]
     pub fn with_static_dispatch(mut self) -> Self {
         self.static_dispatch = true;

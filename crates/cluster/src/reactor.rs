@@ -1,26 +1,34 @@
-//! The nonblocking serving core: one event loop, one shared
-//! [`Service`], thousands of connections.
+//! The TCP serving surface: one event loop, one shared [`Service`],
+//! thousands of connections — the back end of `streamcolor serve
+//! --listen ADDR`, and the endpoint [`Tcp`](crate::transport::Tcp)
+//! transports dial.
 //!
-//! [`TcpServer`](crate::TcpServer) (PR 5) spends a thread and a private
-//! `Service` per connection — perfect isolation, but a thousand idle
-//! dashboards cost a thousand stacks. The [`Reactor`] multiplexes every
-//! accepted connection onto **one** thread with the `polling` readiness
-//! API (see `crates/compat/README.md`): nonblocking accept, nonblocking
-//! reads into per-connection line buffers, nonblocking writes out of
-//! per-connection response queues.
+//! The [`Reactor`] multiplexes every accepted connection onto **one**
+//! thread with the `polling` readiness API (see
+//! `crates/compat/README.md`): nonblocking accept, nonblocking reads
+//! into per-connection line buffers, nonblocking writes out of
+//! per-connection response queues. A thousand idle dashboards cost one
+//! stack, not a thousand.
+//!
+//! One consequence of the single loop: commands are answered one at a
+//! time, so a `run_job` slice occupies the loop until it finishes. A
+//! `--transport tcp` fleet of N connections to one reactor therefore
+//! runs its slices one after another; stdio and ssh fleets (one serve
+//! process per worker) run them in parallel.
 //!
 //! ## How isolation survives the sharing
 //!
-//! The per-connection listener's determinism law — K sessions
-//! interleaved over one host answer byte-for-byte what K isolated runs
-//! answer — survives because session keys are **owner-scoped**: the
+//! The multi-tenant determinism law — K sessions interleaved over one
+//! host answer byte-for-byte what K isolated runs answer — holds
+//! because session keys are **owner-scoped**: the
 //! shared [`Service`] keys tenants by `(connection id, name)`
 //! ([`Service::respond_as`]), so two connections both opening `"alpha"`
 //! own disjoint tenants, exactly as if each had a private host. A
 //! connection's lines are applied in arrival order by a single thread,
 //! so each session's state is a function of its own command sequence
 //! alone. Proven in `tests/reactor_determinism.rs` (including a
-//! 256-connection soak diffed against the per-connection reference).
+//! 256-connection soak diffed against one isolated `Service` per
+//! connection).
 //!
 //! ## Backpressure and eviction
 //!
@@ -94,8 +102,7 @@ impl Conn {
     }
 }
 
-/// The event-loop server behind `streamcolor serve --listen ADDR
-/// --reactor`.
+/// The event-loop server behind `streamcolor serve --listen ADDR`.
 ///
 /// ```no_run
 /// let mut reactor = sc_cluster::Reactor::bind("127.0.0.1:0").unwrap();
@@ -107,7 +114,6 @@ pub struct Reactor {
     max_sessions: Option<usize>,
     idle_timeout: Option<Duration>,
     clock: Clock,
-    threads: usize,
     snapshot_dir: Option<std::path::PathBuf>,
     shared_sessions: bool,
 }
@@ -124,7 +130,6 @@ impl Reactor {
             max_sessions: None,
             idle_timeout: None,
             clock: Arc::new(Instant::now),
-            threads: 1,
             snapshot_dir: None,
             shared_sessions: false,
         })
@@ -153,14 +158,6 @@ impl Reactor {
     #[must_use]
     pub fn with_clock(mut self, clock: Clock) -> Self {
         self.clock = clock;
-        self
-    }
-
-    /// Thread count handed to the shared [`Service`] (only `run_job`
-    /// fan-out uses it; session commands are always loop-serial).
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
         self
     }
 
@@ -199,14 +196,17 @@ impl Reactor {
     /// accepting after `n` connections and returns once the last of
     /// them closes (tests and demos); with `None` it serves forever.
     ///
-    /// Transient accept failures retry with the same classification as
-    /// [`TcpServer::run`](crate::TcpServer::run); per-connection I/O
-    /// errors close only that connection.
+    /// Transient accept failures (a client resetting mid-handshake, a
+    /// signal, a momentary fd or buffer shortage — see
+    /// `should_retry_accept`) skip that attempt instead of killing the
+    /// listener: one flaky client must never take the serving surface
+    /// down for everyone else. Per-connection I/O errors close only that
+    /// connection.
     ///
     /// # Errors
     /// Propagates fatal listener errors and poller failures.
     pub fn run(&mut self, accept_limit: Option<usize>) -> std::io::Result<()> {
-        let mut service = Service::with_threads(self.threads);
+        let mut service = Service::new();
         if let Some(limit) = self.max_sessions {
             service = service.with_max_sessions(limit).with_lru_eviction();
         }
@@ -318,7 +318,7 @@ impl Reactor {
                 Err(err) if err.kind() == ErrorKind::WouldBlock => break,
                 // Transient per-attempt failures: skip this attempt; the
                 // loop's poller wait is the backoff.
-                Err(err) if crate::listener::is_transient_accept_error(&err) => break,
+                Err(err) if is_transient_accept_error(&err) => break,
                 Err(err) => return Err(err),
             }
         }
@@ -329,8 +329,8 @@ impl Reactor {
     }
 
     /// Closes a connection: deregisters the socket, drops its sessions
-    /// ([`Service::drop_owner`] — same fate as a per-connection
-    /// `Service` dying with its thread; skipped under
+    /// ([`Service::drop_owner`] — a disconnect ends its tenants; skipped
+    /// under
     /// [`Reactor::with_shared_sessions`], where sessions outlive
     /// connections), updates the host's connection gauge.
     fn close_conn(
@@ -417,4 +417,102 @@ fn rearm(poller: &Poller, conns: &mut BTreeMap<usize, Conn>, id: usize) -> std::
     let write = conn.pending_write() > 0;
     let interest = Event { key: id, readable: read, writable: write };
     poller.modify(&conn.stream, interest)
+}
+
+/// Is this `accept(2)` failure about *one connection attempt* (retry)
+/// rather than the listening socket itself (fatal)?
+///
+/// Retryable: the peer aborted mid-handshake (`ECONNABORTED`,
+/// `ECONNRESET`), a signal interrupted the call (`EINTR`), the process
+/// or system momentarily ran out of descriptors or buffers (`EMFILE`,
+/// `ENFILE`, `ENOBUFS`, `ENOMEM` — these clear as other connections
+/// close), or a spurious wakeup (`EAGAIN`). Anything else — `EBADF`,
+/// `EINVAL`, a closed listener — means the listening socket is broken
+/// and looping would spin forever.
+fn should_retry_accept(kind: ErrorKind) -> bool {
+    matches!(
+        kind,
+        ErrorKind::ConnectionAborted
+            | ErrorKind::ConnectionReset
+            | ErrorKind::Interrupted
+            | ErrorKind::WouldBlock
+            | ErrorKind::TimedOut
+            | ErrorKind::OutOfMemory
+    )
+}
+
+/// [`should_retry_accept`] plus the descriptor/buffer-exhaustion errnos
+/// that map to `ErrorKind::Uncategorized` on stable (`EMFILE`, `ENFILE`,
+/// `ENOBUFS`).
+fn is_transient_accept_error(err: &std::io::Error) -> bool {
+    const EMFILE: i32 = 24;
+    const ENFILE: i32 = 23;
+    const ENOBUFS: i32 = 105;
+    should_retry_accept(err.kind()) || matches!(err.raw_os_error(), Some(EMFILE | ENFILE | ENOBUFS))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::transport::{Tcp, Transport as _};
+
+    const TICK: Duration = Duration::from_secs(10);
+
+    #[test]
+    fn transient_accept_errors_are_retryable_fatal_ones_are_not() {
+        for kind in [
+            ErrorKind::ConnectionAborted,
+            ErrorKind::ConnectionReset,
+            ErrorKind::Interrupted,
+            ErrorKind::WouldBlock,
+            ErrorKind::TimedOut,
+            ErrorKind::OutOfMemory,
+        ] {
+            assert!(should_retry_accept(kind), "{kind:?} must be retried");
+        }
+        for kind in [
+            ErrorKind::InvalidInput,
+            ErrorKind::PermissionDenied,
+            ErrorKind::NotFound,
+            ErrorKind::BrokenPipe,
+            ErrorKind::AddrInUse,
+            ErrorKind::Unsupported,
+        ] {
+            assert!(!should_retry_accept(kind), "{kind:?} must stay fatal");
+        }
+    }
+
+    #[test]
+    fn fd_exhaustion_errnos_are_transient_via_raw_os_codes() {
+        for errno in [23, 24, 105] {
+            let err = std::io::Error::from_raw_os_error(errno);
+            assert!(is_transient_accept_error(&err), "errno {errno} ({err}) must be retried");
+        }
+        // EBADF / EINVAL: the listener itself is broken — fatal.
+        for errno in [9, 22] {
+            let err = std::io::Error::from_raw_os_error(errno);
+            assert!(!is_transient_accept_error(&err), "errno {errno} ({err}) must stay fatal");
+        }
+    }
+
+    #[test]
+    fn listener_survives_a_client_aborting_mid_handshake() {
+        // A client that connects and vanishes immediately must not take
+        // the listener down: the next well-behaved client still gets
+        // served. On most kernels the aborted attempt surfaces as a
+        // short-lived connection rather than an accept error — either
+        // way the loop must reach the second client.
+        let mut reactor = Reactor::bind("127.0.0.1:0").unwrap();
+        let addr = reactor.local_addr().unwrap().to_string();
+        let handle = std::thread::spawn(move || reactor.run(Some(2)).unwrap());
+
+        let aborter = std::net::TcpStream::connect(&addr).unwrap();
+        drop(aborter);
+
+        let mut t = Tcp::connect(&addr).unwrap();
+        t.send(r#"{"cmd":"open","session":"ok","n":10,"colorer":"trivial"}"#).unwrap();
+        assert!(t.recv(TICK).unwrap().contains("\"ok\":true"));
+        drop(t);
+        handle.join().unwrap();
+    }
 }

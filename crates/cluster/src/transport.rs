@@ -137,7 +137,7 @@ impl Transport for InProcess {
 // ---------------------------------------------------------------------
 
 /// A worker process speaking the protocol over its stdin/stdout — spawn
-/// `streamcolor serve`, `shard_worker --serve`, or `cluster_worker`. A
+/// `streamcolor serve` (or the `cluster_worker` test fixture). A
 /// background thread drains stdout into a channel so `recv` can time
 /// out; stderr is inherited so worker diagnostics stay visible. The
 /// child is killed and reaped on drop.

@@ -1,18 +1,17 @@
 //! The cluster determinism law, end to end with real worker processes
 //! and sockets.
 //!
-//! `shard_determinism.rs` (crates/bench) pinned the law for the
-//! file-based PR 3 coordinator; this suite extends it to the transport
-//! layer: a [`WorkerPool`] dispatching over stdio children and TCP
-//! connections — including runs where a worker dies mid-job, straggles
-//! past the deadline, or is killed outright — must merge to bytes
-//! identical to [`run_in_process`]. `CARGO_BIN_EXE_cluster_worker`
-//! names the worker binary cargo built for this test, so the stdio
-//! cases cross the same process boundary CI's `cluster-smoke` job does.
+//! A [`WorkerPool`] dispatching over stdio children and TCP
+//! connections to a reactor — including runs where a worker dies
+//! mid-job, straggles past the deadline, or is killed outright — must
+//! merge to bytes identical to [`run_in_process`].
+//! `CARGO_BIN_EXE_cluster_worker` names the worker binary cargo built
+//! for this test, so the stdio cases cross the same process boundary
+//! CI's `cluster-smoke` job does.
 
 use sc_cluster::{
-    ChildStdio, ClusterCoordinator, InProcess, Tcp, TcpServer, Transport, TransportSpec,
-    Unreliable, WorkerPool,
+    ChildStdio, ClusterCoordinator, InProcess, Reactor, Tcp, Transport, TransportSpec, Unreliable,
+    WorkerPool,
 };
 use sc_engine::shard::{run_in_process, ShardJob};
 use sc_engine::{AdversarySpec, AttackScenario, ColorerSpec, Scenario, SourceSpec};
@@ -100,14 +99,20 @@ fn stdio_fleets_merge_byte_identically() {
     }
 }
 
+/// A reactor on an ephemeral port serving `connections` clients, and
+/// the thread running it (joins once they all hang up).
+fn spawn_reactor(connections: usize) -> (String, std::thread::JoinHandle<()>) {
+    let mut reactor = Reactor::bind("127.0.0.1:0").unwrap();
+    let addr = reactor.local_addr().unwrap().to_string();
+    (addr, std::thread::spawn(move || reactor.run(Some(connections)).unwrap()))
+}
+
 #[test]
 fn tcp_fleets_merge_byte_identically() {
     let job = grid_job();
     let reference = run_in_process(&job, 1).unwrap().encode();
     let connections = 3usize;
-    let server = TcpServer::bind("127.0.0.1:0").unwrap();
-    let addr = server.local_addr().unwrap().to_string();
-    let listener = std::thread::spawn(move || server.run(Some(connections)).unwrap());
+    let (addr, listener) = spawn_reactor(connections);
 
     let coordinator =
         ClusterCoordinator::new(TransportSpec::Tcp { addr, connections }).with_timeout(PATIENT);
@@ -201,9 +206,7 @@ fn heterogeneous_fleets_mix_transports_freely() {
     // One pool, three transport kinds — the pool only sees lines.
     let job = grid_job();
     let reference = run_in_process(&job, 1).unwrap().encode();
-    let server = TcpServer::bind("127.0.0.1:0").unwrap();
-    let addr = server.local_addr().unwrap().to_string();
-    let listener = std::thread::spawn(move || server.run(Some(1)).unwrap());
+    let (addr, listener) = spawn_reactor(1);
     let fleet: Vec<Box<dyn Transport>> = vec![
         Box::new(InProcess::new()),
         Box::new(ChildStdio::spawn(WORKER, &[] as &[&str]).expect("spawn cluster_worker")),
@@ -224,9 +227,7 @@ fn attack_sweeps_survive_tcp_with_a_dying_connection() {
     // then dropped by the remote end mid-fleet: merge still exact.
     let job = attack_job();
     let reference = run_in_process(&job, 1).unwrap().encode();
-    let server = TcpServer::bind("127.0.0.1:0").unwrap();
-    let addr = server.local_addr().unwrap().to_string();
-    let listener = std::thread::spawn(move || server.run(Some(2)).unwrap());
+    let (addr, listener) = spawn_reactor(2);
     let fleet: Vec<Box<dyn Transport>> = vec![
         Box::new(Tcp::connect(&addr).expect("connect")),
         Box::new(Unreliable::dying_after(Tcp::connect(&addr).expect("connect"), 0)),

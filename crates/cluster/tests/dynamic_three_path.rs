@@ -1,26 +1,25 @@
-//! The turnstile four-path byte-identity law.
+//! The turnstile three-path byte-identity law.
 //!
 //! One deletion-bearing (churn) scenario, property-tested across seeds,
 //! must produce the same answers through every route the workspace can
 //! run it:
 //!
 //! 1. the in-process [`Runner`] (signed engine route),
-//! 2. `streamcolor serve` behind the single-threaded [`Reactor`],
-//! 3. `streamcolor serve` behind the per-connection [`TcpServer`],
-//! 4. `streamcolor shard --transport tcp` (a [`ClusterCoordinator`]
-//!    dispatching the scenario over sockets),
+//! 2. `streamcolor serve --listen` (the single-threaded [`Reactor`]),
+//! 3. `streamcolor shard --transport tcp` (a [`ClusterCoordinator`]
+//!    dispatching the scenario over a socket to a reactor),
 //!
 //! plus a snapshot/restore of the serve session at a **random cut** —
 //! possibly between a delete and the re-insert it pairs with — onto a
-//! fresh host. Paths 2, 3, and the restored run are compared line by
-//! line (byte-for-byte) against an isolated `Service`; path 1's final
-//! coloring is compared against the wire coloring parsed back out of
-//! the serve transcript; path 4 is compared against the single-process
-//! shard reference, whose outcome embeds path 1's bytes.
+//! fresh host. Path 2 and the restored run are compared line by line
+//! (byte-for-byte) against an isolated in-process `Service`; path 1's
+//! final coloring is compared against the wire coloring parsed back out
+//! of the serve transcript; path 3 is compared against the
+//! single-process shard reference, whose outcome embeds path 1's bytes.
 
 use proptest::prelude::*;
 use sc_cluster::transport::{Tcp, Transport as _};
-use sc_cluster::{ClusterCoordinator, Reactor, TcpServer, TransportSpec};
+use sc_cluster::{ClusterCoordinator, Reactor, TransportSpec};
 use sc_engine::flatjson::{encode_object, parse_object, FlatObject, Scalar};
 use sc_engine::shard::{run_in_process, ShardJob};
 use sc_engine::{ColorerSpec, Runner, Scenario, SourceSpec};
@@ -92,24 +91,19 @@ fn serve_script(name: &str, source: &SourceSpec, victim_seed: u64, rng: &mut Gen
     lines
 }
 
-/// Runs the script lock-step over one TCP connection against whatever
-/// listener is behind `addr`: each line waits for its response.
-fn run_over_wire(addr: &str, lines: &[String]) -> Vec<String> {
-    let mut t = Tcp::connect(addr).unwrap();
-    lines
-        .iter()
-        .map(|line| {
-            t.send(line).unwrap();
-            t.recv(TICK).unwrap()
-        })
-        .collect()
+/// A reactor on an ephemeral port that exits after one connection, and
+/// the thread running it.
+fn spawn_reactor() -> (String, std::thread::JoinHandle<()>) {
+    let mut reactor = Reactor::bind("127.0.0.1:0").unwrap();
+    let addr = reactor.local_addr().unwrap().to_string();
+    (addr, std::thread::spawn(move || reactor.run(Some(1)).unwrap()))
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
     #[test]
-    fn deletion_bearing_scenarios_agree_across_all_four_paths(seed in any::<u64>()) {
+    fn deletion_bearing_scenarios_agree_across_all_three_paths(seed in any::<u64>()) {
         let mut rng = Gen::new(seed);
         let n = 20 + rng.below(12) as usize;
         let delta = 3 + rng.below(3) as usize;
@@ -142,21 +136,20 @@ proptest! {
         prop_assert_eq!(parse_coloring(text, n).unwrap(), outcome.coloring.clone());
         prop_assert_eq!(colors, outcome.colors);
 
-        // Path 2: the reactor (one thread, shared Service).
-        let mut reactor = Reactor::bind("127.0.0.1:0").unwrap();
-        let reactor_addr = reactor.local_addr().unwrap().to_string();
-        let handle = std::thread::spawn(move || reactor.run(Some(1)).unwrap());
-        let via_reactor = run_over_wire(&reactor_addr, &lines);
+        // Path 2: the reactor (one thread, shared Service), lock-step
+        // over one TCP connection: each line waits for its response.
+        let (addr, handle) = spawn_reactor();
+        let mut t = Tcp::connect(&addr).unwrap();
+        let via_reactor: Vec<String> = lines
+            .iter()
+            .map(|line| {
+                t.send(line).unwrap();
+                t.recv(TICK).unwrap()
+            })
+            .collect();
+        drop(t);
         handle.join().unwrap();
         prop_assert_eq!(&via_reactor, &reference, "reactor diverged from isolated service");
-
-        // Path 3: the per-connection TcpServer.
-        let server = TcpServer::bind("127.0.0.1:0").unwrap();
-        let server_addr = server.local_addr().unwrap().to_string();
-        let handle = std::thread::spawn(move || server.run(Some(1)).unwrap());
-        let via_threads = run_over_wire(&server_addr, &lines);
-        handle.join().unwrap();
-        prop_assert_eq!(&via_threads, &reference, "per-connection server diverged");
 
         // Snapshot/restore at a random cut — possibly mid-oscillation,
         // between a delete and its re-insert — onto a fresh host. The
@@ -185,14 +178,12 @@ proptest! {
             cut
         );
 
-        // Path 4: the cluster coordinator dispatching the same scenario
+        // Path 3: the cluster coordinator dispatching the same scenario
         // over a real TCP worker, merged bytes identical to the
         // single-process shard run (which embeds path 1's outcome).
         let job = ShardJob::Grid(vec![scenario]);
         let shard_reference = run_in_process(&job, 1).unwrap().encode();
-        let server = TcpServer::bind("127.0.0.1:0").unwrap();
-        let addr = server.local_addr().unwrap().to_string();
-        let listener = std::thread::spawn(move || server.run(Some(1)).unwrap());
+        let (addr, listener) = spawn_reactor();
         let report = ClusterCoordinator::new(TransportSpec::Tcp { addr, connections: 1 })
             .with_timeout(TICK)
             .run(&job)

@@ -4,10 +4,10 @@
 //! answer — under any connection interleaving — plus the eviction
 //! behaviors (idle timeout with an injected clock, LRU at the session
 //! cap, evict-then-reopen replay) and a ≥256-connection soak diffed
-//! against the per-connection `TcpServer` reference.
+//! against one isolated `Service` per connection.
 
 use sc_cluster::transport::{Tcp, Transport as _};
-use sc_cluster::{Reactor, TcpServer};
+use sc_cluster::Reactor;
 use sc_service::Service;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -167,10 +167,9 @@ fn interleaved_reactor_sessions_match_isolated_runs_byte_for_byte() {
 
 #[test]
 fn soak_256_connections_match_per_connection_reference() {
-    // Each of 256 clients runs a tiny distinct session script,
-    // pipelined; the responses must be identical whether a reactor (one
-    // thread, shared Service) or the per-connection TcpServer (a thread
-    // and private Service each) answers.
+    // Each of 256 concurrent clients runs a tiny distinct session
+    // script, pipelined; the reactor (one thread, shared Service) must
+    // answer each exactly as a private Service per connection would.
     const CLIENTS: usize = 256;
     let scripts: Vec<Vec<String>> = (0..CLIENTS)
         .map(|i| {
@@ -202,37 +201,31 @@ fn soak_256_connections_match_per_connection_reference() {
         })
         .collect();
 
-    let run_against = |addr: String, scripts: &[Vec<String>]| -> Vec<Vec<String>> {
-        let workers: Vec<_> = scripts
-            .iter()
-            .cloned()
-            .map(|lines| {
-                let addr = addr.clone();
-                std::thread::spawn(move || {
-                    let mut t = Tcp::connect(&addr).unwrap();
-                    for line in &lines {
-                        t.send(line).unwrap();
-                    }
-                    lines.iter().map(|_| t.recv(TICK).unwrap()).collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        workers.into_iter().map(|w| w.join().unwrap()).collect()
-    };
-
     let mut reactor = Reactor::bind("127.0.0.1:0").unwrap();
-    let reactor_addr = reactor.local_addr().unwrap().to_string();
-    let reactor_handle = std::thread::spawn(move || reactor.run(Some(CLIENTS)).unwrap());
-    let from_reactor = run_against(reactor_addr, &scripts);
-    reactor_handle.join().unwrap();
+    let addr = reactor.local_addr().unwrap().to_string();
+    let handle = std::thread::spawn(move || reactor.run(Some(CLIENTS)).unwrap());
+    let clients: Vec<_> = scripts
+        .iter()
+        .cloned()
+        .map(|lines| {
+            let addr = addr.clone();
+            std::thread::spawn(move || {
+                let mut t = Tcp::connect(&addr).unwrap();
+                for line in &lines {
+                    t.send(line).unwrap();
+                }
+                lines.iter().map(|_| t.recv(TICK).unwrap()).collect::<Vec<_>>()
+            })
+        })
+        .collect();
+    let from_reactor: Vec<Vec<String>> = clients.into_iter().map(|c| c.join().unwrap()).collect();
+    handle.join().unwrap();
 
-    let server = TcpServer::bind("127.0.0.1:0").unwrap();
-    let server_addr = server.local_addr().unwrap().to_string();
-    let server_handle = std::thread::spawn(move || server.run(Some(CLIENTS)).unwrap());
-    let from_threads = run_against(server_addr, &scripts);
-    server_handle.join().unwrap();
-
-    assert_eq!(from_reactor, from_threads, "reactor and per-connection responses diverged");
+    assert_eq!(
+        from_reactor,
+        isolated_reference(&scripts),
+        "reactor and per-connection isolated responses diverged"
+    );
 }
 
 #[test]

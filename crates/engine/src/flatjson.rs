@@ -10,10 +10,6 @@
 //! regression gate and the [`shard`](crate::shard) wire format need.
 //! Drop-in replaceable by serde_json when network exists.
 //!
-//! Lived in `sc-bench` until the shard layer needed it lower in the
-//! stack; `sc_bench::flatjson` re-exports this module, so old import
-//! paths keep working.
-//!
 //! Guarantees:
 //!
 //! * **Canonical encoding** — [`encode_array`] emits fields in sorted key

@@ -20,8 +20,9 @@
 //! * [`verify`] — the BBMU21 coloring-verification runner;
 //! * [`wire`] / [`flatjson`] — the serde-free wire format that
 //!   round-trips scenarios to flat JSON, making grids *distributable*;
-//! * [`shard`] — grids and trial sweeps fanned out across OS processes:
-//!   spec files, the worker protocol, and the merging [`Coordinator`].
+//! * [`shard`] — the job vocabulary for grids and trial sweeps fanned
+//!   out across processes: spec encoding, slices, and mergeable outcomes
+//!   (`sc-cluster` places the slices on workers).
 //!
 //! **Ownership contract** (see ROADMAP.md, "which layer owns what"):
 //! this crate owns the **only** parallelism in the workspace
@@ -30,8 +31,7 @@
 //! ([`ColorerSpec::build`] — runner, referee, CLI, benches, service
 //! all call it), and the canonical byte-stable codecs ([`flatjson`],
 //! [`wire`]) plus the deterministic [`shard::partition`] that every
-//! distribution layer above (process sharding, `sc-service`,
-//! `sc-cluster`) reuses rather than reinvents — which is why their
+//! distribution layer above (`sc-service`, `sc-cluster`) reuses rather than reinvents — which is why their
 //! merge laws can all be `diff`.
 //!
 //! ```
@@ -60,7 +60,7 @@ pub use attack::{AdversarySpec, AttackScenario};
 pub use parallel::par_map;
 pub use runner::{RunOutcome, Runner};
 pub use scenario::Scenario;
-pub use shard::{Coordinator, RunSummary, ShardJob, ShardOutcome};
+pub use shard::{RunSummary, ShardJob, ShardOutcome};
 pub use source::{GraphFamily, SourceSpec};
 pub use spec::ColorerSpec;
 pub use verify::{run_verify, VerifyMode, VerifyReport};

@@ -1,41 +1,34 @@
-//! Sharding scenario grids and attack-trial sweeps across OS processes.
+//! Sharding scenario grids and attack-trial sweeps: the job vocabulary.
 //!
-//! PR 1 made grids parallel across *threads* ([`Runner::run_all`]); this
-//! module is the next scale step: the same grid, fanned out across
-//! *processes* (and, because the spec travels as a file of flat JSON,
-//! eventually machines). The moving parts:
+//! [`Runner::run_all`] makes a grid parallel across *threads*; this
+//! module defines what travels when the same grid fans out across
+//! *processes and machines*. The moving parts:
 //!
 //! * [`ShardJob`] — the unit of distribution: a scenario grid or an
 //!   attack-trial sweep, wire-encoded via [`crate::wire`] so a worker
-//!   process can reconstruct it exactly;
+//!   can reconstruct it exactly;
 //! * [`partition`] — the deterministic contiguous split of `0..len` into
 //!   shard ranges (shard `i` of `N` always gets the same slice);
-//! * the **`shard_worker` binary** (in `crates/bench`) — reads a spec
-//!   file plus `--shard i --of N`, runs its slice through the ordinary
-//!   [`Runner`], and writes a mergeable [`ShardOutcome`];
-//! * [`Coordinator`] — writes the spec file, spawns `N` workers, waits,
-//!   and merges their outputs;
+//! * [`run_job`] — a worker's whole payload: run one slice through the
+//!   ordinary [`Runner`] into a mergeable [`ShardOutcome`];
 //! * [`RunSummary`] — the observational summary of a [`RunOutcome`]
 //!   (everything except wall-clock time, which is not deterministic and
 //!   therefore not mergeable-identical).
 //!
-//! ```text
-//! streamcolor shard --smoke --workers 4 --out merged.json
-//!     │  encode_grid ──► /tmp/…/spec.json
-//!     ├─► shard_worker --spec spec.json --shard 0 --of 4 --out out-0.json
-//!     ├─► shard_worker --spec spec.json --shard 1 --of 4 --out out-1.json
-//!     ├─► …                                  (each runs Runner on its slice)
-//!     └─◄ merge: concat grid summaries / TrialSummary::merge ──► merged.json
-//! ```
+//! Placement lives one layer up: `sc-cluster`'s `WorkerPool` ships
+//! `(spec, shard, of)` slices to `streamcolor serve` workers as `run_job`
+//! protocol lines and merges their [`encode_worker_output`] answers
+//! (`streamcolor shard` is its CLI).
 //!
-//! **Determinism law** (tested in `crates/bench/tests/shard_determinism.rs`
-//! and gated by CI's `shard-smoke` job): the merged output is
+//! **Determinism law** (tested in `crates/cluster/tests/
+//! cluster_determinism.rs` and `crates/cli/tests/shard_determinism.rs`,
+//! gated by CI's `cluster-smoke` job): the merged output is
 //! *byte-identical* to the single-process [`run_in_process`] result, for
 //! every worker count and every `Runner` thread count. Two ingredients
 //! make this hold: every scenario run is deterministic given its spec,
 //! and jobs are compared only after [`ShardJob::canonicalize`] — stored
 //! graphs do not carry adjacency-list order on the wire, so both the
-//! coordinator and the in-process reference run the *decoded* job.
+//! workers and the in-process reference run the *decoded* job.
 
 use crate::attack::AttackScenario;
 use crate::flatjson::{encode_array, parse_array, FlatObject, Scalar};
@@ -48,9 +41,6 @@ use crate::wire;
 use sc_adversary::TrialSummary;
 use sc_stream::{EngineConfig, QuerySchedule, StreamOrder};
 use std::ops::Range;
-use std::path::PathBuf;
-use std::process::{Command, Stdio};
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 // ---------------------------------------------------------------------
 // Partitioning.
@@ -178,8 +168,8 @@ impl ShardJob {
     /// actually receives. Stored graphs are rebuilt from their edge
     /// sequence (adjacency-list order is not on the wire), so comparing
     /// sharded against in-process runs is only meaningful after
-    /// canonicalization — [`Coordinator::run`] and [`run_in_process`]
-    /// both apply it.
+    /// canonicalization — the cluster pool and [`run_in_process`] both
+    /// apply it.
     ///
     /// # Errors
     /// Propagates decode errors (impossible for jobs this crate built).
@@ -422,8 +412,8 @@ impl ShardOutcome {
     }
 }
 
-/// Runs one shard's slice of a job on `runner` — the worker binary's
-/// entire computational payload, also reused by [`run_in_process`] with
+/// Runs one shard's slice of a job on `runner` — a worker's entire
+/// computational payload (the service's `run_job` command), also reused by [`run_in_process`] with
 /// the full range.
 pub fn run_job(runner: &Runner, job: &ShardJob, range: Range<usize>) -> ShardOutcome {
     match job {
@@ -452,11 +442,11 @@ pub fn run_in_process(job: &ShardJob, threads: usize) -> Result<ShardOutcome, St
 }
 
 // ---------------------------------------------------------------------
-// Worker files.
+// Worker outputs.
 // ---------------------------------------------------------------------
 
-/// Encodes a worker's output file: a `shard-result` header (shard index
-/// and count, so the coordinator can detect mixed-up files) followed by
+/// Encodes a worker's output: a `shard-result` header (shard index and
+/// count, so the coordinator can detect mixed-up answers) followed by
 /// the outcome objects.
 pub fn encode_worker_output(shard: usize, of: usize, outcome: &ShardOutcome) -> String {
     let mut header = FlatObject::new();
@@ -471,7 +461,7 @@ pub fn encode_worker_output(shard: usize, of: usize, outcome: &ShardOutcome) -> 
     encode_array(&objs)
 }
 
-/// Decodes a worker output file into `(shard, of, outcome)`.
+/// Decodes a worker output into `(shard, of, outcome)`.
 ///
 /// # Errors
 /// Returns a message locating the malformed object.
@@ -490,122 +480,11 @@ pub fn decode_worker_output(text: &str) -> Result<(usize, usize, ShardOutcome), 
 }
 
 // ---------------------------------------------------------------------
-// The coordinator.
-// ---------------------------------------------------------------------
-
-static SPEC_DIR_COUNTER: AtomicUsize = AtomicUsize::new(0);
-
-/// Partitions a job, spawns worker processes, and merges their outputs.
-///
-/// ```no_run
-/// use sc_engine::shard::{smoke_grid, Coordinator, ShardJob};
-///
-/// let coordinator = Coordinator::new(4, "target/release/shard_worker");
-/// let merged = coordinator.run(&ShardJob::Grid(smoke_grid())).unwrap();
-/// println!("{}", merged.encode());
-/// ```
-#[derive(Debug, Clone)]
-pub struct Coordinator {
-    /// Worker processes to spawn (clamped to the job size; ≥ 1).
-    pub workers: usize,
-    /// Path to the `shard_worker` binary.
-    pub worker_bin: PathBuf,
-    /// `Runner` threads *inside* each worker (default 1: one process per
-    /// core is the intended deployment; determinism holds for any value).
-    pub worker_threads: usize,
-}
-
-impl Coordinator {
-    /// A coordinator spawning `workers` processes of `worker_bin`.
-    pub fn new(workers: usize, worker_bin: impl Into<PathBuf>) -> Self {
-        Self { workers: workers.max(1), worker_bin: worker_bin.into(), worker_threads: 1 }
-    }
-
-    /// Runs the job sharded and returns the merged outcome.
-    ///
-    /// # Errors
-    /// Errors on spec/output I/O failures, a worker exiting non-zero, or
-    /// a worker writing an output that does not match its shard index.
-    pub fn run(&self, job: &ShardJob) -> Result<ShardOutcome, String> {
-        let job = job.canonicalize()?;
-        let workers = self.workers.clamp(1, job.len().max(1));
-
-        let dir = std::env::temp_dir().join(format!(
-            "sc-shard-{}-{}",
-            std::process::id(),
-            SPEC_DIR_COUNTER.fetch_add(1, Ordering::Relaxed)
-        ));
-        std::fs::create_dir_all(&dir).map_err(|e| format!("cannot create {dir:?}: {e}"))?;
-        let result = self.run_in_dir(&job, workers, &dir);
-        let _ = std::fs::remove_dir_all(&dir);
-        result
-    }
-
-    fn run_in_dir(
-        &self,
-        job: &ShardJob,
-        workers: usize,
-        dir: &std::path::Path,
-    ) -> Result<ShardOutcome, String> {
-        let spec_path = dir.join("spec.json");
-        std::fs::write(&spec_path, job.encode())
-            .map_err(|e| format!("cannot write {spec_path:?}: {e}"))?;
-
-        let out_path = |i: usize| dir.join(format!("out-{i}.json"));
-        let mut children = Vec::with_capacity(workers);
-        for i in 0..workers {
-            let child = Command::new(&self.worker_bin)
-                .arg("--spec")
-                .arg(&spec_path)
-                .arg("--shard")
-                .arg(i.to_string())
-                .arg("--of")
-                .arg(workers.to_string())
-                .arg("--out")
-                .arg(out_path(i))
-                .arg("--threads")
-                .arg(self.worker_threads.to_string())
-                .stdin(Stdio::null())
-                .stdout(Stdio::null())
-                .stderr(Stdio::inherit())
-                .spawn()
-                .map_err(|e| format!("cannot spawn {:?}: {e}", self.worker_bin))?;
-            children.push(child);
-        }
-
-        let mut parts = Vec::with_capacity(workers);
-        let mut failures = Vec::new();
-        for (i, mut child) in children.into_iter().enumerate() {
-            let status = child.wait().map_err(|e| format!("waiting for worker {i}: {e}"))?;
-            if !status.success() {
-                failures.push(format!("worker {i} exited with {status}"));
-                continue;
-            }
-            let path = out_path(i);
-            let text =
-                std::fs::read_to_string(&path).map_err(|e| format!("cannot read {path:?}: {e}"))?;
-            let (shard, of, outcome) =
-                decode_worker_output(&text).map_err(|e| format!("worker {i} output: {e}"))?;
-            if (shard, of) != (i, workers) {
-                return Err(format!(
-                    "worker {i} output claims shard {shard} of {of} (expected {i} of {workers})"
-                ));
-            }
-            parts.push(outcome);
-        }
-        if !failures.is_empty() {
-            return Err(failures.join("; "));
-        }
-        ShardOutcome::merge(parts)
-    }
-}
-
-// ---------------------------------------------------------------------
 // The CI smoke grid.
 // ---------------------------------------------------------------------
 
 /// The fixed small grid behind `streamcolor shard --smoke` and CI's
-/// `shard-smoke` job: every scenario-expressible algorithm class, two
+/// `cluster-smoke` job: every scenario-expressible algorithm class, two
 /// graph sources, several arrival orders and checkpoint schedules, in a
 /// few seconds of total work.
 pub fn smoke_grid() -> Vec<Scenario> {

@@ -5,9 +5,8 @@
 //! them (and everything they contain — [`SourceSpec`], [`ColorerSpec`],
 //! [`sc_stream::EngineConfig`], [`sc_stream::StreamOrder`]) through the
 //! [`flatjson`](crate::flatjson) wire format, one flat object per
-//! scenario. The [`shard`](crate::shard) coordinator writes a spec file
-//! with [`encode_grid`]; each `shard_worker` process reads it back with
-//! [`decode_grid`] and runs its slice.
+//! scenario. A [`shard`](crate::shard) job spec is encoded this way, and
+//! each worker decodes it back before running its slice.
 //!
 //! Laws (property-tested in `tests/wire_roundtrip.rs`):
 //!
@@ -24,7 +23,7 @@
 //!   CI `diff` merged shard outputs against single-process runs.
 
 use crate::attack::{AdversarySpec, AttackScenario};
-use crate::flatjson::{encode_array, parse_array, FlatObject, Scalar};
+use crate::flatjson::{FlatObject, Scalar};
 use crate::scenario::Scenario;
 use crate::source::{GraphFamily, SourceSpec};
 use crate::spec::ColorerSpec;
@@ -420,25 +419,6 @@ pub fn scenario_from_wire(obj: &FlatObject) -> Result<Scenario, String> {
     Ok(scenario)
 }
 
-/// Encodes a whole scenario grid as canonical flat JSON (empty grids
-/// encode to `"[]\n"`).
-pub fn encode_grid(scenarios: &[Scenario]) -> String {
-    let objs: Vec<FlatObject> = scenarios.iter().map(scenario_to_wire).collect();
-    encode_array(&objs)
-}
-
-/// Decodes an [`encode_grid`] file.
-///
-/// # Errors
-/// Returns a message locating the first malformed object.
-pub fn decode_grid(text: &str) -> Result<Vec<Scenario>, String> {
-    parse_array(text)?
-        .iter()
-        .enumerate()
-        .map(|(i, obj)| scenario_from_wire(obj).map_err(|e| format!("scenario {i}: {e}")))
-        .collect()
-}
-
 // ---------------------------------------------------------------------
 // AttackScenario.
 // ---------------------------------------------------------------------
@@ -602,7 +582,7 @@ mod tests {
         // …and decode∘encode is idempotent (canonical representative).
         let twice = scenario_from_wire(&scenario_to_wire(&once)).unwrap();
         assert_eq!(twice, once);
-        assert_eq!(encode_grid(std::slice::from_ref(&twice)), encode_grid(&[once]));
+        assert_eq!(scenario_to_wire(&twice), scenario_to_wire(&once));
     }
 
     #[test]
@@ -631,14 +611,16 @@ mod tests {
 
     #[test]
     fn grids_round_trip_including_empty() {
-        assert_eq!(decode_grid(&encode_grid(&[])).unwrap(), Vec::new());
+        use crate::shard::ShardJob;
         let grid: Vec<Scenario> = (0..4)
             .map(|i| {
                 Scenario::new(SourceSpec::gnp(30, 4, 0.3, i), ColorerSpec::Robust { beta: None })
                     .with_seed(i * 31)
             })
             .collect();
-        assert_eq!(decode_grid(&encode_grid(&grid)).unwrap(), grid);
+        for job in [ShardJob::Grid(Vec::new()), ShardJob::Grid(grid)] {
+            assert_eq!(ShardJob::decode(&job.encode()).unwrap(), job);
+        }
     }
 
     #[test]

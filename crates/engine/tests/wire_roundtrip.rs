@@ -327,12 +327,13 @@ mod error_paths {
     fn overflowing_numbers_in_spec_files_are_decode_errors() {
         // 1e999 would parse to +inf and then panic inside canonicalize's
         // re-encode; the parser must refuse it up front.
-        let text = wire::encode_grid(&[Scenario::new(
+        let text = ShardJob::Grid(vec![Scenario::new(
             SourceSpec::gnp(20, 3, 0.5, 1),
             ColorerSpec::Robust { beta: Some(0.5) },
         )])
+        .encode()
         .replace("0.5,", "1e999,");
-        let e = wire::decode_grid(&text).unwrap_err();
+        let e = ShardJob::decode(&text).unwrap_err();
         assert!(e.contains("overflows"), "{e}");
     }
 
@@ -493,14 +494,11 @@ proptest! {
     #[test]
     fn grids_round_trip_including_empty(seed in any::<u64>(), len in 0usize..5) {
         let mut g = Gen::new(seed);
-        let grid: Vec<Scenario> = (0..len).map(|_| g.scenario()).collect();
-        let text = wire::encode_grid(&grid);
-        let back = wire::decode_grid(&text);
-        prop_assert_eq!(back.as_ref(), Ok(&grid));
-        if grid.is_empty() {
-            prop_assert_eq!(text, "[]\n".to_string(), "empty grids have a canonical encoding");
-        }
+        let job = sc_engine::shard::ShardJob::Grid((0..len).map(|_| g.scenario()).collect());
+        let text = job.encode();
+        let back = sc_engine::shard::ShardJob::decode(&text);
+        prop_assert_eq!(back.as_ref(), Ok(&job));
         // Canonical: encoding the decoded grid is byte-identical.
-        prop_assert_eq!(wire::encode_grid(&back.unwrap()), wire::encode_grid(&grid));
+        prop_assert_eq!(back.unwrap().encode(), text);
     }
 }

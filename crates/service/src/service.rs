@@ -97,8 +97,8 @@ struct Tenant {
 /// Host-level lifecycle counters, surfaced by the `host_stats` command
 /// and by [`Service::counters`]. Connection counts are fed by whatever
 /// serving surface owns the sockets (the reactor calls
-/// [`Service::record_connections`]; stdio and per-connection hosts
-/// leave them 0) — they describe the *host*, not a session, so they are
+/// [`Service::record_connections`]; stdio and script hosts leave them
+/// 0) — they describe the *host*, not a session, so they are
 /// deliberately outside the per-session determinism law.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct HostCounters {
@@ -147,8 +147,8 @@ pub struct Service {
     /// Tenants keyed by `(owner, name)`. The owner is a connection id
     /// in reactor mode ([`Service::respond_as`]) and 0 everywhere else,
     /// so two reactor connections may both own an `"alpha"` without
-    /// sharing a byte of state — exactly the isolation the
-    /// per-connection listener gives for free.
+    /// sharing a byte of state — exactly the isolation a private
+    /// `Service` per connection would give.
     sessions: BTreeMap<(u64, String), Tenant>,
     /// Evicted-session tombstones: commands for an evicted name answer
     /// a "session evicted" error (never a bare "unknown session") until
@@ -273,9 +273,9 @@ impl Service {
     }
 
     /// Drops every session (and eviction tombstone) owned by `owner` —
-    /// the reactor calls this when a connection closes, mirroring the
-    /// per-connection listener where a dropped connection takes its
-    /// whole `Service` with it. Returns the number of sessions dropped.
+    /// the reactor calls this when a connection closes, so a dropped
+    /// connection takes its tenants with it, as if its private
+    /// `Service` had died. Returns the number of sessions dropped.
     pub fn drop_owner(&mut self, owner: u64) -> usize {
         let doomed: Vec<(u64, String)> =
             self.sessions.keys().filter(|(o, _)| *o == owner).cloned().collect();

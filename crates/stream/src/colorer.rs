@@ -171,46 +171,55 @@ pub trait StreamingColorer {
 /// on boxed colorers unchanged.
 pub type BoxedColorer = Box<dyn StreamingColorer + Send>;
 
-/// Boxes forward the whole contract to their contents, so type erasure
-/// never changes observable behavior (same colorings, same space).
-impl<C: StreamingColorer + ?Sized> StreamingColorer for Box<C> {
-    fn process(&mut self, e: Edge) {
-        (**self).process(e)
-    }
-    fn process_batch(&mut self, edges: &[Edge]) {
-        (**self).process_batch(edges)
-    }
-    fn supports_deletions(&self) -> bool {
-        (**self).supports_deletions()
-    }
-    fn process_signed(&mut self, t: SignedEdge) -> Result<(), String> {
-        (**self).process_signed(t)
-    }
-    fn process_signed_batch(&mut self, tokens: &[SignedEdge]) -> Result<(), String> {
-        (**self).process_signed_batch(tokens)
-    }
-    fn query(&mut self) -> Coloring {
-        (**self).query()
-    }
-    fn query_incremental(&mut self) -> Coloring {
-        (**self).query_incremental()
-    }
-    fn query_cache_stats(&self) -> Option<CacheStats> {
-        (**self).query_cache_stats()
-    }
-    fn peak_space_bits(&self) -> u64 {
-        (**self).peak_space_bits()
-    }
-    fn encode_state(&self) -> Result<String, String> {
-        (**self).encode_state()
-    }
-    fn decode_state(&mut self, state: &str) -> Result<(), String> {
-        (**self).decode_state(state)
-    }
-    fn name(&self) -> &'static str {
-        (**self).name()
-    }
+/// Boxes and mutable borrows forward the whole contract to their
+/// contents, so type erasure and borrowing never change observable
+/// behavior (same colorings, same space). Every method forwards, not
+/// just the required ones: a defaulted method would bypass the inner
+/// colorer's override.
+macro_rules! forward_streaming_colorer {
+    ($($holder:ty),*) => {$(
+        impl<C: StreamingColorer + ?Sized> StreamingColorer for $holder {
+            fn process(&mut self, e: Edge) {
+                (**self).process(e)
+            }
+            fn process_batch(&mut self, edges: &[Edge]) {
+                (**self).process_batch(edges)
+            }
+            fn supports_deletions(&self) -> bool {
+                (**self).supports_deletions()
+            }
+            fn process_signed(&mut self, t: SignedEdge) -> Result<(), String> {
+                (**self).process_signed(t)
+            }
+            fn process_signed_batch(&mut self, tokens: &[SignedEdge]) -> Result<(), String> {
+                (**self).process_signed_batch(tokens)
+            }
+            fn query(&mut self) -> Coloring {
+                (**self).query()
+            }
+            fn query_incremental(&mut self) -> Coloring {
+                (**self).query_incremental()
+            }
+            fn query_cache_stats(&self) -> Option<CacheStats> {
+                (**self).query_cache_stats()
+            }
+            fn peak_space_bits(&self) -> u64 {
+                (**self).peak_space_bits()
+            }
+            fn encode_state(&self) -> Result<String, String> {
+                (**self).encode_state()
+            }
+            fn decode_state(&mut self, state: &str) -> Result<(), String> {
+                (**self).decode_state(state)
+            }
+            fn name(&self) -> &'static str {
+                (**self).name()
+            }
+        }
+    )*};
 }
+
+forward_streaming_colorer!(Box<C>, &mut C);
 
 /// Feeds a whole (oblivious) stream through a colorer, then queries once.
 ///

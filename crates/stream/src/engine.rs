@@ -21,10 +21,10 @@
 //!   prefix.
 //!
 //! Interactive consumers (the adversarial game, where the next edge
-//! depends on the last output) drive an [`EngineSession`] instead, which
+//! depends on the last output) drive a [`Session`] instead, which
 //! exposes the same chunk-and-checkpoint machinery one edge at a time.
 
-use crate::colorer::StreamingColorer;
+use crate::colorer::{BoxedColorer, StreamingColorer};
 use crate::source::{PassCounter, StreamSource};
 use crate::support::DynamicSupport;
 use crate::token::{Sign, SignedEdge};
@@ -145,7 +145,7 @@ impl EngineConfig {
 ///   ignored; the final query in [`EngineReport::final_coloring`] covers
 ///   the true stream end.
 /// * **Prefix 0 / period 0** — a requested prefix of `0` never fires (the
-///   empty prefix is observable via [`EngineSession::observe`] before any
+///   empty prefix is observable via [`Session::observe`] before any
 ///   push); `EveryEdges(0)` is treated as `EveryEdges(1)`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum QuerySchedule {
@@ -274,10 +274,9 @@ impl StreamEngine {
         colorer: &mut C,
         edges: &[Edge],
     ) -> EngineReport {
-        let start = Instant::now();
-        let mut session = EngineSession::new(colorer, self.config.clone());
+        let mut session = Session::borrowing(colorer, self.config.clone());
         session.push_slice(edges);
-        session.finish(start)
+        session.finish()
     }
 
     /// Feeds a **signed** (turnstile) token stream through `colorer`,
@@ -294,10 +293,9 @@ impl StreamEngine {
         colorer: &mut C,
         tokens: &[SignedEdge],
     ) -> Result<EngineReport, String> {
-        let start = Instant::now();
-        let mut session = EngineSession::new(colorer, self.config.clone());
+        let mut session = Session::borrowing(colorer, self.config.clone());
         session.push_signed_slice(tokens)?;
-        Ok(session.finish(start))
+        Ok(session.finish())
     }
 
     /// Like [`StreamEngine::run`] but reading one pass from a
@@ -314,9 +312,8 @@ impl StreamEngine {
         C: StreamingColorer + ?Sized,
         S: StreamSource + ?Sized,
     {
-        let start = Instant::now();
         let counted = PassCounter::new(source);
-        let mut session = EngineSession::new(colorer, self.config.clone());
+        let mut session = Session::borrowing(colorer, self.config.clone());
         // The session's own pending buffer does the chunk assembly.
         for item in counted.pass() {
             let Some(t) = item.as_signed() else { continue };
@@ -324,17 +321,16 @@ impl StreamEngine {
                 .push_signed(t)
                 .unwrap_or_else(|e| panic!("run_source: malformed turnstile stream: {e}"));
         }
-        let mut report = session.finish(start);
+        let mut report = session.finish();
         report.passes = counted.passes();
         report
     }
 }
 
-/// The chunk/schedule/checkpoint machinery shared by both session
-/// flavors. It never owns the colorer — every method that touches one
-/// takes it as an argument — which is exactly what lets the borrow-bound
-/// [`EngineSession`] and the owned [`Session`] be thin wrappers over one
-/// implementation instead of two drifting copies.
+/// The chunk/schedule/checkpoint machinery behind [`Session`]. It never
+/// owns the colorer — every method that touches one takes it as an
+/// argument — so a session may hold its colorer owned or borrowed, and
+/// a snapshot captures this state apart from the colorer's own blob.
 #[derive(Debug, Clone)]
 struct SessionState {
     config: EngineConfig,
@@ -527,100 +523,6 @@ impl SessionState {
     }
 }
 
-/// Incremental engine state for *borrowing* interactive consumers (the
-/// adversarial game pushes one edge per round and checkpoints after
-/// each). A thin wrapper over the same machinery as the owned
-/// [`Session`]; prefer `Session` for anything that stores sessions
-/// (services, registries) — the borrow here pins the colorer's lifetime
-/// to the caller's stack frame.
-pub struct EngineSession<'a, C: StreamingColorer + ?Sized> {
-    colorer: &'a mut C,
-    state: SessionState,
-}
-
-impl<'a, C: StreamingColorer + ?Sized> EngineSession<'a, C> {
-    /// Opens a session over `colorer`. Sessions over colorers that
-    /// [`StreamingColorer::supports_deletions`] additionally maintain a
-    /// [`DynamicSupport`] referee for the signed push vocabulary.
-    pub fn new(colorer: &'a mut C, config: EngineConfig) -> Self {
-        let track = colorer.supports_deletions();
-        Self { colorer, state: SessionState::new(config, track) }
-    }
-
-    /// Tokens accepted so far (including any still pending).
-    pub fn len(&self) -> usize {
-        self.state.len()
-    }
-
-    /// Whether no tokens have been accepted.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The live-edge multiset, for deletion-supporting colorers.
-    pub fn support(&self) -> Option<&DynamicSupport> {
-        self.state.support.as_ref()
-    }
-
-    /// Accepts one edge, flushing/checkpointing per the configuration.
-    pub fn push(&mut self, e: Edge) {
-        self.push_slice(std::slice::from_ref(&e));
-    }
-
-    /// Accepts a slice of edges. Complete chunks are fed through
-    /// immediately; a sub-chunk tail stays staged for later pushes.
-    pub fn push_slice(&mut self, edges: &[Edge]) {
-        self.state.push_slice(self.colorer, edges);
-    }
-
-    /// Accepts one signed token (see [`EngineSession::push_signed_slice`]).
-    ///
-    /// # Errors
-    /// As [`EngineSession::push_signed_slice`]; the session is unchanged
-    /// on error.
-    pub fn push_signed(&mut self, t: SignedEdge) -> Result<(), String> {
-        self.push_signed_slice(std::slice::from_ref(&t))
-    }
-
-    /// Accepts a slice of signed tokens, validated **atomically** before
-    /// staging: either every token is accepted or none is.
-    ///
-    /// # Errors
-    /// A deletion aimed at an insert-only colorer names the colorer and
-    /// the edge; a deletion of a never-inserted edge names the edge.
-    pub fn push_signed_slice(&mut self, tokens: &[SignedEdge]) -> Result<(), String> {
-        self.state.push_signed_slice(self.colorer, tokens)
-    }
-
-    /// Feeds all pending tokens to the colorer.
-    pub fn flush(&mut self) {
-        self.state.flush(self.colorer);
-    }
-
-    /// Flushes, queries, and records + returns a checkpoint for the
-    /// current prefix.
-    pub fn checkpoint(&mut self) -> &Checkpoint {
-        self.flush();
-        self.state.record_checkpoint(self.colorer);
-        self.state.checkpoints.last().expect("checkpoint just recorded")
-    }
-
-    /// Flushes and queries the current prefix *without* recording — the
-    /// adversarial game observes after every round and keeping each
-    /// round's coloring would cost `O(rounds · n)` memory.
-    pub fn observe(&mut self) -> Checkpoint {
-        self.flush();
-        self.state.snapshot(self.colorer)
-    }
-
-    /// Flushes, runs the final query, and assembles the report.
-    /// `started_at` anchors the elapsed measurement (the owned
-    /// [`Session`] folds this in at construction instead).
-    pub fn finish(self, started_at: Instant) -> EngineReport {
-        self.state.finish(self.colorer, started_at)
-    }
-}
-
 /// A point-in-time capture of an owned [`Session`], taken **without**
 /// flushing: the pending sub-chunk tail is carried verbatim, so a
 /// restored session is mid-stream-exact — the next push sees the same
@@ -650,11 +552,16 @@ pub struct SessionSnapshot {
     pub colorer_state: String,
 }
 
-/// An owned interactive session: the colorer moves *in* at open and the
-/// report moves *out* at finish, so sessions can be stored, passed
-/// across threads, and multiplexed — a service can host thousands of
-/// them concurrently, where the borrow-bound [`EngineSession`] could
-/// host none beyond its caller's stack frame.
+/// An interactive session: push tokens, observe or checkpoint any
+/// prefix, finish into an [`EngineReport`].
+///
+/// `C` is how the session holds its colorer. The default, an owned
+/// [`BoxedColorer`] ([`Session::new`]), moves in at open and the report
+/// moves out at finish, so sessions can be stored, passed across
+/// threads, and multiplexed — a service hosts thousands of them. A
+/// borrowed `&mut C` ([`Session::borrowing`]) serves callers that keep
+/// the colorer on their own stack: [`StreamEngine`] runs and the
+/// adversary game. Both are the same type, so they cannot drift.
 ///
 /// Timing is folded in: the construction instant anchors
 /// [`EngineReport::elapsed`], so there is no `finish(started_at)`
@@ -682,18 +589,23 @@ pub struct SessionSnapshot {
 /// let report = session.finish();
 /// assert_eq!(report.edges, 1);
 /// ```
-pub struct Session {
-    colorer: crate::colorer::BoxedColorer,
+pub struct Session<C = BoxedColorer> {
+    colorer: C,
     state: SessionState,
     started: Instant,
 }
 
-impl Session {
-    /// Opens a session owning `colorer`, anchoring the elapsed clock now.
-    /// Sessions over colorers that
-    /// [`StreamingColorer::supports_deletions`] additionally maintain a
-    /// [`DynamicSupport`] referee for the signed push vocabulary.
-    pub fn new(colorer: crate::colorer::BoxedColorer, config: EngineConfig) -> Self {
+impl<'a, C: StreamingColorer + ?Sized> Session<&'a mut C> {
+    /// Opens a session over a borrowed colorer (see [`Session::new`]).
+    pub fn borrowing(colorer: &'a mut C, config: EngineConfig) -> Self {
+        Self::open(colorer, config)
+    }
+}
+
+impl<C: StreamingColorer> Session<C> {
+    /// The one constructor behind [`Session::new`] and
+    /// [`Session::borrowing`].
+    fn open(colorer: C, config: EngineConfig) -> Self {
         let track = colorer.supports_deletions();
         Self { colorer, state: SessionState::new(config, track), started: Instant::now() }
     }
@@ -796,7 +708,9 @@ impl Session {
         self.state.checkpoints.last().expect("checkpoint just recorded")
     }
 
-    /// Flushes and queries the current prefix *without* recording.
+    /// Flushes and queries the current prefix *without* recording — the
+    /// adversarial game observes after every round and keeping each
+    /// round's coloring would cost `O(rounds · n)` memory.
     pub fn observe(&mut self) -> Checkpoint {
         self.flush();
         self.state.snapshot(&mut self.colorer)
@@ -807,6 +721,16 @@ impl Session {
     /// get wrong).
     pub fn finish(mut self) -> EngineReport {
         self.state.finish(&mut self.colorer, self.started)
+    }
+}
+
+impl Session {
+    /// Opens a session owning `colorer`, anchoring the elapsed clock now.
+    /// Sessions over colorers that
+    /// [`StreamingColorer::supports_deletions`] additionally maintain a
+    /// [`DynamicSupport`] referee for the signed push vocabulary.
+    pub fn new(colorer: BoxedColorer, config: EngineConfig) -> Self {
+        Self::open(colorer, config)
     }
 
     /// Captures the session mid-stream, **without** flushing the
@@ -837,10 +761,7 @@ impl Session {
     /// # Errors
     /// Propagates [`StreamingColorer::decode_state`] failures naming
     /// the offending field.
-    pub fn restore(
-        mut colorer: crate::colorer::BoxedColorer,
-        snapshot: SessionSnapshot,
-    ) -> Result<Self, String> {
+    pub fn restore(mut colorer: BoxedColorer, snapshot: SessionSnapshot) -> Result<Self, String> {
         let support = match (colorer.supports_deletions(), snapshot.support) {
             (true, Some(s)) => Some(s),
             (true, None) => {
@@ -1028,11 +949,11 @@ mod tests {
         let mut a = StoreAll::new(50);
         let slice_report = StreamEngine::new(cfg.clone()).run(&mut a, &edges);
         let mut b = StoreAll::new(50);
-        let mut session = EngineSession::new(&mut b, cfg);
+        let mut session = Session::borrowing(&mut b, cfg);
         for &e in &edges {
             session.push(e);
         }
-        let push_report = session.finish(Instant::now());
+        let push_report = session.finish();
         let slice_prefixes: Vec<usize> =
             slice_report.checkpoints.iter().map(|c| c.prefix_len).collect();
         let push_prefixes: Vec<usize> =
@@ -1072,28 +993,28 @@ mod tests {
     fn session_interactive_checkpoints() {
         let (_, edges) = edges_of(30, 5);
         let mut c = StoreAll::new(30);
-        let mut session = EngineSession::new(&mut c, EngineConfig::per_edge());
+        let mut session = Session::borrowing(&mut c, EngineConfig::per_edge());
         for (i, &e) in edges.iter().enumerate().take(10) {
             session.push(e);
             let cp = session.checkpoint();
             assert_eq!(cp.prefix_len, i + 1);
         }
         assert_eq!(session.len(), 10);
-        let report = session.finish(Instant::now());
+        let report = session.finish();
         assert_eq!(report.edges, 10);
         assert_eq!(report.checkpoints.len(), 10);
     }
 
     #[test]
     fn owned_session_replays_borrowed_session_identically() {
-        // The owned Session and the borrow-bound EngineSession are thin
-        // wrappers over one core; every observable — checkpoint prefixes,
-        // colorings, chunk counts, space — must agree for any push
-        // pattern.
+        // An owned boxed colorer and a borrowed one drive the same
+        // Session code through two forwarding impls; every observable —
+        // checkpoint prefixes, colorings, chunk counts, space — must
+        // agree for any push pattern.
         let (_, edges) = edges_of(50, 11);
         let cfg = EngineConfig::batched(8).with_schedule(QuerySchedule::AtPrefixes(vec![25, 4, 9]));
         let mut borrowed = StoreAll::new(50);
-        let mut session = EngineSession::new(&mut borrowed, cfg.clone());
+        let mut session = Session::borrowing(&mut borrowed, cfg.clone());
         let mut owned = Session::new(Box::new(StoreAll::new(50)), cfg);
         assert!(owned.is_empty());
         assert_eq!(owned.algo(), "store-all");
@@ -1107,7 +1028,7 @@ mod tests {
         assert_eq!(mid_borrowed.coloring, mid_owned.coloring);
         assert_eq!(mid_borrowed.space_bits, owned.peak_space_bits());
         assert_eq!(owned.pending(), 0, "observe flushes");
-        let a = session.finish(Instant::now());
+        let a = session.finish();
         let b = owned.finish();
         assert_eq!(a.final_coloring, b.final_coloring);
         assert_eq!(a.edges, b.edges);
@@ -1274,7 +1195,7 @@ mod tests {
     #[test]
     fn signed_push_rejects_underflow_atomically() {
         let mut c = DynStore::new(10);
-        let mut session = EngineSession::new(&mut c, EngineConfig::batched(4));
+        let mut session = Session::borrowing(&mut c, EngineConfig::batched(4));
         session.push_signed(SignedEdge::insert(Edge::new(0, 1))).unwrap();
         let before_len = session.len();
         let err = session
@@ -1301,7 +1222,7 @@ mod tests {
     #[test]
     fn signed_push_names_insert_only_offenders() {
         let mut c = StoreAll::new(10);
-        let mut session = EngineSession::new(&mut c, EngineConfig::per_edge());
+        let mut session = Session::borrowing(&mut c, EngineConfig::per_edge());
         assert!(session.support().is_none(), "insert-only sessions carry no support");
         session.push_signed(SignedEdge::insert(Edge::new(0, 1))).unwrap();
         let err = session.push_signed(SignedEdge::delete(Edge::new(0, 1))).unwrap_err();

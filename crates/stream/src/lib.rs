@@ -10,13 +10,12 @@
 //!   `O(n log² n)` / `Õ(n)` bounds.
 //! * [`StreamingColorer`] — the process/query contract of the single-pass
 //!   (robust) setting, shared by the adversarial game driver.
-//! * [`StreamEngine`] / [`EngineSession`] — the batched ingestion engine:
+//! * [`StreamEngine`] / [`Session`] — the batched ingestion engine:
 //!   chunking, pass counting, space metering and checkpointed mid-stream
-//!   queries in one place (see [`engine`]).
-//! * [`Session`] / [`BoxedColorer`] — the *owned* form of the same
-//!   session: the colorer moves in at open and the report moves out at
-//!   finish, so sessions can be stored, sent across threads, and hosted
-//!   many-at-a-time by `sc-service`.
+//!   queries in one place (see [`engine`]). A session either owns a
+//!   [`BoxedColorer`] (stored, sent across threads, and hosted
+//!   many-at-a-time by `sc-service`) or borrows one (engine runs and the
+//!   adversary game).
 //! * [`QueryCache`] — epoch-keyed reuse of query artifacts, powering the
 //!   incremental query path
 //!   ([`StreamingColorer::query_incremental`]; see [`query_cache`]).
@@ -47,8 +46,7 @@ pub mod trace;
 
 pub use colorer::{run_oblivious, BoxedColorer, StreamingColorer};
 pub use engine::{
-    Checkpoint, EngineConfig, EngineReport, EngineSession, QuerySchedule, Session, SessionSnapshot,
-    StreamEngine,
+    Checkpoint, EngineConfig, EngineReport, QuerySchedule, Session, SessionSnapshot, StreamEngine,
 };
 pub use order::StreamOrder;
 pub use query_cache::{CacheState, CacheStats, QueryCache};

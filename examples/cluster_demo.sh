@@ -1,14 +1,16 @@
 #!/usr/bin/env sh
-# The cluster determinism law in one shell session: start a TCP
-# listener (`streamcolor serve --listen`), run the smoke grid sharded
-# against it over real sockets — plus the stdio and loopback transports
-# and a skewed fleet exercising work stealing + speculative
-# re-dispatch — and diff every merged JSON against the single-process
-# reference. All five files are byte-identical.
+# The cluster determinism law in one shell session: run the smoke grid
+# sharded over the default transport (spawned `streamcolor serve`
+# workers over stdio), the loopback transport, and a TCP listener
+# (`streamcolor serve --listen`, one event loop, so its three
+# connections run their slices one at a time) — plus a skewed fleet
+# exercising work stealing + speculative re-dispatch — and diff every
+# merged JSON against the single-process reference. All five files
+# are byte-identical.
 set -eu
 cd "$(dirname "$0")/.."
 
-cargo build --release --bin streamcolor --bin shard_worker
+cargo build --release --bin streamcolor
 
 OUT=/tmp/cluster_demo
 mkdir -p "$OUT"
@@ -18,9 +20,9 @@ target/release/streamcolor shard --smoke --in-process --out "$OUT/single.json"
 echo "wrote $OUT/single.json"
 
 echo
-echo "== loopback (process) and spawned (stdio) transports =="
+echo "== spawned serve workers (the default stdio transport) and loopback =="
+target/release/streamcolor shard --smoke --workers 3 --out "$OUT/stdio.json"
 target/release/streamcolor shard --smoke --transport process --workers 3 --out "$OUT/process.json"
-target/release/streamcolor shard --smoke --transport stdio --workers 3 --out "$OUT/stdio.json"
 
 echo
 echo "== TCP: a listener serving remote shard workers =="
