@@ -417,7 +417,11 @@ fn emit_query_bench(profile: &Profile) {
         let (_, rs) = run_once(base.clone().scratch_queries());
         assert_eq!(ri.final_coloring, rs.final_coloring, "dynamic_sr: query paths diverge");
         for (a, b) in ri.checkpoints.iter().zip(&rs.checkpoints) {
-            assert_eq!(a.coloring, b.coloring, "dynamic_sr: checkpoint diverges at {}", a.prefix_len);
+            assert_eq!(
+                a.coloring, b.coloring,
+                "dynamic_sr: checkpoint diverges at {}",
+                a.prefix_len
+            );
         }
         let median = |config: EngineConfig| -> f64 {
             let mut times: Vec<f64> = (0..reps).map(|_| run_once(config.clone()).0).collect();

@@ -91,10 +91,7 @@ impl DynamicColorer {
     /// Decodes the live edge list (ascending), panicking with the
     /// sketch's loud message if the support exceeds the budget.
     fn decode_live(&self) -> Vec<Edge> {
-        let support = self
-            .sketch
-            .decode()
-            .unwrap_or_else(|e| panic!("{}: {e}", self.name()));
+        let support = self.sketch.decode().unwrap_or_else(|e| panic!("{}: {e}", self.name()));
         support
             .into_iter()
             .map(|(id, count)| {
@@ -368,6 +365,8 @@ mod tests {
     fn decode_state_rejects_foreign_blobs() {
         let mut c = DynamicColorer::new(10, 2, 1);
         assert!(c.decode_state("algo=store-all;edges=").is_err());
-        assert!(c.decode_state("algo=dynamic-sr;cells=x;space_cur=1;space_peak=1;epoch=0").is_err());
+        assert!(c
+            .decode_state("algo=dynamic-sr;cells=x;space_cur=1;space_peak=1;epoch=0")
+            .is_err());
     }
 }

@@ -70,7 +70,14 @@ impl SparseRecovery {
         let mut rng = SplitMix64::new(seed);
         let row_keys: Vec<u64> = (0..ROWS).map(|_| rng.next_u64()).collect();
         let fp_key = rng.next_u64();
-        Self { universe, sparsity, cols, row_keys, fp_key, cells: vec![Cell::default(); ROWS * cols] }
+        Self {
+            universe,
+            sparsity,
+            cols,
+            row_keys,
+            fp_key,
+            cells: vec![Cell::default(); ROWS * cols],
+        }
     }
 
     /// The sparsity budget `s`.
@@ -314,14 +321,9 @@ mod tests {
     #[test]
     fn decode_cells_rejects_malformed_entries() {
         let mut sk = SparseRecovery::new(100, 2, 1);
-        for bad in [
-            "x:1:1:1",
-            "0:1:1",
-            "999999:1:1:1",
-            "0:0:0:0",
-            "1:1:2:3 1:1:2:3",
-            "2:1:2:3 1:1:2:3",
-        ] {
+        for bad in
+            ["x:1:1:1", "0:1:1", "999999:1:1:1", "0:0:0:0", "1:1:2:3 1:1:2:3", "2:1:2:3 1:1:2:3"]
+        {
             assert!(sk.decode_cells(bad).is_err(), "{bad:?} must not decode");
         }
     }

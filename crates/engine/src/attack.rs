@@ -128,7 +128,12 @@ impl Runner {
         let mut adversary =
             scenario.adversary.build(scenario.n, scenario.delta, scenario.adversary_seed);
         if scenario.adversary.is_signed() {
-            sc_adversary::run_signed_game(&mut victim, adversary.as_mut(), scenario.n, scenario.rounds)
+            sc_adversary::run_signed_game(
+                &mut victim,
+                adversary.as_mut(),
+                scenario.n,
+                scenario.rounds,
+            )
         } else {
             sc_adversary::run_game(&mut victim, adversary.as_mut(), scenario.n, scenario.rounds)
         }

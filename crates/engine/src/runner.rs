@@ -254,14 +254,10 @@ mod tests {
     #[test]
     fn dynamic_sources_run_the_signed_route() {
         let runner = Runner::sequential();
-        for source in
-            [SourceSpec::churn(50, 6, 7, 20), SourceSpec::sliding_window(50, 6, 7, 25)]
-        {
+        for source in [SourceSpec::churn(50, 6, 7, 20), SourceSpec::sliding_window(50, 6, 7, 25)] {
             let live = source.materialize();
-            let out = runner.run(&Scenario::new(
-                source.clone(),
-                ColorerSpec::DynamicSr { sparsity: None },
-            ));
+            let out = runner
+                .run(&Scenario::new(source.clone(), ColorerSpec::DynamicSr { sparsity: None }));
             assert!(out.proper, "{source:?} colored the live graph improperly");
             assert_eq!(out.m, live.m(), "outcome is judged against the live graph");
             assert_eq!(out.passes, Some(1));
@@ -273,8 +269,9 @@ mod tests {
     fn dynamic_chunking_is_outcome_invariant() {
         let source = SourceSpec::churn(40, 5, 3, 12);
         let spec = ColorerSpec::DynamicSr { sparsity: None };
-        let per_edge = Runner::sequential()
-            .run(&Scenario::new(source.clone(), spec.clone()).with_engine(EngineConfig::per_edge()));
+        let per_edge = Runner::sequential().run(
+            &Scenario::new(source.clone(), spec.clone()).with_engine(EngineConfig::per_edge()),
+        );
         let batched = Runner::sequential()
             .run(&Scenario::new(source, spec).with_engine(EngineConfig::batched(7)));
         assert_eq!(per_edge.coloring, batched.coloring, "chunking changed a dynamic run");

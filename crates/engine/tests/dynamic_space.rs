@@ -61,8 +61,5 @@ fn sketch_space_grows_subquadratically_in_n() {
     let delta = 5;
     let (small, _) = churn_run(64, delta, 4);
     let (big, _) = churn_run(128, delta, 4);
-    assert!(
-        big < 3 * small,
-        "doubling n must not quadruple sketch space ({small} -> {big} bits)"
-    );
+    assert!(big < 3 * small, "doubling n must not quadruple sketch space ({small} -> {big} bits)");
 }

@@ -72,10 +72,8 @@ impl Graph {
             return false;
         };
         self.adj[u as usize].remove(i);
-        let j = self.adj[v as usize]
-            .iter()
-            .position(|&x| x == u)
-            .expect("adjacency lists out of sync");
+        let j =
+            self.adj[v as usize].iter().position(|&x| x == u).expect("adjacency lists out of sync");
         self.adj[v as usize].remove(j);
         self.m -= 1;
         true

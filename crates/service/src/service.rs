@@ -1042,10 +1042,7 @@ fn decode_snapshot_blob(blob: &str) -> Result<Tenant, String> {
     let support = match obj.get("support") {
         Some(s) => {
             let text = s.as_str().ok_or("snapshot: field \"support\" must be a string")?;
-            Some(
-                DynamicSupport::decode(text, n)
-                    .map_err(|e| format!("snapshot: support: {e}"))?,
-            )
+            Some(DynamicSupport::decode(text, n).map_err(|e| format!("snapshot: support: {e}"))?)
         }
         None => None,
     };
@@ -1317,7 +1314,9 @@ mod tests {
         service
             .respond(r#"{"cmd":"open","session":"d","n":12,"delta":3,"colorer":"dynamic-sr"}"#)
             .unwrap();
-        service.respond(r#"{"cmd":"open","session":"s","n":12,"delta":3,"colorer":"robust"}"#).unwrap();
+        service
+            .respond(r#"{"cmd":"open","session":"s","n":12,"delta":3,"colorer":"robust"}"#)
+            .unwrap();
         for session in ["d", "s"] {
             let line = format!(r#"{{"cmd":"push","session":"{session}","edge":"0-1"}}"#);
             assert!(service.respond(&line).unwrap().contains("\"ok\":true"));

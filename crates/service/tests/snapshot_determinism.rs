@@ -318,8 +318,7 @@ mod game {
             (ColorerSpec::PaletteSparsification { lists: Some(4) }, false),
             (ColorerSpec::DynamicSr { sparsity: None }, true),
         ] {
-            let uninterrupted =
-                game_transcript(&victim, n, delta, rounds, seed, None, oscillating);
+            let uninterrupted = game_transcript(&victim, n, delta, rounds, seed, None, oscillating);
             for snap_at in [1, rounds / 2, rounds] {
                 let interrupted =
                     game_transcript(&victim, n, delta, rounds, seed, Some(snap_at), oscillating);

@@ -62,11 +62,9 @@ pub trait StreamingColorer {
                 self.process(t.edge);
                 Ok(())
             }
-            Sign::Delete => Err(format!(
-                "{}: insert-only colorer cannot delete edge {}",
-                self.name(),
-                t.edge
-            )),
+            Sign::Delete => {
+                Err(format!("{}: insert-only colorer cannot delete edge {}", self.name(), t.edge))
+            }
         }
     }
 

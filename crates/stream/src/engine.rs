@@ -1214,9 +1214,10 @@ mod tests {
                 SignedEdge::delete(Edge::new(0, 1)),
             ])
             .unwrap();
-        assert_eq!(session.support().unwrap().live_edges().collect::<Vec<_>>(), vec![
-            Edge::new(1, 2)
-        ]);
+        assert_eq!(
+            session.support().unwrap().live_edges().collect::<Vec<_>>(),
+            vec![Edge::new(1, 2)]
+        );
     }
 
     #[test]

@@ -208,11 +208,9 @@ mod tests {
     #[test]
     fn encoding_is_canonical_and_round_trips() {
         let mut s = DynamicSupport::new();
-        for t in [
-            SignedEdge::insert(e(2, 3)),
-            SignedEdge::insert(e(0, 1)),
-            SignedEdge::insert(e(0, 1)),
-        ] {
+        for t in
+            [SignedEdge::insert(e(2, 3)), SignedEdge::insert(e(0, 1)), SignedEdge::insert(e(0, 1))]
+        {
             s.apply(t).unwrap();
         }
         let text = s.encode();
