@@ -4,9 +4,10 @@
 //! The adversary produces the stream one edge at a time; after every
 //! insertion the algorithm reports an output, and the next edge may depend
 //! on the whole transcript. The algorithm errs if *any* intermediate
-//! output is improper. [`run_game`] referees exactly that interaction,
-//! maintaining the ground-truth graph (which the algorithm never sees) and
-//! validating every output against it.
+//! output is improper. [`referee`] is the one loop that judges that
+//! interaction, maintaining the ground-truth graph (which the algorithm
+//! never sees) and validating every output against it; [`run_game`] and
+//! [`run_signed_game`] run it against an in-process colorer.
 
 use sc_graph::{Coloring, Edge, Graph};
 use sc_stream::{EngineConfig, Session, SignedEdge, StreamingColorer};
@@ -55,6 +56,120 @@ impl GameReport {
     }
 }
 
+/// The colorer side of the game, as [`referee`] sees it. A borrowing
+/// [`Session`] is the in-process victim; `sc-service` implements this
+/// for a protocol-line client. Errors name what the victim rejected.
+pub trait Victim {
+    /// Feeds one token.
+    fn push(&mut self, token: SignedEdge) -> Result<(), String>;
+    /// Queries the coloring of the current prefix.
+    fn observe(&mut self) -> Result<(Coloring, usize), String>;
+}
+
+impl<C: StreamingColorer + ?Sized> Victim for Session<&mut C> {
+    fn push(&mut self, token: SignedEdge) -> Result<(), String> {
+        self.push_signed(token)
+    }
+
+    fn observe(&mut self) -> Result<(Coloring, usize), String> {
+        let observed = Session::observe(self);
+        Ok((observed.coloring, observed.colors))
+    }
+}
+
+/// The classic game's move: [`Adversary::next_edge`] as an insertion.
+pub fn next_insertion<A: Adversary + ?Sized>(
+    adversary: &mut A,
+    last_output: &Coloring,
+    graph: &Graph,
+) -> Option<SignedEdge> {
+    adversary.next_edge(last_output, graph).map(SignedEdge::insert)
+}
+
+/// The one adaptive-game loop, for at most `max_rounds` tokens on `n`
+/// vertices: the adversary sees the last output and moves (`pull` is
+/// [`next_insertion`] or [`Adversary::next_token`]); the referee updates
+/// the ground-truth graph, pushes, observes, and judges the coloring.
+///
+/// # Errors
+/// The victim's first rejected push or failed observation.
+///
+/// # Panics
+/// Names the adversary if it re-inserts a live edge or deletes an
+/// absent one (a malformed adversary, never the colorer's fault).
+pub fn referee<V, A>(
+    victim: &mut V,
+    adversary: &mut A,
+    pull: fn(&mut A, &Coloring, &Graph) -> Option<SignedEdge>,
+    n: usize,
+    max_rounds: usize,
+) -> Result<GameReport, String>
+where
+    V: Victim + ?Sized,
+    A: Adversary + ?Sized,
+{
+    let mut report = GameReport {
+        rounds: 0,
+        deletions: 0,
+        improper_outputs: 0,
+        first_failure_round: None,
+        max_colors: 0,
+        final_graph: Graph::empty(n),
+    };
+    // The empty-graph output is proper, but the adversary sees it
+    // before its first move.
+    let (mut output, _) = victim.observe()?;
+    for round in 1..=max_rounds {
+        let Some(t) = pull(adversary, &output, &report.final_graph) else { break };
+        let (e, graph) = (t.edge, &mut report.final_graph);
+        if t.is_insert() {
+            assert!(
+                !graph.has_edge(e.u(), e.v()),
+                "adversary {} re-inserted live edge {e} (simple graphs only)",
+                adversary.name()
+            );
+            graph.add_edge(e);
+        } else {
+            assert!(
+                graph.has_edge(e.u(), e.v()),
+                "adversary {} deleted absent edge {e}",
+                adversary.name()
+            );
+            graph.remove_edge(e);
+            report.deletions += 1;
+        }
+        victim.push(t)?;
+        let (coloring, colors) = victim.observe()?;
+        report.rounds = round;
+        report.max_colors = report.max_colors.max(colors);
+        if !coloring.is_proper_total(&report.final_graph) {
+            report.improper_outputs += 1;
+            report.first_failure_round.get_or_insert(round);
+        }
+        output = coloring;
+    }
+    Ok(report)
+}
+
+/// [`referee`] through a borrowing session: the model forces per-edge
+/// chunking; the rest of `config` (the query path) passes through.
+fn referee_in_process<C, A>(
+    colorer: &mut C,
+    adversary: &mut A,
+    pull: fn(&mut A, &Coloring, &Graph) -> Option<SignedEdge>,
+    n: usize,
+    max_rounds: usize,
+    config: EngineConfig,
+) -> GameReport
+where
+    C: StreamingColorer + ?Sized,
+    A: Adversary + ?Sized,
+{
+    let mut session = Session::borrowing(colorer, EngineConfig { chunk_size: 1, ..config });
+    referee(&mut session, adversary, pull, n, max_rounds)
+        .unwrap_or_else(|err| panic!("signed game referee rejected a token: {err}"))
+}
+
 /// Referees a game between `colorer` and `adversary` on `n` vertices for
 /// at most `max_rounds` insertions.
 ///
@@ -101,51 +216,7 @@ where
     C: StreamingColorer + ?Sized,
     A: Adversary + ?Sized,
 {
-    let mut graph = Graph::empty(n);
-    let mut improper = 0usize;
-    let mut first_failure = None;
-    let mut max_colors = 0usize;
-    let mut rounds = 0usize;
-
-    // The game is the engine's checkpoint loop made interactive: every
-    // round pushes one edge and observes the prefix. Per-edge chunking is
-    // forced by the model — the adversary sees each output before its
-    // next move.
-    let mut session = Session::borrowing(colorer, EngineConfig { chunk_size: 1, ..config });
-
-    // Initial output (empty graph — everything is proper, but the
-    // adversary gets to see the coloring before its first move).
-    let mut output: Coloring = session.observe().coloring;
-
-    for round in 1..=max_rounds {
-        let Some(e) = adversary.next_edge(&output, &graph) else { break };
-        debug_assert!(
-            !graph.has_edge(e.u(), e.v()),
-            "adversary repeated edge {e} (streams are edge-insertion-only)"
-        );
-        graph.add_edge(e);
-        session.push(e);
-        rounds = round;
-
-        let observed = session.observe();
-        max_colors = max_colors.max(observed.colors);
-        output = observed.coloring;
-        if !output.is_proper_total(&graph) {
-            improper += 1;
-            if first_failure.is_none() {
-                first_failure = Some(round);
-            }
-        }
-    }
-
-    GameReport {
-        rounds,
-        deletions: 0,
-        improper_outputs: improper,
-        first_failure_round: first_failure,
-        max_colors,
-        final_graph: graph,
-    }
+    referee_in_process(colorer, adversary, next_insertion, n, max_rounds, config)
 }
 
 /// Referees a **turnstile** game: the adversary may delete as well as
@@ -183,59 +254,7 @@ where
     C: StreamingColorer + ?Sized,
     A: Adversary + ?Sized,
 {
-    let mut graph = Graph::empty(n);
-    let mut improper = 0usize;
-    let mut first_failure = None;
-    let mut max_colors = 0usize;
-    let mut rounds = 0usize;
-    let mut deletions = 0usize;
-
-    let mut session = Session::borrowing(colorer, EngineConfig { chunk_size: 1, ..config });
-    let mut output: Coloring = session.observe().coloring;
-
-    for round in 1..=max_rounds {
-        let Some(t) = adversary.next_token(&output, &graph) else { break };
-        let e = t.edge;
-        if t.is_insert() {
-            assert!(
-                !graph.has_edge(e.u(), e.v()),
-                "adversary {} re-inserted live edge {e} (simple graphs only)",
-                adversary.name()
-            );
-            graph.add_edge(e);
-        } else {
-            assert!(
-                graph.has_edge(e.u(), e.v()),
-                "adversary {} deleted absent edge {e}",
-                adversary.name()
-            );
-            graph.remove_edge(e);
-            deletions += 1;
-        }
-        session
-            .push_signed(t)
-            .unwrap_or_else(|err| panic!("signed game referee rejected a token: {err}"));
-        rounds = round;
-
-        let observed = session.observe();
-        max_colors = max_colors.max(observed.colors);
-        output = observed.coloring;
-        if !output.is_proper_total(&graph) {
-            improper += 1;
-            if first_failure.is_none() {
-                first_failure = Some(round);
-            }
-        }
-    }
-
-    GameReport {
-        rounds,
-        deletions,
-        improper_outputs: improper,
-        first_failure_round: first_failure,
-        max_colors,
-        final_graph: graph,
-    }
+    referee_in_process(colorer, adversary, A::next_token, n, max_rounds, config)
 }
 
 #[cfg(test)]

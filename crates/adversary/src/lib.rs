@@ -2,7 +2,8 @@
 //!
 //! The adversarially robust model (paper §2) is a *game*: the stream is
 //! generated by an adversary who sees every output the algorithm produces.
-//! This crate supplies the referee ([`run_game`]) and a zoo of adversaries
+//! This crate supplies the referee ([`referee`], which [`run_game`] runs
+//! in-process) and a zoo of adversaries
 //! ranging from the harmless ([`ObliviousReplay`], [`RandomAdversary`]) to
 //! the attack that motivates the whole robust-coloring line of work
 //! ([`MonochromaticAttacker`]).
@@ -13,12 +14,13 @@
 //!
 //! **Ownership contract** (see ROADMAP.md, "which layer owns what"):
 //! this crate owns the *game loop* — alternation, adversary state, and
-//! the [`GameReport`] verdict. It drives colorers only through the
-//! public `sc_stream` session API (the same push/observe surface every
-//! other layer uses) and owns none of their internals; the engine
-//! still owns chunking and checkpoints, and `sc_service` can replay
-//! the identical game over protocol lines (`run_game_via_service`)
-//! precisely because nothing here reaches around that API.
+//! the [`GameReport`] verdict — once, in [`referee`]. The loop sees its
+//! victim only through the two-method [`Victim`] trait (push a token,
+//! observe a coloring): a borrowing `sc_stream` session is the
+//! in-process victim, and `sc_service` plays the identical game over
+//! protocol lines (`run_game_via_service`) by implementing [`Victim`]
+//! for a protocol client. The engine still owns chunking and
+//! checkpoints; nothing here reaches around the session API.
 
 pub mod attackers;
 pub mod game;
@@ -29,7 +31,7 @@ pub use attackers::{
     ObliviousReplay, OscillationAttacker, RandomAdversary,
 };
 pub use game::{
-    run_game, run_game_with_config, run_signed_game, run_signed_game_with_config, Adversary,
-    GameReport,
+    next_insertion, referee, run_game, run_game_with_config, run_signed_game,
+    run_signed_game_with_config, Adversary, GameReport, Victim,
 };
-pub use simulation::{run_trials, summarize, TrialSummary};
+pub use simulation::{summarize, TrialSummary};

@@ -1,13 +1,13 @@
 //! Multi-trial adversarial simulations with summary statistics.
 //!
 //! Robustness claims are probabilistic ("error ≤ δ over the algorithm's
-//! randomness"), so single games prove little. [`run_trials`] repeats a
-//! game across independently seeded algorithm/adversary pairs and
-//! aggregates: break rate, failure-round distribution, palette extremes —
-//! the numbers experiments F3/F5 report.
+//! randomness"), so single games prove little. [`summarize`] aggregates
+//! games played by independently seeded algorithm/adversary pairs (the
+//! trial loop itself is `sc_engine::Runner::run_attack_trials`): break
+//! rate, failure-round distribution, palette extremes — the numbers
+//! experiments F3/F5 report.
 
-use crate::game::{run_game, Adversary, GameReport};
-use sc_stream::StreamingColorer;
+use crate::game::GameReport;
 
 /// Aggregated outcome of repeated adversarial games.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -80,9 +80,8 @@ impl TrialSummary {
     }
 }
 
-/// Aggregates finished game reports into a [`TrialSummary`] (shared by
-/// the sequential [`run_trials`] here and the parallel trial sweeps in
-/// `sc-engine`).
+/// Aggregates finished game reports into a [`TrialSummary`] (what the
+/// trial sweeps in `sc-engine` report).
 pub fn summarize(reports: impl IntoIterator<Item = GameReport>) -> TrialSummary {
     let mut trials = 0usize;
     let mut broken = 0usize;
@@ -111,44 +110,21 @@ pub fn summarize(reports: impl IntoIterator<Item = GameReport>) -> TrialSummary 
     }
 }
 
-/// Runs `trials` independent games. `make_colorer(t)` and
-/// `make_adversary(t)` build fresh, independently seeded parties for
-/// trial `t`.
-pub fn run_trials<C, A>(
-    n: usize,
-    max_rounds: usize,
-    trials: usize,
-    mut make_colorer: impl FnMut(u64) -> C,
-    mut make_adversary: impl FnMut(u64) -> A,
-) -> TrialSummary
-where
-    C: StreamingColorer,
-    A: Adversary,
-{
-    summarize((0..trials).map(|t| {
-        let mut colorer = make_colorer(t as u64);
-        let mut adversary = make_adversary(t as u64);
-        run_game(&mut colorer, &mut adversary, n, max_rounds)
-    }))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::attackers::MonochromaticAttacker;
+    use crate::game::run_game;
     use streamcolor::{PaletteSparsification, RobustColorer};
 
     #[test]
     fn robust_trials_never_break() {
         let n = 60;
         let delta = 8;
-        let s = run_trials(
-            n,
-            2 * n,
-            4,
-            |t| RobustColorer::new(n, delta, 1000 + t),
-            |t| MonochromaticAttacker::new(n, delta, t),
-        );
+        let s = summarize((0..4u64).map(|t| {
+            let mut colorer = RobustColorer::new(n, delta, 1000 + t);
+            run_game(&mut colorer, &mut MonochromaticAttacker::new(n, delta, t), n, 2 * n)
+        }));
         assert_eq!(s.trials, 4);
         assert_eq!(s.broken, 0);
         assert_eq!(s.break_rate(), 0.0);
@@ -161,13 +137,10 @@ mod tests {
     fn fragile_trials_break_and_record_rounds() {
         let n = 60;
         let delta = 16;
-        let s = run_trials(
-            n,
-            n * delta,
-            5,
-            |t| PaletteSparsification::new(n, delta, 3, 70 + t),
-            |t| MonochromaticAttacker::new(n, delta, t),
-        );
+        let s = summarize((0..5u64).map(|t| {
+            let mut colorer = PaletteSparsification::new(n, delta, 3, 70 + t);
+            run_game(&mut colorer, &mut MonochromaticAttacker::new(n, delta, t), n, n * delta)
+        }));
         assert!(s.broken > 0, "tiny lists must break under the attack");
         assert!(s.break_rate() > 0.0);
         let med = s.median_failure_round().unwrap();
@@ -206,13 +179,10 @@ mod tests {
 
     #[test]
     fn zero_trials_is_well_defined() {
-        let s = run_trials(
-            10,
-            10,
-            0,
-            |t| RobustColorer::new(10, 2, t),
-            |t| MonochromaticAttacker::new(10, 2, t),
-        );
+        let s = summarize((0..0u64).map(|t| {
+            let mut colorer = RobustColorer::new(10, 2, t);
+            run_game(&mut colorer, &mut MonochromaticAttacker::new(10, 2, t), 10, 10)
+        }));
         assert_eq!(s.break_rate(), 0.0);
         assert_eq!(s.min_rounds, 0);
     }

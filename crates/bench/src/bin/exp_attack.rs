@@ -43,7 +43,7 @@ fn main() {
                 AttackScenario::new(victim.clone(), AdversarySpec::Monochromatic, n, delta)
                     .with_rounds(rounds)
                     .with_seed(*seed);
-            let s = runner.run_attack_trials(&scenario, trials);
+            let s = runner.run_attack_trials(&scenario, 0..trials);
             let median = s.median_failure_round().map_or("—".to_string(), |r| r.to_string());
             table.row(&[label, &delta, &s.broken, &median, &s.max_colors]);
             if *must_survive {

@@ -55,7 +55,7 @@ pub fn run(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
             None => w(out, "verdict", &"survived")?,
         }
     } else {
-        let s = runner.run_attack_trials(&scenario, trials);
+        let s = runner.run_attack_trials(&scenario, 0..trials);
         w(out, "victim", &victim)?;
         w(out, "adversary", &adversary)?;
         w(out, "trials", &s.trials)?;

@@ -51,9 +51,8 @@ SUBCOMMANDS:
              --skew-ms N])
     serve    host named coloring sessions behind the flat-JSON line
              protocol: one command object per stdin line, one canonical
-             response per stdout line (--script FILE executes a command
-             file, where --threads N fans independent sessions out;
-             --listen ADDR serves over TCP, multiplexing every
+             response per stdout line (--script FILE reads the lines
+             from a file instead, through the same loop; --listen ADDR serves over TCP, multiplexing every
              connection onto one event loop sharing one service
              [--reactor names this, the only mode; --idle-ms N evicts
              idle connections; --max-sessions N evicts

@@ -16,10 +16,9 @@
 //! With no `--script`, commands stream from stdin and each response is
 //! written (and flushed) as soon as its command arrives — an
 //! interactive client, like the adversary game, can react to every
-//! answer. `--script FILE` executes a whole command file instead,
-//! fanning independent sessions out across `--threads N` workers;
-//! responses come back in input order and are **byte-identical for
-//! every thread count** (CI's `service-smoke` job diffs them against a
+//! answer. `--script FILE` reads the commands from a file instead,
+//! through the same loop, so its output is byte-identical to piping the
+//! file to stdin (CI's `service-smoke` job diffs both against a
 //! committed golden file).
 //!
 //! `--listen ADDR` serves over a TCP socket instead of stdio: every
@@ -58,8 +57,6 @@ use std::time::Duration;
 
 /// Runs the subcommand.
 pub fn run(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
-    let threads_given = args.optional("threads").is_some();
-    let threads: usize = args.parse_or("threads", 1)?;
     let script = args.optional("script").map(String::from);
     let listen = args.optional("listen").map(String::from);
     let max_sessions: Option<usize> = args.parse_optional("max-sessions")?;
@@ -70,18 +67,8 @@ pub fn run(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let snapshot_dir = args.optional("snapshot-dir").map(String::from);
     let shared_sessions = args.switch("shared-sessions");
     args.reject_unknown()?;
-    if threads == 0 {
-        return Err(err("--threads must be at least 1"));
-    }
     if script.is_some() && listen.is_some() {
         return Err(err("--script and --listen are mutually exclusive"));
-    }
-    // Stdin and socket modes answer line-at-a-time (the client may react
-    // to every response), so there is nothing to fan out — reject the
-    // flag rather than silently ignoring it.
-    if threads_given && script.is_none() {
-        return Err(err("--threads applies to --script mode only (interactive serving answers \
-             one command at a time)"));
     }
     if accept.is_some() && listen.is_none() {
         return Err(err("--accept applies to --listen mode only"));
@@ -129,22 +116,19 @@ pub fn run(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         return server.run(accept).map_err(|e| err(e.to_string()));
     }
 
-    let mut service = Service::with_threads(threads);
+    let mut service = Service::new();
     if let Some(limit) = max_sessions {
         service = service.with_max_sessions(limit);
     }
-    match script {
+    let served = match script {
         Some(path) => {
-            let text = std::fs::read_to_string(&path)
+            let file = std::fs::File::open(&path)
                 .map_err(|e| err(format!("cannot read script {path:?}: {e}")))?;
-            out.write_all(service.run_script(&text).as_bytes()).map_err(|e| err(e.to_string()))?;
+            service.serve(std::io::BufReader::new(file), out)
         }
-        None => {
-            let stdin = std::io::stdin();
-            service.serve(stdin.lock(), out).map_err(|e| err(e.to_string()))?;
-        }
-    }
-    Ok(())
+        None => service.serve(std::io::stdin().lock(), out),
+    };
+    served.map_err(|e| err(e.to_string()))
 }
 
 #[cfg(test)]
@@ -187,13 +171,6 @@ mod tests {
     }
 
     #[test]
-    fn script_output_is_thread_count_invariant() {
-        let one = run_script_file(SCRIPT, "--threads 1").unwrap();
-        let four = run_script_file(SCRIPT, "--threads 4").unwrap();
-        assert_eq!(one, four, "thread count leaked into protocol output");
-    }
-
-    #[test]
     fn max_sessions_bounds_script_tenants() {
         let text = run_script_file(SCRIPT, "--max-sessions 1").unwrap();
         assert_eq!(text.matches("session limit reached (1 open)").count(), 1, "{text}");
@@ -204,15 +181,14 @@ mod tests {
 
     #[test]
     fn flag_grammar_is_validated() {
-        assert!(run_script_file(SCRIPT, "--threads 0").is_err());
         assert!(run_script_file(SCRIPT, "--bogus 1").is_err());
         assert!(run_script_file(SCRIPT, "--listen 127.0.0.1:0").is_err(), "script+listen");
         assert!(run_script_file(SCRIPT, "--max-sessions x").is_err());
         assert!(serve("serve --script /nonexistent/x.commands").is_err());
         for (bad, want) in [
-            // --threads is script-mode-only: stdin serving is interactive,
-            // so the flag would be a silent no-op — reject it instead.
-            ("serve --threads 4", "--script mode only"),
+            // Every mode answers one line at a time: there is no
+            // thread knob to set.
+            ("serve --threads 4", "unknown flag --threads"),
             // --accept needs --listen; zero connections make no sense.
             ("serve --accept 2", "--listen mode only"),
             ("serve --listen x --accept 0", "at least 1"),

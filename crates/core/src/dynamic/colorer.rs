@@ -19,7 +19,7 @@
 //!   observable via session stats) keeps honest runs within budget.
 //! * **Determinism.** All hashing derives from the constructor seed via
 //!   `sc-hash`, so equal token streams produce byte-identical sketches,
-//!   colorings, and state blobs — the property the four-path
+//!   colorings, and state blobs — the property the three-path
 //!   equivalence suite pins down.
 //! * **Persistence.** [`encode_state`]/[`decode_state`] carry the cell
 //!   array canonically and inherit the PR 9 law: a restored colorer is

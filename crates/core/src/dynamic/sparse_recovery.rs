@@ -10,7 +10,7 @@
 //! colorer's space `o(n²)` bits on churn streams where store-all grows
 //! with every insertion.
 //!
-//! Layout: [`ROWS`] hash rows of `2s` cells each. Every update lands in
+//! Layout: `ROWS` (six) hash rows of `2s` cells each. Every update lands in
 //! one cell per row (seeded [`prf2`] bucketing), maintaining per cell
 //!
 //! * `count` — the signed number of live ids hashed here,
@@ -136,8 +136,7 @@ impl SparseRecovery {
     pub fn decode(&self) -> Result<Vec<(u64, i64)>, String> {
         let mut cells = self.cells.clone();
         let mut out: Vec<(u64, i64)> = Vec::new();
-        loop {
-            let Some((id, count)) = self.find_pure(&cells) else { break };
+        while let Some((id, count)) = self.find_pure(&cells) {
             // Remove the id everywhere (its own row cells included).
             let fp = self.fingerprint(id);
             for row in 0..ROWS {

@@ -8,6 +8,7 @@ use sc_adversary::{
     MonochromaticAttacker, ObliviousReplay, OscillationAttacker, RandomAdversary, TrialSummary,
 };
 use sc_graph::Edge;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Which adversary generates the stream.
@@ -93,6 +94,31 @@ impl AttackScenario {
         }
     }
 
+    /// Whether [`Runner::run_attack`] can referee this scenario (a
+    /// streaming victim that builds without a graph, and one that takes
+    /// deletions if the adversary deletes). Spec decoding checks this,
+    /// so a client-sent job is refused instead of panicking its host.
+    ///
+    /// # Errors
+    /// Names the victim (and the adversary, for a deletion mismatch).
+    pub fn check_playable(&self) -> Result<(), String> {
+        let victim = self.victim.label();
+        if !self.victim.is_streaming() || matches!(self.victim, ColorerSpec::Bcg20 { .. }) {
+            Err(format!(
+                "attack victim {victim:?} is not a streaming colorer buildable without a graph"
+            ))
+        } else if self.adversary.is_signed()
+            && !matches!(self.victim, ColorerSpec::DynamicSr { .. })
+        {
+            Err(format!(
+                "attack victim {victim:?} is insert-only; {:?} deletes edges",
+                self.adversary
+            ))
+        } else {
+            Ok(())
+        }
+    }
+
     /// Sets the round budget.
     pub fn with_rounds(mut self, rounds: usize) -> Self {
         self.rounds = rounds;
@@ -107,7 +133,7 @@ impl AttackScenario {
     }
 
     /// The same scenario re-seeded for trial `t` (independent parties).
-    /// [`Runner::run_attack_trials`] runs trials `0..trials`; the shard
+    /// [`Runner::run_attack_trials`] runs a range of trials; a shard
     /// worker runs its contiguous sub-range of the same seeds, so
     /// sharded trials are bit-identical to in-process ones.
     pub fn trial(&self, t: u64) -> AttackScenario {
@@ -139,11 +165,15 @@ impl Runner {
         }
     }
 
-    /// Runs `trials` independently seeded games in parallel and
-    /// aggregates them (games are independent across seeds, so this is
-    /// exactly [`sc_adversary::run_trials`] spread over the pool).
-    pub fn run_attack_trials(&self, scenario: &AttackScenario, trials: usize) -> TrialSummary {
-        let seeds: Vec<u64> = (0..trials as u64).collect();
+    /// The workspace's one trial loop: runs the independently seeded
+    /// games `trials` (a shard worker passes its slice) in parallel and
+    /// aggregates them; the pool never changes the summary.
+    pub fn run_attack_trials(
+        &self,
+        scenario: &AttackScenario,
+        trials: Range<usize>,
+    ) -> TrialSummary {
+        let seeds: Vec<u64> = trials.map(|t| t as u64).collect();
         let reports = par_map(self.threads, &seeds, |_, &t| self.run_attack(&scenario.trial(t)));
         summarize(reports)
     }
@@ -176,8 +206,8 @@ mod tests {
         )
         .with_rounds(60 * 16)
         .with_seed(70);
-        let seq = Runner::sequential().run_attack_trials(&s, 5);
-        let par = Runner::with_threads(4).run_attack_trials(&s, 5);
+        let seq = Runner::sequential().run_attack_trials(&s, 0..5);
+        let par = Runner::with_threads(4).run_attack_trials(&s, 0..5);
         assert_eq!(seq.trials, par.trials);
         assert_eq!(seq.broken, par.broken);
         assert_eq!(seq.failure_rounds, par.failure_rounds);

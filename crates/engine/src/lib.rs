@@ -47,7 +47,7 @@
 
 pub mod attack;
 pub mod flatjson;
-pub mod parallel;
+mod parallel;
 pub mod runner;
 pub mod scenario;
 pub mod shard;
@@ -57,7 +57,6 @@ pub mod verify;
 pub mod wire;
 
 pub use attack::{AdversarySpec, AttackScenario};
-pub use parallel::par_map;
 pub use runner::{RunOutcome, Runner};
 pub use scenario::Scenario;
 pub use shard::{RunSummary, ShardJob, ShardOutcome};

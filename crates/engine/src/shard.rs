@@ -32,7 +32,6 @@
 
 use crate::attack::AttackScenario;
 use crate::flatjson::{encode_array, parse_array, FlatObject, Scalar};
-use crate::parallel::par_map;
 use crate::runner::{RunOutcome, Runner};
 use crate::scenario::Scenario;
 use crate::source::SourceSpec;
@@ -124,7 +123,9 @@ impl ShardJob {
     /// Decodes a spec file.
     ///
     /// # Errors
-    /// Returns a message locating the malformed object.
+    /// Returns a message locating the malformed object, or naming an
+    /// attack victim the referee cannot play
+    /// ([`AttackScenario::check_playable`]).
     pub fn decode(text: &str) -> Result<Self, String> {
         let objs = parse_array(text)?;
         let (header, rest) = objs.split_first().ok_or("spec file has no header object")?;
@@ -155,7 +156,9 @@ impl ShardJob {
                 let trials = wire::usize_field(header, "trials")?;
                 match rest {
                     [obj] => {
-                        Ok(ShardJob::Attack { scenario: wire::attack_from_wire(obj)?, trials })
+                        let scenario = wire::attack_from_wire(obj)?;
+                        scenario.check_playable()?;
+                        Ok(ShardJob::Attack { scenario, trials })
                     }
                     _ => Err(format!("attack spec needs exactly one scenario, got {}", rest.len())),
                 }
@@ -422,10 +425,7 @@ pub fn run_job(runner: &Runner, job: &ShardJob, range: Range<usize>) -> ShardOut
             ShardOutcome::Grid(outcomes.iter().map(RunSummary::of).collect())
         }
         ShardJob::Attack { scenario, .. } => {
-            let seeds: Vec<u64> = range.map(|t| t as u64).collect();
-            let reports =
-                par_map(runner.threads, &seeds, |_, &t| runner.run_attack(&scenario.trial(t)));
-            ShardOutcome::Attack(sc_adversary::summarize(reports))
+            ShardOutcome::Attack(runner.run_attack_trials(scenario, range))
         }
     }
 }

@@ -1,46 +1,69 @@
 //! The adaptive-adversary game played over the service line protocol.
 //!
 //! [`sc_adversary::run_game`] referees the game against an in-process
-//! colorer; this module plays the *same* game where the victim lives
-//! behind a [`Service`] and every interaction is a literal protocol
-//! line — `open`, then `push`/`observe` per round — exactly what a
-//! remote client (or a future networked worker) would send. The
-//! adversary reacts to the coloring parsed back out of each `observe`
-//! response, so the test below is end-to-end evidence that colorings
-//! survive the wire: any encode/decode drift would change the adaptive
-//! transcript and diverge from the in-process referee.
+//! colorer; this module plays the *same* game — the same
+//! [`sc_adversary::referee`] loop — where the victim lives behind a
+//! [`Service`] and every interaction is a literal protocol line:
+//! `open`, then `push`/`observe` per round, exactly what a remote
+//! client would send. The adversary reacts to the coloring parsed back
+//! out of each `observe` response, so the test below is end-to-end
+//! evidence that colorings survive the wire: any encode/decode drift
+//! would change the adaptive transcript and diverge from the in-process
+//! game.
 
 use crate::service::{parse_coloring, Service};
-use sc_adversary::{Adversary, GameReport};
+use sc_adversary::{next_insertion, referee, Adversary, GameReport, Victim};
 use sc_engine::flatjson::{encode_object, parse_object, FlatObject, Scalar};
 use sc_engine::{wire, ColorerSpec};
-use sc_graph::{Coloring, Graph};
-use sc_stream::EngineConfig;
+use sc_graph::Coloring;
+use sc_stream::{EngineConfig, SignedEdge};
 
-/// Sends one protocol line and decodes the response object, erroring on
-/// `"ok": false`.
-fn call(service: &mut Service, request: &FlatObject) -> Result<FlatObject, String> {
-    let line = encode_object(request);
-    let response = service.respond(&line).ok_or("command line produced no response")?;
-    let obj = parse_object(&response).map_err(|e| format!("unparseable response: {e}"))?;
-    match obj.get("ok").and_then(Scalar::as_bool) {
-        Some(true) => Ok(obj),
-        _ => Err(obj
-            .get("error")
-            .and_then(Scalar::as_str)
-            .unwrap_or("request failed without an error message")
-            .to_string()),
+/// A protocol-line client of one session on a private [`Service`]: the
+/// game's victim, seen only through the lines it sends and the
+/// responses it parses.
+struct ProtocolVictim {
+    service: Service,
+    session: &'static str,
+    n: usize,
+}
+
+impl ProtocolVictim {
+    /// Sends `cmd` for the game's session (with the fields already in
+    /// `request`) and decodes the response, erroring on `"ok": false`.
+    fn call(&mut self, cmd: &str, mut request: FlatObject) -> Result<FlatObject, String> {
+        request.insert("cmd".into(), Scalar::Str(cmd.to_string()));
+        request.insert("session".into(), Scalar::Str(self.session.to_string()));
+        let line = encode_object(&request);
+        let response = self.service.respond(&line).ok_or("command line produced no response")?;
+        let obj = parse_object(&response).map_err(|e| format!("unparseable response: {e}"))?;
+        match obj.get("ok").and_then(Scalar::as_bool) {
+            Some(true) => Ok(obj),
+            _ => Err(obj
+                .get("error")
+                .and_then(Scalar::as_str)
+                .unwrap_or("request failed without an error message")
+                .to_string()),
+        }
     }
 }
 
-fn observe(service: &mut Service, session: &str, n: usize) -> Result<(Coloring, usize), String> {
-    let mut request = FlatObject::new();
-    request.insert("cmd".into(), Scalar::Str("observe".into()));
-    request.insert("session".into(), Scalar::Str(session.to_string()));
-    let obj = call(service, &request)?;
-    let text = obj.get("coloring").and_then(Scalar::as_str).ok_or("observe lacks coloring")?;
-    let colors = obj.get("colors").and_then(Scalar::as_u64).ok_or("observe lacks colors")? as usize;
-    Ok((parse_coloring(text, n)?, colors))
+impl Victim for ProtocolVictim {
+    fn push(&mut self, token: SignedEdge) -> Result<(), String> {
+        let mut fields = FlatObject::new();
+        fields.insert("edge".into(), Scalar::Str(format!("{}-{}", token.edge.u(), token.edge.v())));
+        if !token.is_insert() {
+            fields.insert("sign".into(), Scalar::Str("delete".into()));
+        }
+        self.call("push", fields).map(drop)
+    }
+
+    fn observe(&mut self) -> Result<(Coloring, usize), String> {
+        let obj = self.call("observe", FlatObject::new())?;
+        let text = obj.get("coloring").and_then(Scalar::as_str).ok_or("observe lacks coloring")?;
+        let colors =
+            obj.get("colors").and_then(Scalar::as_u64).ok_or("observe lacks colors")? as usize;
+        Ok((parse_coloring(text, self.n)?, colors))
+    }
 }
 
 /// Referees a game between a service-hosted `victim` and `adversary` on
@@ -61,12 +84,9 @@ pub fn run_game_via_service<A: Adversary + ?Sized>(
     victim_seed: u64,
     config: EngineConfig,
 ) -> Result<GameReport, String> {
-    let mut service = Service::new();
-    let session = "game";
+    let mut client = ProtocolVictim { service: Service::new(), session: "game", n };
 
     let mut open = FlatObject::new();
-    open.insert("cmd".into(), Scalar::Str("open".into()));
-    open.insert("session".into(), Scalar::Str(session.to_string()));
     open.insert("n".into(), Scalar::Uint(n as u64));
     open.insert("delta".into(), Scalar::Uint(delta as u64));
     open.insert("seed".into(), Scalar::Uint(victim_seed));
@@ -75,53 +95,11 @@ pub fn run_game_via_service<A: Adversary + ?Sized>(
     let engine = EngineConfig { chunk_size: 1, ..config };
     open.insert("engine".into(), Scalar::Str(engine.wire_encode()));
     wire::colorer_to_wire(victim, &mut open);
-    call(&mut service, &open)?;
+    client.call("open", open)?;
 
-    let mut graph = Graph::empty(n);
-    let mut improper = 0usize;
-    let mut first_failure = None;
-    let mut max_colors = 0usize;
-    let mut rounds = 0usize;
-
-    // Initial observation: the adversary sees the empty-graph coloring
-    // before its first move, exactly as in the in-process referee.
-    let (mut output, colors) = observe(&mut service, session, n)?;
-    let _ = colors; // empty-graph colors are not part of the report
-
-    for round in 1..=max_rounds {
-        let Some(e) = adversary.next_edge(&output, &graph) else { break };
-        graph.add_edge(e);
-        let mut push = FlatObject::new();
-        push.insert("cmd".into(), Scalar::Str("push".into()));
-        push.insert("session".into(), Scalar::Str(session.to_string()));
-        push.insert("edge".into(), Scalar::Str(format!("{}-{}", e.u(), e.v())));
-        call(&mut service, &push)?;
-        rounds = round;
-
-        let (coloring, colors) = observe(&mut service, session, n)?;
-        max_colors = max_colors.max(colors);
-        output = coloring;
-        if !output.is_proper_total(&graph) {
-            improper += 1;
-            if first_failure.is_none() {
-                first_failure = Some(round);
-            }
-        }
-    }
-
-    let mut finish = FlatObject::new();
-    finish.insert("cmd".into(), Scalar::Str("finish".into()));
-    finish.insert("session".into(), Scalar::Str(session.to_string()));
-    call(&mut service, &finish)?;
-
-    Ok(GameReport {
-        rounds,
-        deletions: 0,
-        improper_outputs: improper,
-        first_failure_round: first_failure,
-        max_colors,
-        final_graph: graph,
-    })
+    let report = referee(&mut client, adversary, next_insertion, n, max_rounds)?;
+    client.call("finish", FlatObject::new())?;
+    Ok(report)
 }
 
 #[cfg(test)]

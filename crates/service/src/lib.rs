@@ -12,21 +12,23 @@
 //!   name), each session an owned [`sc_stream::Session`] built from a
 //!   [`sc_engine::ColorerSpec`];
 //! * the **flat-JSON line protocol** ([`Service::respond`] /
-//!   [`Service::serve`] / [`Service::run_script`]): one request object
-//!   per line in, one canonical byte-stable response object per line
-//!   out, so shell scripts, tests, the adversary game
-//!   ([`run_game_via_service`]) and cluster shard workers all drive the
-//!   same API (`streamcolor serve` is this loop over stdin/stdout; the
-//!   stateless `run_job` command is what makes any serve endpoint a
-//!   remote worker for `sc-cluster`, and `with_max_sessions` bounds
-//!   what one rogue client on a shared listener can open).
+//!   [`Service::serve`]): one request object per line in, one
+//!   canonical byte-stable response object per line out, so shell
+//!   scripts, tests, the adversary game ([`run_game_via_service`]) and
+//!   cluster shard workers all drive the same API (`streamcolor serve`
+//!   is this loop over stdin or a `--script` file; the stateless
+//!   `run_job` command is what makes any serve endpoint a remote worker
+//!   for `sc-cluster`, and `with_max_sessions` bounds what one rogue
+//!   client on a shared listener can open).
 //!
 //! Sessions are fully independent — no shared state, no cross-session
 //! ordering — which yields the crate's **determinism law**: interleaving
 //! K sessions in any order produces, per session, byte-identical
-//! responses to K isolated runs, for every thread count
-//! (property-tested in `tests/service_determinism.rs`, golden-file
-//! gated by CI's `service-smoke` job).
+//! responses to K isolated runs (property-tested in
+//! `tests/service_determinism.rs`, golden-file gated by CI's
+//! `service-smoke` job). Every surface — stdin, `--script`, and the
+//! reactor's connections — answers through the same one-line-at-a-time
+//! loop, so none of them can drift from the others.
 //!
 //! **Ownership contract** (see ROADMAP.md, "which layer owns what"):
 //! this crate owns *session hosting and protocol dispatch* — naming,

@@ -58,9 +58,9 @@
 //! opens no tenant session and touches none — the `"session"` name is
 //! just a correlation id — so any `streamcolor serve` process (stdio
 //! child or TCP listener) doubles as a remote shard worker with zero new
-//! wire vocabulary. An optional `"threads"` field (default 1) sets the
-//! worker-internal `Runner` thread count; the output is identical for
-//! every value.
+//! wire vocabulary. The slice runs on one thread
+//! ([`Runner::sequential`]): parallelism across slices is the cluster
+//! pool's job, not the serving loop's.
 //!
 //! Responses are canonical ([`sc_engine::flatjson::encode_object`]:
 //! sorted keys,
@@ -68,7 +68,9 @@
 //! session's state is a deterministic function of its own command
 //! sequence — which together give the protocol law the golden-file CI
 //! job and the determinism property test pin down: **byte-identical
-//! output across runs, interleavings, and thread counts**.
+//! output across runs and interleavings**. Every serving surface — the
+//! stdin loop, `serve --script`, and the reactor's connections — runs
+//! the same [`Service::respond_as`], one line at a time.
 
 use sc_engine::flatjson::{encode_object, parse_object, FlatObject, Scalar};
 use sc_engine::shard::ShardJob;
@@ -78,7 +80,6 @@ use sc_stream::{Checkpoint, DynamicSupport, EngineConfig, Session, SessionSnapsh
 use std::collections::BTreeMap;
 use std::io::{BufRead, Write};
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
 
 /// One hosted session: the owned engine session, the open-time
 /// parameters needed to rebuild its colorer from a snapshot (`delta`,
@@ -97,9 +98,9 @@ struct Tenant {
 /// Host-level lifecycle counters, surfaced by the `host_stats` command
 /// and by [`Service::counters`]. Connection counts are fed by whatever
 /// serving surface owns the sockets (the reactor calls
-/// [`Service::record_connections`]; stdio and script hosts leave them
-/// 0) — they describe the *host*, not a session, so they are
-/// deliberately outside the per-session determinism law.
+/// [`Service::record_connections`]; stdio hosts leave them 0) — they
+/// describe the *host*, not a session, so they are deliberately outside
+/// the per-session determinism law.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct HostCounters {
     /// Sessions successfully opened.
@@ -116,9 +117,9 @@ pub struct HostCounters {
     pub connections_open: u64,
     /// Connections accepted since the host started (reactor-fed).
     pub connections_accepted: u64,
-    /// Successful `snapshot` commands (interactive paths only).
+    /// Successful `snapshot` commands.
     pub snapshots: u64,
-    /// Successful `restore` commands (interactive paths only).
+    /// Successful `restore` commands.
     pub restores: u64,
     /// Evictions that wrote a snapshot to the snapshot directory
     /// instead of leaving a bare tombstone
@@ -143,6 +144,7 @@ pub struct HostCounters {
 /// let observe = service.respond(r#"{"cmd":"observe","session":"a"}"#).unwrap();
 /// assert!(observe.contains("\"coloring\""));
 /// ```
+#[derive(Default)]
 pub struct Service {
     /// Tenants keyed by `(owner, name)`. The owner is a connection id
     /// in reactor mode ([`Service::respond_as`]) and 0 everywhere else,
@@ -154,7 +156,6 @@ pub struct Service {
     /// a "session evicted" error (never a bare "unknown session") until
     /// the client reopens it.
     evicted: BTreeMap<(u64, String), String>,
-    threads: usize,
     max_sessions: Option<usize>,
     /// When true, an `open` at the `max_sessions` cap evicts the
     /// least-recently-used session instead of answering an error — the
@@ -169,47 +170,18 @@ pub struct Service {
     counters: HostCounters,
 }
 
-impl Default for Service {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl Service {
-    /// An empty host (script execution runs sessions one at a time).
+    /// An empty host.
     pub fn new() -> Self {
-        Self::with_threads(1)
-    }
-
-    /// An empty host whose [`Service::run_script`] fans independent
-    /// sessions out across up to `threads` worker threads. Sessions
-    /// share nothing, so the thread count can never change a response
-    /// byte — it only changes wall-clock.
-    pub fn with_threads(threads: usize) -> Self {
-        Self {
-            sessions: BTreeMap::new(),
-            evicted: BTreeMap::new(),
-            threads: threads.max(1),
-            max_sessions: None,
-            lru_eviction: false,
-            clock: 0,
-            snapshot_dir: None,
-            counters: HostCounters::default(),
-        }
+        Self::default()
     }
 
     /// Bounds the number of concurrently open sessions: an `open` beyond
     /// the limit is an **error response** (never an abort), so one rogue
     /// client on a shared listener cannot exhaust the host by opening
-    /// unbounded named sessions. `finish` frees a slot. Stateless
-    /// commands (`run_job`) are never limited.
-    ///
-    /// In [`Service::run_script`], slots are reserved by *command order*
-    /// — an `open` for a new name reserves it and a `finish` for that
-    /// name releases it, whether or not the underlying command succeeds
-    /// — which keeps script output byte-identical for every thread
-    /// count. The interactive paths ([`Service::respond`] /
-    /// [`Service::serve`]) count actually-open sessions.
+    /// unbounded named sessions. The limit counts actually-open
+    /// sessions: a failed `open` takes no slot, and `finish` frees one.
+    /// Stateless commands (`run_job`, `host_stats`) are never limited.
     #[must_use]
     pub fn with_max_sessions(mut self, limit: usize) -> Self {
         self.max_sessions = Some(limit);
@@ -224,11 +196,6 @@ impl Service {
     /// its owner's next command answers `session evicted (lru)` —
     /// an error response, never an abort — and reopening the name
     /// clears the tombstone and replays byte-identically.
-    ///
-    /// Interactive-path policy only ([`Service::respond`] /
-    /// [`Service::respond_as`] / [`Service::serve`]);
-    /// [`Service::run_script`] keeps its reservation-by-command-order
-    /// limit semantics.
     #[must_use]
     pub fn with_lru_eviction(mut self) -> Self {
         self.lru_eviction = true;
@@ -303,54 +270,46 @@ impl Service {
 
     /// [`Service::respond`] scoped to an owner: session names resolve
     /// to `(owner, name)`, so every connection multiplexed onto this
-    /// host sees its own private namespace. The stdio/script paths are
-    /// owner 0.
+    /// host sees its own private namespace. The stdio loop is owner 0.
     pub fn respond_as(&mut self, owner: u64, line: &str) -> Option<String> {
-        match classify(line) {
-            LineKind::Skip => None,
-            LineKind::Local(response) => Some(response),
-            LineKind::Command { session, obj } => {
-                let cmd = obj.get("cmd").and_then(Scalar::as_str);
-                if cmd == Some("host_stats") {
-                    return Some(encode_object(&self.apply_host_stats(&session, &obj)));
-                }
-                let key = (owner, session);
-                let mut slot = self.sessions.remove(&key);
-                let mut had_tenant = slot.is_some();
-                let opening = slot.is_none() && cmd == Some("open");
-                // A command for an evicted session either restores it
-                // transparently from disk (reason "disk") or names the
-                // eviction instead of pretending the session never
-                // existed; reopening clears the tombstone.
-                if slot.is_none() && !opening {
-                    if let Some(reason) = self.evicted.get(&key).cloned() {
-                        if reason == "disk" {
-                            match self.restore_from_disk(&key) {
-                                Ok(tenant) => {
-                                    // The session is back: treat it as if
-                                    // it had never left. Re-evict someone
-                                    // else if that pushed us over the cap.
-                                    slot = Some(tenant);
-                                    had_tenant = true;
-                                    if let Some(cap) = self.max_sessions {
-                                        if self.lru_eviction && self.sessions.len() >= cap {
-                                            self.evict_lru();
-                                        }
-                                    }
-                                }
-                                Err(e) => {
-                                    let message =
-                                        format!("session evicted (disk) and restore failed: {e}");
-                                    return Some(encode_object(&error_response(
-                                        cmd,
-                                        Some(&key.1),
-                                        &message,
-                                    )));
+        let line = line.trim();
+        if line.is_empty() || line.starts_with('#') {
+            return None;
+        }
+        let (session, obj) = match parse_command(line) {
+            Ok(command) => command,
+            Err(response) => return Some(encode_object(&response)),
+        };
+        let cmd = obj.get("cmd").and_then(Scalar::as_str);
+        if cmd == Some("host_stats") {
+            return Some(encode_object(&self.apply_host_stats(&session, &obj)));
+        }
+        let key = (owner, session);
+        let mut slot = self.sessions.remove(&key);
+        let mut had_tenant = slot.is_some();
+        let opening = slot.is_none() && cmd == Some("open");
+        // A command for an evicted session either restores it
+        // transparently from disk (reason "disk") or names the
+        // eviction instead of pretending the session never
+        // existed; reopening clears the tombstone.
+        if slot.is_none() && !opening {
+            if let Some(reason) = self.evicted.get(&key).cloned() {
+                if reason == "disk" {
+                    match self.restore_from_disk(&key) {
+                        Ok(tenant) => {
+                            // The session is back: treat it as if
+                            // it had never left. Re-evict someone
+                            // else if that pushed us over the cap.
+                            slot = Some(tenant);
+                            had_tenant = true;
+                            if let Some(cap) = self.max_sessions {
+                                if self.lru_eviction && self.sessions.len() >= cap {
+                                    self.evict_lru();
                                 }
                             }
-                        } else {
-                            let message =
-                                format!("session evicted ({reason}); reopen it to continue");
+                        }
+                        Err(e) => {
+                            let message = format!("session evicted (disk) and restore failed: {e}");
                             return Some(encode_object(&error_response(
                                 cmd,
                                 Some(&key.1),
@@ -358,50 +317,52 @@ impl Service {
                             )));
                         }
                     }
+                } else {
+                    let message = format!("session evicted ({reason}); reopen it to continue");
+                    return Some(encode_object(&error_response(cmd, Some(&key.1), &message)));
                 }
-                let over_limit = self
-                    .max_sessions
-                    .filter(|cap| opening && self.sessions.len() >= *cap)
-                    .filter(|cap| {
-                        if self.lru_eviction {
-                            self.evict_lru();
-                            self.sessions.len() >= *cap // cap 0: nothing to evict
-                        } else {
-                            true
-                        }
-                    });
-                let response = match over_limit {
-                    Some(cap) => {
-                        error_response(Some("open"), Some(&key.1), &session_limit_message(cap))
-                    }
-                    None => apply(&mut slot, &key.1, &obj),
-                };
-                if matches!(response.get("ok"), Some(Scalar::Bool(true))) {
-                    match cmd {
-                        Some("snapshot") => self.counters.snapshots += 1,
-                        Some("restore") => self.counters.restores += 1,
-                        _ => {}
-                    }
-                }
-                match slot {
-                    Some(mut tenant) => {
-                        if !had_tenant {
-                            self.counters.sessions_opened += 1;
-                            self.clear_tombstone(&key);
-                        }
-                        self.clock += 1;
-                        tenant.last_used = self.clock;
-                        self.sessions.insert(key, tenant);
-                    }
-                    None => {
-                        if had_tenant {
-                            self.counters.sessions_finished += 1;
-                        }
-                    }
-                }
-                Some(encode_object(&response))
             }
         }
+        let over_limit =
+            self.max_sessions.filter(|cap| opening && self.sessions.len() >= *cap).filter(|cap| {
+                if self.lru_eviction {
+                    self.evict_lru();
+                    self.sessions.len() >= *cap // cap 0: nothing to evict
+                } else {
+                    true
+                }
+            });
+        let response = match over_limit {
+            Some(cap) => {
+                let message = format!("session limit reached ({cap} open); finish one first");
+                error_response(Some("open"), Some(&key.1), &message)
+            }
+            None => apply(&mut slot, &key.1, &obj),
+        };
+        if matches!(response.get("ok"), Some(Scalar::Bool(true))) {
+            match cmd {
+                Some("snapshot") => self.counters.snapshots += 1,
+                Some("restore") => self.counters.restores += 1,
+                _ => {}
+            }
+        }
+        match slot {
+            Some(mut tenant) => {
+                if !had_tenant {
+                    self.counters.sessions_opened += 1;
+                    self.clear_tombstone(&key);
+                }
+                self.clock += 1;
+                tenant.last_used = self.clock;
+                self.sessions.insert(key, tenant);
+            }
+            None => {
+                if had_tenant {
+                    self.counters.sessions_finished += 1;
+                }
+            }
+        }
+        Some(encode_object(&response))
     }
 
     /// Evicts the least-recently-used session (any owner). With a
@@ -486,102 +447,10 @@ impl Service {
         response
     }
 
-    /// Runs a whole command script and returns the response lines
-    /// (newline-terminated, in input order).
-    ///
-    /// Commands for *different* sessions are independent, so they fan
-    /// out across the host's thread pool — per-session order is
-    /// preserved, responses are reassembled in input order, and the
-    /// output is byte-identical for every thread count. This is the
-    /// serving-layer parallelism model in miniature: serial within a
-    /// session, parallel across sessions.
-    pub fn run_script(&mut self, script: &str) -> String {
-        // Classify every line; route session commands into per-session
-        // groups (first-appearance order), everything else is resolved
-        // in place.
-        let mut responses: Vec<Option<String>> = Vec::new();
-        let mut group_of: BTreeMap<String, usize> = BTreeMap::new();
-        let mut groups: Vec<(String, Vec<(usize, FlatObject)>)> = Vec::new();
-        // Session-limit slots are reserved in command order (see
-        // `with_max_sessions`): the decision depends only on the script
-        // text and the pre-existing sessions, never on which pool thread
-        // finishes first.
-        let mut reserved: std::collections::BTreeSet<String> =
-            self.sessions.keys().map(|(_, name)| name.clone()).collect();
-        for line in script.lines() {
-            let idx = responses.len();
-            match classify(line) {
-                LineKind::Skip => responses.push(None),
-                LineKind::Local(response) => responses.push(Some(response)),
-                LineKind::Command { session, obj } => {
-                    if let Some(cap) = self.max_sessions {
-                        match obj.get("cmd").and_then(Scalar::as_str) {
-                            Some("open") if !reserved.contains(&session) => {
-                                if reserved.len() >= cap {
-                                    responses.push(Some(encode_object(&error_response(
-                                        Some("open"),
-                                        Some(&session),
-                                        &session_limit_message(cap),
-                                    ))));
-                                    continue;
-                                }
-                                reserved.insert(session.clone());
-                            }
-                            Some("finish") => {
-                                reserved.remove(&session);
-                            }
-                            _ => {}
-                        }
-                    }
-                    responses.push(Some(String::new())); // placeholder
-                    let g = *group_of.entry(session.clone()).or_insert_with(|| {
-                        groups.push((session, Vec::new()));
-                        groups.len() - 1
-                    });
-                    groups[g].1.push((idx, obj));
-                }
-            }
-        }
-
-        // Move each group's tenant (if any) out of the host, run the
-        // groups on the pool (per-session command order preserved; the
-        // sessions share nothing), then move the survivors back in.
-        let names: Vec<String> = groups.iter().map(|(name, _)| name.clone()).collect();
-        let work: Vec<GroupCell> = groups
-            .into_iter()
-            .map(|(name, commands)| Mutex::new(Some((self.sessions.remove(&(0, name)), commands))))
-            .collect();
-        let outcomes = sc_engine::par_map(self.threads, &work, |i, cell| {
-            let (mut slot, commands) =
-                cell.lock().expect("no panics hold this lock").take().expect("each cell runs once");
-            let mut out = Vec::with_capacity(commands.len());
-            for (idx, obj) in &commands {
-                let response = apply(&mut slot, &names[i], obj);
-                out.push((*idx, encode_object(&response)));
-            }
-            (slot, out)
-        });
-        for (name, (slot, lines)) in names.into_iter().zip(outcomes) {
-            if let Some(tenant) = slot {
-                self.sessions.insert((0, name), tenant);
-            }
-            for (idx, line) in lines {
-                responses[idx] = Some(line);
-            }
-        }
-
-        let mut out = String::new();
-        for response in responses.into_iter().flatten() {
-            out.push_str(&response);
-            out.push('\n');
-        }
-        out
-    }
-
-    /// The stdin/stdout serving loop behind `streamcolor serve`: reads
-    /// protocol lines from `input`, writes one response line per
-    /// command to `output` (flushed per line, so interactive pipes see
-    /// answers immediately).
+    /// The serving loop behind `streamcolor serve` (stdin or
+    /// `--script FILE`): reads protocol lines from `input`, writes one
+    /// response line per command to `output` (flushed per line, so
+    /// interactive pipes see answers immediately).
     ///
     /// # Errors
     /// Propagates I/O errors; protocol-level problems are error
@@ -601,44 +470,15 @@ impl Service {
     }
 }
 
-/// One session's share of a script: its tenant (if already open) and
-/// its command lines, handed to a pool thread as a unit.
-type GroupCell = Mutex<Option<(Option<Tenant>, Vec<(usize, FlatObject)>)>>;
-
-// ---------------------------------------------------------------------
-// Line classification.
-// ---------------------------------------------------------------------
-
-enum LineKind {
-    /// Blank or comment: no response.
-    Skip,
-    /// Resolvable from the line alone (parse errors, missing session).
-    Local(String),
-    /// A command addressed to a named session.
-    Command { session: String, obj: FlatObject },
-}
-
-fn classify(line: &str) -> LineKind {
-    let trimmed = line.trim();
-    if trimmed.is_empty() || trimmed.starts_with('#') {
-        return LineKind::Skip;
-    }
-    let obj = match parse_object(trimmed) {
-        Ok(obj) => obj,
-        Err(e) => return LineKind::Local(encode_object(&error_response(None, None, &e))),
-    };
+/// Splits a protocol line into its session name and command object; a
+/// line that names no session answers an error response.
+fn parse_command(line: &str) -> Result<(String, FlatObject), FlatObject> {
+    let obj = parse_object(line).map_err(|e| error_response(None, None, &e))?;
+    let cmd = obj.get("cmd").and_then(Scalar::as_str);
     match obj.get("session").and_then(Scalar::as_str) {
-        Some(name) if !name.is_empty() => LineKind::Command { session: name.to_string(), obj },
-        Some(_) => LineKind::Local(encode_object(&error_response(
-            obj.get("cmd").and_then(Scalar::as_str),
-            None,
-            "\"session\" must be a non-empty string",
-        ))),
-        None => LineKind::Local(encode_object(&error_response(
-            obj.get("cmd").and_then(Scalar::as_str),
-            None,
-            "missing string field \"session\"",
-        ))),
+        Some(name) if !name.is_empty() => Ok((name.to_string(), obj)),
+        Some(_) => Err(error_response(cmd, None, "\"session\" must be a non-empty string")),
+        None => Err(error_response(cmd, None, "missing string field \"session\"")),
     }
 }
 
@@ -646,10 +486,6 @@ fn classify(line: &str) -> LineKind {
 // Per-session command application (pure: a function of the session slot
 // and the command object — the determinism law in code).
 // ---------------------------------------------------------------------
-
-fn session_limit_message(cap: usize) -> String {
-    format!("session limit reached ({cap} open); finish one first")
-}
 
 fn error_response(cmd: Option<&str>, session: Option<&str>, message: &str) -> FlatObject {
     let mut obj = FlatObject::new();
@@ -740,12 +576,6 @@ fn apply(slot: &mut Option<Tenant>, session: &str, obj: &FlatObject) -> FlatObje
         "snapshot" => apply_snapshot(slot, obj),
         "restore" => apply_restore(slot, obj),
         "run_job" => apply_run_job(obj),
-        // Interactive paths intercept host_stats before apply(); reaching
-        // it here means a script, where host counters would expose the
-        // pool's scheduling — so the answer is a deterministic error.
-        "host_stats" => Err("host_stats is interactive-only (scripts run sessions in parallel, \
-                             so host counters would not be deterministic)"
-            .to_string()),
         other => Err(format!(
             "unknown cmd {other:?} (open | push | push_batch | observe | checkpoint | stats | \
              finish | snapshot | restore | run_job | host_stats)"
@@ -1095,7 +925,7 @@ fn apply_restore(slot: &mut Option<Tenant>, obj: &FlatObject) -> Result<FlatObje
 /// as a string. Ignores (and never perturbs) any tenant session sharing
 /// the correlation name.
 fn apply_run_job(obj: &FlatObject) -> Result<FlatObject, String> {
-    check_keys(obj, &["cmd", "session", "spec", "shard", "of", "threads"])?;
+    check_keys(obj, &["cmd", "session", "spec", "shard", "of"])?;
     let of = usize_field(obj, "of")?;
     if of == 0 {
         return Err("\"of\" must be at least 1".to_string());
@@ -1104,10 +934,9 @@ fn apply_run_job(obj: &FlatObject) -> Result<FlatObject, String> {
     if shard >= of {
         return Err(format!("shard {shard} out of range for of {of}"));
     }
-    let threads = usize::try_from(opt_u64(obj, "threads", 1)?).unwrap_or(1).max(1);
     let job = ShardJob::decode(str_field(obj, "spec")?).map_err(|e| format!("spec: {e}"))?;
     let range = sc_engine::shard::partition(job.len(), of)[shard].clone();
-    let outcome = sc_engine::shard::run_job(&Runner::with_threads(threads), &job, range);
+    let outcome = sc_engine::shard::run_job(&Runner::sequential(), &job, range);
     let mut response = FlatObject::new();
     response.insert("shard".into(), Scalar::Uint(shard as u64));
     response.insert("of".into(), Scalar::Uint(of as u64));
@@ -1138,6 +967,16 @@ fn apply_finish(slot: &mut Option<Tenant>, obj: &FlatObject) -> Result<FlatObjec
 mod tests {
     use super::*;
     use sc_graph::{generators, Graph};
+
+    fn run_job_line(session: &str, job: &ShardJob, shard: usize, of: usize) -> String {
+        let mut line = FlatObject::new();
+        line.insert("cmd".into(), Scalar::Str("run_job".into()));
+        line.insert("session".into(), Scalar::Str(session.into()));
+        line.insert("spec".into(), Scalar::Str(job.encode()));
+        line.insert("shard".into(), Scalar::Uint(shard as u64));
+        line.insert("of".into(), Scalar::Uint(of as u64));
+        encode_object(&line)
+    }
 
     fn open_line(session: &str, n: usize, delta: usize, colorer: &str, seed: u64) -> String {
         format!(
@@ -1370,60 +1209,6 @@ mod tests {
     }
 
     #[test]
-    fn run_script_is_thread_count_invariant_and_matches_line_by_line() {
-        // One script, three sessions with interleaved commands plus
-        // deliberate errors; every execution mode must emit identical
-        // bytes.
-        let g = generators::gnp_with_max_degree(24, 4, 0.5, 5);
-        let edges: Vec<_> = g.edges().collect();
-        let mut script = String::new();
-        script.push_str("# interleaved three-tenant script\n\n");
-        for (name, colorer) in [("a", "robust"), ("b", "store-all"), ("c", "bg18")] {
-            script.push_str(&open_line(name, 24, 4, colorer, 3));
-            script.push('\n');
-        }
-        for chunk in edges.chunks(3) {
-            for name in ["a", "b", "c"] {
-                let text = wire::encode_edges(chunk.iter().copied());
-                script.push_str(&format!(
-                    r#"{{"cmd":"push_batch","session":"{name}","edges":"{text}"}}"#
-                ));
-                script.push('\n');
-                script.push_str(&format!(r#"{{"cmd":"observe","session":"{name}"}}"#));
-                script.push('\n');
-            }
-        }
-        script.push_str("{bad json\n");
-        script.push_str(r#"{"cmd":"stats","session":"nope"}"#);
-        script.push('\n');
-        for name in ["a", "b", "c"] {
-            script.push_str(&format!(r#"{{"cmd":"finish","session":"{name}"}}"#));
-            script.push('\n');
-        }
-
-        let line_by_line = {
-            let mut service = Service::new();
-            let mut out = String::new();
-            for line in script.lines() {
-                if let Some(response) = service.respond(line) {
-                    out.push_str(&response);
-                    out.push('\n');
-                }
-            }
-            out
-        };
-        for threads in [1, 2, 8] {
-            let mut service = Service::with_threads(threads);
-            let batch = service.run_script(&script);
-            assert_eq!(batch, line_by_line, "threads = {threads} changed the output bytes");
-            assert!(service.session_names().is_empty());
-        }
-        // And the script actually exercised the happy path.
-        assert!(line_by_line.contains("\"ok\":true"));
-        assert!(line_by_line.contains("\"ok\":false"));
-    }
-
-    #[test]
     fn run_job_answers_with_the_worker_output_file() {
         use sc_engine::shard::{self, ShardOutcome};
         use sc_engine::{ColorerSpec, Scenario, SourceSpec};
@@ -1435,13 +1220,8 @@ mod tests {
         let mut service = Service::new();
         let mut parts = Vec::new();
         for shard in 0..2usize {
-            let mut line = FlatObject::new();
-            line.insert("cmd".into(), Scalar::Str("run_job".into()));
-            line.insert("session".into(), Scalar::Str(format!("shard-{shard}")));
-            line.insert("spec".into(), Scalar::Str(job.encode()));
-            line.insert("shard".into(), Scalar::Uint(shard as u64));
-            line.insert("of".into(), Scalar::Uint(2));
-            let response = service.respond(&encode_object(&line)).unwrap();
+            let response =
+                service.respond(&run_job_line(&format!("shard-{shard}"), &job, shard, 2)).unwrap();
             let obj = parse_object(&response).unwrap();
             assert_eq!(obj["ok"].as_bool(), Some(true), "{response}");
             assert_eq!(obj["items"].as_u64(), Some(3));
@@ -1469,6 +1249,11 @@ mod tests {
                 r#"{"cmd":"run_job","session":"j","spec":"[]\n","shard":0,"of":1,"x":1}"#,
                 "unknown key",
             ),
+            // The slice runs on one thread; there is no thread knob.
+            (
+                r#"{"cmd":"run_job","session":"j","spec":"[]\n","shard":0,"of":1,"threads":4}"#,
+                "unknown key \\\"threads\\\"",
+            ),
         ] {
             let response = service.respond(line).unwrap();
             assert!(
@@ -1479,22 +1264,42 @@ mod tests {
         // run_job neither needs nor disturbs a tenant of the same name.
         service.respond(r#"{"cmd":"open","session":"j","n":10,"colorer":"store-all"}"#).unwrap();
         service.respond(r#"{"cmd":"push","session":"j","edge":"0-1"}"#).unwrap();
-        let spec = ShardJob::Grid(Vec::new()).encode();
-        let mut line = FlatObject::new();
-        line.insert("cmd".into(), Scalar::Str("run_job".into()));
-        line.insert("session".into(), Scalar::Str("j".into()));
-        line.insert("spec".into(), Scalar::Str(spec));
-        line.insert("shard".into(), Scalar::Uint(0));
-        line.insert("of".into(), Scalar::Uint(1));
-        let response = service.respond(&encode_object(&line)).unwrap();
-        assert!(response.contains("\"ok\":true"), "{response}");
+        let response = service.respond(&run_job_line("j", &ShardJob::Grid(Vec::new()), 0, 1));
+        assert!(response.unwrap().contains("\"ok\":true"));
         let stats = service.respond(r#"{"cmd":"stats","session":"j"}"#).unwrap();
         assert!(stats.contains("\"edges\":1"), "tenant perturbed: {stats}");
     }
 
     #[test]
+    fn run_job_refuses_unplayable_attacks_and_the_host_keeps_serving() {
+        use sc_engine::{AdversarySpec, AttackScenario};
+        let mut service = Service::new();
+        service.respond(&open_line("t", 10, 3, "store-all", 1)).unwrap();
+        service.respond(r#"{"cmd":"push","session":"t","edge":"0-1"}"#).unwrap();
+        for (victim, adversary, needle) in [
+            (ColorerSpec::Bcg20 { epsilon: 0.5 }, AdversarySpec::Monochromatic, "bcg20"),
+            (ColorerSpec::Det(Default::default()), AdversarySpec::Monochromatic, "Thm 1"),
+            (ColorerSpec::Brooks, AdversarySpec::Random, "Brooks"),
+            (ColorerSpec::Robust { beta: None }, AdversarySpec::Oscillation, "insert-only"),
+        ] {
+            let scenario = AttackScenario::new(victim, adversary, 20, 4).with_rounds(10);
+            let job = ShardJob::Attack { scenario, trials: 2 };
+            let response = service.respond(&run_job_line("j", &job, 0, 1)).unwrap();
+            assert!(
+                response.contains("\"ok\":false") && response.contains(needle),
+                "{needle}: {response}"
+            );
+        }
+        let stats = service.respond(r#"{"cmd":"stats","session":"t"}"#).unwrap();
+        assert!(stats.contains("\"ok\":true") && stats.contains("\"edges\":1"), "{stats}");
+    }
+
+    #[test]
     fn session_limit_is_an_error_response_and_finish_frees_a_slot() {
         let mut service = Service::new().with_max_sessions(2);
+        // A failed open takes no slot.
+        let failed = service.respond(&open_line("x", 10, 3, "quantum", 1)).unwrap();
+        assert!(failed.contains("unknown colorer"), "{failed}");
         assert!(service.respond(&open_line("a", 10, 3, "trivial", 1)).unwrap().contains("true"));
         assert!(service.respond(&open_line("b", 10, 3, "trivial", 1)).unwrap().contains("true"));
         let third = service.respond(&open_line("c", 10, 3, "trivial", 1)).unwrap();
@@ -1507,44 +1312,12 @@ mod tests {
         let again = service.respond(&open_line("a", 10, 3, "trivial", 1)).unwrap();
         assert!(again.contains("already open"), "{again}");
         // Stateless commands are never limited.
-        let spec = ShardJob::Grid(Vec::new()).encode();
-        let mut line = FlatObject::new();
-        line.insert("cmd".into(), Scalar::Str("run_job".into()));
-        line.insert("session".into(), Scalar::Str("jobs".into()));
-        line.insert("spec".into(), Scalar::Str(spec));
-        line.insert("shard".into(), Scalar::Uint(0));
-        line.insert("of".into(), Scalar::Uint(1));
-        assert!(service.respond(&encode_object(&line)).unwrap().contains("\"ok\":true"));
+        let job = service.respond(&run_job_line("jobs", &ShardJob::Grid(Vec::new()), 0, 1));
+        assert!(job.unwrap().contains("\"ok\":true"));
         // finish frees the slot; the next open succeeds.
         service.respond(r#"{"cmd":"finish","session":"a"}"#).unwrap();
         let reopened = service.respond(&open_line("c", 10, 3, "trivial", 1)).unwrap();
         assert!(reopened.contains("\"ok\":true"), "{reopened}");
-    }
-
-    #[test]
-    fn session_limit_in_scripts_is_thread_count_invariant() {
-        let mut script = String::new();
-        for name in ["a", "b", "c", "d"] {
-            script.push_str(&open_line(name, 10, 3, "trivial", 1));
-            script.push('\n');
-        }
-        script.push_str(r#"{"cmd":"finish","session":"a"}"#);
-        script.push('\n');
-        script.push_str(&open_line("e", 10, 3, "trivial", 1));
-        script.push('\n');
-        for name in ["b", "c", "e"] {
-            script.push_str(&format!(r#"{{"cmd":"finish","session":"{name}"}}"#));
-            script.push('\n');
-        }
-        let reference = Service::new().with_max_sessions(3).run_script(&script);
-        assert_eq!(reference.matches("session limit reached (3 open)").count(), 1, "{reference}");
-        assert!(reference.contains(r#""session":"d""#), "d must be the rejected open");
-        // e opens fine after a's finish freed a slot.
-        assert_eq!(reference.matches("\"ok\":false").count(), 1, "{reference}");
-        for threads in [2, 8] {
-            let batch = Service::with_threads(threads).with_max_sessions(3).run_script(&script);
-            assert_eq!(batch, reference, "threads = {threads} changed limited-script output");
-        }
     }
 
     #[test]
@@ -1672,14 +1445,6 @@ mod tests {
         // host_stats never touches the session table: "probe" is only a
         // correlation id.
         assert_eq!(service.session_names(), vec!["b"]);
-    }
-
-    #[test]
-    fn host_stats_in_scripts_is_a_deterministic_error() {
-        let mut service = Service::new();
-        let out = service.run_script("{\"cmd\":\"host_stats\",\"session\":\"x\"}\n");
-        assert!(out.contains("\"ok\":false"), "{out}");
-        assert!(out.contains("interactive-only"), "{out}");
     }
 
     /// A fresh per-test scratch directory under the system temp dir

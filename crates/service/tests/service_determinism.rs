@@ -4,8 +4,7 @@
 //! to K single-session services: interleaving the sessions' command
 //! streams in *any* order yields, per session, byte-identical response
 //! lines to running that session alone — for every streaming colorer
-//! the workspace exposes and every thread count of the script runner.
-//! This is what makes the serving layer safe to scale: tenants cannot
+//! the workspace exposes. This is what makes the serving layer safe to scale: tenants cannot
 //! perturb each other, deliberately or accidentally.
 
 use proptest::prelude::*;
@@ -188,45 +187,6 @@ proptest! {
                 &isolated[s],
                 "tenant {} diverged under interleaving (seed {})",
                 name,
-                seed
-            );
-        }
-
-        // And the script runner agrees with line-at-a-time responding,
-        // for several thread counts, on the same interleaving.
-        let mut cursors = vec![0usize; scripts.len()];
-        let mut rng2 = Gen::new(seed ^ 0x1234);
-        let mut script_text = String::new();
-        loop {
-            let live: Vec<usize> = (0..scripts.len())
-                .filter(|&s| cursors[s] < scripts[s].1.len())
-                .collect();
-            if live.is_empty() {
-                break;
-            }
-            let s = live[rng2.below(live.len() as u64) as usize];
-            script_text.push_str(&scripts[s].1[cursors[s]]);
-            script_text.push('\n');
-            cursors[s] += 1;
-        }
-        let line_by_line = {
-            let mut service = Service::new();
-            let mut out = String::new();
-            for line in script_text.lines() {
-                if let Some(response) = service.respond(line) {
-                    out.push_str(&response);
-                    out.push('\n');
-                }
-            }
-            out
-        };
-        for threads in [1usize, 4] {
-            let mut service = Service::with_threads(threads);
-            prop_assert_eq!(
-                service.run_script(&script_text),
-                line_by_line.clone(),
-                "run_script with {} threads diverged (seed {})",
-                threads,
                 seed
             );
         }

@@ -238,16 +238,57 @@ proptest! {
 /// every restored response is byte-exact.
 mod game {
     use super::*;
-    use sc_adversary::{Adversary, MonochromaticAttacker, OscillationAttacker};
-    use sc_graph::Graph;
+    use sc_adversary::{referee, Adversary, MonochromaticAttacker, OscillationAttacker, Victim};
+    use sc_graph::Coloring;
     use sc_service::service::parse_coloring;
+    use sc_stream::SignedEdge;
+
+    /// The game's victim over protocol lines: records every response
+    /// except snapshot/restore (the transport, not the transcript) and,
+    /// after the observe ending round `snap_at`, moves to a fresh host.
+    struct Client {
+        service: Service,
+        transcript: Vec<String>,
+        rounds: usize,
+        snap_at: Option<usize>,
+        n: usize,
+    }
+
+    impl Client {
+        fn drive(&mut self, line: &str) -> &str {
+            let response = self.service.respond(line).unwrap();
+            assert!(response.contains("\"ok\":true"), "{response}");
+            self.transcript.push(response);
+            self.transcript.last().unwrap()
+        }
+    }
+
+    impl Victim for Client {
+        fn push(&mut self, t: SignedEdge) -> Result<(), String> {
+            let (u, v) = (t.edge.u(), t.edge.v());
+            let sign = if t.is_insert() { "" } else { r#","sign":"delete""# };
+            self.drive(&format!(r#"{{"cmd":"push","session":"game","edge":"{u}-{v}"{sign}}}"#));
+            self.rounds += 1;
+            Ok(())
+        }
+
+        fn observe(&mut self) -> Result<(Coloring, usize), String> {
+            let obj = parse_object(self.drive(r#"{"cmd":"observe","session":"game"}"#)).unwrap();
+            let coloring = parse_coloring(obj["coloring"].as_str().unwrap(), self.n).unwrap();
+            if self.snap_at == Some(self.rounds) {
+                let blob = snapshot_blob(&mut self.service, "game");
+                self.service = Service::new();
+                restore_into(&mut self.service, "game", &blob);
+            }
+            Ok((coloring, obj["colors"].as_u64().unwrap() as usize))
+        }
+    }
 
     /// Plays `rounds` of the game, snapshotting to a fresh host after
     /// `snap_at` rounds (`None` = never), and returns every raw
-    /// response line the client saw (snapshot/restore excluded — they
-    /// are the transport, not the transcript). With `oscillating`, the
-    /// attacker is the deletion-aware [`OscillationAttacker`] and
-    /// deletions travel as `"sign":"delete"` pushes.
+    /// response line the client saw. With `oscillating`, the attacker
+    /// is the deletion-aware [`OscillationAttacker`] and deletions
+    /// travel as `"sign":"delete"` pushes.
     fn game_transcript(
         victim: &ColorerSpec,
         n: usize,
@@ -257,56 +298,17 @@ mod game {
         snap_at: Option<usize>,
         oscillating: bool,
     ) -> Vec<String> {
-        let mut service = Service::new();
-        let name = "game";
-        let engine = EngineConfig::per_edge();
-        let mut transcript = Vec::new();
-        let drive = |service: &mut Service, line: &str, transcript: &mut Vec<String>| {
-            let response = service.respond(line).unwrap();
-            assert!(response.contains("\"ok\":true"), "{response}");
-            transcript.push(response);
-        };
-
-        drive(&mut service, &open_line(name, victim, n, delta, seed, &engine), &mut transcript);
+        let mut client =
+            Client { service: Service::new(), transcript: Vec::new(), rounds: 0, snap_at, n };
+        client.drive(&open_line("game", victim, n, delta, seed, &EngineConfig::per_edge()));
         let mut attacker: Box<dyn Adversary> = if oscillating {
             Box::new(OscillationAttacker::new(n, delta, seed))
         } else {
             Box::new(MonochromaticAttacker::new(n, delta, seed))
         };
-        let mut graph = Graph::empty(n);
-        let observe = format!(r#"{{"cmd":"observe","session":"{name}"}}"#);
-        drive(&mut service, &observe, &mut transcript);
-
-        for round in 1..=rounds {
-            let coloring = {
-                let obj = parse_object(transcript.last().unwrap()).unwrap();
-                let text = obj.get("coloring").and_then(Scalar::as_str).unwrap();
-                parse_coloring(text, n).unwrap()
-            };
-            let Some(t) = attacker.next_token(&coloring, &graph) else { break };
-            let e = t.edge;
-            let push = if t.is_insert() {
-                graph.add_edge(e);
-                format!(r#"{{"cmd":"push","session":"{name}","edge":"{}-{}"}}"#, e.u(), e.v())
-            } else {
-                graph.remove_edge(e);
-                format!(
-                    r#"{{"cmd":"push","session":"{name}","edge":"{}-{}","sign":"delete"}}"#,
-                    e.u(),
-                    e.v()
-                )
-            };
-            drive(&mut service, &push, &mut transcript);
-            drive(&mut service, &observe, &mut transcript);
-
-            if snap_at == Some(round) {
-                let blob = snapshot_blob(&mut service, name);
-                service = Service::new();
-                restore_into(&mut service, name, &blob);
-            }
-        }
-        drive(&mut service, &format!(r#"{{"cmd":"finish","session":"{name}"}}"#), &mut transcript);
-        transcript
+        referee(&mut client, attacker.as_mut(), Adversary::next_token, n, rounds).unwrap();
+        client.drive(r#"{"cmd":"finish","session":"game"}"#);
+        client.transcript
     }
 
     #[test]

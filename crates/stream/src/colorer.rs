@@ -56,6 +56,7 @@ pub trait StreamingColorer {
     /// engine could not pre-validate.
     ///
     /// [`process`]: StreamingColorer::process
+    /// [`supports_deletions`]: StreamingColorer::supports_deletions
     fn process_signed(&mut self, t: SignedEdge) -> Result<(), String> {
         match t.sign {
             Sign::Insert => {

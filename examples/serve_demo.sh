@@ -1,21 +1,18 @@
 #!/usr/bin/env sh
 # Drives `streamcolor serve` over the flat-JSON line protocol, both in
-# script mode (parallel across sessions, byte-identical for every
-# --threads value) and as a plain stdin pipe — then shows that all
-# three transcripts are identical, which is the protocol's determinism
-# law in one shell session.
+# script mode (`--script FILE`) and as a plain stdin pipe — then shows
+# that the two transcripts are identical: both feed the same
+# one-line-at-a-time serving loop.
 set -eu
 cd "$(dirname "$0")/.."
 
 cargo build --release --bin streamcolor
 
-echo "== script mode (--threads 1) =="
-target/release/streamcolor serve --script examples/serve_demo.commands | tee /tmp/serve_demo_1.out
+echo "== script mode =="
+target/release/streamcolor serve --script examples/serve_demo.commands | tee /tmp/serve_demo_script.out
 
 echo
-echo "== script mode (--threads 4) and stdin pipe produce identical bytes =="
-target/release/streamcolor serve --script examples/serve_demo.commands --threads 4 > /tmp/serve_demo_4.out
+echo "== stdin pipe produces identical bytes =="
 target/release/streamcolor serve < examples/serve_demo.commands > /tmp/serve_demo_stdin.out
-diff /tmp/serve_demo_1.out /tmp/serve_demo_4.out
-diff /tmp/serve_demo_1.out /tmp/serve_demo_stdin.out
-echo "byte-identical across modes and thread counts"
+diff /tmp/serve_demo_script.out /tmp/serve_demo_stdin.out
+echo "byte-identical across input paths"
