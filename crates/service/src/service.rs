@@ -1320,6 +1320,41 @@ mod tests {
         assert!(reopened.contains("\"ok\":true"), "{reopened}");
     }
 
+    /// A limited script (what `serve --script` feeds the loop) answers
+    /// the same bytes on every run and matches answering it line by
+    /// line: the serve loop has no thread knob that could reorder opens.
+    #[test]
+    fn session_limit_in_scripts_is_thread_count_invariant() {
+        let mut script = String::new();
+        for name in ["a", "b", "c", "d"] {
+            script.push_str(&open_line(name, 10, 3, "trivial", 1));
+            script.push('\n');
+        }
+        script.push_str(r#"{"cmd":"finish","session":"a"}"#);
+        script.push('\n');
+        script.push_str(&open_line("e", 10, 3, "trivial", 1));
+        script.push('\n');
+        for name in ["b", "c", "e"] {
+            script.push_str(&format!(r#"{{"cmd":"finish","session":"{name}"}}"#));
+            script.push('\n');
+        }
+        let serve_script = || {
+            let mut output = Vec::new();
+            Service::new().with_max_sessions(3).serve(script.as_bytes(), &mut output).unwrap();
+            String::from_utf8(output).unwrap()
+        };
+        let reference = serve_script();
+        assert_eq!(reference.matches("session limit reached (3 open)").count(), 1, "{reference}");
+        assert!(reference.contains(r#""session":"d""#), "d must be the rejected open");
+        // e opens fine after a's finish freed a slot.
+        assert_eq!(reference.matches("\"ok\":false").count(), 1, "{reference}");
+        assert_eq!(serve_script(), reference, "a rerun changed limited-script output");
+        let mut service = Service::new().with_max_sessions(3);
+        let line_by_line: String =
+            script.lines().filter_map(|l| service.respond(l)).map(|r| r + "\n").collect();
+        assert_eq!(line_by_line, reference, "serve and respond disagree on a limited script");
+    }
+
     #[test]
     fn serve_loop_round_trips_via_io() {
         let mut service = Service::new();
