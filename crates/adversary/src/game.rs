@@ -167,7 +167,7 @@ where
 {
     let mut session = Session::borrowing(colorer, EngineConfig { chunk_size: 1, ..config });
     referee(&mut session, adversary, pull, n, max_rounds)
-        .unwrap_or_else(|err| panic!("signed game referee rejected a token: {err}"))
+        .unwrap_or_else(|err| panic!("game referee rejected a token: {err}"))
 }
 
 /// Referees a game between `colorer` and `adversary` on `n` vertices for

@@ -52,18 +52,19 @@ SUBCOMMANDS:
     serve    host named coloring sessions behind the flat-JSON line
              protocol: one command object per stdin line, one canonical
              response per stdout line (--script FILE reads the lines
-             from a file instead, through the same loop; --listen ADDR serves over TCP, multiplexing every
-             connection onto one event loop sharing one service
-             [--reactor names this, the only mode; --idle-ms N evicts
-             idle connections; --max-sessions N evicts
-             least-recently-used sessions at the cap, --snapshot-dir
-             DIR upgrades that to evict-to-disk with transparent
-             restore, --shared-sessions makes session names host-global
-             and sessions outlive connections; --accept N]; otherwise
-             --max-sessions N bounds open sessions; any serve endpoint
-             doubles as a cluster shard worker via the run_job command;
-             sessions can be checkpointed with the snapshot command and
-             revived with restore)
+             from a file instead, through the same loop; --listen
+             ADDR serves over TCP, multiplexing every connection onto
+             one event loop sharing one service [--reactor names this,
+             the only mode; --idle-ms N evicts idle connections;
+             --max-sessions N evicts least-recently-used sessions at
+             the cap, --snapshot-dir DIR upgrades that to
+             evict-to-disk with transparent restore, --shared-sessions
+             makes session names host-global and sessions outlive
+             connections; --accept N]; otherwise --max-sessions N
+             bounds open sessions; any serve endpoint doubles as a
+             cluster shard worker via the run_job command; sessions
+             can be checkpointed with the snapshot command and revived
+             with restore)
     migrate  move one live session between two serve endpoints
              (--session NAME, --from ADDR, --to ADDR [HOST:PORT or
              ssh:DEST], --timeout-ms N): snapshot on the source,

@@ -8,6 +8,8 @@ use sc_adversary::{
     MonochromaticAttacker, ObliviousReplay, OscillationAttacker, RandomAdversary, TrialSummary,
 };
 use sc_graph::Edge;
+use sc_stream::StreamingColorer;
+use std::collections::HashSet;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -94,29 +96,39 @@ impl AttackScenario {
         }
     }
 
-    /// Whether [`Runner::run_attack`] can referee this scenario (a
-    /// streaming victim that builds without a graph, and one that takes
-    /// deletions if the adversary deletes). Spec decoding checks this,
-    /// so a client-sent job is refused instead of panicking its host.
+    /// Whether [`Runner::run_attack`] can referee this scenario: the
+    /// victim builds as [`Runner::run_attack`] builds it, takes deletions
+    /// if the adversary deletes, and a replayed list is a simple graph on
+    /// `n` vertices. Spec decoding checks this, so a client-sent job is
+    /// refused instead of panicking its host.
     ///
     /// # Errors
-    /// Names the victim (and the adversary, for a deletion mismatch).
+    /// Names the victim (and the adversary, for a deletion mismatch) or
+    /// the offending replay edge.
     pub fn check_playable(&self) -> Result<(), String> {
-        let victim = self.victim.label();
-        if !self.victim.is_streaming() || matches!(self.victim, ColorerSpec::Bcg20 { .. }) {
-            Err(format!(
-                "attack victim {victim:?} is not a streaming colorer buildable without a graph"
-            ))
-        } else if self.adversary.is_signed()
-            && !matches!(self.victim, ColorerSpec::DynamicSr { .. })
-        {
-            Err(format!(
-                "attack victim {victim:?} is insert-only; {:?} deletes edges",
+        let label = self.victim.label();
+        let victim = self
+            .victim
+            .build(self.n, self.delta, self.victim_seed, None)
+            .map_err(|e| format!("attack victim {label:?}: {e}"))?;
+        if self.adversary.is_signed() && !victim.supports_deletions() {
+            return Err(format!(
+                "attack victim {label:?} is insert-only; {:?} deletes edges",
                 self.adversary
-            ))
-        } else {
-            Ok(())
+            ));
         }
+        if let AdversarySpec::Replay(edges) = &self.adversary {
+            let mut seen = HashSet::with_capacity(edges.len());
+            for &e in edges.iter() {
+                if e.v() as usize >= self.n {
+                    return Err(format!("replay edge {e} out of range for n = {}", self.n));
+                }
+                if !seen.insert(e) {
+                    return Err(format!("replay edge {e} repeats (simple graphs only)"));
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Sets the round budget.

@@ -23,16 +23,18 @@ use sc_stream::{EngineConfig, SignedEdge};
 /// responses it parses.
 struct ProtocolVictim {
     service: Service,
-    session: &'static str,
     n: usize,
 }
+
+/// The session name the game opens on its private service.
+const SESSION: &str = "game";
 
 impl ProtocolVictim {
     /// Sends `cmd` for the game's session (with the fields already in
     /// `request`) and decodes the response, erroring on `"ok": false`.
     fn call(&mut self, cmd: &str, mut request: FlatObject) -> Result<FlatObject, String> {
         request.insert("cmd".into(), Scalar::Str(cmd.to_string()));
-        request.insert("session".into(), Scalar::Str(self.session.to_string()));
+        request.insert("session".into(), Scalar::Str(SESSION.to_string()));
         let line = encode_object(&request);
         let response = self.service.respond(&line).ok_or("command line produced no response")?;
         let obj = parse_object(&response).map_err(|e| format!("unparseable response: {e}"))?;
@@ -84,7 +86,7 @@ pub fn run_game_via_service<A: Adversary + ?Sized>(
     victim_seed: u64,
     config: EngineConfig,
 ) -> Result<GameReport, String> {
-    let mut client = ProtocolVictim { service: Service::new(), session: "game", n };
+    let mut client = ProtocolVictim { service: Service::new(), n };
 
     let mut open = FlatObject::new();
     open.insert("n".into(), Scalar::Uint(n as u64));

@@ -1273,6 +1273,11 @@ mod tests {
     #[test]
     fn run_job_refuses_unplayable_attacks_and_the_host_keeps_serving() {
         use sc_engine::{AdversarySpec, AttackScenario};
+        let replay = |edges: &[(u32, u32)]| {
+            AdversarySpec::Replay(std::sync::Arc::new(
+                edges.iter().map(|&(u, v)| sc_graph::Edge::new(u, v)).collect(),
+            ))
+        };
         let mut service = Service::new();
         service.respond(&open_line("t", 10, 3, "store-all", 1)).unwrap();
         service.respond(r#"{"cmd":"push","session":"t","edge":"0-1"}"#).unwrap();
@@ -1281,6 +1286,8 @@ mod tests {
             (ColorerSpec::Det(Default::default()), AdversarySpec::Monochromatic, "Thm 1"),
             (ColorerSpec::Brooks, AdversarySpec::Random, "Brooks"),
             (ColorerSpec::Robust { beta: None }, AdversarySpec::Oscillation, "insert-only"),
+            (ColorerSpec::Robust { beta: None }, replay(&[(0, 1), (2, 3), (0, 1)]), "repeats"),
+            (ColorerSpec::Robust { beta: None }, replay(&[(0, 1), (3, 20)]), "out of range"),
         ] {
             let scenario = AttackScenario::new(victim, adversary, 20, 4).with_rounds(10);
             let job = ShardJob::Attack { scenario, trials: 2 };
