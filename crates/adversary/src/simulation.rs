@@ -81,33 +81,21 @@ impl TrialSummary {
 }
 
 /// Aggregates finished game reports into a [`TrialSummary`] (what the
-/// trial sweeps in `sc-engine` report).
+/// trial sweeps in `sc-engine` report): each report is a one-trial
+/// summary, folded with [`TrialSummary::merge`].
 pub fn summarize(reports: impl IntoIterator<Item = GameReport>) -> TrialSummary {
-    let mut trials = 0usize;
-    let mut broken = 0usize;
-    let mut failure_rounds = Vec::new();
-    let mut max_colors = 0usize;
-    let mut min_rounds = usize::MAX;
-    let mut max_rounds_seen = 0usize;
+    let mut summary = TrialSummary::empty();
     for r in reports {
-        trials += 1;
-        max_colors = max_colors.max(r.max_colors);
-        min_rounds = min_rounds.min(r.rounds);
-        max_rounds_seen = max_rounds_seen.max(r.rounds);
-        if !r.survived() {
-            broken += 1;
-            failure_rounds.push(r.first_failure_round.expect("broken game has a failure round"));
-        }
+        summary.merge(&TrialSummary {
+            trials: 1,
+            broken: usize::from(!r.survived()),
+            failure_rounds: r.first_failure_round.into_iter().collect(),
+            max_colors: r.max_colors,
+            min_rounds: r.rounds,
+            max_rounds: r.rounds,
+        });
     }
-    failure_rounds.sort_unstable();
-    TrialSummary {
-        trials,
-        broken,
-        failure_rounds,
-        max_colors,
-        min_rounds: if trials == 0 { 0 } else { min_rounds },
-        max_rounds: max_rounds_seen,
-    }
+    summary
 }
 
 #[cfg(test)]

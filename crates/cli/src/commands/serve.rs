@@ -144,7 +144,7 @@ mod tests {
         Ok(String::from_utf8(out).unwrap())
     }
 
-    fn run_script_file(script: &str, extra: &str) -> Result<String, CliError> {
+    fn serve_file(script: &str, extra: &str) -> Result<String, CliError> {
         let dir = std::env::temp_dir().join("streamcolor-serve-cli-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join(format!("script-{}.commands", std::process::id()));
@@ -165,14 +165,14 @@ mod tests {
 
     #[test]
     fn script_mode_emits_one_response_per_command() {
-        let text = run_script_file(SCRIPT, "").unwrap();
+        let text = serve_file(SCRIPT, "").unwrap();
         assert_eq!(text.lines().count(), 8, "{text}");
         assert!(text.lines().all(|l| l.contains("\"ok\":true")), "{text}");
     }
 
     #[test]
     fn max_sessions_bounds_script_tenants() {
-        let text = run_script_file(SCRIPT, "--max-sessions 1").unwrap();
+        let text = serve_file(SCRIPT, "--max-sessions 1").unwrap();
         assert_eq!(text.matches("session limit reached (1 open)").count(), 1, "{text}");
         // Session b's open is the rejected one; its later commands fail
         // with unknown session — all as responses, the run completes.
@@ -181,9 +181,9 @@ mod tests {
 
     #[test]
     fn flag_grammar_is_validated() {
-        assert!(run_script_file(SCRIPT, "--bogus 1").is_err());
-        assert!(run_script_file(SCRIPT, "--listen 127.0.0.1:0").is_err(), "script+listen");
-        assert!(run_script_file(SCRIPT, "--max-sessions x").is_err());
+        assert!(serve_file(SCRIPT, "--bogus 1").is_err());
+        assert!(serve_file(SCRIPT, "--listen 127.0.0.1:0").is_err(), "script+listen");
+        assert!(serve_file(SCRIPT, "--max-sessions x").is_err());
         assert!(serve("serve --script /nonexistent/x.commands").is_err());
         for (bad, want) in [
             // Every mode answers one line at a time: there is no
