@@ -10,7 +10,8 @@
 //! Also emits the perf trajectory, so successive PRs accumulate
 //! machine-readable curves:
 //!
-//! * `BENCH_engine.json` — batched vs per-edge **ingestion**;
+//! * `BENCH_engine.json` — batched vs per-edge **ingestion**, plus the
+//!   turnstile sketch's update-vs-decode balance (`sketch-decode`);
 //! * `BENCH_query.json` — incremental vs from-scratch **queries**, both
 //!   on checkpointed engine runs and end-to-end adversary games.
 //!
@@ -18,7 +19,7 @@
 //! `BENCH_*.smoke.json` instead (same JSON shape, different filenames,
 //! so a local reproduction of CI never clobbers the committed
 //! full-profile trajectory); the `bench-smoke` CI job runs it and gates
-//! the `speedup` fields against `ci/bench_baselines.json` via
+//! the `speedup` and `ratio` fields against `ci/bench_baselines.json` via
 //! `bench_gate`.
 
 use sc_adversary::{run_game_with_config, MonochromaticAttacker};
@@ -28,7 +29,7 @@ use sc_graph::generators;
 use sc_stream::{EngineConfig, QuerySchedule, StreamEngine, StreamOrder};
 use std::io::Write as _;
 use std::time::Instant;
-use streamcolor::{list_coloring, DetConfig, ListConfig};
+use streamcolor::{list_coloring, DetConfig, ListConfig, SparseRecovery};
 
 /// Instance sizes for the full run vs the CI smoke run.
 struct Profile {
@@ -249,12 +250,69 @@ fn emit_engine_bench(profile: &Profile) {
         batched_ms,
         per_edge_ms / batched_ms.max(1e-9),
     ));
+    entries.push(sketch_decode_entry(n, dyn_delta, &tokens, reps));
 
     write_bench_file(
         &profile.bench_path("engine"),
         &entries,
         "batched vs per-edge ingestion timings (insert-only + turnstile churn)",
     );
+}
+
+/// Times the turnstile sketch on its own, on the churn stream above:
+/// applying every token to a bare [`SparseRecovery`] (`update_ms`) vs
+/// one `decode` of the result (`decode_ms`), medians over `reps`.
+///
+/// `ratio = update_ms / decode_ms` is the gated figure. A decode that
+/// peels in `O(cells + support · ROWS)` costs within a small factor of
+/// one pass of updates, so the ratio stays near one; a decode that goes
+/// quadratic in the support (rescanning the cells per peeled id) drops
+/// it by an order of magnitude or more. Both sides are timed in the same run, so
+/// the ratio is hardware-portable.
+fn sketch_decode_entry(
+    n: usize,
+    delta: usize,
+    tokens: &[sc_stream::SignedEdge],
+    reps: usize,
+) -> String {
+    // The budget and edge ids `ColorerSpec::DynamicSr { sparsity: None }`
+    // gives its colorer: `n·∆/2` live edges, id `u·n + v`.
+    let sparsity = (n * delta).div_ceil(2).max(1);
+    let universe = (n as u64) * (n as u64);
+    let load = || {
+        let mut sketch = SparseRecovery::new(universe, sparsity, 5);
+        let start = Instant::now();
+        for t in tokens {
+            sketch.update(t.edge.u() as u64 * n as u64 + t.edge.v() as u64, t.sign.unit());
+        }
+        (start.elapsed().as_secs_f64() * 1e3, sketch)
+    };
+    let median = |mut times: Vec<f64>| {
+        times.sort_by(f64::total_cmp);
+        times[times.len() / 2]
+    };
+    let update_ms = median((0..reps).map(|_| load().0).collect());
+    let sketch = load().1;
+    let mut support = 0;
+    let decode_ms = median(
+        (0..reps)
+            .map(|_| {
+                let start = Instant::now();
+                support = sketch.decode().expect("churn support fits the default budget").len();
+                start.elapsed().as_secs_f64() * 1e3
+            })
+            .collect(),
+    );
+    format!(
+        "  {{\"algo\":\"sketch-decode\",\"kind\":\"churn\",\"n\":{},\"sparsity\":{},\"tokens\":{},\"support\":{},\"update_ms\":{:.3},\"decode_ms\":{:.3},\"ratio\":{:.3}}}",
+        n,
+        sparsity,
+        tokens.len(),
+        support,
+        update_ms,
+        decode_ms,
+        update_ms / decode_ms.max(1e-9),
+    )
 }
 
 /// Times the hashing substrate's batched tier against the scalar

@@ -33,7 +33,7 @@
 use crate::dynamic::sparse_recovery::SparseRecovery;
 use sc_graph::{greedy_complete, greedy_repair_ascending, Coloring, Edge, Graph};
 use sc_stream::{
-    counter_bits, CacheStats, QueryCache, Sign, SignedEdge, SpaceMeter, StateReader, StateWriter,
+    counter_bits, CacheStats, QueryCache, SignedEdge, SpaceMeter, StateReader, StateWriter,
     StreamingColorer,
 };
 
@@ -41,6 +41,10 @@ use sc_stream::{
 /// first-fit coloring, and the sorted live edge list it was decoded
 /// from. Harness bookkeeping — never charged to the meter (any query
 /// can rebuild it from the sketch).
+///
+/// A stale artifact is patched whatever the gap held — insertions,
+/// deletions or both: [`DynamicColorer::patch`] diffs `live` against
+/// the new decode and repairs `chi` from the changed edges only.
 #[derive(Debug, Clone)]
 struct DynamicArtifact {
     mirror: Graph,
@@ -56,10 +60,6 @@ pub struct DynamicColorer {
     sketch: SparseRecovery,
     meter: SpaceMeter,
     cache: QueryCache<DynamicArtifact>,
-    /// Whether any deletion arrived since the cached artifact was
-    /// installed. Insertion-only gaps are patchable (first-fit repair);
-    /// a deletion can only be reflected by a from-scratch decode.
-    deleted_since_install: bool,
 }
 
 impl DynamicColorer {
@@ -72,7 +72,7 @@ impl DynamicColorer {
         // The colorer's entire storage is the sketch: cells plus the
         // handful of hash keys. Charged once — updates never grow it.
         meter.charge(sketch.cell_bits() + 8 * counter_bits(u64::MAX));
-        Self { n, sketch, meter, cache: QueryCache::new(), deleted_since_install: false }
+        Self { n, sketch, meter, cache: QueryCache::new() }
     }
 
     /// The sparsity budget `s`.
@@ -115,29 +115,47 @@ impl DynamicColorer {
         DynamicArtifact { mirror, chi, live }
     }
 
-    /// Brings an insertion-only-stale artifact up to date: decodes the
-    /// current live list, grafts the new edges into the mirror, and
-    /// first-fit-repairs from their higher endpoints. Returns the
+    /// Brings a stale artifact up to date: decodes the current live
+    /// list, merge-diffs it against the installed one (both ascending),
+    /// removes the deleted edges from the mirror and grafts in the new
+    /// ones, then first-fit-repairs from the higher endpoint of every
+    /// changed edge — ascending first-fit only reads lower neighbours,
+    /// so those are exactly the vertices whose inputs moved. Returns the
     /// number of recolored vertices.
     fn patch(&self, artifact: &mut DynamicArtifact) -> u64 {
+        use std::cmp::Ordering;
         let live = self.decode_live();
-        debug_assert!(
-            artifact.live.len() <= live.len(),
-            "patch path requires an insertion-only gap"
-        );
+        let mirror = &mut artifact.mirror;
         let mut seeds = Vec::new();
-        let mut old = artifact.live.iter().peekable();
-        for &e in &live {
-            if old.peek() == Some(&&e) {
-                old.next();
-                continue;
-            }
-            if artifact.mirror.add_edge(e) {
-                seeds.push(e.u().max(e.v()));
+        let (mut old, mut new) = (artifact.live.iter().peekable(), live.iter().peekable());
+        loop {
+            let order = match (old.peek(), new.peek()) {
+                (None, None) => break,
+                (Some(a), Some(b)) => a.cmp(b),
+                (Some(_), None) => Ordering::Less,
+                (None, Some(_)) => Ordering::Greater,
+            };
+            let (e, changed) = match order {
+                Ordering::Equal => {
+                    old.next();
+                    new.next();
+                    continue;
+                }
+                Ordering::Less => {
+                    let &e = old.next().expect("peeked");
+                    (e, mirror.remove_edge(e))
+                }
+                Ordering::Greater => {
+                    let &e = new.next().expect("peeked");
+                    (e, mirror.add_edge(e))
+                }
+            };
+            if changed {
+                seeds.push(e.v());
             }
         }
         artifact.live = live;
-        greedy_repair_ascending(&artifact.mirror, &mut artifact.chi, seeds).len() as u64
+        greedy_repair_ascending(mirror, &mut artifact.chi, seeds).len() as u64
     }
 }
 
@@ -163,9 +181,6 @@ impl StreamingColorer for DynamicColorer {
     fn process_signed(&mut self, t: SignedEdge) -> Result<(), String> {
         assert!((t.edge.v() as usize) < self.n, "edge {} out of range", t.edge);
         self.sketch.update(self.edge_id(t.edge), t.sign.unit());
-        if t.sign == Sign::Delete {
-            self.deleted_since_install = true;
-        }
         self.cache.advance(1);
         Ok(())
     }
@@ -174,9 +189,6 @@ impl StreamingColorer for DynamicColorer {
         for &t in tokens {
             assert!((t.edge.v() as usize) < self.n, "edge {} out of range", t.edge);
             self.sketch.update(self.edge_id(t.edge), t.sign.unit());
-            if t.sign == Sign::Delete {
-                self.deleted_since_install = true;
-            }
         }
         self.cache.advance(tokens.len() as u64);
         Ok(())
@@ -190,11 +202,6 @@ impl StreamingColorer for DynamicColorer {
         if let Some(a) = self.cache.fresh() {
             return a.chi.clone();
         }
-        if self.deleted_since_install {
-            // A deletion invalidates the first-fit repair argument (it
-            // only covers edge additions); decode from scratch.
-            self.cache.invalidate();
-        }
         let artifact = match self.cache.take_for_patch() {
             Some((_, mut a)) => {
                 let recolored = self.patch(&mut a);
@@ -205,7 +212,6 @@ impl StreamingColorer for DynamicColorer {
         };
         let out = artifact.chi.clone();
         self.cache.install(artifact);
-        self.deleted_since_install = false;
         out
     }
 
@@ -242,9 +248,6 @@ impl StreamingColorer for DynamicColorer {
         self.meter =
             SpaceMeter::restored(space_cur, space_peak).map_err(|e| format!("state: {e}"))?;
         self.cache.restore_at_epoch(epoch);
-        // The restored cache is cold, so the next query decodes from
-        // scratch regardless; the flag only gates the patch path.
-        self.deleted_since_install = false;
         Ok(())
     }
 
@@ -320,8 +323,11 @@ mod tests {
             assert_eq!(inc.query_incremental(), scr.query(), "prefix {}", i + 1);
         }
         let stats = inc.query_cache_stats().unwrap();
-        assert!(stats.patches > 0, "insert gaps must take the patch path: {stats:?}");
-        assert!(stats.misses > 1, "deletions must force scratch decodes: {stats:?}");
+        assert!(stats.patches > 0, "stale queries must take the patch path: {stats:?}");
+        assert_eq!(
+            stats.misses, 1,
+            "deletion gaps patch too; only the first query builds: {stats:?}"
+        );
     }
 
     #[test]

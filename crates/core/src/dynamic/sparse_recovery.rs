@@ -25,6 +25,18 @@
 //! *fails loudly* — an [`Err`] naming the sparsity budget — when
 //! peeling strands residue, so an over-budget support is never silently
 //! mis-reported.
+//!
+//! Peeling order: [`SparseRecovery::decode`] makes one pass over the
+//! cells in index order. When a cell is pure it extracts the id, pushes
+//! the `ROWS` cells the extraction touched onto a stack, and drains the
+//! stack (peeling whatever became pure) before the pass moves on. Every
+//! cell is checked after its last change, so the pass ends with no pure
+//! cell left — the same fixpoint as any other peeling order, since
+//! extracting a true pure cell never spoils another one. A decode
+//! therefore costs `O(cells + support · ROWS)` rather than the
+//! `O(support · cells)` of rescanning from index 0 after each
+//! extraction, and because the output is sorted its bytes do not depend
+//! on the order either.
 
 use sc_hash::prf::prf2;
 use sc_hash::SplitMix64;
@@ -102,6 +114,11 @@ impl SparseRecovery {
         prf2(self.fp_key, id)
     }
 
+    /// Index into `cells` of `id`'s cell in `row`.
+    fn index(&self, row: usize, id: u64) -> usize {
+        row * self.cols + (prf2(self.row_keys[row], id) % self.cols as u64) as usize
+    }
+
     /// Applies one signed update to `id`.
     ///
     /// # Panics
@@ -110,8 +127,8 @@ impl SparseRecovery {
         assert!(id < self.universe, "id {id} outside universe {}", self.universe);
         let fp = self.fingerprint(id);
         for row in 0..ROWS {
-            let col = (prf2(self.row_keys[row], id) % self.cols as u64) as usize;
-            let cell = &mut self.cells[row * self.cols + col];
+            let i = self.index(row, id);
+            let cell = &mut self.cells[i];
             cell.count += delta;
             cell.id_sum += delta as i128 * id as i128;
             // Mod-2^64 arithmetic: two's-complement wrapping makes the
@@ -136,17 +153,28 @@ impl SparseRecovery {
     pub fn decode(&self) -> Result<Vec<(u64, i64)>, String> {
         let mut cells = self.cells.clone();
         let mut out: Vec<(u64, i64)> = Vec::new();
-        while let Some((id, count)) = self.find_pure(&cells) {
-            // Remove the id everywhere (its own row cells included).
-            let fp = self.fingerprint(id);
-            for row in 0..ROWS {
-                let col = (prf2(self.row_keys[row], id) % self.cols as u64) as usize;
-                let cell = &mut cells[row * self.cols + col];
-                cell.count -= count;
-                cell.id_sum -= count as i128 * id as i128;
-                cell.fp_sum = cell.fp_sum.wrapping_sub(fp.wrapping_mul(count as u64));
+        // Cells to check: the pass position, then every cell an
+        // extraction touched.
+        let mut stack: Vec<usize> = Vec::with_capacity(ROWS);
+        for start in 0..cells.len() {
+            stack.push(start);
+            while let Some(i) = stack.pop() {
+                let Some((id, count)) = self.pure(&cells[i]) else {
+                    continue;
+                };
+                // Remove the id everywhere (cell `i` included, which
+                // leaves it zero) and recheck every cell it touched.
+                let fp = self.fingerprint(id);
+                for row in 0..ROWS {
+                    let j = self.index(row, id);
+                    let cell = &mut cells[j];
+                    cell.count -= count;
+                    cell.id_sum -= count as i128 * id as i128;
+                    cell.fp_sum = cell.fp_sum.wrapping_sub(fp.wrapping_mul(count as u64));
+                    stack.push(j);
+                }
+                out.push((id, count));
             }
-            out.push((id, count));
         }
         if cells.iter().all(Cell::is_zero) {
             out.sort_unstable();
@@ -161,27 +189,20 @@ impl SparseRecovery {
         }
     }
 
-    /// Finds a pure cell: a cell whose contents are consistent with
-    /// exactly one live id (division + range + fingerprint checks).
-    fn find_pure(&self, cells: &[Cell]) -> Option<(u64, i64)> {
-        for cell in cells {
-            if cell.count == 0 {
-                continue;
-            }
-            if cell.id_sum % cell.count as i128 != 0 {
-                continue;
-            }
-            let id = cell.id_sum / cell.count as i128;
-            if id < 0 || id >= self.universe as i128 {
-                continue;
-            }
-            let id = id as u64;
-            let fp = self.fingerprint(id);
-            if cell.fp_sum == fp.wrapping_mul(cell.count as u64) {
-                return Some((id, cell.count));
-            }
+    /// The `(id, net_count)` a cell names if it is pure: its contents
+    /// are consistent with exactly one live id (division, range and
+    /// fingerprint checks).
+    fn pure(&self, cell: &Cell) -> Option<(u64, i64)> {
+        if cell.count == 0 || cell.id_sum % cell.count as i128 != 0 {
+            return None;
         }
-        None
+        let id = cell.id_sum / cell.count as i128;
+        if id < 0 || id >= self.universe as i128 {
+            return None;
+        }
+        let id = id as u64;
+        (cell.fp_sum == self.fingerprint(id).wrapping_mul(cell.count as u64))
+            .then_some((id, cell.count))
     }
 
     /// Canonical cell-array encoding: ascending `idx:count:id_sum:fp_sum`

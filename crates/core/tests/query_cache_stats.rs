@@ -19,12 +19,15 @@
 //!                                       invalidation, so a miss + a hit;
 //!                                       mirror-based colorers patch + hit)
 //! ```
+//!
+//! `dynamic-sr` also has a signed interleaving of its own, pinning that
+//! a gap containing deletions is patched rather than decoded afresh.
 
 use sc_graph::generators;
-use sc_stream::{CacheStats, StreamOrder, StreamingColorer};
+use sc_stream::{CacheStats, SignedEdge, StreamOrder, StreamingColorer};
 use streamcolor::{
-    Bcg20Colorer, Bg18Colorer, Cgs22Colorer, PaletteSparsification, RandEfficientColorer,
-    RobustColorer, StoreAllColorer, TrivialColorer,
+    Bcg20Colorer, Bg18Colorer, Cgs22Colorer, DynamicColorer, PaletteSparsification,
+    RandEfficientColorer, RobustColorer, StoreAllColorer, TrivialColorer,
 };
 
 const N: usize = 60;
@@ -56,6 +59,7 @@ fn counters_match_the_committed_table_per_colorer() {
         ("store_all", Box::new(StoreAllColorer::new(N)), expected(2, 2, 1, 0)),
         ("bg18", Box::new(Bg18Colorer::new(N, DELTA as u64, 9)), expected(2, 2, 1, 0)),
         ("bcg20", Box::new(Bcg20Colorer::for_graph(&g, 0.5, 9)), expected(2, 2, 1, 0)),
+        ("dynamic-sr", Box::new(DynamicColorer::new(N, 200, 9)), expected(2, 2, 1, 0)),
     ];
 
     for (name, mut colorer, want) in cases {
@@ -124,4 +128,39 @@ fn stats_accumulate_monotonically_across_a_query_per_edge_run() {
     let s = colorer.query_cache_stats().unwrap();
     assert_eq!(s.misses, 1, "only the first query builds from scratch");
     assert_eq!(s.patches, 39, "every later query patches the mirror");
+}
+
+#[test]
+fn dynamic_sr_patches_across_deletion_gaps() {
+    // Signed interleaving: the gap before the 2nd query deletes three
+    // edges and inserts two, the 3rd query repeats the epoch (a hit), and
+    // the gap before the 4th only deletes. Both deletion gaps are patches
+    // — a deletion does not force a from-scratch decode — and the cache
+    // never invalidates.
+    let g = generators::random_with_exact_max_degree(N, DELTA, 3);
+    let edges = StreamOrder::Shuffled(5).arrange(&g);
+    let mut inc = DynamicColorer::new(N, 200, 9);
+    let mut scr = DynamicColorer::new(N, 200, 9);
+    let gaps: Vec<Vec<SignedEdge>> = vec![
+        edges[..20].iter().map(|&e| SignedEdge::insert(e)).collect(),
+        [2, 7, 11]
+            .iter()
+            .map(|&i| SignedEdge::delete(edges[i]))
+            .chain(edges[20..22].iter().map(|&e| SignedEdge::insert(e)))
+            .collect(),
+        Vec::new(),
+        [0, 21].iter().map(|&i| SignedEdge::delete(edges[i])).collect(),
+    ];
+    for gap in &gaps {
+        for c in [&mut inc, &mut scr] {
+            c.process_signed_batch(gap).unwrap();
+        }
+        assert_eq!(inc.query_incremental(), scr.query(), "patched coloring ≠ scratch");
+    }
+    let stats = inc.query_cache_stats().unwrap();
+    assert_eq!(
+        (stats.hits, stats.patches, stats.misses, stats.invalidations),
+        (1, 2, 1, 0),
+        "dynamic-sr: deletion gaps must take the patch path: {stats:?}"
+    );
 }

@@ -12,6 +12,10 @@
 //!    decode may refuse, but it must never answer wrong: every `Ok` is
 //!    checked against the true multiset, and overloads that do fail
 //!    name the sparsity budget.
+//! 3. **Peeling order is invisible** — the worklist peel in `decode`
+//!    gives the same answer (or the same refusal) as the textbook peel
+//!    that rescans the cells from index 0 after every extraction,
+//!    within budget and beyond it.
 
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -35,6 +39,64 @@ fn load(
         }
     }
     (sketch, truth)
+}
+
+/// One cell of [`SparseRecovery::encode_cells`]: `(idx, count, id_sum, fp_sum)`.
+fn cells(sketch: &SparseRecovery) -> Vec<(usize, i64, i128, u64)> {
+    let text = sketch.encode_cells();
+    text.split(' ')
+        .filter(|part| !part.is_empty())
+        .map(|part| {
+            let f: Vec<&str> = part.split(':').collect();
+            (
+                f[0].parse().unwrap(),
+                f[1].parse().unwrap(),
+                f[2].parse().unwrap(),
+                f[3].parse().unwrap(),
+            )
+        })
+        .collect()
+}
+
+/// The textbook peel, kept here as the oracle for `decode`: scan the
+/// cells from index 0 for the first pure one (division, range and
+/// fingerprint checks), extract its id everywhere, and rescan — until
+/// no cell is pure. Uses only the public API: a fingerprint is read off
+/// a fresh sketch holding the id once, and extraction is the signed
+/// update that cancels the id's net count. `Err(())` when residue is
+/// left.
+fn rescanning_peel(sketch: &SparseRecovery, seed: u64) -> Result<Vec<(u64, i64)>, ()> {
+    let universe = sketch.universe();
+    let fingerprint = |id: u64| {
+        let mut single = SparseRecovery::new(universe, sketch.sparsity(), seed);
+        single.update(id, 1);
+        cells(&single)[0].3
+    };
+    let first_pure = |work: &SparseRecovery| {
+        cells(work).into_iter().find_map(|(_, count, id_sum, fp_sum)| {
+            if count == 0 || id_sum % count as i128 != 0 {
+                return None;
+            }
+            let id = id_sum / count as i128;
+            if id < 0 || id >= universe as i128 {
+                return None;
+            }
+            let id = id as u64;
+            (fp_sum == fingerprint(id).wrapping_mul(count as u64)).then_some((id, count))
+        })
+    };
+    let mut work = sketch.clone();
+    let mut out = Vec::new();
+    while let Some((id, count)) = first_pure(&work) {
+        work.update(id, -count);
+        out.push((id, count));
+    }
+    if work.is_empty() {
+        out.sort_unstable();
+        Ok(out)
+    } else {
+        Err(())
+    }
 }
 
 proptest! {
@@ -119,5 +181,34 @@ proptest! {
         }
         prop_assert!(sketch.is_empty());
         prop_assert_eq!(sketch.decode().expect("empty sketch decodes"), vec![]);
+    }
+
+    /// The worklist peel agrees with the rescanning oracle on random
+    /// signed update sequences — multiplicities above one, negative net
+    /// counts, cancellations, and pools up to eleven times the budget so
+    /// that over-budget supports (and their refusals) are covered too.
+    #[test]
+    fn worklist_decode_matches_the_rescanning_peel(
+        seed in any::<u64>(),
+        universe in 8u64..100_000,
+        sparsity in 1usize..12,
+        pool_factor in 1usize..12,
+        raw in prop::collection::vec((any::<u64>(), -3i64..4), 0..150),
+    ) {
+        let pool_size = sparsity * pool_factor;
+        let updates: Vec<(u64, i64)> = raw
+            .iter()
+            .filter(|&&(_, d)| d != 0)
+            .map(|&(id, d)| ((id % pool_size as u64).wrapping_mul(7919) % universe, d))
+            .collect();
+        let (sketch, _) = load(universe, sparsity, seed, &updates);
+        match (sketch.decode(), rescanning_peel(&sketch, seed)) {
+            (Ok(got), Ok(want)) => prop_assert_eq!(got, want),
+            (Err(message), Err(())) => prop_assert!(
+                message.contains(&format!("s={sparsity}")),
+                "refusal must name the budget: {}", message
+            ),
+            (got, want) => prop_assert!(false, "decode {:?} but oracle {:?}", got, want),
+        }
     }
 }

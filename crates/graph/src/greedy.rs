@@ -67,15 +67,17 @@ pub fn greedy_complete(g: &Graph, coloring: &mut Coloring) {
     greedy_color_in_order(g, coloring, &uncolored, 0);
 }
 
-/// Repairs a first-fit-ascending coloring after edge insertions, touching
-/// only the vertices the insertions can actually affect.
+/// Repairs a first-fit-ascending coloring after edge insertions and
+/// removals, touching only the vertices the changes can actually affect.
 ///
 /// Precondition: `coloring` equals the result of first-fit coloring all
 /// vertices of some graph `g₀` in ascending id order with palette `0..`
-/// (i.e. [`greedy_complete`] on an empty partial), and `g` is `g₀` plus
-/// some new edges. `seeds` names the vertices whose *lower* neighborhood
-/// changed — for a new edge `{u, v}` with `u < v` that is `v` alone (`u`'s
-/// first-fit color never looks at higher neighbors).
+/// (i.e. [`greedy_complete`] on an empty partial), and `g` is `g₀` with
+/// some edges added and some removed. `seeds` names the vertices whose
+/// *lower* neighborhood changed — for an added or removed edge `{u, v}`
+/// with `u < v` that is `v` alone (`u`'s first-fit color never looks at
+/// higher neighbors). The color is recomputed from `g`'s lower
+/// neighbours, so a removal is covered exactly like an addition.
 ///
 /// Postcondition: `coloring` equals first-fit ascending on `g` from
 /// scratch. This holds by induction on vertex id: processing the worklist
@@ -265,6 +267,25 @@ mod tests {
         assert_eq!(c, scratch);
         assert_eq!(c.get(2), Some(2));
         assert_eq!(c.get(3), Some(0));
+    }
+
+    #[test]
+    fn repair_after_a_removal_matches_scratch() {
+        // The cascade above run backwards: removing {0,2} from the path
+        // plus chord, seeded with the higher endpoint 2, restores 0,1,0,1.
+        let mut g = Graph::from_edges(
+            4,
+            [Edge::new(0, 1), Edge::new(1, 2), Edge::new(2, 3), Edge::new(0, 2)],
+        );
+        let mut c = Coloring::empty(4);
+        greedy_complete(&g, &mut c);
+        assert_eq!((c.get(2), c.get(3)), (Some(2), Some(0)));
+        g.remove_edge(Edge::new(0, 2));
+        let changed = greedy_repair_ascending(&g, &mut c, [2]);
+        assert_eq!(changed, vec![2, 3]);
+        let mut scratch = Coloring::empty(4);
+        greedy_complete(&g, &mut scratch);
+        assert_eq!(c, scratch);
     }
 
     #[test]
