@@ -3,29 +3,13 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use sc_hash::{
-    AffineFamily, MersenneAffine, OracleFn, PolynomialFamily, SplitMix64, TwoUniversalFamily,
-    VertexSlotTable,
+    AffineFamily, OracleFn, PolynomialFamily, SplitMix64, TwoUniversalFamily, VertexSlotTable,
 };
 
 fn bench_affine(c: &mut Criterion) {
     let fam = AffineFamily::new(sc_hash::next_prime(1 << 20));
     let h = fam.member(12345, 67890);
     c.bench_function("affine_eval", |b| {
-        b.iter(|| {
-            let mut acc = 0u64;
-            for z in 0..1000u64 {
-                acc ^= h.eval(black_box(z));
-            }
-            acc
-        })
-    });
-}
-
-/// The Mersenne field avoids hardware division; compare with
-/// `affine_eval` (generic mod-p) — the tournament's inner loop.
-fn bench_mersenne_affine(c: &mut Criterion) {
-    let h = MersenneAffine::new(12345, 67890);
-    c.bench_function("mersenne_affine_eval", |b| {
         b.iter(|| {
             let mut acc = 0u64;
             for z in 0..1000u64 {
@@ -153,7 +137,6 @@ fn bench_prime_search(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_affine,
-    bench_mersenne_affine,
     bench_two_universal,
     bench_polynomial,
     bench_polynomial_batch,

@@ -19,10 +19,10 @@
 //!   ([`Unreliable`]): efficiency measures what re-running one orphaned
 //!   slice costs (the straggler/re-dispatch tax);
 //! * `skew` — loopback workers plus one [`Unreliable::slowed_by`]
-//!   straggler, timed under static dispatch vs work stealing with
-//!   speculative re-dispatch: `efficiency = static_ms / stealing_ms`
-//!   is the scheduling win (> 1 means stealing + speculation rescued
-//!   the straggler's slice).
+//!   straggler, timed with speculative re-dispatch off and on:
+//!   `efficiency = unspeculated_ms / stealing_ms` is the scheduling win
+//!   (> 1 means speculation rescued the straggler's slice; without it
+//!   the dispatch waits for the straggler).
 //!
 //! Emits `BENCH_cluster.json`; `--smoke` shrinks the grid and writes
 //! `BENCH_cluster.smoke.json` (CI-sized; never clobbers the committed
@@ -234,11 +234,12 @@ fn main() {
     }
 
     // The skewed fleet: healthy workers plus one whose answers straggle
-    // by `skew_delay`. Fixed partitions (static dispatch) are bounded by
-    // the straggler; work stealing + speculative re-dispatch routes its
-    // slice to an idle fast worker after `SPECULATE_FRACTION × timeout`.
-    // `efficiency = static_ms / stealing_ms` measures that rescue and is
-    // gated in ci/bench_baselines.json — both modes are first asserted
+    // by `skew_delay`. Every worker holds one slice, so without
+    // speculation the dispatch is bounded by the straggler; speculative
+    // re-dispatch routes its slice to an idle fast worker after
+    // `SPECULATE_FRACTION × timeout`. `efficiency = unspeculated_ms /
+    // stealing_ms` measures that rescue and is gated in
+    // ci/bench_baselines.json — both runs are first asserted
     // byte-identical to the reference (speculation is byte-invisible).
     const SPECULATE_FRACTION: f64 = 0.05;
     let skew_delay = Duration::from_millis(800);
@@ -250,20 +251,16 @@ fn main() {
         fleet.push(Box::new(Unreliable::slowed_by(InProcess::new(), skew_delay)));
         fleet
     };
-    let stealing_pool = || {
-        WorkerPool::new(skew_fleet())
-            .with_timeout(skew_timeout)
-            .with_speculation(SPECULATE_FRACTION)
-    };
-    let static_pool =
-        || WorkerPool::new(skew_fleet()).with_timeout(skew_timeout).with_static_dispatch();
+    let unspeculated_pool = || WorkerPool::new(skew_fleet()).with_timeout(skew_timeout);
+    let stealing_pool = || unspeculated_pool().with_speculation(SPECULATE_FRACTION);
     let report = stealing_pool().dispatch(&job).expect("skewed stealing dispatch");
     assert_eq!(report.outcome.encode(), reference_bytes, "skewed stealing fleet diverged");
     assert!(report.speculative >= 1, "the straggler's slice must be speculated");
     let speculated = report.speculative;
-    let report = static_pool().dispatch(&job).expect("skewed static dispatch");
-    assert_eq!(report.outcome.encode(), reference_bytes, "skewed static fleet diverged");
-    assert_eq!(report.speculative, 0, "static dispatch never speculates");
+    let report = unspeculated_pool().dispatch(&job).expect("skewed unspeculated dispatch");
+    assert_eq!(report.outcome.encode(), reference_bytes, "skewed unspeculated fleet diverged");
+    assert_eq!(report.speculative, 0, "speculation is off");
+    assert_eq!(report.retries, 0, "the straggler answers inside its deadline");
     let time_mode = |build: &dyn Fn() -> WorkerPool| -> Vec<f64> {
         (0..profile.reps)
             .map(|_| {
@@ -277,18 +274,18 @@ fn main() {
             .collect()
     };
     let stealing_ms = median(&mut time_mode(&stealing_pool));
-    let static_ms = median(&mut time_mode(&static_pool));
-    let efficiency = static_ms / stealing_ms.max(1e-9);
+    let unspeculated_ms = median(&mut time_mode(&unspeculated_pool));
+    let efficiency = unspeculated_ms / stealing_ms.max(1e-9);
     println!(
-        "    skew: {} worker(s) + 1 slowed {skew_delay:?} — static {static_ms:.1} ms, \
+        "    skew: {} worker(s) + 1 slowed {skew_delay:?} — unspeculated {unspeculated_ms:.1} ms, \
          stealing {stealing_ms:.1} ms, efficiency {efficiency:.3} ({speculated} speculated)",
         profile.workers,
     );
     entries.push(format!(
-        "  {{\"algo\":\"skew\",\"kind\":\"cluster\",\"workers\":{},\"items\":{},\"static_ms\":{:.3},\"stealing_ms\":{:.3},\"efficiency\":{:.3},\"speculated\":{}}}",
+        "  {{\"algo\":\"skew\",\"kind\":\"cluster\",\"workers\":{},\"items\":{},\"unspeculated_ms\":{:.3},\"stealing_ms\":{:.3},\"efficiency\":{:.3},\"speculated\":{}}}",
         profile.workers + 1,
         job.len(),
-        static_ms,
+        unspeculated_ms,
         stealing_ms,
         efficiency,
         speculated,

@@ -21,7 +21,7 @@
 //! `--timeout-ms N` bounds each protocol exchange (default 10000).
 
 use crate::args::{err, Args, CliError};
-use sc_cluster::{Ssh, Tcp, Transport};
+use sc_cluster::{ChildStdio, Tcp, Transport};
 use std::io::Write;
 use std::time::Duration;
 
@@ -30,7 +30,7 @@ use std::time::Duration;
 fn dial(spec: &str, role: &str) -> Result<Box<dyn Transport>, CliError> {
     if let Some(dest) = spec.strip_prefix("ssh:") {
         return Ok(Box::new(
-            Ssh::connect(dest).map_err(|e| err(format!("cannot dial {role} {spec:?}: {e}")))?,
+            ChildStdio::ssh(dest).map_err(|e| err(format!("cannot dial {role} {spec:?}: {e}")))?,
         ));
     }
     Ok(Box::new(Tcp::connect(spec).map_err(|e| err(format!("cannot dial {role} {spec:?}: {e}")))?))

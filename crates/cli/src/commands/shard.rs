@@ -16,17 +16,19 @@
 //! target/release/streamcolor shard --smoke --transport tcp --connect 127.0.0.1:7841 --workers 4
 //! ```
 //!
-//! `--transport` selects an `sc_cluster::TransportSpec`: `stdio` (the
+//! `--transport` selects an `sc_cluster::TransportSpec`, whose fleet
+//! runs through one `sc_cluster::WorkerPool`: `stdio` (the
 //! default) spawns `streamcolor serve` children and speaks over their
 //! pipes, `process` hosts loopback services in this process (protocol
 //! fidelity, no spawn cost), `tcp` opens `--workers` connections to a
 //! `--connect ADDR` listener, and `ssh` starts `--workers` remote serve
 //! processes via `ssh USER@HOST[:PATH] serve` (`--connect` names the
-//! destination). One `serve --listen` process answers on a single event
-//! loop, so a `tcp` fleet's slices run one at a time; stdio and ssh
-//! fleets run them in parallel. Every fleet survives dead workers and
-//! stragglers by re-dispatching their slices (`--timeout-ms` sets the
-//! straggler deadline); the run report counts any retries. Scheduling
+//! destination, reached with `ChildStdio::ssh`). One `serve --listen`
+//! process answers on a single event loop, so a `tcp` fleet's slices
+//! run one at a time; stdio and ssh fleets run them in parallel. Every
+//! fleet survives dead workers and stragglers by re-dispatching their
+//! slices (`--timeout-ms` sets the straggler deadline); the run report
+//! counts any retries. Scheduling
 //! knobs: `--speculate-after FRAC` launches a duplicate of a slice held
 //! past `FRAC × timeout` on an idle worker (first answer wins —
 //! byte-identical either way), and `--skew-ms N` deliberately slows the
@@ -36,7 +38,7 @@
 //! `--smoke` grid.
 
 use crate::args::{err, Args, CliError};
-use sc_cluster::{ClusterCoordinator, TransportSpec};
+use sc_cluster::{TransportSpec, Unreliable, WorkerPool};
 use sc_engine::shard::{run_in_process, smoke_grid, ShardJob, ShardOutcome};
 use std::io::Write;
 use std::time::Duration;
@@ -125,15 +127,17 @@ pub fn run(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
                 )))
             }
         };
-        let mut coordinator =
-            ClusterCoordinator::new(spec).with_timeout(Duration::from_millis(timeout_ms));
-        if let Some(fraction) = speculate_after {
-            coordinator = coordinator.with_speculation(fraction);
-        }
+        let mut fleet = spec.build().map_err(err)?;
         if let Some(ms) = skew_ms {
-            coordinator = coordinator.with_skewed_worker(Duration::from_millis(ms));
+            // The reproducible straggler: the last worker answers late.
+            let last = fleet.pop().expect("build rejects empty fleets");
+            fleet.push(Box::new(Unreliable::slowed_by(last, Duration::from_millis(ms))));
         }
-        let report = coordinator.run(&job).map_err(err)?;
+        let mut pool = WorkerPool::new(fleet).with_timeout(Duration::from_millis(timeout_ms));
+        if let Some(fraction) = speculate_after {
+            pool = pool.with_speculation(fraction);
+        }
+        let report = pool.dispatch(&job).map_err(err)?;
         let retries = match report.retries {
             0 => String::new(),
             n => format!(", {n} slice(s) re-dispatched"),
@@ -309,7 +313,7 @@ mod tests {
 
     #[test]
     fn grids_smaller_than_the_worker_count_merge_correctly() {
-        // A 2-scenario grid with 7 requested workers: the coordinator
+        // A 2-scenario grid with 7 requested workers: the pool
         // clamps to the job size (degenerate-but-correct merge), and the
         // report names the spawn count that would actually run.
         let dir = std::env::temp_dir().join("streamcolor-shard-degenerate-test");

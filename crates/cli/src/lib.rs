@@ -20,8 +20,8 @@
 //! this crate owns *flags and friendly errors*, nothing else. Every
 //! command is a thin adapter onto a lower layer's public API —
 //! `color`/`gen`/`attack` onto `sc-engine` scenarios, `serve` onto
-//! `sc-service`, `shard` onto the `sc-engine` coordinator and the
-//! `sc-cluster` transports — so behavior reachable from the shell is
+//! `sc-service`, `shard` onto `sc-engine` shard jobs and the
+//! `sc-cluster` worker pool — so behavior reachable from the shell is
 //! exactly the behavior the library tests already pin down.
 
 pub mod args;

@@ -10,14 +10,15 @@
 //! [`Reactor`] behind `streamcolor serve --listen ADDR`.
 //!
 //! ```text
-//!  ClusterCoordinator ─► WorkerPool ──┬─ Transport: InProcess  (loopback Service)
-//!   (TransportSpec,      (work-       ├─ Transport: ChildStdio (spawn `streamcolor
-//!    merge = shard        stealing    │     serve`, speak over its pipes)
-//!    determinism law)     slice queue ├─ Transport: Tcp        (connect to the
-//!                         + straggler │     Reactor behind `serve --listen ADDR`)
-//!                         timeout +   └─ Transport: Ssh        (spawn `ssh host
-//!                         speculative       streamcolor serve`, same pipes)
-//!                         re-dispatch)
+//!  WorkerPool ───────┬─ Transport: InProcess  (loopback Service)
+//!   (one slice per   ├─ Transport: ChildStdio (spawn `streamcolor serve`,
+//!    worker, work-   │     or `ssh host streamcolor serve` via
+//!    stealing queue, │     ChildStdio::ssh; speak over its pipes)
+//!    straggler       └─ Transport: Tcp        (connect to the Reactor
+//!    timeout,              behind `serve --listen ADDR`)
+//!    speculative
+//!    re-dispatch,     TransportSpec: a fleet as plain data
+//!    merge)             (`shard --transport {process,stdio,tcp,ssh}`)
 //! ```
 //!
 //! `streamcolor serve` is the one worker endpoint. The `cluster_worker`
@@ -71,10 +72,10 @@
 //! ## The determinism law, extended
 //!
 //! The merged output of a [`WorkerPool`] dispatch — for every transport,
-//! every worker count, every scheduling mode (work stealing, static
-//! partition, speculation on or off), and every schedule of worker
-//! deaths, stragglers and re-dispatches that leaves at least one worker
-//! alive — is byte-identical to [`sc_engine::shard::run_in_process`].
+//! every worker count, speculation on or off, a skewed worker or not,
+//! and every schedule of worker deaths, stragglers and re-dispatches
+//! that leaves at least one worker alive — is byte-identical to
+//! [`sc_engine::shard::run_in_process`].
 //! Work stealing and speculative duplicates are free determinism-wise
 //! because a slice's bytes depend only on `(spec, shard, of)`, never on
 //! which worker ran it or how many times. Tested in
@@ -84,14 +85,14 @@
 //! workers) — plus a skewed-fleet stealing run — against the
 //! single-process JSON.
 
-pub mod coordinator;
 pub mod migrate;
 pub mod pool;
 pub mod reactor;
 pub mod transport;
 
-pub use coordinator::{ClusterCoordinator, TransportSpec};
 pub use migrate::{migrate_session, MigrationReport};
 pub use pool::{DispatchReport, WorkerPool};
 pub use reactor::Reactor;
-pub use transport::{ChildStdio, InProcess, Ssh, Tcp, Transport, TransportError, Unreliable};
+pub use transport::{
+    ChildStdio, InProcess, Tcp, Transport, TransportError, TransportSpec, Unreliable,
+};

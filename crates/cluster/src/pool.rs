@@ -11,20 +11,13 @@
 //! determines the partition), which is why re-dispatch re-uses slices
 //! instead of re-partitioning around a dead worker.
 //!
-//! Two scheduling modes:
-//!
-//! * **stealing** (default) — each live worker holds at most one
-//!   outstanding slice; idle workers pull the next slice from a shared
-//!   queue, so a slow or loaded worker bounds only its own slice, not
-//!   the dispatch. With [`WorkerPool::with_speculation`], a slice held
-//!   past a *soft* deadline (a fraction of the straggler timeout) is
-//!   additionally launched on an idle healthy worker and the first
-//!   answer wins — free, because both answers carry identical bytes.
-//! * **static** ([`WorkerPool::with_static_dispatch`]) — the
-//!   fixed-partition shape: every slice is assigned up front to the
-//!   shortest queue. Used only as the baseline `exp_cluster`'s
-//!   skewed-fleet comparison measures stealing against; no CLI flag
-//!   selects it.
+//! There is one scheduler: each live worker holds at most one slice,
+//! and idle workers pull the next slice from a shared queue, so a slow
+//! or loaded worker bounds only its own slice, not the dispatch. With
+//! [`WorkerPool::with_speculation`], a slice held past a *soft* deadline
+//! (a fraction of the straggler timeout) is additionally launched on an
+//! idle healthy worker and the first answer wins — free, because both
+//! answers carry identical bytes.
 
 use crate::transport::{Transport, TransportError};
 use sc_engine::flatjson::{encode_object, parse_object, FlatObject, Scalar};
@@ -59,12 +52,12 @@ pub struct DispatchReport {
 struct Worker {
     transport: Box<dyn Transport>,
     alive: bool,
-    /// Shard ids awaiting responses from this worker, FIFO.
-    queue: VecDeque<usize>,
-    /// When the current queue head became this worker's oldest
-    /// outstanding slice — the anchor for both the hard straggler
+    /// The one slice awaiting a response from this worker (always
+    /// `None` once the worker is dead).
+    held: Option<usize>,
+    /// When `held` was sent — the anchor for both the hard straggler
     /// deadline and the soft speculation deadline.
-    head_since: Instant,
+    held_since: Instant,
 }
 
 /// Everything one `dispatch` call tracks, threaded through the helpers.
@@ -83,7 +76,14 @@ struct DispatchState {
     failures: Vec<String>,
 }
 
-/// N transports + a straggler deadline.
+/// N transports + a straggler deadline: the one placement API.
+///
+/// **Determinism law**: for every fleet ([`TransportSpec`](crate::TransportSpec)
+/// or hand-built), worker count, speculation on or off, a skewed worker
+/// or not, and under any worker deaths the pool survives,
+/// [`WorkerPool::dispatch`] merges to bytes identical to
+/// [`run_in_process`](sc_engine::shard::run_in_process) — tested in
+/// `tests/cluster_determinism.rs`, gated by CI's `cluster-smoke` job.
 ///
 /// ```no_run
 /// use sc_cluster::{InProcess, WorkerPool};
@@ -101,8 +101,6 @@ pub struct WorkerPool {
     /// Soft deadline as a fraction of `timeout`; `None` disables
     /// speculative re-dispatch.
     speculate_after: Option<f64>,
-    /// Eager fixed-partition assignment instead of work stealing.
-    static_dispatch: bool,
     /// Dispatches run so far — the per-dispatch session tag (`jobN-…`)
     /// that lets the collector recognize and discard stale responses
     /// left in-flight by an aborted earlier dispatch.
@@ -126,17 +124,11 @@ impl WorkerPool {
             .map(|transport| Worker {
                 transport,
                 alive: true,
-                queue: VecDeque::new(),
-                head_since: Instant::now(),
+                held: None,
+                held_since: Instant::now(),
             })
             .collect();
-        Self {
-            workers,
-            timeout: DEFAULT_TIMEOUT,
-            speculate_after: None,
-            static_dispatch: false,
-            dispatches: 0,
-        }
+        Self { workers, timeout: DEFAULT_TIMEOUT, speculate_after: None, dispatches: 0 }
     }
 
     /// Sets the per-slice straggler deadline.
@@ -162,16 +154,6 @@ impl WorkerPool {
             "speculation fraction must be in (0, 1], got {fraction}"
         );
         self.speculate_after = Some(fraction);
-        self
-    }
-
-    /// Switches to eager fixed-partition assignment (every slice placed
-    /// on the shortest queue before collection starts). Used only as
-    /// the `exp_cluster` skew baseline that stealing is measured
-    /// against.
-    #[must_use]
-    pub fn with_static_dispatch(mut self) -> Self {
-        self.static_dispatch = true;
         self
     }
 
@@ -201,7 +183,7 @@ impl WorkerPool {
         self.dispatches += 1;
         let tag = format!("job{}", self.dispatches);
         for w in &mut self.workers {
-            w.queue.clear();
+            w.held = None;
         }
         let live = self.live_workers();
         if live == 0 {
@@ -223,10 +205,9 @@ impl WorkerPool {
         };
 
         while st.parts.iter().any(Option::is_none) {
-            self.fill(&mut st)?;
-            let busy: Vec<usize> = (0..self.workers.len())
-                .filter(|&i| self.workers[i].alive && !self.workers[i].queue.is_empty())
-                .collect();
+            self.fill(&mut st);
+            let busy: Vec<usize> =
+                (0..self.workers.len()).filter(|&i| self.workers[i].held.is_some()).collect();
             if busy.is_empty() {
                 let shard = match st.pending.front() {
                     Some(&s) => s,
@@ -240,24 +221,21 @@ impl WorkerPool {
             let tick = POLL_TICK.min(self.timeout);
             for w in busy {
                 // Earlier polls this round may have killed or drained
-                // this worker (a desync report, a speculative send).
-                if !self.workers[w].alive || self.workers[w].queue.is_empty() {
-                    continue;
-                }
+                // this worker (a desync report, an answer).
+                let Some(held) = self.workers[w].held else { continue };
                 match self.workers[w].transport.recv(tick) {
-                    Ok(line) => self.accept(w, &line, &mut st)?,
+                    Ok(line) => self.accept(w, held, &line, &mut st)?,
                     Err(TransportError::Timeout(_)) => {
-                        let waited = self.workers[w].head_since.elapsed();
+                        let waited = self.workers[w].held_since.elapsed();
                         if waited >= self.timeout {
                             let msg = TransportError::Timeout(self.timeout).to_string();
                             self.fail_worker(w, &msg, &mut st);
                         } else if let Some(fraction) = self.speculate_after {
-                            let head = *self.workers[w].queue.front().expect("busy worker");
-                            if !st.speculated[head]
-                                && st.parts[head].is_none()
+                            if !st.speculated[held]
+                                && st.parts[held].is_none()
                                 && waited >= self.timeout.mul_f64(fraction)
                             {
-                                self.speculate(head, w, &mut st);
+                                self.speculate(held, &mut st);
                             }
                         }
                     }
@@ -281,115 +259,66 @@ impl WorkerPool {
         })
     }
 
-    /// Hands pending slices to workers: stealing mode gives one slice to
-    /// each idle live worker; static mode eagerly drains the queue onto
-    /// the shortest queues (the fixed-partition baseline).
-    fn fill(&mut self, st: &mut DispatchState) -> Result<(), String> {
-        if self.static_dispatch {
-            while let Some(shard) = st.pending.pop_front() {
-                self.assign(shard, st)?;
-            }
-            return Ok(());
-        }
+    /// Hands pending slices to idle live workers, one slice each.
+    fn fill(&mut self, st: &mut DispatchState) {
         while !st.pending.is_empty() {
-            let Some(w) = (0..self.workers.len())
-                .find(|&i| self.workers[i].alive && self.workers[i].queue.is_empty())
-            else {
-                return Ok(());
-            };
+            let Some(w) = self.idle_worker() else { return };
             let shard = st.pending.pop_front().expect("checked non-empty");
-            match self.workers[w].transport.send(&job_line(&st.spec, shard, st.shards, &st.tag)) {
-                Ok(()) => {
-                    self.workers[w].queue.push_back(shard);
-                    self.workers[w].head_since = Instant::now();
-                }
-                Err(e) => {
-                    // The slice never reached a worker — hand it to the
-                    // next idle one without counting a retry.
-                    let msg = e.to_string();
-                    self.fail_worker(w, &msg, st);
-                    st.pending.push_front(shard);
-                }
+            if let Err(e) = self.send(w, shard, st) {
+                // The slice never reached a worker — hand it to the
+                // next idle one without counting a retry.
+                self.fail_worker(w, &e.to_string(), st);
+                st.pending.push_front(shard);
             }
         }
+    }
+
+    /// The lowest-indexed live worker holding no slice.
+    fn idle_worker(&self) -> Option<usize> {
+        (0..self.workers.len()).find(|&i| self.workers[i].alive && self.workers[i].held.is_none())
+    }
+
+    /// Sends `shard`'s dispatch line to idle worker `w`, which then
+    /// holds it.
+    fn send(&mut self, w: usize, shard: usize, st: &DispatchState) -> Result<(), TransportError> {
+        let worker = &mut self.workers[w];
+        debug_assert!(worker.held.is_none(), "a worker holds at most one slice");
+        worker.transport.send(&job_line(&st.spec, shard, st.shards, &st.tag))?;
+        worker.held = Some(shard);
+        worker.held_since = Instant::now();
         Ok(())
     }
 
-    /// Static-mode placement: sends `shard` to the healthiest worker
-    /// (shortest queue, lowest index — deterministic), excluding dead
-    /// ones. A failed send marks that worker dead, re-queues any shards
-    /// it was already holding (they were dispatched once, so they count
-    /// as retries), and moves on.
-    fn assign(&mut self, shard: usize, st: &mut DispatchState) -> Result<(), String> {
-        let mut pending = vec![shard];
-        while let Some(shard) = pending.pop() {
-            loop {
-                let target = (0..self.workers.len())
-                    .filter(|&i| self.workers[i].alive)
-                    .min_by_key(|&i| (self.workers[i].queue.len(), i));
-                let Some(w) = target else {
-                    return Err(format!(
-                        "no live worker left for shard {shard} ({})",
-                        st.failures.join("; ")
-                    ));
-                };
-                match self.workers[w].transport.send(&job_line(&st.spec, shard, st.shards, &st.tag))
-                {
-                    Ok(()) => {
-                        if self.workers[w].queue.is_empty() {
-                            self.workers[w].head_since = Instant::now();
-                        }
-                        self.workers[w].queue.push_back(shard);
-                        break;
-                    }
-                    Err(e) => {
-                        st.failures.push(format!("{}: {e}", self.workers[w].transport.describe()));
-                        self.workers[w].alive = false;
-                        // Shards this worker already held would be
-                        // silently lost otherwise — orphan them too.
-                        let orphaned = self.workers[w].queue.drain(..);
-                        st.retries += orphaned.len();
-                        pending.extend(orphaned);
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Launches a speculative duplicate of `shard` (held by `holder`) on
-    /// an idle healthy worker, if one exists. At most one duplicate per
-    /// slice; a failed duplicate send kills only the idle worker and
-    /// leaves the slice eligible for the next tick.
-    fn speculate(&mut self, shard: usize, holder: usize, st: &mut DispatchState) {
-        let Some(v) = (0..self.workers.len())
-            .find(|&i| i != holder && self.workers[i].alive && self.workers[i].queue.is_empty())
-        else {
-            return;
-        };
-        match self.workers[v].transport.send(&job_line(&st.spec, shard, st.shards, &st.tag)) {
+    /// Launches a speculative duplicate of `shard` on an idle healthy
+    /// worker (never its holder, which is busy), if one exists. At most
+    /// one duplicate per slice; a failed duplicate send kills only the
+    /// idle worker and leaves the slice eligible for the next tick.
+    fn speculate(&mut self, shard: usize, st: &mut DispatchState) {
+        let Some(v) = self.idle_worker() else { return };
+        match self.send(v, shard, st) {
             Ok(()) => {
-                self.workers[v].queue.push_back(shard);
-                self.workers[v].head_since = Instant::now();
                 st.speculated[shard] = true;
                 st.speculative += 1;
             }
-            Err(e) => {
-                let msg = e.to_string();
-                self.fail_worker(v, &msg, st);
-            }
+            Err(e) => self.fail_worker(v, &e.to_string(), st),
         }
     }
 
-    /// Validates one response line from worker `w`: discard stale lines
-    /// from aborted dispatches, fail the worker on malformed/desynced
-    /// responses, merge (or count as wasted) a valid slice output.
+    /// Validates one response line from worker `w`, which holds slice
+    /// `head`: discard stale lines from aborted dispatches, fail the
+    /// worker on malformed/desynced responses, merge (or count as
+    /// wasted) a valid slice output.
     ///
     /// # Errors
     /// Only for the fatal `"ok":false` job rejection — every other
     /// malformation is a *worker* failure handled internally.
-    fn accept(&mut self, w: usize, line: &str, st: &mut DispatchState) -> Result<(), String> {
-        let head = *self.workers[w].queue.front().expect("busy worker has a head");
+    fn accept(
+        &mut self,
+        w: usize,
+        head: usize,
+        line: &str,
+        st: &mut DispatchState,
+    ) -> Result<(), String> {
         let want = format!("{}-shard-{head}", st.tag);
         let obj = match parse_object(line) {
             Ok(obj) => obj,
@@ -457,8 +386,7 @@ impl WorkerPool {
             );
             return Ok(());
         }
-        self.workers[w].queue.pop_front();
-        self.workers[w].head_since = Instant::now();
+        self.workers[w].held = None;
         if st.parts[head].is_none() {
             st.parts[head] = Some(outcome);
         } else {
@@ -470,20 +398,14 @@ impl WorkerPool {
     }
 
     /// Records `w`'s failure, marks it dead, and re-queues its orphaned
-    /// slices — except ones already merged or still held by a live
-    /// speculative twin (re-running those would only add waste).
+    /// slice — unless it is already merged or still held by a live
+    /// speculative twin (re-running it would only add waste).
     fn fail_worker(&mut self, w: usize, message: &str, st: &mut DispatchState) {
         st.failures.push(format!("{}: {message}", self.workers[w].transport.describe()));
         self.workers[w].alive = false;
-        let orphaned: Vec<usize> = self.workers[w].queue.drain(..).collect();
-        for shard in orphaned {
-            if st.parts[shard].is_some() {
-                continue;
-            }
-            let held_by_twin = self.workers.iter().any(|v| v.alive && v.queue.contains(&shard));
-            if held_by_twin {
-                continue;
-            }
+        let Some(shard) = self.workers[w].held.take() else { return };
+        let held_by_twin = self.workers.iter().any(|v| v.held == Some(shard));
+        if st.parts[shard].is_none() && !held_by_twin {
             st.retries += 1;
             st.pending.push_back(shard);
         }
@@ -506,7 +428,7 @@ fn job_line(spec: &str, shard: usize, of: usize, tag: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::{InProcess, Unreliable};
+    use crate::transport::{InProcess, TransportSpec, Unreliable};
     use sc_engine::shard::run_in_process;
     use sc_engine::{ColorerSpec, Scenario, SourceSpec};
 
@@ -541,16 +463,39 @@ mod tests {
         }
     }
 
+    fn two_scenario_job() -> ShardJob {
+        ShardJob::Grid(vec![
+            Scenario::new(SourceSpec::exact_degree(40, 4, 1), ColorerSpec::Trivial),
+            Scenario::new(SourceSpec::exact_degree(40, 4, 2), ColorerSpec::StoreAll),
+        ])
+    }
+
     #[test]
-    fn static_dispatch_matches_in_process_bytes() {
-        let job = small_grid();
+    fn in_process_fleet_reproduces_the_reference() {
+        let job = two_scenario_job();
+        let fleet = TransportSpec::InProcess { workers: 2 }.build().unwrap();
+        let report = WorkerPool::new(fleet).dispatch(&job).unwrap();
+        assert_eq!(report.outcome.encode(), run_in_process(&job, 1).unwrap().encode());
+    }
+
+    #[test]
+    fn skewed_fleets_reproduce_the_reference_in_both_scheduling_modes() {
+        // A slowed worker must change timing only: stealing with and
+        // without speculation both merge byte-identically.
+        let job = two_scenario_job();
         let reference = run_in_process(&job, 1).unwrap().encode();
-        for workers in [1usize, 3, 7] {
-            let report = loopback_pool(workers).with_static_dispatch().dispatch(&job).unwrap();
-            assert_eq!(report.outcome.encode(), reference, "{workers} static workers diverged");
-            assert_eq!(report.shards, workers.min(5));
-            assert_eq!(report.retries, 0);
-        }
+        let skewed_pool = || {
+            let mut fleet = TransportSpec::InProcess { workers: 2 }.build().unwrap();
+            let last = fleet.pop().unwrap();
+            fleet.push(Box::new(Unreliable::slowed_by(last, Duration::from_millis(500))));
+            WorkerPool::new(fleet).with_timeout(Duration::from_secs(4))
+        };
+        let speculating = skewed_pool().with_speculation(0.01).dispatch(&job).unwrap();
+        assert_eq!(speculating.outcome.encode(), reference, "skewed speculating merge diverged");
+        assert_eq!(speculating.speculative, 1, "the slowed slice must be speculated");
+        let plain = skewed_pool().dispatch(&job).unwrap();
+        assert_eq!(plain.outcome.encode(), reference, "skewed stealing merge diverged");
+        assert_eq!(plain.speculative, 0);
     }
 
     #[test]
@@ -637,17 +582,14 @@ mod tests {
             "counted-delay".to_string()
         }
 
-        fn send(&mut self, line: &str) -> Result<(), crate::transport::TransportError> {
+        fn send(&mut self, line: &str) -> Result<(), TransportError> {
             self.inner.send(line)
         }
 
-        fn recv(
-            &mut self,
-            timeout: std::time::Duration,
-        ) -> Result<String, crate::transport::TransportError> {
+        fn recv(&mut self, timeout: Duration) -> Result<String, TransportError> {
             if self.polls_left > 0 {
                 self.polls_left -= 1;
-                return Err(crate::transport::TransportError::Timeout(timeout));
+                return Err(TransportError::Timeout(timeout));
             }
             self.inner.recv(timeout)
         }
@@ -697,71 +639,32 @@ mod tests {
         let _ = loopback_pool(1).with_speculation(1.5);
     }
 
-    /// Send succeeds `sends_left` times, then the pipe is dead — the
-    /// deterministic stand-in for a worker lost *between* dispatches to
-    /// it (its already-queued shards must not be orphaned).
-    struct FlakySend {
-        inner: InProcess,
-        sends_left: usize,
-    }
+    /// A worker whose pipe is already dead when the first line is sent —
+    /// the deterministic stand-in for a machine lost before a slice
+    /// reached it.
+    struct DeadPipe;
 
-    impl Transport for FlakySend {
+    impl Transport for DeadPipe {
         fn describe(&self) -> String {
-            "flaky-send".to_string()
+            "dead-pipe".to_string()
         }
 
-        fn send(&mut self, line: &str) -> Result<(), crate::transport::TransportError> {
-            if self.sends_left == 0 {
-                return Err(crate::transport::TransportError::Closed("flaky pipe".to_string()));
-            }
-            self.sends_left -= 1;
-            self.inner.send(line)
+        fn send(&mut self, _line: &str) -> Result<(), TransportError> {
+            Err(TransportError::Closed("dead pipe".to_string()))
         }
 
-        fn recv(
-            &mut self,
-            timeout: std::time::Duration,
-        ) -> Result<String, crate::transport::TransportError> {
-            self.inner.recv(timeout)
+        fn recv(&mut self, _timeout: Duration) -> Result<String, TransportError> {
+            Err(TransportError::Closed("dead pipe".to_string()))
         }
-    }
-
-    #[test]
-    fn send_failure_requeues_the_dead_workers_held_shards() {
-        // Static (eager) mode, where a worker holds several shards at
-        // once: w0 accepts one send then dies; w1 is dead from the
-        // start; w2 is healthy. Assignment: shard 0 → w0, shard 1 →
-        // (w1 fails) → w2, shard 2 → w0 whose send now fails *while it
-        // still holds shard 0* — both must land on w2, not be orphaned.
-        let job = small_grid();
-        let reference = run_in_process(&job, 1).unwrap().encode();
-        let fleet: Vec<Box<dyn Transport>> = vec![
-            Box::new(FlakySend { inner: InProcess::new(), sends_left: 1 }),
-            Box::new(FlakySend { inner: InProcess::new(), sends_left: 0 }),
-            Box::new(InProcess::new()),
-        ];
-        let mut pool = WorkerPool::new(fleet).with_static_dispatch();
-        let report = pool.dispatch(&job).unwrap();
-        assert_eq!(report.outcome.encode(), reference, "requeued merge diverged");
-        assert_eq!(report.shards, 3);
-        // Shard 0 had been dispatched once, so its re-send is a retry;
-        // shard 2 was being assigned for the first time and is not.
-        assert_eq!(report.retries, 1, "{:?}", report.failures);
-        assert_eq!(report.failures.len(), 2, "{:?}", report.failures);
-        assert_eq!(pool.live_workers(), 1);
     }
 
     #[test]
     fn stealing_send_failure_hands_the_undispatched_slice_onward() {
-        // The stealing analogue: a send failure before the slice ever
-        // ran is a failure but *not* a retry — the slice just moves to
-        // the next idle worker.
+        // A send failure before the slice ever ran is a failure but
+        // *not* a retry — the slice just moves to the next idle worker.
         let job = small_grid();
         let reference = run_in_process(&job, 1).unwrap().encode();
-        let fleet: Vec<Box<dyn Transport>> = vec![
-            Box::new(FlakySend { inner: InProcess::new(), sends_left: 0 }),
-            Box::new(InProcess::new()),
-        ];
+        let fleet: Vec<Box<dyn Transport>> = vec![Box::new(DeadPipe), Box::new(InProcess::new())];
         let mut pool = WorkerPool::new(fleet);
         let report = pool.dispatch(&job).unwrap();
         assert_eq!(report.outcome.encode(), reference, "handed-on merge diverged");
@@ -800,7 +703,7 @@ mod tests {
             "refuse-once".to_string()
         }
 
-        fn send(&mut self, line: &str) -> Result<(), crate::transport::TransportError> {
+        fn send(&mut self, line: &str) -> Result<(), TransportError> {
             if self.refused {
                 return self.inner.send(line);
             }
@@ -810,10 +713,7 @@ mod tests {
             Ok(())
         }
 
-        fn recv(
-            &mut self,
-            timeout: std::time::Duration,
-        ) -> Result<String, crate::transport::TransportError> {
+        fn recv(&mut self, timeout: Duration) -> Result<String, TransportError> {
             match self.refusal.take() {
                 Some(line) => {
                     self.refused = true;

@@ -4,13 +4,15 @@
 //! A transport is deliberately tiny — [`Transport::send`] one line,
 //! [`Transport::recv`] one line with a deadline — because the whole
 //! cluster vocabulary lives in the `sc-service` line protocol, not here.
-//! Four real implementations cover the deployment spectrum
-//! ([`InProcess`] loopback, [`ChildStdio`] pipes, [`Tcp`] sockets,
-//! [`Ssh`] remote processes over `ChildStdio`'s pipe machinery), and
-//! [`Unreliable`] injects deterministic worker death
-//! ([`Unreliable::dying_after`]) or slowness
+//! Three real implementations cover the deployment spectrum
+//! ([`InProcess`] loopback, [`ChildStdio`] pipes — local children, or
+//! remote ones through the ssh client via [`ChildStdio::ssh`] — and
+//! [`Tcp`] sockets), and [`Unreliable`] injects deterministic worker
+//! death ([`Unreliable::dying_after`]) or slowness
 //! ([`Unreliable::slowed_by`]) for tests and the `exp_cluster`
-//! retry-cost and skewed-fleet measurements.
+//! retry-cost and skewed-fleet measurements. [`TransportSpec`] names a
+//! whole fleet as plain data, the way `streamcolor shard --transport`
+//! selects one.
 
 use sc_service::Service;
 use std::collections::VecDeque;
@@ -71,7 +73,7 @@ pub trait Transport: Send {
 
 // A boxed transport is a transport, so wrappers like `Unreliable` can
 // decorate an already-built `Box<dyn Transport>` fleet member (the
-// coordinator's skewed-worker path relies on this).
+// `shard --skew-ms` path relies on this).
 impl<T: Transport + ?Sized> Transport for Box<T> {
     fn describe(&self) -> String {
         (**self).describe()
@@ -137,7 +139,8 @@ impl Transport for InProcess {
 // ---------------------------------------------------------------------
 
 /// A worker process speaking the protocol over its stdin/stdout — spawn
-/// `streamcolor serve` (or the `cluster_worker` test fixture). A
+/// `streamcolor serve` (or the `cluster_worker` test fixture), or reach
+/// a remote one through the ssh client ([`ChildStdio::ssh`]). A
 /// background thread drains stdout into a channel so `recv` can time
 /// out; stderr is inherited so worker diagnostics stay visible. The
 /// child is killed and reaped on drop.
@@ -182,7 +185,38 @@ impl ChildStdio {
         Ok(Self { child, stdin: Some(stdin), rx, label })
     }
 
-    /// The worker's process id.
+    /// A worker on a remote machine: spawns the `ssh` client as
+    /// `ssh -o BatchMode=yes -T host <path> serve` for `dest` =
+    /// `user@host[:path]` (`path` defaults to `streamcolor` on the
+    /// remote `PATH`) and speaks over the client's pipes — the fleet
+    /// reaches real machines with zero new wire vocabulary.
+    /// `BatchMode=yes` makes an auth problem a fast clean
+    /// [`TransportError::Closed`] instead of a password prompt wedging
+    /// the dispatch. [`Transport::describe`] reports `ssh://dest`.
+    ///
+    /// # Errors
+    /// Returns a message naming the destination when it is malformed or
+    /// the ssh client cannot be spawned.
+    pub fn ssh(dest: &str) -> Result<Self, String> {
+        Self::ssh_via("ssh", dest)
+    }
+
+    /// [`ChildStdio::ssh`] through an explicit client `program` — tests
+    /// substitute a local stand-in script so the transport machinery is
+    /// exercised without a real remote host.
+    ///
+    /// # Errors
+    /// As [`ChildStdio::ssh`].
+    pub fn ssh_via(program: &str, dest: &str) -> Result<Self, String> {
+        let (host, path) = split_dest(dest)?;
+        let args = ["-o", "BatchMode=yes", "-T", host.as_str(), path.as_str(), "serve"];
+        let mut child = Self::spawn(program, &args)?;
+        child.label = format!("ssh://{dest}");
+        Ok(child)
+    }
+
+    /// The worker's process id (the local ssh client's, for
+    /// [`ChildStdio::ssh`]).
     pub fn pid(&self) -> u32 {
         self.child.id()
     }
@@ -311,73 +345,6 @@ impl Transport for Tcp {
                 Err(e) => return Err(TransportError::Closed(format!("socket read: {e}"))),
             }
         }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Ssh: a remote worker process over the ssh client's pipes.
-// ---------------------------------------------------------------------
-
-/// A worker on a remote machine: `ssh host streamcolor serve`, spoken to
-/// over the ssh client's stdin/stdout exactly like a local [`ChildStdio`]
-/// child — the fleet reaches real machines with zero new wire
-/// vocabulary. `BatchMode=yes` makes an auth problem a fast clean
-/// [`TransportError::Closed`] instead of a password prompt wedging the
-/// dispatch.
-pub struct Ssh {
-    inner: ChildStdio,
-    label: String,
-}
-
-impl Ssh {
-    /// Connects to `dest` = `user@host[:path]` by spawning the `ssh`
-    /// client; `path` is the remote `streamcolor` binary (default:
-    /// `streamcolor` on the remote `PATH`), run as `<path> serve`.
-    ///
-    /// # Errors
-    /// Returns a message naming the destination when it is malformed or
-    /// the ssh client cannot be spawned.
-    pub fn connect(dest: &str) -> Result<Self, String> {
-        Self::connect_via("ssh", dest)
-    }
-
-    /// [`Ssh::connect`] through an explicit client `program` — tests
-    /// substitute a local stand-in script so the transport machinery is
-    /// exercised without a real remote host.
-    ///
-    /// # Errors
-    /// As [`Ssh::connect`].
-    pub fn connect_via(program: &str, dest: &str) -> Result<Self, String> {
-        let (host, path) = split_dest(dest)?;
-        let args = [
-            "-o".to_string(),
-            "BatchMode=yes".to_string(),
-            "-T".to_string(),
-            host,
-            path,
-            "serve".to_string(),
-        ];
-        let inner = ChildStdio::spawn(program, &args)?;
-        Ok(Self { inner, label: format!("ssh://{dest}") })
-    }
-
-    /// The local ssh client's process id.
-    pub fn pid(&self) -> u32 {
-        self.inner.pid()
-    }
-}
-
-impl Transport for Ssh {
-    fn describe(&self) -> String {
-        self.label.clone()
-    }
-
-    fn send(&mut self, line: &str) -> Result<(), TransportError> {
-        self.inner.send(line)
-    }
-
-    fn recv(&mut self, timeout: Duration) -> Result<String, TransportError> {
-        self.inner.recv(timeout)
     }
 }
 
@@ -565,6 +532,90 @@ impl<T: Transport> Transport for Unreliable<T> {
     }
 }
 
+// ---------------------------------------------------------------------
+// TransportSpec: a fleet as plain data.
+// ---------------------------------------------------------------------
+
+/// Which worker fleet to build — plain data a CLI flag can select, the
+/// way [`sc_engine::ColorerSpec`] names an algorithm. This is the
+/// `streamcolor shard --transport {process,stdio,tcp,ssh}` vocabulary;
+/// the built fleet goes straight into a
+/// [`WorkerPool`](crate::WorkerPool).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum TransportSpec {
+    /// `workers` loopback services in this process — full protocol
+    /// fidelity, no spawn cost, no parallelism. The overhead floor.
+    InProcess {
+        /// Loopback workers to host.
+        workers: usize,
+    },
+    /// `workers` child processes of `command` (program + args), each
+    /// speaking the protocol over its stdin/stdout — e.g.
+    /// `["streamcolor", "serve"]`.
+    ChildStdio {
+        /// Program and arguments to spawn per worker.
+        command: Vec<String>,
+        /// Worker processes to spawn.
+        workers: usize,
+    },
+    /// `connections` sockets to a `streamcolor serve --listen` endpoint.
+    /// Each connection is an independent worker, but one reactor
+    /// answers them on a single loop, so their slices run one at a
+    /// time.
+    Tcp {
+        /// The listener address, e.g. `127.0.0.1:7841`.
+        addr: String,
+        /// Concurrent connections (= workers) to open.
+        connections: usize,
+    },
+    /// `connections` remote workers on one host, each an
+    /// `ssh host streamcolor serve` process spoken to over the ssh
+    /// client's pipes ([`ChildStdio::ssh`]).
+    Ssh {
+        /// The destination, `user@host[:path]` (`path` defaults to
+        /// `streamcolor` on the remote `PATH`).
+        dest: String,
+        /// Remote worker processes (= ssh connections) to start.
+        connections: usize,
+    },
+}
+
+impl TransportSpec {
+    /// Builds the fleet.
+    ///
+    /// # Errors
+    /// Errors on a zero-sized fleet, an empty command, a malformed ssh
+    /// destination, a failed spawn, or a failed connection — with a
+    /// message naming the endpoint.
+    pub fn build(&self) -> Result<Vec<Box<dyn Transport>>, String> {
+        let count = match self {
+            TransportSpec::InProcess { workers } | TransportSpec::ChildStdio { workers, .. } => {
+                *workers
+            }
+            TransportSpec::Tcp { connections, .. } | TransportSpec::Ssh { connections, .. } => {
+                *connections
+            }
+        };
+        if count == 0 {
+            return Err("transport fleet needs at least 1 worker".to_string());
+        }
+        (0..count)
+            .map(|_| -> Result<Box<dyn Transport>, String> {
+                match self {
+                    TransportSpec::InProcess { .. } => Ok(Box::new(InProcess::new())),
+                    TransportSpec::ChildStdio { command, .. } => {
+                        let (program, args) =
+                            command.split_first().ok_or("child command is empty")?;
+                        Ok(Box::new(ChildStdio::spawn(program, args)?))
+                    }
+                    TransportSpec::Tcp { addr, .. } => Ok(Box::new(Tcp::connect(addr)?)),
+                    TransportSpec::Ssh { dest, .. } => Ok(Box::new(ChildStdio::ssh(dest)?)),
+                }
+            })
+            .collect()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -625,7 +676,7 @@ mod tests {
         assert!(split_dest(":bin/streamcolor").unwrap_err().contains("no host"));
         assert!(split_dest("host:").unwrap_err().contains("empty remote path"));
         // A malformed destination must fail before the client spawns.
-        assert!(Ssh::connect("host:").is_err());
+        assert!(ChildStdio::ssh("host:").is_err());
 
         // IPv6: multiple colons without brackets are all host, never a
         // path split at the first colon.
@@ -701,5 +752,24 @@ mod tests {
         assert_eq!(TransportError::Closed("pipe".into()).to_string(), "closed: pipe");
         assert!(TransportError::Timeout(Duration::from_millis(250)).to_string().contains("250ms"));
         assert!(TransportError::Protocol("junk".into()).to_string().starts_with("protocol"));
+    }
+
+    #[test]
+    fn degenerate_fleets_are_errors() {
+        let build_err = |spec: TransportSpec| spec.build().err().expect("fleet must fail");
+        assert!(build_err(TransportSpec::InProcess { workers: 0 }).contains("at least 1"));
+        assert!(build_err(TransportSpec::ChildStdio { command: Vec::new(), workers: 1 })
+            .contains("empty"));
+        assert!(build_err(TransportSpec::ChildStdio {
+            command: vec!["/nonexistent/worker-binary".into()],
+            workers: 1
+        })
+        .contains("cannot spawn"));
+        assert!(build_err(TransportSpec::Tcp { addr: "127.0.0.1:1".into(), connections: 1 })
+            .contains("cannot connect"));
+        assert!(build_err(TransportSpec::Ssh { dest: String::new(), connections: 1 })
+            .contains("no host"));
+        assert!(build_err(TransportSpec::Ssh { dest: "host:".into(), connections: 0 })
+            .contains("at least 1"));
     }
 }

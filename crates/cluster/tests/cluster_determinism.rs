@@ -10,8 +10,7 @@
 //! CI's `cluster-smoke` job does.
 
 use sc_cluster::{
-    ChildStdio, ClusterCoordinator, InProcess, Reactor, Tcp, Transport, TransportSpec, Unreliable,
-    WorkerPool,
+    ChildStdio, InProcess, Reactor, Tcp, Transport, TransportSpec, Unreliable, WorkerPool,
 };
 use sc_engine::shard::{run_in_process, ShardJob};
 use sc_engine::{AdversarySpec, AttackScenario, ColorerSpec, Scenario, SourceSpec};
@@ -114,9 +113,8 @@ fn tcp_fleets_merge_byte_identically() {
     let connections = 3usize;
     let (addr, listener) = spawn_reactor(connections);
 
-    let coordinator =
-        ClusterCoordinator::new(TransportSpec::Tcp { addr, connections }).with_timeout(PATIENT);
-    let report = coordinator.run(&job).unwrap();
+    let fleet = TransportSpec::Tcp { addr, connections }.build().unwrap();
+    let report = WorkerPool::new(fleet).with_timeout(PATIENT).dispatch(&job).unwrap();
     assert_eq!(report.outcome.encode(), reference, "tcp fleet diverged");
     assert_eq!(report.shards, connections);
     listener.join().unwrap();
@@ -297,7 +295,7 @@ fn all_but_one_worker_dying_mid_steal_still_merges() {
 #[test]
 #[cfg(unix)]
 fn ssh_transport_reaches_a_worker_through_a_stand_in_client() {
-    // End-to-end over the Ssh transport with a stand-in `ssh` client: a
+    // End-to-end over `ChildStdio::ssh` with a stand-in `ssh` client: a
     // shell script that accepts the client arguments (-o BatchMode=yes
     // -T host path serve) and execs the real worker binary, exactly as a
     // remote `ssh host streamcolor serve` would land on a serve loop.
@@ -314,7 +312,7 @@ fn ssh_transport_reaches_a_worker_through_a_stand_in_client() {
     let fleet: Vec<Box<dyn Transport>> = (0..2)
         .map(|_| {
             Box::new(
-                sc_cluster::Ssh::connect_via(script.to_str().unwrap(), "builder@localhost")
+                ChildStdio::ssh_via(script.to_str().unwrap(), "builder@localhost")
                     .expect("fake ssh spawn"),
             ) as Box<dyn Transport>
         })

@@ -6,7 +6,7 @@
 //!
 //! 1. the in-process [`Runner`] (signed engine route),
 //! 2. `streamcolor serve --listen` (the single-threaded [`Reactor`]),
-//! 3. `streamcolor shard --transport tcp` (a [`ClusterCoordinator`]
+//! 3. `streamcolor shard --transport tcp` (a [`WorkerPool`]
 //!    dispatching the scenario over a socket to a reactor),
 //!
 //! plus a snapshot/restore of the serve session at a **random cut** —
@@ -19,7 +19,7 @@
 
 use proptest::prelude::*;
 use sc_cluster::transport::{Tcp, Transport as _};
-use sc_cluster::{ClusterCoordinator, Reactor, TransportSpec};
+use sc_cluster::{Reactor, TransportSpec, WorkerPool};
 use sc_engine::flatjson::{encode_object, parse_object, FlatObject, Scalar};
 use sc_engine::shard::{run_in_process, ShardJob};
 use sc_engine::{ColorerSpec, Runner, Scenario, SourceSpec};
@@ -178,16 +178,14 @@ proptest! {
             cut
         );
 
-        // Path 3: the cluster coordinator dispatching the same scenario
+        // Path 3: the worker pool dispatching the same scenario
         // over a real TCP worker, merged bytes identical to the
         // single-process shard run (which embeds path 1's outcome).
         let job = ShardJob::Grid(vec![scenario]);
         let shard_reference = run_in_process(&job, 1).unwrap().encode();
         let (addr, listener) = spawn_reactor();
-        let report = ClusterCoordinator::new(TransportSpec::Tcp { addr, connections: 1 })
-            .with_timeout(TICK)
-            .run(&job)
-            .unwrap();
+        let fleet = TransportSpec::Tcp { addr, connections: 1 }.build().unwrap();
+        let report = WorkerPool::new(fleet).with_timeout(TICK).dispatch(&job).unwrap();
         listener.join().unwrap();
         prop_assert_eq!(report.outcome.encode(), shard_reference, "tcp shard diverged");
     }

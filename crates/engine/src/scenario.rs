@@ -2,7 +2,7 @@
 
 use crate::source::SourceSpec;
 use crate::spec::ColorerSpec;
-use sc_stream::{EngineConfig, QuerySchedule, StreamOrder};
+use sc_stream::{EngineConfig, QuerySchedule, StreamOrder, StreamingColorer};
 
 /// One experiment: a graph source, an arrival order, an algorithm, an
 /// engine configuration and a seed.
@@ -71,6 +71,39 @@ impl Scenario {
         self.engine.schedule = schedule;
         self
     }
+
+    /// Whether [`Runner::run`](crate::Runner::run) can run this
+    /// scenario: a dynamic (turnstile) source needs a streaming colorer
+    /// that takes deletions. Decided as
+    /// [`AttackScenario::check_playable`](crate::AttackScenario::check_playable)
+    /// decides it — build the colorer from the source's own `n` and
+    /// `delta` (without generating the stream) and ask
+    /// [`supports_deletions`](StreamingColorer::supports_deletions).
+    /// Insert-only sources pass without a build.
+    /// [`ShardJob::check_runnable`](crate::shard::ShardJob::check_runnable)
+    /// applies this before every grid run, so a client-sent grid is
+    /// refused instead of panicking its host.
+    ///
+    /// # Errors
+    /// Names the colorer and why it cannot run the dynamic source.
+    pub fn check_runnable(&self) -> Result<(), String> {
+        let (SourceSpec::Churn { n, delta, .. } | SourceSpec::SlidingWindow { n, delta, .. }) =
+            self.source
+        else {
+            return Ok(());
+        };
+        let label = self.colorer.label();
+        let colorer = self
+            .colorer
+            .build(n, delta, self.seed, None)
+            .map_err(|e| format!("colorer {label:?} cannot run a dynamic source: {e}"))?;
+        if !colorer.supports_deletions() {
+            return Err(format!(
+                "colorer {label:?} is insert-only; the dynamic source deletes edges"
+            ));
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -90,5 +123,20 @@ mod tests {
         assert_eq!(s.seed, 9);
         assert_eq!(s.engine.chunk_size, 32);
         assert_eq!(s.engine.schedule, QuerySchedule::EveryEdges(10));
+    }
+
+    #[test]
+    fn only_deletion_supporting_colorers_run_dynamic_sources() {
+        let churn = SourceSpec::churn(30, 4, 1, 2);
+        let runnable =
+            |source: &SourceSpec, colorer| Scenario::new(source.clone(), colorer).check_runnable();
+        assert!(runnable(&churn, ColorerSpec::DynamicSr { sparsity: None }).is_ok());
+        let e = runnable(&churn, ColorerSpec::StoreAll).unwrap_err();
+        assert!(e.contains("insert-only"), "{e}");
+        let e = runnable(&churn, ColorerSpec::BatchGreedy).unwrap_err();
+        assert!(e.contains("not a single-pass streaming algorithm"), "{e}");
+        // Insert-only sources are never screened.
+        let exact = SourceSpec::exact_degree(30, 4, 1);
+        assert!(runnable(&exact, ColorerSpec::BatchGreedy).is_ok());
     }
 }

@@ -125,7 +125,9 @@ impl ShardJob {
     /// # Errors
     /// Returns a message locating the malformed object, or naming an
     /// attack victim the referee cannot play
-    /// ([`AttackScenario::check_playable`]).
+    /// ([`AttackScenario::check_playable`]). Grid scenarios decode
+    /// losslessly whatever they pair; [`ShardJob::check_runnable`]
+    /// screens them before a run.
     pub fn decode(text: &str) -> Result<Self, String> {
         let objs = parse_array(text)?;
         let (header, rest) = objs.split_first().ok_or("spec file has no header object")?;
@@ -165,6 +167,23 @@ impl ShardJob {
             }
             other => Err(format!("unknown payload {other:?}")),
         }
+    }
+
+    /// Whether every grid scenario can run
+    /// ([`Scenario::check_runnable`]: a dynamic source needs a colorer
+    /// that takes deletions). Both run paths — the service's `run_job`
+    /// and [`run_in_process`] — call this before running, so a bad grid
+    /// is an error instead of a panic. Attack jobs were already screened
+    /// by [`ShardJob::decode`].
+    ///
+    /// # Errors
+    /// Names the first unrunnable scenario by index.
+    pub fn check_runnable(&self) -> Result<(), String> {
+        let ShardJob::Grid(scenarios) = self else { return Ok(()) };
+        for (i, scenario) in scenarios.iter().enumerate() {
+            scenario.check_runnable().map_err(|e| format!("scenario {i}: {e}"))?;
+        }
+        Ok(())
     }
 
     /// The wire-canonical form of this job: what every worker process
@@ -349,7 +368,7 @@ fn trial_summary_from_wire(obj: &FlatObject) -> Result<TrialSummary, String> {
 }
 
 // ---------------------------------------------------------------------
-// Shard outcomes: what workers emit and the coordinator merges.
+// Shard outcomes: what workers emit and the worker pool merges.
 // ---------------------------------------------------------------------
 
 /// A (partial or merged) job result.
@@ -435,9 +454,11 @@ pub fn run_job(runner: &Runner, job: &ShardJob, range: Range<usize>) -> ShardOut
 /// sharded path must reproduce this byte-for-byte.
 ///
 /// # Errors
-/// Propagates canonicalization errors.
+/// Propagates canonicalization errors and [`ShardJob::check_runnable`]
+/// refusals.
 pub fn run_in_process(job: &ShardJob, threads: usize) -> Result<ShardOutcome, String> {
     let job = job.canonicalize()?;
+    job.check_runnable()?;
     Ok(run_job(&Runner::with_threads(threads), &job, 0..job.len()))
 }
 
@@ -446,7 +467,7 @@ pub fn run_in_process(job: &ShardJob, threads: usize) -> Result<ShardOutcome, St
 // ---------------------------------------------------------------------
 
 /// Encodes a worker's output: a `shard-result` header (shard index and
-/// count, so the coordinator can detect mixed-up answers) followed by
+/// count, so the worker pool can detect mixed-up answers) followed by
 /// the outcome objects.
 pub fn encode_worker_output(shard: usize, of: usize, outcome: &ShardOutcome) -> String {
     let mut header = FlatObject::new();

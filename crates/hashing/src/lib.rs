@@ -46,20 +46,16 @@
 
 pub mod affine;
 pub mod batch;
-pub mod mersenne;
 pub mod modp;
 pub mod oracle;
 pub mod polynomial;
 pub mod prf;
-pub mod tabulation;
 pub mod two_universal;
 
 pub use affine::{AffineFamily, AffineHash};
 pub use batch::{VertexSlotTable, MAX_TABLE_BYTES};
-pub use mersenne::{add61, mul61, reduce128, MersenneAffine, P61};
 pub use modp::{is_prime_u64, mulmod, next_prime, powmod, prime_in_range, Reducer};
 pub use oracle::OracleFn;
 pub use polynomial::{PolynomialFamily, PolynomialHash};
 pub use prf::{splitmix64, uniform_below, SplitMix64};
-pub use tabulation::TabulationHash;
 pub use two_universal::{TwoUniversalFamily, TwoUniversalHash};

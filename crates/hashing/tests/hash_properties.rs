@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 use sc_hash::{
     is_prime_u64, mulmod, next_prime, powmod, prime_in_range, AffineFamily, OracleFn,
-    PolynomialFamily, SplitMix64, TabulationHash, TwoUniversalFamily,
+    PolynomialFamily, SplitMix64, TwoUniversalFamily,
 };
 
 proptest! {
@@ -78,12 +78,6 @@ proptest! {
     }
 
     #[test]
-    fn tabulation_ranged(seed in any::<u64>(), x in any::<u32>(), r in 1u64..1_000_000) {
-        let h = TabulationHash::new(seed, r);
-        prop_assert!(h.eval(x) < r);
-    }
-
-    #[test]
     fn splitmix_fork_independence(seed in any::<u64>(), t1 in any::<u64>(), t2 in any::<u64>()) {
         prop_assume!(t1 != t2);
         let parent = SplitMix64::new(seed);
@@ -91,34 +85,6 @@ proptest! {
         let mut b = parent.fork(t2);
         // Different tweaks should not produce identical first draws.
         prop_assert_ne!(a.next_u64(), b.next_u64());
-    }
-}
-
-// ---- Mersenne field laws ----
-
-use sc_hash::{add61, mul61, MersenneAffine, P61};
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    #[test]
-    fn mersenne_mul_matches_generic(a in 0u64..P61, b in 0u64..P61) {
-        prop_assert_eq!(mul61(a, b), mulmod(a, b, P61));
-    }
-
-    #[test]
-    fn mersenne_field_laws(a in 0u64..P61, b in 0u64..P61, c in 0u64..P61) {
-        // Commutativity and distributivity.
-        prop_assert_eq!(mul61(a, b), mul61(b, a));
-        prop_assert_eq!(add61(a, b), add61(b, a));
-        prop_assert_eq!(mul61(a, add61(b, c)), add61(mul61(a, b), mul61(a, c)));
-    }
-
-    #[test]
-    fn mersenne_affine_range_mapping(a in any::<u64>(), b in any::<u64>(), z in any::<u64>(), r in 1u64..10_000) {
-        let h = MersenneAffine::new(a, b);
-        prop_assert!(h.eval(z) < P61);
-        prop_assert!(h.eval_range(z, r) < r);
     }
 }
 

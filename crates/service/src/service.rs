@@ -935,6 +935,7 @@ fn apply_run_job(obj: &FlatObject) -> Result<FlatObject, String> {
         return Err(format!("shard {shard} out of range for of {of}"));
     }
     let job = ShardJob::decode(str_field(obj, "spec")?).map_err(|e| format!("spec: {e}"))?;
+    job.check_runnable().map_err(|e| format!("spec: {e}"))?;
     let range = sc_engine::shard::partition(job.len(), of)[shard].clone();
     let outcome = sc_engine::shard::run_job(&Runner::sequential(), &job, range);
     let mut response = FlatObject::new();
@@ -1297,6 +1298,40 @@ mod tests {
                 "{needle}: {response}"
             );
         }
+        let stats = service.respond(r#"{"cmd":"stats","session":"t"}"#).unwrap();
+        assert!(stats.contains("\"ok\":true") && stats.contains("\"edges\":1"), "{stats}");
+    }
+
+    #[test]
+    fn run_job_refuses_unrunnable_grids_and_the_host_keeps_serving() {
+        use sc_engine::{Scenario, SourceSpec};
+        let mut service = Service::new();
+        service.respond(&open_line("t", 10, 3, "store-all", 1)).unwrap();
+        service.respond(r#"{"cmd":"push","session":"t","edge":"0-1"}"#).unwrap();
+        let runnable = Scenario::new(
+            SourceSpec::churn(30, 4, 1, 2),
+            ColorerSpec::DynamicSr { sparsity: None },
+        );
+        for (source, colorer, needle) in [
+            (SourceSpec::churn(30, 4, 1, 2), ColorerSpec::StoreAll, "insert-only"),
+            (SourceSpec::churn(30, 4, 1, 2), ColorerSpec::BatchGreedy, "single-pass"),
+            (SourceSpec::sliding_window(30, 4, 1, 20), ColorerSpec::Cgs22, "insert-only"),
+            (SourceSpec::churn(30, 4, 1, 2), ColorerSpec::Det(Default::default()), "Thm 1"),
+        ] {
+            // One bad scenario refuses the whole spec, named by index.
+            let job = ShardJob::Grid(vec![runnable.clone(), Scenario::new(source, colorer)]);
+            let response = service.respond(&run_job_line("j", &job, 0, 1)).unwrap();
+            assert!(
+                response.contains("\"ok\":false")
+                    && response.contains("scenario 1")
+                    && response.contains(needle),
+                "{needle}: {response}"
+            );
+        }
+        // A deletion-supporting colorer still runs its dynamic grid.
+        let job = ShardJob::Grid(vec![runnable]);
+        let response = service.respond(&run_job_line("j", &job, 0, 1)).unwrap();
+        assert!(response.contains("\"ok\":true"), "{response}");
         let stats = service.respond(r#"{"cmd":"stats","session":"t"}"#).unwrap();
         assert!(stats.contains("\"ok\":true") && stats.contains("\"edges\":1"), "{stats}");
     }

@@ -4,7 +4,7 @@
 # workers over stdio), the loopback transport, and a TCP listener
 # (`streamcolor serve --listen`, one event loop, so its three
 # connections run their slices one at a time) — plus a skewed fleet
-# exercising work stealing + speculative re-dispatch — and diff every
+# exercising speculative re-dispatch — and diff every
 # merged JSON against the single-process reference. All five files
 # are byte-identical.
 set -eu
@@ -41,10 +41,11 @@ target/release/streamcolor shard --smoke --transport tcp --connect "$ADDR" --wor
 wait "$LISTENER"
 
 echo
-echo "== skewed fleet: stealing + speculation route around a straggler =="
-# One worker answers 500 ms late; work stealing keeps it from bounding
-# the dispatch and its last slice is speculatively re-dispatched after
-# 5% of the timeout. Scheduling is byte-invisible: same merged JSON.
+echo "== skewed fleet: speculation routes around a straggler =="
+# One worker answers 500 ms late; its slice is speculatively
+# re-dispatched to an idle worker after 5% of the timeout, so the
+# straggler does not bound the dispatch. Scheduling is byte-invisible:
+# same merged JSON.
 target/release/streamcolor shard --smoke --transport process --workers 3 \
     --skew-ms 500 --timeout-ms 8000 --speculate-after 0.05 \
     --out "$OUT/skew.json"
