@@ -114,20 +114,6 @@ fn bench_oracle(c: &mut Criterion) {
     });
 }
 
-/// Batched tier of the same oracle over the same 1000 points as
-/// `oracle_eval` — the scalar-vs-batched comparison for alg2's sketches.
-fn bench_oracle_batch(c: &mut Criterion) {
-    let f = OracleFn::new(7, 3, 4096);
-    let xs: Vec<u32> = (0..1000u32).collect();
-    let mut out = vec![0u64; xs.len()];
-    c.bench_function("oracle_eval_batch", |b| {
-        b.iter(|| {
-            f.eval_batch(black_box(&xs), &mut out);
-            out[999]
-        })
-    });
-}
-
 fn bench_prime_search(c: &mut Criterion) {
     c.bench_function("prime_in_range_8nlogn", |b| {
         b.iter(|| sc_hash::prime_in_range(black_box(8 * 4096 * 12), 16 * 4096 * 12))
@@ -142,7 +128,6 @@ criterion_group!(
     bench_polynomial_batch,
     bench_slot_table,
     bench_oracle,
-    bench_oracle_batch,
     bench_prime_search
 );
 criterion_main!(benches);

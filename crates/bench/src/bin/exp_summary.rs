@@ -166,7 +166,9 @@ fn main() {
 }
 
 /// Times batched vs per-edge ingestion on one `gnp_with_max_degree`
-/// stream per algorithm and writes `BENCH_engine.json`.
+/// stream per algorithm and writes `BENCH_engine.json`. Every colorer
+/// here has one ingest routine and runs a per-edge stream through it as
+/// one-edge batches, so `speedup` is what chunking buys on that routine.
 ///
 /// Ingest-only: the graph is materialized and arranged once, the
 /// colorer is rebuilt per repetition, and only the `StreamEngine::run`
@@ -196,7 +198,7 @@ fn emit_engine_bench(profile: &Profile) {
         times.sort_by(f64::total_cmp);
         (times[times.len() / 2], coloring.expect("reps >= 1"))
     };
-    let mut entries = hash_tier_entries(profile);
+    let mut entries = vec![hash_tier_entry(profile)];
     for (name, spec) in &algos {
         let (per_edge_ms, c1) = median_ms(&EngineConfig::per_edge(), spec);
         let (batched_ms, c2) = median_ms(&EngineConfig::batched(256), spec);
@@ -315,17 +317,18 @@ fn sketch_decode_entry(
     )
 }
 
-/// Times the hashing substrate's batched tier against the scalar
-/// reference on identical inputs — the micro-curve under the alg2/alg3
-/// ingestion speedups above, emitted into the same `BENCH_engine.json`
-/// so the gate can hold the tier advantage directly. Both paths are
-/// asserted bit-identical before anything is timed.
-fn hash_tier_entries(profile: &Profile) -> Vec<String> {
-    use sc_hash::{OracleFn, PolynomialFamily, SplitMix64};
+/// Times the hashing substrate's batched polynomial tier
+/// ([`sc_hash::PolynomialHash::eval_batch`], which alg3's decode rebuild
+/// runs) against scalar `eval` on identical inputs, emitted into the
+/// same `BENCH_engine.json` so the gate can hold the tier advantage
+/// directly. Both paths are asserted bit-identical before anything is
+/// timed.
+fn hash_tier_entry(profile: &Profile) -> String {
+    use sc_hash::{PolynomialFamily, SplitMix64};
     let (points, reps) = if profile.smoke { (20_000usize, 5usize) } else { (200_000, 7) };
     let xs: Vec<u32> = (0..points as u32).map(|i| i.wrapping_mul(2_654_435_761)).collect();
     let mut out = vec![0u64; xs.len()];
-    let median = |mut f: Box<dyn FnMut() -> u64>| -> f64 {
+    let median = |f: &mut dyn FnMut() -> u64| -> f64 {
         let mut times: Vec<f64> = (0..reps)
             .map(|_| {
                 let start = Instant::now();
@@ -337,8 +340,6 @@ fn hash_tier_entries(profile: &Profile) -> Vec<String> {
         times[times.len() / 2]
     };
 
-    let mut entries = Vec::new();
-
     // Degree-4 polynomial over an alg3-shaped field (range = ℓ²).
     let fam = PolynomialFamily::for_domain(points as u64, 4096, 4);
     let h = fam.sample(&mut SplitMix64::new(41));
@@ -346,53 +347,18 @@ fn hash_tier_entries(profile: &Profile) -> Vec<String> {
     for (&x, &o) in xs.iter().zip(&out) {
         assert_eq!(o, h.eval(x as u64), "poly4 tiers must be bit-identical");
     }
-    let scalar_ms = {
-        let (h, xs) = (h.clone(), xs.clone());
-        median(Box::new(move || xs.iter().map(|&x| h.eval(x as u64)).fold(0, u64::wrapping_add)))
-    };
-    let batched_ms = {
-        let (h, xs) = (h.clone(), xs.clone());
-        let mut out = vec![0u64; xs.len()];
-        median(Box::new(move || {
-            h.eval_batch(&xs, &mut out);
-            out[out.len() - 1]
-        }))
-    };
-    entries.push(format!(
+    let scalar_ms = median(&mut || xs.iter().map(|&x| h.eval(x as u64)).fold(0, u64::wrapping_add));
+    let batched_ms = median(&mut || {
+        h.eval_batch(&xs, &mut out);
+        out[out.len() - 1]
+    });
+    format!(
         "  {{\"algo\":\"hash-poly4\",\"points\":{},\"scalar_ms\":{:.3},\"batched_ms\":{:.3},\"speedup\":{:.3}}}",
         points,
         scalar_ms,
         batched_ms,
         scalar_ms / batched_ms.max(1e-9),
-    ));
-
-    // The alg2 sketch oracle (PRF + range reduction).
-    let f = OracleFn::new(41, 3, 4096);
-    f.eval_batch(&xs, &mut out);
-    for (&x, &o) in xs.iter().zip(&out) {
-        assert_eq!(o, f.eval(x as u64), "oracle tiers must be bit-identical");
-    }
-    let scalar_ms = {
-        let (f, xs) = (f, xs.clone());
-        median(Box::new(move || xs.iter().map(|&x| f.eval(x as u64)).fold(0, u64::wrapping_add)))
-    };
-    let batched_ms = {
-        let (f, xs) = (f, xs.clone());
-        let mut out = vec![0u64; xs.len()];
-        median(Box::new(move || {
-            f.eval_batch(&xs, &mut out);
-            out[out.len() - 1]
-        }))
-    };
-    entries.push(format!(
-        "  {{\"algo\":\"hash-oracle\",\"points\":{},\"scalar_ms\":{:.3},\"batched_ms\":{:.3},\"speedup\":{:.3}}}",
-        points,
-        scalar_ms,
-        batched_ms,
-        scalar_ms / batched_ms.max(1e-9),
-    ));
-
-    entries
+    )
 }
 
 /// Times incremental vs from-scratch queries and writes

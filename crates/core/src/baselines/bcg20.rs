@@ -199,12 +199,7 @@ impl Bcg20Colorer {
 
 impl StreamingColorer for Bcg20Colorer {
     fn process(&mut self, e: Edge) {
-        assert!((e.v() as usize) < self.n, "edge {e} out of range");
-        if self.lists_intersect(e.u(), e.v()) {
-            self.conflict_edges.push(e);
-            self.meter.charge(edge_bits(self.n));
-        }
-        self.cache.advance(1);
+        self.process_batch(std::slice::from_ref(&e));
     }
 
     fn process_batch(&mut self, edges: &[Edge]) {
@@ -314,8 +309,41 @@ impl StreamingColorer for Bcg20Colorer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scalar_reference::assert_matches_scalar;
+    use proptest::prelude::*;
     use sc_graph::generators;
     use sc_stream::run_oblivious;
+
+    /// The unbatched reference: one merge-scan list intersection per edge.
+    fn scalar_ingest(c: &mut Bcg20Colorer, e: Edge) {
+        assert!((e.v() as usize) < c.n, "edge {e} out of range");
+        if c.lists_intersect(e.u(), e.v()) {
+            c.conflict_edges.push(e);
+            c.meter.charge(edge_bits(c.n));
+        }
+        c.cache.advance(1);
+    }
+
+    fn observe(c: &mut Bcg20Colorer) -> (Coloring, u64, usize, u64) {
+        (c.query(), c.peak_space_bits(), c.stored_edges(), c.failures())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        #[test]
+        fn ingest_matches_the_scalar_reference(
+            (n, kappa, lists, seed, chunk) in
+                (20usize..70, 2usize..60, 1usize..6, any::<u64>(), 1usize..20),
+        ) {
+            // Short lists over palettes of up to two bitset words keep
+            // the conflict filter selective.
+            let g = generators::gnp_with_max_degree(n, 8, 0.4, seed);
+            let edges = generators::shuffled_edges(&g, seed);
+            let colorer = Bcg20Colorer::new(n, kappa, 0.5, lists, seed ^ 7);
+            assert_matches_scalar(colorer, &edges, chunk, scalar_ingest, observe)?;
+        }
+    }
 
     #[test]
     fn sparse_graphs_get_far_below_delta_palettes() {

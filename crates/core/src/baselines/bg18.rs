@@ -141,11 +141,7 @@ impl Bg18Colorer {
 
 impl StreamingColorer for Bg18Colorer {
     fn process(&mut self, e: Edge) {
-        assert!((e.v() as usize) < self.n, "edge {e} out of range");
-        if self.sketch.offer(e) {
-            self.meter.charge(edge_bits(self.n));
-        }
-        self.cache.advance(1);
+        self.process_batch(std::slice::from_ref(&e));
     }
 
     fn process_batch(&mut self, edges: &[Edge]) {
@@ -251,8 +247,37 @@ impl StreamingColorer for Bg18Colorer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scalar_reference::assert_matches_scalar;
+    use proptest::prelude::*;
     use sc_graph::generators;
     use sc_stream::run_oblivious;
+
+    /// The unbatched reference: one scalar [`MonoSketch::offer`] per edge.
+    fn scalar_ingest(c: &mut Bg18Colorer, e: Edge) {
+        assert!((e.v() as usize) < c.n, "edge {e} out of range");
+        if c.sketch.offer(e) {
+            c.meter.charge(edge_bits(c.n));
+        }
+        c.cache.advance(1);
+    }
+
+    fn observe(c: &mut Bg18Colorer) -> (Coloring, u64, usize) {
+        (c.query(), c.peak_space_bits(), c.stored_edges())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        #[test]
+        fn ingest_matches_the_scalar_reference(
+            (n, delta, seed, chunk) in (20usize..80, 2usize..12, any::<u64>(), 1usize..20),
+        ) {
+            let g = generators::gnp_with_max_degree(n, delta, 0.4, seed);
+            let edges = generators::shuffled_edges(&g, seed);
+            let colorer = Bg18Colorer::new(n, delta as u64, seed ^ 6);
+            assert_matches_scalar(colorer, &edges, chunk, scalar_ingest, observe)?;
+        }
+    }
 
     #[test]
     fn proper_coloring_on_random_streams() {

@@ -161,9 +161,7 @@ impl DynamicColorer {
 
 impl StreamingColorer for DynamicColorer {
     fn process(&mut self, e: Edge) {
-        assert!((e.v() as usize) < self.n, "edge {e} out of range");
-        self.sketch.update(self.edge_id(e), 1);
-        self.cache.advance(1);
+        self.process_batch(std::slice::from_ref(&e));
     }
 
     fn process_batch(&mut self, edges: &[Edge]) {
@@ -179,10 +177,7 @@ impl StreamingColorer for DynamicColorer {
     }
 
     fn process_signed(&mut self, t: SignedEdge) -> Result<(), String> {
-        assert!((t.edge.v() as usize) < self.n, "edge {} out of range", t.edge);
-        self.sketch.update(self.edge_id(t.edge), t.sign.unit());
-        self.cache.advance(1);
-        Ok(())
+        self.process_signed_batch(std::slice::from_ref(&t))
     }
 
     fn process_signed_batch(&mut self, tokens: &[SignedEdge]) -> Result<(), String> {

@@ -54,6 +54,8 @@ pub mod det;
 pub mod dynamic;
 pub mod listcolor;
 pub mod robust;
+#[cfg(test)]
+mod scalar_reference;
 pub mod verify;
 
 pub use baselines::{

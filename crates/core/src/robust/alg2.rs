@@ -131,6 +131,8 @@ pub struct RobustColorer {
     /// incremental sync scan (one inner mixing round per chunk endpoint,
     /// shared by every sketch).
     scratch: EvalScratch,
+    /// Ingest scratch: each run edge's insertion-time level.
+    levels: Vec<usize>,
     /// Pooled scratch for the incremental recompute passes.
     arena: PhaseArena,
     /// Epoch-keyed phase cache for the incremental query path.
@@ -203,6 +205,7 @@ impl RobustColorer {
             curr: 1,
             meter,
             scratch: EvalScratch::new(),
+            levels: Vec::new(),
             arena: PhaseArena::new(params.n),
             cache: QueryCache::new(),
         }
@@ -285,49 +288,14 @@ impl RobustColorer {
     /// epoch (the caller guarantees the buffer has room, except in the
     /// degenerate capacity-0 configuration where runs are single edges).
     ///
-    /// Equivalent to per-edge [`StreamingColorer::process`] on the run:
+    /// Equivalent to ingesting the run one edge at a time (lines 13–17):
     /// every sketch receives the same edges in the same order, and since
     /// all in-run meter events are charges, the meter's peak and current
-    /// values come out identical. The work is reorganized sketch-major
+    /// values come out identical. A one-edge run is the adaptive game's
+    /// cadence; it takes this same path. The work is reorganized sketch-major
     /// over one [`EvalScratch`]: the chunk's key-independent presplit
     /// columns are loaded once, and each sketch pays only its per-key
     /// outer rounds (fused evaluate-and-compare, no hash-value columns).
-    /// Scalar ingestion of a single in-epoch edge (lines 13–17) — the
-    /// reference path. [`StreamingColorer::process`] and single-edge
-    /// batch runs land here: a one-edge chunk gives the batched tier
-    /// nothing to amortize over, and keeping it on the scalar routine
-    /// means the engine's per-edge configuration measures the unbatched
-    /// algorithm rather than a degenerate batch.
-    fn ingest_edge(&mut self, e: Edge) {
-        let n = self.params.n;
-        assert!((e.v() as usize) < n, "edge {e} out of range for n = {n}");
-        let eb = edge_bits(n);
-
-        self.buffer.push(e);
-        self.meter.charge(eb);
-
-        // Line 13: degree counters.
-        let (u, v) = e.endpoints();
-        self.degrees[u as usize] += 1;
-        self.degrees[v as usize] += 1;
-
-        // Lines 14–15: h_i sketches for future epochs only.
-        for i in self.curr..self.params.num_epochs {
-            if self.h_sketches[i].offer(e) {
-                self.meter.charge(eb);
-            }
-        }
-
-        // Lines 16–17: g_ℓ sketches for levels strictly above both
-        // endpoints' levels at insertion time.
-        let lvl = self.params.level_of(self.degrees[u as usize].max(self.degrees[v as usize]));
-        for l in lvl..self.params.num_levels {
-            if self.g_sketches[l].offer(e) {
-                self.meter.charge(eb);
-            }
-        }
-    }
-
     fn ingest_run(&mut self, run: &[Edge]) {
         let n = self.params.n;
         let eb = edge_bits(n);
@@ -335,7 +303,8 @@ impl RobustColorer {
         // Per-edge state first: buffer, degree counters, and each edge's
         // insertion-time level (lines 13 and 16 — levels depend on the
         // running degrees, so this stays edge-major).
-        let mut levels: Vec<usize> = Vec::with_capacity(run.len());
+        let levels = &mut self.levels;
+        levels.clear();
         self.buffer.reserve(run.len());
         for &e in run {
             assert!((e.v() as usize) < n, "edge {e} out of range for n = {n}");
@@ -360,9 +329,9 @@ impl RobustColorer {
 
         // Lines 16–17: g_ℓ sketches; an edge goes to every level strictly
         // above its insertion-time level. The level filter runs *before*
-        // hashing (as the per-edge path's loop bounds do); lanes are
-        // visited in chunk order, so sketches receive edges in exactly
-        // the per-edge insertion order.
+        // hashing; lanes are visited in chunk order, so sketches receive
+        // edges in exactly their insertion order.
+        let levels = &self.levels;
         for (l, sketch) in self.g_sketches.iter_mut().enumerate() {
             stored += sketch.offer_preloaded_where(run, &self.scratch, |k| levels[k] <= l) as u64;
         }
@@ -705,32 +674,24 @@ fn sketch_degree_totals(n: usize, sketches: &[MonoSketch]) -> Vec<u64> {
 
 impl StreamingColorer for RobustColorer {
     fn process(&mut self, e: Edge) {
-        // Lines 10–12: rotate the buffer when full.
-        if self.buffer.len() == self.params.buffer_capacity {
-            self.rotate_buffer();
-        }
-        self.cache.advance(1);
-        self.ingest_edge(e);
+        self.process_batch(std::slice::from_ref(&e));
     }
 
     fn process_batch(&mut self, edges: &[Edge]) {
         self.cache.advance(edges.len() as u64);
         let mut start = 0;
         while start < edges.len() {
+            // Lines 10–12: rotate the buffer when full.
             if self.buffer.len() == self.params.buffer_capacity {
                 self.rotate_buffer();
             }
             // Split the chunk at epoch boundaries so each run sees a
-            // fixed `curr` (matching the per-edge rotation points; the
-            // `max(1)` keeps degenerate capacity-0 configurations moving
-            // exactly as per-edge processing would).
+            // fixed `curr` and rotation falls on the same edge for every
+            // chunking (the `max(1)` keeps degenerate capacity-0
+            // configurations moving one edge per run).
             let room = self.params.buffer_capacity.saturating_sub(self.buffer.len()).max(1);
             let end = (start + room).min(edges.len());
-            if end - start == 1 {
-                self.ingest_edge(edges[start]);
-            } else {
-                self.ingest_run(&edges[start..end]);
-            }
+            self.ingest_run(&edges[start..end]);
             start = end;
         }
     }
@@ -945,8 +906,91 @@ impl StreamingColorer for RobustColorer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scalar_reference::assert_matches_scalar;
+    use proptest::prelude::*;
     use sc_graph::generators;
     use sc_stream::run_oblivious;
+
+    /// The unbatched reference: lines 10–17 for one edge, offering it to
+    /// each sketch in turn through the scalar [`OracleFn::eval`].
+    fn scalar_ingest(c: &mut RobustColorer, e: Edge) {
+        // Lines 10–12: rotate the buffer when full.
+        if c.buffer.len() == c.params.buffer_capacity {
+            c.rotate_buffer();
+        }
+        c.cache.advance(1);
+        let n = c.params.n;
+        assert!((e.v() as usize) < n, "edge {e} out of range for n = {n}");
+        let eb = edge_bits(n);
+
+        c.buffer.push(e);
+        c.meter.charge(eb);
+
+        // Line 13: degree counters.
+        let (u, v) = e.endpoints();
+        c.degrees[u as usize] += 1;
+        c.degrees[v as usize] += 1;
+
+        // Lines 14–15: h_i sketches for future epochs only.
+        for i in c.curr..c.params.num_epochs {
+            if c.h_sketches[i].offer(e) {
+                c.meter.charge(eb);
+            }
+        }
+
+        // Lines 16–17: g_ℓ sketches for levels strictly above both
+        // endpoints' levels at insertion time.
+        let lvl = c.params.level_of(c.degrees[u as usize].max(c.degrees[v as usize]));
+        for l in lvl..c.params.num_levels {
+            if c.g_sketches[l].offer(e) {
+                c.meter.charge(eb);
+            }
+        }
+    }
+
+    type Observed = (Coloring, u64, Vec<u64>, Vec<u64>, usize, usize);
+
+    fn observe(c: &mut RobustColorer) -> Observed {
+        (
+            c.query(),
+            c.peak_space_bits(),
+            c.h_sketch_degree_totals(),
+            c.g_sketch_degree_totals(),
+            c.stored_edges(),
+            c.current_epoch(),
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        #[test]
+        fn ingest_matches_the_scalar_reference(
+            (n, delta, seed, chunk) in (20usize..70, 3usize..9, any::<u64>(), 1usize..20),
+        ) {
+            let g = generators::gnp_with_max_degree(n, delta, 0.5, seed);
+            let edges = generators::shuffled_edges(&g, seed ^ 1);
+            let colorer = RobustColorer::new(n, delta, seed ^ 2);
+            assert_matches_scalar(colorer, &edges, chunk, scalar_ingest, observe)?;
+        }
+
+        #[test]
+        fn rotating_ingest_matches_the_scalar_reference(
+            (seed, chunk) in (any::<u64>(), 1usize..20),
+        ) {
+            // A 7-edge buffer rotates every few edges, so runs split at
+            // rotation points inside most chunks.
+            let params =
+                RobustParams { buffer_capacity: 7, num_epochs: 96, ..RobustParams::theorem3(40, 12) };
+            let g = generators::gnp_with_max_degree(40, 12, 0.6, seed);
+            let edges = generators::shuffled_edges(&g, seed);
+            let colorer = RobustColorer::with_params(params, seed ^ 5);
+            assert_matches_scalar(colorer.clone(), &edges, chunk, scalar_ingest, observe)?;
+            let mut fed = colorer;
+            fed.process_batch(&edges);
+            prop_assert!(fed.current_epoch() > 3, "the buffer must rotate");
+        }
+    }
 
     fn check_oblivious(n: usize, delta: usize, seed: u64) -> (Coloring, sc_graph::Graph) {
         let g = generators::gnp_with_max_degree(n, delta, 0.5, seed);

@@ -252,7 +252,7 @@ impl RandEfficientColorer {
         self.curr
     }
 
-    /// Number of epochs provisioned (`∆`).
+    /// Number of epochs provisioned, `⌈∆/2⌉ + 1` (see [`Self::new`]).
     pub fn num_epochs(&self) -> usize {
         self.num_epochs
     }
@@ -331,53 +331,16 @@ impl RandEfficientColorer {
     /// function of the endpoints, so phase 1 computes the edge-major
     /// `(edge, slot)` match pairs up front. In the table tier that is one
     /// [`VertexSlotTable::equal_slots`] row scan per edge — packed `u16`
-    /// compares over exactly the live slot suffix `[curr·P, ∆·P)`, which
+    /// compares over exactly the live slot suffix `[curr·P, num_epochs·P)`, which
     /// shrinks as epochs advance. The generic tier keeps the sketch-major
     /// [`BlockMemo`] sweep (skipping `⊥` slots, one evaluation per
     /// distinct endpoint) and sorts its pairs into the same edge-major
-    /// order. Phase 2 replays insertions edge-major so the
+    /// order. Phase 2 replays insertions edge-major (lines 8–14) so the
     /// cap/invalidate state machine and the space meter evolve exactly as
-    /// per-edge processing: unlike Algorithm 2's, this meter *releases*
-    /// mid-run (overflow wipes), so charge order matters for the reported
-    /// peak.
-    /// Scalar ingestion of a single in-epoch edge (lines 8–14) — the
-    /// reference path. [`StreamingColorer::process`] and single-edge
-    /// batch runs land here: a one-edge chunk gives the table tier
-    /// nothing to amortize over, and keeping it on the scalar routine
-    /// means the engine's per-edge configuration measures the unbatched
-    /// algorithm rather than a degenerate batch.
-    fn ingest_edge(&mut self, e: Edge) {
-        assert!((e.v() as usize) < self.n, "edge {e} out of range");
-        let eb = edge_bits(self.n);
-
-        self.buffer.push(e);
-        self.meter.charge(eb);
-
-        // Lines 9–14: feed the candidate sketches of future epochs.
-        let (u, v) = e.endpoints();
-        for i in (self.curr + 1)..=self.num_epochs {
-            for j in 0..self.p_copies {
-                let h = &self.hashes[self.idx(i, j)];
-                if h.eval(u as u64) != h.eval(v as u64) {
-                    continue;
-                }
-                let slot = self.idx(i, j);
-                match &mut self.d_sets[slot] {
-                    Some(d) if d.len() < self.cap => {
-                        d.push(e);
-                        self.meter.charge(eb);
-                    }
-                    Some(d) => {
-                        // Overflow: wipe to ⊥ (lines 13–14).
-                        self.meter.release(d.len() as u64 * eb);
-                        self.d_sets[slot] = None;
-                    }
-                    None => {}
-                }
-            }
-        }
-    }
-
+    /// under one-edge-at-a-time ingestion: unlike Algorithm 2's, this
+    /// meter *releases* mid-run (overflow wipes), so charge order matters
+    /// for the reported peak. A one-edge run is the adaptive game's
+    /// cadence; it takes this same path, a single row scan.
     fn ingest_run(&mut self, run: &[Edge]) {
         let eb = edge_bits(self.n);
         for &e in run {
@@ -458,29 +421,21 @@ impl RandEfficientColorer {
 
 impl StreamingColorer for RandEfficientColorer {
     fn process(&mut self, e: Edge) {
-        // Lines 6–7: epoch rotation.
-        if self.buffer.len() == self.n {
-            self.rotate_buffer();
-        }
-        self.cache.advance(1);
-        self.ingest_edge(e);
+        self.process_batch(std::slice::from_ref(&e));
     }
 
     fn process_batch(&mut self, edges: &[Edge]) {
         self.cache.advance(edges.len() as u64);
         let mut start = 0;
         while start < edges.len() {
+            // Lines 6–7: epoch rotation.
             if self.buffer.len() == self.n {
                 self.rotate_buffer();
             }
             // Split at epoch boundaries so each run sees a fixed `curr`.
             let room = self.n.saturating_sub(self.buffer.len()).max(1);
             let end = (start + room).min(edges.len());
-            if end - start == 1 {
-                self.ingest_edge(edges[start]);
-            } else {
-                self.ingest_run(&edges[start..end]);
-            }
+            self.ingest_run(&edges[start..end]);
             start = end;
         }
     }
@@ -687,8 +642,110 @@ impl StreamingColorer for RandEfficientColorer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scalar_reference::assert_matches_scalar;
+    use proptest::prelude::*;
     use sc_graph::generators;
     use sc_stream::run_oblivious;
+
+    /// The unbatched reference: lines 6–14 for one edge, evaluating every
+    /// future-epoch candidate hash at both endpoints in turn.
+    fn scalar_ingest(c: &mut RandEfficientColorer, e: Edge) {
+        // Lines 6–7: epoch rotation.
+        if c.buffer.len() == c.n {
+            c.rotate_buffer();
+        }
+        c.cache.advance(1);
+        assert!((e.v() as usize) < c.n, "edge {e} out of range");
+        let eb = edge_bits(c.n);
+
+        c.buffer.push(e);
+        c.meter.charge(eb);
+
+        // Lines 9–14: feed the candidate sketches of future epochs.
+        let (u, v) = e.endpoints();
+        for i in (c.curr + 1)..=c.num_epochs {
+            for j in 0..c.p_copies {
+                let h = &c.hashes[c.idx(i, j)];
+                if h.eval(u as u64) != h.eval(v as u64) {
+                    continue;
+                }
+                let slot = c.idx(i, j);
+                match &mut c.d_sets[slot] {
+                    Some(d) if d.len() < c.cap => {
+                        d.push(e);
+                        c.meter.charge(eb);
+                    }
+                    Some(d) => {
+                        // Overflow: wipe to ⊥ (lines 13–14).
+                        c.meter.release(d.len() as u64 * eb);
+                        c.d_sets[slot] = None;
+                    }
+                    None => {}
+                }
+            }
+        }
+    }
+
+    type Observed = (Coloring, u64, Vec<Vec<Option<usize>>>, usize, u64, usize);
+
+    fn observe(c: &mut RandEfficientColorer) -> Observed {
+        let sizes = (1..=c.num_epochs()).map(|i| c.candidate_sizes(i)).collect();
+        (c.query(), c.peak_space_bits(), sizes, c.stored_edges(), c.failures(), c.current_epoch())
+    }
+
+    /// A stream that overflows one epoch-2 candidate: its first `n`
+    /// edges (all of epoch 1) lead with every pair that the epoch-2
+    /// candidate hash with the most such pairs maps to one value, then a
+    /// random graph's edges follow. Random streams never reach the
+    /// `⌈7n/∆⌉` cap at test sizes; this one crosses it within epoch 1.
+    fn flooding_stream(c: &RandEfficientColorer, seed: u64) -> Vec<Edge> {
+        let n = c.n as u32;
+        let mono = |slot: usize| -> Vec<Edge> {
+            let h = &c.hashes[slot];
+            (0..n)
+                .flat_map(|u| (u + 1..n).map(move |v| Edge::new(u, v)))
+                .filter(|e| h.eval(e.u() as u64) == h.eval(e.v() as u64))
+                .collect()
+        };
+        let flood = (0..c.p_copies).map(|j| mono(c.idx(2, j))).max_by_key(Vec::len).unwrap();
+        let mut edges: Vec<Edge> = flood.into_iter().take(c.n).collect();
+        let g = generators::gnp_with_max_degree(c.n, c.delta, 0.5, seed);
+        let rest: Vec<Edge> = generators::shuffled_edges(&g, seed)
+            .into_iter()
+            .filter(|e| !edges.contains(e))
+            .take(c.n)
+            .collect();
+        edges.extend(rest);
+        edges
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        #[test]
+        fn ingest_matches_the_scalar_reference(
+            (n, delta, seed, chunk) in (20usize..60, 3usize..9, any::<u64>(), 1usize..20),
+        ) {
+            // m ≈ n∆/2 > n edges, so every case rotates the buffer.
+            let g = generators::gnp_with_max_degree(n, delta, 0.5, seed);
+            let edges = generators::shuffled_edges(&g, seed ^ 1);
+            let colorer = RandEfficientColorer::new(n, delta, seed ^ 3);
+            assert_matches_scalar(colorer, &edges, chunk, scalar_ingest, observe)?;
+        }
+
+        #[test]
+        fn overflowing_ingest_matches_the_scalar_reference(
+            (seed, chunk) in (any::<u64>(), 1usize..20),
+        ) {
+            let colorer = RandEfficientColorer::new(128, 8, seed);
+            let edges = flooding_stream(&colorer, seed ^ 1);
+            assert_matches_scalar(colorer.clone(), &edges, chunk, scalar_ingest, observe)?;
+            let mut fed = colorer;
+            fed.process_batch(&edges);
+            prop_assert!(fed.current_epoch() > 1, "the buffer must rotate");
+            prop_assert!(fed.candidate_sizes(2).contains(&None), "a candidate must overflow");
+        }
+    }
 
     #[test]
     fn proper_coloring_on_random_streams() {

@@ -74,10 +74,7 @@ impl StoreAllColorer {
 
 impl StreamingColorer for StoreAllColorer {
     fn process(&mut self, e: Edge) {
-        assert!((e.v() as usize) < self.n, "edge {e} out of range");
-        self.edges.push(e);
-        self.meter.charge(edge_bits(self.n));
-        self.cache.advance(1);
+        self.process_batch(std::slice::from_ref(&e));
     }
 
     fn process_batch(&mut self, edges: &[Edge]) {

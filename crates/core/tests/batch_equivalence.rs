@@ -1,11 +1,16 @@
-//! Batch/sequential equivalence law (the engine's foundational contract):
-//! for every [`StreamingColorer`] this crate exposes, feeding a stream
-//! through `process_batch` under an *arbitrary chunking* must produce
-//! exactly the per-edge results — identical colorings from every later
-//! query and an identical space report. The batched fast paths in
-//! `alg2`/`alg3`/`store_all`/`bg18`/`bcg20` reorganize hashing and
-//! candidate-census work per chunk; this test is what makes those
-//! reorganizations safe to trust.
+//! Chunking invariance (the engine's foundational contract): for every
+//! [`StreamingColorer`] this crate exposes, feeding a stream through
+//! `process_batch` under an *arbitrary chunking* must produce exactly
+//! the per-edge results — identical colorings from every later query
+//! and an identical space report.
+//!
+//! `alg2`/`alg3`/`store_all`/`bg18`/`bcg20` have one ingest routine
+//! each, and their `process` is a one-edge batch, so for them this law
+//! compares chunk size 1 with chunk size k through that one routine.
+//! Whether that routine matches the algorithm as stated — one edge at a
+//! time, one sketch or candidate at a time — is checked for
+//! `alg2`/`alg3`/`bg18`/`bcg20` against an unbatched reference kept in
+//! their unit tests (`ingest_matches_the_scalar_reference`).
 
 use proptest::prelude::*;
 use sc_graph::{generators, Edge};

@@ -7,10 +7,12 @@
 //! 1. **Scalar** — [`PolynomialHash::eval`] (Horner over `u128`
 //!    remainders) and [`OracleFn::eval`](crate::OracleFn::eval). The
 //!    reference semantics; every other tier is tested against it.
-//! 2. **Batched** — [`PolynomialHash::eval_batch`] /
-//!    [`OracleFn::eval_batch`](crate::OracleFn::eval_batch): branch-free
-//!    inner loops over caller-pooled buffers, with the per-step division
-//!    hoisted into a [`Reducer`].
+//! 2. **Batched** — [`PolynomialHash::eval_batch`]: a branch-free inner
+//!    loop over caller-pooled buffers, with the per-step division hoisted
+//!    into a [`Reducer`]. ([`OracleFn`](crate::OracleFn) has no batched
+//!    form: its scalar evaluation is already two mixer rounds, and
+//!    Algorithm 2 shares the first across sketches through
+//!    [`OracleFn::presplit`](crate::OracleFn::presplit) instead.)
 //! 3. **Table-driven** — [`VertexSlotTable`]: when one *small, fixed*
 //!    vertex domain is hashed by *many* functions of one family (Algorithm
 //!    3 keeps `∆ · P` degree-3 polynomials, all sharing `(p, s)`), the

@@ -28,9 +28,9 @@
 //!
 //! Hot paths evaluate the same functions through three bit-identical
 //! tiers (see [`batch`] for the full contract): scalar reference
-//! evaluation ([`PolynomialHash::eval`], [`OracleFn::eval`]), batched
-//! branch-free loops over pooled buffers ([`PolynomialHash::eval_batch`],
-//! [`OracleFn::eval_batch`], powered by the Barrett [`modp::Reducer`]),
+//! evaluation ([`PolynomialHash::eval`], [`OracleFn::eval`]), a batched
+//! branch-free loop over pooled buffers ([`PolynomialHash::eval_batch`],
+//! powered by the Barrett [`modp::Reducer`]),
 //! and the precomputed per-seed value matrix [`VertexSlotTable`] for
 //! many-functions-over-one-small-domain workloads like Algorithm 3's
 //! `∆ · P` candidate hashes. Equality across tiers is a tested law —

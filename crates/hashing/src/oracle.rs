@@ -22,8 +22,8 @@ use crate::prf::{prf2, prf2_derive, prf2_finish, prf3, splitmix64, uniform_below
 /// depends only on the key, construction now caches the derived key
 /// `dk = prf2_derive(prf2(key, 0x5EED))`, leaving exactly two mixer
 /// rounds per point: `uniform_below(prf2_finish(dk, x), range)`. Same
-/// bits out, about half the work — the scalar leg of the crate's batched
-/// evaluation tier (see [`OracleFn::eval_batch`]).
+/// bits out, about half the work. Hot loops split those two rounds
+/// further (see [`OracleFn::presplit`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OracleFn {
     key: u64,
@@ -69,20 +69,6 @@ impl OracleFn {
     #[inline]
     pub fn eval_presplit(&self, sx: u64) -> u64 {
         uniform_below(splitmix64(self.dk.wrapping_add(sx)), self.range)
-    }
-
-    /// Evaluates at every `xs[i]` into `out[i]` — the batched tier.
-    ///
-    /// **Bit-identical to [`OracleFn::eval`]** on each input. The loop
-    /// body is branch-free (two mixer rounds and a fixed-point multiply),
-    /// so the compiler can unroll and vectorize it; callers reuse the
-    /// output buffers across chunks (`sc-core`'s `EvalScratch`).
-    pub fn eval_batch(&self, xs: &[u32], out: &mut [u64]) {
-        assert_eq!(xs.len(), out.len(), "eval_batch buffers must match");
-        let (dk, range) = (self.dk, self.range);
-        for (o, &x) in out.iter_mut().zip(xs) {
-            *o = uniform_below(prf2_finish(dk, x as u64), range);
-        }
     }
 
     /// The range size of the function.
@@ -173,17 +159,6 @@ mod tests {
             for x in (0..64).chain([u64::MAX - 1, u64::MAX, 1 << 32, 1 << 63]) {
                 assert_eq!(f.eval(x), uniform_below(prf3(f.key, 0x5EED, x), range), "x = {x}");
             }
-        }
-    }
-
-    #[test]
-    fn eval_batch_matches_scalar() {
-        let f = OracleFn::new(11, 4, 1 << 12);
-        let xs: Vec<u32> = (0..1000).chain([u32::MAX - 1, u32::MAX]).collect();
-        let mut out = vec![0u64; xs.len()];
-        f.eval_batch(&xs, &mut out);
-        for (&x, &o) in xs.iter().zip(&out) {
-            assert_eq!(o, f.eval(x as u64), "x = {x}");
         }
     }
 

@@ -83,8 +83,7 @@ impl SplitMix64 {
 /// Precomputes the key-dependent half of [`prf2`]. `prf2(key, x)` equals
 /// `prf2_finish(prf2_derive(key), x)` for every `x`; callers that
 /// evaluate one key at many points cache the derived key and pay only
-/// [`prf2_finish`] per point (the trick behind
-/// [`crate::OracleFn::eval_batch`]).
+/// [`prf2_finish`] per point (the trick behind [`crate::OracleFn::eval`]).
 #[inline]
 pub fn prf2_derive(key: u64) -> u64 {
     splitmix64(key ^ 0x8C86_2E8B_FD2A_1F6D)

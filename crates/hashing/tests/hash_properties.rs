@@ -123,23 +123,6 @@ proptest! {
     }
 
     #[test]
-    fn oracle_eval_batch_matches_scalar(
-        seed in any::<u64>(),
-        id in any::<u64>(),
-        r in 1u64..1_000_000,
-        mut xs in proptest::collection::vec(any::<u32>(), 0..200),
-    ) {
-        // Force the endpoints of the u32 domain into every run.
-        xs.extend([0, 1, u32::MAX]);
-        let f = OracleFn::new(seed, id, r);
-        let mut out = vec![0u64; xs.len()];
-        f.eval_batch(&xs, &mut out);
-        for (&x, &o) in xs.iter().zip(&out) {
-            prop_assert_eq!(o, f.eval(x as u64));
-        }
-    }
-
-    #[test]
     fn polynomial_eval_batch_matches_scalar(
         seed in any::<u64>(),
         domain_log in 4u32..34,

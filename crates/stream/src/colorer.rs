@@ -26,6 +26,12 @@ pub trait StreamingColorer {
     /// override this to amortize per-edge work (hashing, candidate
     /// censuses) across the chunk; the default is the sequential loop.
     ///
+    /// A colorer with its own batched routine implements [`process`] as
+    /// a one-edge batch (`self.process_batch(std::slice::from_ref(&e))`),
+    /// so one ingest routine serves every chunk size and the law above
+    /// holds by construction at chunk size 1. An unbatched reference, if
+    /// the colorer keeps one, lives in its own tests.
+    ///
     /// [`process`]: StreamingColorer::process
     /// [`query`]: StreamingColorer::query
     fn process_batch(&mut self, edges: &[Edge]) {
