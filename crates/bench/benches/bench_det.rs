@@ -1,6 +1,7 @@
 //! Benches for Algorithm 1 (Theorem 1): full runs and the dominant
 //! per-stage tournament cost, across derandomization grid sizes — the
-//! ablation DESIGN.md calls out for substitution S1.
+//! `l × l` grid that stands in for the full `p²` family
+//! (`DerandStrategy`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sc_graph::generators;

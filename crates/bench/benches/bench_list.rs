@@ -1,6 +1,6 @@
 //! Benches for Theorem 2's list-coloring: full runs plus the ablation over
-//! the partition-candidate count (Lemma 3.10 selection quality vs cost,
-//! the second knob of DESIGN.md substitution S1).
+//! the partition-candidate count (Lemma 3.10 selection quality vs cost:
+//! the strided sample that stands in for the full partition family).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sc_graph::generators;
@@ -33,10 +33,7 @@ fn bench_partition_ablation(c: &mut Criterion) {
     let stream = StoredStream::from_graph_with_lists(&g, &lists);
     for cands in [4usize, 16, 64] {
         group.bench_with_input(BenchmarkId::new("sampled", cands), &cands, |b, &cands| {
-            let cfg = ListConfig {
-                partition_search: PartitionSearch::Sampled(cands),
-                ..ListConfig::default()
-            };
+            let cfg = ListConfig { partition_search: PartitionSearch::Sampled(cands) };
             b.iter(|| list_coloring(&stream, n, delta, 64, &cfg))
         });
     }

@@ -6,7 +6,8 @@
 //! * `|F| ≤ |U|` (Lemma 3.7);
 //! * grid-vs-full-family derandomization quality on a tiny instance: the
 //!   grid's selected `Φ` is compared with the full `p²`-member family's
-//!   minimum and average (DESIGN.md substitution S1).
+//!   minimum and average (the grid stands in for the family by default;
+//!   see `DerandStrategy`).
 
 use sc_bench::Table;
 use sc_graph::generators;

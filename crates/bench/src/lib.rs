@@ -1,8 +1,8 @@
 //! # `streamcolor-bench` — experiment harness
 //!
-//! Shared plumbing for the experiment binaries (`src/bin/exp_*.rs`) that
-//! regenerate every table/figure claim listed in DESIGN.md §5 and recorded
-//! in EXPERIMENTS.md. The paper is theory-only, so each "figure" is a
+//! Shared plumbing for the experiment binaries (`src/bin/exp_*.rs`); each
+//! binary's module doc names its experiment (T1–T3, F1–F10) and the
+//! claim it regenerates. The paper is theory-only, so each "figure" is a
 //! theorem bound rendered as a measured curve; binaries print aligned
 //! text tables to stdout.
 //!

@@ -14,7 +14,8 @@
 //! ```
 //!
 //! All argument parsing is hand-rolled ([`args`]) to stay within the
-//! workspace's no-new-dependencies policy; see DESIGN.md §6.
+//! workspace's no-new-dependencies policy; `crates/compat/README.md`
+//! describes the offline stand-ins the workspace uses instead.
 //!
 //! **Ownership contract** (see ROADMAP.md, "which layer owns what"):
 //! this crate owns *flags and friendly errors*, nothing else. Every

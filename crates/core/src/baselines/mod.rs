@@ -1,5 +1,6 @@
-//! Baselines the paper compares against (see DESIGN.md S4 for the
-//! faithfulness discussion):
+//! Baselines the paper compares against. Each "-style" baseline
+//! implements the cited algorithm's core mechanism rather than porting
+//! it line by line; its module docs say what it keeps from the source:
 //!
 //! * [`simple`] — offline greedy and the trivial `n`-coloring;
 //! * [`batch_greedy`] — `O(∆)`-pass deterministic `(∆+1)`-coloring (the

@@ -9,16 +9,16 @@
 //! state back. Total communication = 2 × passes × state size.
 //!
 //! We realize this faithfully by running the *actual* streaming algorithm
-//! over a [`StreamSource`] that counts "handover" events: a pass boundary
-//! between Alice's and Bob's halves is exactly one message, whose size we
-//! charge at the algorithm's current self-reported state footprint. The
-//! returned transcript reports bits and rounds — the quantities the
-//! corollary bounds.
+//! over the joint stream and counting its passes: each pass hands the
+//! state from Alice to Bob and back, two messages, each charged at the
+//! algorithm's peak self-reported state footprint. The returned
+//! transcript reports bits and rounds — the quantities the corollary
+//! bounds.
 
 use crate::det::algorithm::deterministic_coloring;
 use crate::det::config::DetConfig;
 use sc_graph::{Coloring, Edge};
-use sc_stream::{StoredStream, StreamSource};
+use sc_stream::StoredStream;
 
 /// Transcript of the simulated two-party protocol.
 #[derive(Debug, Clone)]
@@ -73,34 +73,6 @@ pub fn split_edges(edges: impl IntoIterator<Item = Edge>) -> (Vec<Edge>, Vec<Edg
     (alice, bob)
 }
 
-/// A [`StreamSource`] view of a two-party split — used by tests to verify
-/// that pass-by-pass simulation over `A ++ B` equals the joint stream.
-#[derive(Debug, Clone)]
-pub struct SplitStream {
-    joint: StoredStream,
-    /// Number of tokens in Alice's half.
-    pub boundary: usize,
-}
-
-impl SplitStream {
-    /// Builds the split stream (`boundary` = |Alice's half|).
-    pub fn new(alice: &[Edge], bob: &[Edge]) -> Self {
-        let mut all = alice.to_vec();
-        all.extend_from_slice(bob);
-        Self { joint: StoredStream::from_edges(all), boundary: alice.len() }
-    }
-}
-
-impl StreamSource for SplitStream {
-    fn pass(&self) -> Box<dyn Iterator<Item = sc_stream::StreamItem> + '_> {
-        self.joint.pass()
-    }
-
-    fn len(&self) -> usize {
-        self.joint.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -144,19 +116,6 @@ mod tests {
         assert!(t1.coloring.is_proper_total(&g));
         let t2 = two_party_coloring(60, 6, &[], &edges, &DetConfig::default());
         assert!(t2.coloring.is_proper_total(&g));
-    }
-
-    #[test]
-    fn split_stream_replays_the_joint_stream() {
-        let g = generators::cycle(10);
-        let (alice, bob) = split_edges(g.edges());
-        let split = SplitStream::new(&alice, &bob);
-        assert_eq!(split.len(), 10);
-        assert_eq!(split.boundary, 5);
-        let edges: Vec<Edge> = split.pass().filter_map(|t| t.as_edge()).collect();
-        assert_eq!(edges.len(), 10);
-        assert_eq!(&edges[..5], &alice[..]);
-        assert_eq!(&edges[5..], &bob[..]);
     }
 
     #[test]

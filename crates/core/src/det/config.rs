@@ -1,9 +1,17 @@
 //! Configuration for the deterministic multi-pass algorithm.
 
+use sc_hash::affine::GridSubfamily;
+use sc_hash::AffineFamily;
+
 /// How stage hash selection (Algorithm 1, lines 16–26) enumerates the
 /// Carter–Wegman family `H = {z ↦ az + b : a, b ∈ F_p}`.
 ///
-/// See DESIGN.md substitution S1 for the rationale.
+/// The paper tournaments over all `p²` functions, which costs
+/// `p = Θ(n log n)` evaluations per edge per pass. The default `Grid`
+/// substitutes an `l × l` sub-grid: both passes stay exact, so `h⋆`
+/// is at most the grid average of `Φ` rather than the family average
+/// (`exp_potential` measures the gap). Theorem 2's tournaments always
+/// use the default.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DerandStrategy {
     /// The paper-verbatim tournament over all `p²` functions, split into
@@ -21,6 +29,17 @@ pub enum DerandStrategy {
 impl Default for DerandStrategy {
     fn default() -> Self {
         DerandStrategy::Grid { l: 16 }
+    }
+}
+
+impl DerandStrategy {
+    /// The functions the tournament runs over, within the family mod `p`.
+    pub fn grid(self, p: u64) -> GridSubfamily {
+        let l = match self {
+            DerandStrategy::FullFamily => p as usize,
+            DerandStrategy::Grid { l } => l,
+        };
+        AffineFamily::new(p).grid(l)
     }
 }
 

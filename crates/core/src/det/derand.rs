@@ -1,42 +1,94 @@
-//! The two-pass derandomized hash selection (Algorithm 1, lines 19–26).
+//! The two-pass derandomized hash selection (Algorithm 1, lines 19–26),
+//! shared by Theorem 1's stages and Theorem 2's stage and singleton
+//! tournaments. Over the family [`DerandStrategy::grid`] resolves (all
+//! `p²` functions, or the `l × l` grid standing in for them), split into
+//! parts by multiplier, `tournament` makes **two** streaming passes:
 //!
-//! Given the stage tables (slacks + `g_w`), the algorithm must pick a hash
-//! `h⋆` from the Carter–Wegman family for which the tightened potential
-//! `Φ(U, χ, P_{h⋆})` is at most (roughly) the family average. It does so
-//! with **two** streaming passes:
-//!
-//! * pass 2 — split the family into parts (by multiplier `a`), accumulate
-//!   `Σ_{h ∈ part} Φ(P_h)` per part, keep the minimizing part;
+//! * pass 2 — accumulate `Σ_{h ∈ part} Φ(P_h)` per part, keep the
+//!   minimizing part;
 //! * pass 3 — accumulate `Φ(P_h)` for each member of that part, keep the
 //!   minimizer.
 //!
-//! `Φ(P_h) = Σ_{{u,v} ∈ E(G[U]), P_u = P_v, j_h(u) = j_h(v)}
+//! For Theorem 1, `Φ(P_h) = Σ_{{u,v} ∈ E(G[U]), P_u = P_v, j_h(u) = j_h(v)}
 //!   (1/slack(u | P_{u,j}) + 1/slack(v | P_{v,j}))` where
 //! `j_h(x) = g_w(x, h(x))`, so each edge contributes to an accumulator in
 //! O(1) after two hash evaluations and two `g_w` lookups.
 //!
 //! The accumulators are `f64` (far exceeding the `(1 + 1/(8 log n))`
-//! relative precision the analysis grants each pass); the space meter
-//! charges them at the paper's `O(log n)` bits each.
+//! relative precision the analysis grants each pass); callers charge
+//! them to the space meter at the paper's `O(log n)` bits each.
 
 use crate::det::config::DerandStrategy;
 use crate::det::tables::StageTables;
 use sc_hash::affine::GridSubfamily;
-use sc_hash::{mulmod, AffineFamily, AffineHash};
+use sc_hash::{mulmod, AffineHash};
 use sc_stream::{StreamItem, StreamSource};
 
-/// Result of a stage's hash selection.
+/// Result of a hash-selection tournament.
 #[derive(Debug, Clone)]
 pub struct SelectedHash {
     /// The chosen function `h⋆`.
     pub hash: AffineHash,
-    /// `Φ(U, χ, P_{h⋆})` — exact, as accumulated in pass 3.
+    /// The cost of `h⋆` as accumulated in pass 3 — for Theorem 1's
+    /// stages, `Φ(U, χ, P_{h⋆})` exactly.
     pub phi: f64,
     /// Number of accumulators the wider pass used (space accounting).
     pub accumulators: usize,
 }
 
-/// Runs passes 2 and 3 of a stage and returns the selected hash.
+/// Runs passes 2 and 3 over `grid` and returns the cheapest member found.
+///
+/// `qualify` maps a stream token to the context its cost needs, or `None`
+/// if the token costs nothing under every hash; `cost(ctx, h)` is its
+/// contribution to the potential of `h`. Ties go to the first minimum:
+/// the lowest part, then the lowest member.
+pub(crate) fn tournament<S: StreamSource + ?Sized, E>(
+    stream: &S,
+    grid: &GridSubfamily,
+    qualify: impl Fn(&StreamItem) -> Option<E>,
+    cost: impl Fn(&E, AffineHash) -> f64,
+) -> SelectedHash {
+    // ---- Pass 2: part sums. ----
+    let parts = grid.num_parts();
+    let mut part_sums = vec![0.0f64; parts];
+    for item in stream.pass() {
+        let Some(ctx) = qualify(&item) else { continue };
+        for (pi, sum) in part_sums.iter_mut().enumerate() {
+            for h in grid.part(pi) {
+                *sum += cost(&ctx, h);
+            }
+        }
+    }
+
+    // ---- Pass 3: members of the winning part. ----
+    let members: Vec<AffineHash> = grid.part(first_min(&part_sums)).collect();
+    let mut member_sums = vec![0.0f64; members.len()];
+    for item in stream.pass() {
+        let Some(ctx) = qualify(&item) else { continue };
+        for (sum, &h) in member_sums.iter_mut().zip(&members) {
+            *sum += cost(&ctx, h);
+        }
+    }
+    let best = first_min(&member_sums);
+
+    SelectedHash {
+        hash: members[best],
+        phi: member_sums[best],
+        accumulators: parts.max(members.len()),
+    }
+}
+
+/// Index of the first minimum of `sums`.
+fn first_min(sums: &[f64]) -> usize {
+    sums.iter()
+        .enumerate()
+        .min_by(|a, b| a.1.total_cmp(b.1))
+        .map(|(i, _)| i)
+        .expect("the family has at least one part and member")
+}
+
+/// Runs passes 2 and 3 of a stage (Theorem 1's, or one of Theorem 2's
+/// adaptive stages) and returns the selected hash.
 ///
 /// `group[x]` is a proposal-identity token: an edge `{u, v}` qualifies for
 /// the potential iff both endpoints are uncolored (`group[x] ≠ u64::MAX`)
@@ -47,48 +99,12 @@ pub fn select_hash<S: StreamSource + ?Sized>(
     tables: &StageTables,
     strategy: DerandStrategy,
 ) -> SelectedHash {
-    let p = tables.p();
-    let family = AffineFamily::new(p);
-    let grid: GridSubfamily = match strategy {
-        DerandStrategy::FullFamily => family.grid(p as usize),
-        DerandStrategy::Grid { l } => family.grid(l),
-    };
-
-    // ---- Pass 2: part sums. ----
-    let parts = grid.num_parts();
-    let mut part_sums = vec![0.0f64; parts];
-    for item in stream.pass() {
-        let Some((u, v)) = qualifying(&item, group) else { continue };
-        let du = tables.position(u).expect("grouped vertex must be uncolored");
-        let dv = tables.position(v).expect("grouped vertex must be uncolored");
-        for (pi, sum) in part_sums.iter_mut().enumerate() {
-            for h in grid.part(pi) {
-                *sum += phi_contribution(h, u, v, du, dv, tables);
-            }
-        }
-    }
-    let best_part = part_sums
-        .iter()
-        .enumerate()
-        .min_by(|a, b| a.1.total_cmp(b.1))
-        .map(|(i, _)| i)
-        .expect("family has at least one part");
-
-    // ---- Pass 3: members of the winning part. ----
-    let members: Vec<AffineHash> = grid.part(best_part).collect();
-    let mut member_sums = vec![0.0f64; members.len()];
-    for item in stream.pass() {
-        let Some((u, v)) = qualifying(&item, group) else { continue };
-        let du = tables.position(u).expect("grouped vertex must be uncolored");
-        let dv = tables.position(v).expect("grouped vertex must be uncolored");
-        for (mi, h) in members.iter().enumerate() {
-            member_sums[mi] += phi_contribution(*h, u, v, du, dv, tables);
-        }
-    }
-    let (best_member, &phi) =
-        member_sums.iter().enumerate().min_by(|a, b| a.1.total_cmp(b.1)).expect("part is nonempty");
-
-    SelectedHash { hash: members[best_member], phi, accumulators: parts.max(members.len()) }
+    tournament(
+        stream,
+        &strategy.grid(tables.p()),
+        |item| qualifying(item, group, tables),
+        |&(u, v, du, dv), h| phi_contribution(h, u, v, du, dv, tables),
+    )
 }
 
 /// The edge's contribution to `Φ(P_h)`, or 0 if `h` separates the
@@ -113,13 +129,21 @@ fn phi_contribution(
     }
 }
 
+/// A qualifying edge `{u, v}` with its endpoints' dense indices.
 #[inline]
-fn qualifying(item: &StreamItem, group: &[u64]) -> Option<(u32, u32)> {
-    let e = item.as_edge()?;
-    let (u, v) = e.endpoints();
+fn qualifying(
+    item: &StreamItem,
+    group: &[u64],
+    tables: &StageTables,
+) -> Option<(u32, u32, usize, usize)> {
+    let (u, v) = item.as_edge()?.endpoints();
     let gu = group[u as usize];
-    let gv = group[v as usize];
-    (gu != u64::MAX && gu == gv).then_some((u, v))
+    if gu == u64::MAX || gu != group[v as usize] {
+        return None;
+    }
+    let du = tables.position(u).expect("grouped vertex must be uncolored");
+    let dv = tables.position(v).expect("grouped vertex must be uncolored");
+    Some((u, v, du, dv))
 }
 
 /// Computes `Φ(P_h)` exactly for a single `h` (testing / experiment F7).
@@ -131,9 +155,7 @@ pub fn phi_of_hash<S: StreamSource + ?Sized>(
 ) -> f64 {
     let mut phi = 0.0;
     for item in stream.pass() {
-        let Some((u, v)) = qualifying(&item, group) else { continue };
-        let du = tables.position(u).unwrap();
-        let dv = tables.position(v).unwrap();
+        let Some((u, v, du, dv)) = qualifying(&item, group, tables) else { continue };
         phi += phi_contribution(h, u, v, du, dv, tables);
     }
     phi
@@ -143,6 +165,7 @@ pub fn phi_of_hash<S: StreamSource + ?Sized>(
 mod tests {
     use super::*;
     use sc_graph::{generators, Graph};
+    use sc_hash::AffineFamily;
     use sc_stream::StoredStream;
 
     /// Builds toy tables where every vertex has the same slack row.
@@ -250,3 +273,7 @@ mod tests {
         assert_eq!(sel.accumulators, 6);
     }
 }
+
+#[cfg(test)]
+#[path = "tournament_law.rs"]
+mod tournament_law;

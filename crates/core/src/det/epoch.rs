@@ -20,7 +20,7 @@ use crate::det::config::DetConfig;
 use crate::det::derand::{select_hash, SelectedHash};
 use crate::det::subcube::Subcube;
 use crate::det::tables::StageTables;
-use sc_graph::{turan_independent_set, Coloring, Graph, VertexId};
+use sc_graph::{turan_independent_set, Color, Coloring, Graph, VertexId};
 use sc_hash::modp::ceil_log2;
 use sc_hash::prime_in_range;
 use sc_stream::{counter_bits, edge_bits, SpaceMeter, StreamSource};
@@ -139,45 +139,60 @@ pub fn coloring_epoch<S: StreamSource + ?Sized>(
         meter.release(accumulators as u64 * 2 * log_n);
     }
 
-    // ---- End-of-epoch pass: collect F (lines 28–29). ----
+    // ---- Collect F, commit on an independent set (lines 28–33). ----
     debug_assert!(u_set.iter().all(|&x| sub[x as usize].is_singleton()));
+    let (committed, f_size) = commit_proposals(stream, n, coloring, u_set, &mut in_u, meter, |x| {
+        let c = sub[x as usize].singleton_color();
+        debug_assert!(c <= delta as u64, "committed color {c} > ∆ = {delta}");
+        c
+    });
+    meter.release(pcc_bits);
+
+    EpochOutcome {
+        committed,
+        f_size,
+        u_size,
+        f_bound_violated: f_size > u_size,
+        stage_phis,
+        stages: num_stages,
+    }
+}
+
+/// The commit step both deterministic theorems end an epoch with
+/// (Algorithm 1, lines 28–33): one pass collects the edges `F` of `G[U]`
+/// whose endpoints propose the same color, then the vertices of a Turán
+/// independent set of `(U, F)` take their proposals and leave `U` (both
+/// `u_set` and `in_u`). `F` is charged to `meter` while it is held.
+/// Returns `(committed, |F|)`.
+pub(crate) fn commit_proposals<S: StreamSource + ?Sized>(
+    stream: &S,
+    n: usize,
+    coloring: &mut Coloring,
+    u_set: &mut Vec<VertexId>,
+    in_u: &mut [bool],
+    meter: &mut SpaceMeter,
+    proposed: impl Fn(VertexId) -> Color,
+) -> (usize, usize) {
     let mut f_edges = Vec::new();
     for item in stream.pass() {
         let Some(e) = item.as_edge() else { continue };
         let (u, v) = e.endpoints();
-        if in_u[u as usize]
-            && in_u[v as usize]
-            && sub[u as usize].singleton_color() == sub[v as usize].singleton_color()
-        {
+        if in_u[u as usize] && in_u[v as usize] && proposed(u) == proposed(v) {
             f_edges.push(e);
         }
     }
     let f_size = f_edges.len();
     meter.charge(f_size as u64 * edge_bits(n));
-    let f_bound_violated = f_size > u_size;
 
-    // ---- Independent set + commit (lines 30–33). ----
-    let f_graph = Graph::from_edges(n, f_edges.iter().copied());
-    let independent = turan_independent_set(&f_graph, u_set);
+    let independent = turan_independent_set(&Graph::from_edges(n, f_edges), u_set);
     for &x in &independent {
-        let c = sub[x as usize].singleton_color();
-        debug_assert!(c <= delta as u64, "committed color {c} > ∆ = {delta}");
-        coloring.set(x, c);
+        coloring.set(x, proposed(x));
         in_u[x as usize] = false;
     }
     u_set.retain(|&x| in_u[x as usize]);
 
     meter.release(f_size as u64 * edge_bits(n));
-    meter.release(pcc_bits);
-
-    EpochOutcome {
-        committed: independent.len(),
-        f_size,
-        u_size,
-        f_bound_violated,
-        stage_phis,
-        stages: num_stages,
-    }
+    (independent.len(), f_size)
 }
 
 #[cfg(test)]

@@ -1,0 +1,227 @@
+//! Law: the shared [`tournament`] selects exactly what the two loops it
+//! replaced selected.
+//!
+//! Theorem 1's `select_hash` and Theorem 2's `select_singleton_colors`
+//! each carried their own copy of the two-pass loop. Both copies are
+//! frozen here as references, and a proptest checks that the shared
+//! loop gives the same `h⋆`, the same `Φ` bits, the same accumulator
+//! count and the same final singleton colors. Uniform slack rows and
+//! small color universes make ties common, so the first-minimum
+//! tie-break is exercised too.
+
+use super::*;
+use crate::listcolor::algorithm::select_singleton_colors;
+use proptest::prelude::*;
+use sc_graph::{Color, Edge};
+use sc_hash::{prime_in_range, AffineFamily, SplitMix64};
+use sc_stream::StoredStream;
+
+/// `select_hash`'s loop before the fold.
+fn reference_select_hash<S: StreamSource + ?Sized>(
+    stream: &S,
+    group: &[u64],
+    tables: &StageTables,
+    strategy: DerandStrategy,
+) -> SelectedHash {
+    let p = tables.p();
+    let family = AffineFamily::new(p);
+    let grid: GridSubfamily = match strategy {
+        DerandStrategy::FullFamily => family.grid(p as usize),
+        DerandStrategy::Grid { l } => family.grid(l),
+    };
+
+    // ---- Pass 2: part sums. ----
+    let parts = grid.num_parts();
+    let mut part_sums = vec![0.0f64; parts];
+    for item in stream.pass() {
+        let Some((u, v)) = reference_qualifying(&item, group) else { continue };
+        let du = tables.position(u).expect("grouped vertex must be uncolored");
+        let dv = tables.position(v).expect("grouped vertex must be uncolored");
+        for (pi, sum) in part_sums.iter_mut().enumerate() {
+            for h in grid.part(pi) {
+                *sum += phi_contribution(h, u, v, du, dv, tables);
+            }
+        }
+    }
+    let best_part = part_sums
+        .iter()
+        .enumerate()
+        .min_by(|a, b| a.1.total_cmp(b.1))
+        .map(|(i, _)| i)
+        .expect("family has at least one part");
+
+    // ---- Pass 3: members of the winning part. ----
+    let members: Vec<AffineHash> = grid.part(best_part).collect();
+    let mut member_sums = vec![0.0f64; members.len()];
+    for item in stream.pass() {
+        let Some((u, v)) = reference_qualifying(&item, group) else { continue };
+        let du = tables.position(u).expect("grouped vertex must be uncolored");
+        let dv = tables.position(v).expect("grouped vertex must be uncolored");
+        for (mi, h) in members.iter().enumerate() {
+            member_sums[mi] += phi_contribution(*h, u, v, du, dv, tables);
+        }
+    }
+    let (best_member, &phi) =
+        member_sums.iter().enumerate().min_by(|a, b| a.1.total_cmp(b.1)).expect("part is nonempty");
+
+    SelectedHash { hash: members[best_member], phi, accumulators: parts.max(members.len()) }
+}
+
+fn reference_qualifying(item: &StreamItem, group: &[u64]) -> Option<(u32, u32)> {
+    let e = item.as_edge()?;
+    let (u, v) = e.endpoints();
+    let gu = group[u as usize];
+    let gv = group[v as usize];
+    (gu != u64::MAX && gu == gv).then_some((u, v))
+}
+
+/// `select_singleton_colors`'s loop before the fold; it also returns the
+/// winner, its count and the accumulator count, which the old function
+/// computed but did not return.
+fn reference_singleton<S: StreamSource + ?Sized>(
+    stream: &S,
+    avail: &[Vec<Color>],
+    in_u: &[bool],
+    p: u64,
+    derand: DerandStrategy,
+) -> (Vec<Color>, AffineHash, u64, usize) {
+    let family = AffineFamily::new(p);
+    let grid: GridSubfamily = match derand {
+        DerandStrategy::FullFamily => family.grid(p as usize),
+        DerandStrategy::Grid { l } => family.grid(l),
+    };
+    let pick = |h: &AffineHash, x: usize| -> Color {
+        let list = &avail[x];
+        let idx = ((h.eval(x as u64) as u128 * list.len() as u128) / p as u128) as usize;
+        list[idx.min(list.len() - 1)]
+    };
+
+    // Pass S3: part sums of monochromatic counts.
+    let mut part_sums = vec![0u64; grid.num_parts()];
+    for item in stream.pass() {
+        let Some(e) = item.as_edge() else { continue };
+        let (u, v) = e.endpoints();
+        if !in_u[u as usize] || !in_u[v as usize] {
+            continue;
+        }
+        for (pi, sum) in part_sums.iter_mut().enumerate() {
+            for h in grid.part(pi) {
+                *sum += u64::from(pick(&h, u as usize) == pick(&h, v as usize));
+            }
+        }
+    }
+    let best_part = part_sums
+        .iter()
+        .enumerate()
+        .min_by_key(|&(_, &c)| c)
+        .map(|(i, _)| i)
+        .expect("grid nonempty");
+
+    // Pass S4: members of the best part.
+    let members: Vec<sc_hash::AffineHash> = grid.part(best_part).collect();
+    let mut member_sums = vec![0u64; members.len()];
+    for item in stream.pass() {
+        let Some(e) = item.as_edge() else { continue };
+        let (u, v) = e.endpoints();
+        if !in_u[u as usize] || !in_u[v as usize] {
+            continue;
+        }
+        for (mi, h) in members.iter().enumerate() {
+            member_sums[mi] += u64::from(pick(h, u as usize) == pick(h, v as usize));
+        }
+    }
+    let best = member_sums
+        .iter()
+        .enumerate()
+        .min_by_key(|&(_, &c)| c)
+        .map(|(i, _)| i)
+        .expect("part nonempty");
+    let h_star = members[best];
+
+    let colors = (0..avail.len())
+        .map(|x| if in_u[x] && !avail[x].is_empty() { pick(&h_star, x) } else { 0 })
+        .collect();
+    (colors, h_star, member_sums[best], grid.num_parts().max(members.len()))
+}
+
+/// A random stage: a graph on `n` vertices, about a fifth of them
+/// colored, the rest in three proposal groups; slack rows over 1, 2 or
+/// 4 patterns (all equal when `uniform`); and lists of 1–3 colors from
+/// a 4-color universe for the singleton stage.
+struct Stage {
+    stream: StoredStream,
+    group: Vec<u64>,
+    tables: StageTables,
+    avail: Vec<Vec<Color>>,
+    in_u: Vec<bool>,
+}
+
+fn random_stage(n: usize, seed: u64, uniform: bool, p: u64) -> Stage {
+    let mut rng = SplitMix64::new(seed);
+    let mut edges = Vec::new();
+    for u in 0..n as u32 {
+        for v in u + 1..n as u32 {
+            if rng.below(2) == 0 {
+                edges.push(Edge::new(u, v));
+            }
+        }
+    }
+    let group: Vec<u64> =
+        (0..n).map(|_| if rng.below(5) == 0 { u64::MAX } else { rng.below(3) }).collect();
+    let in_u: Vec<bool> = group.iter().map(|&g| g != u64::MAX).collect();
+    let u_set: Vec<u32> = (0..n as u32).filter(|&x| in_u[x as usize]).collect();
+    let patterns = 1usize << rng.below(3);
+    let mut slack = Vec::with_capacity(u_set.len() * patterns);
+    for _ in &u_set {
+        let mut row: Vec<u64> =
+            (0..patterns).map(|_| if uniform { 2 } else { rng.below(4) }).collect();
+        row[rng.below(patterns as u64) as usize] += 1;
+        slack.extend(row);
+    }
+    // log n = 1 keeps Lemma A.3's cover (p ≥ 8·log n·patterns) at p ≥ 32.
+    let tables = StageTables::build(n, &u_set, patterns, slack, p, 1);
+    let avail = (0..n)
+        .map(|x| {
+            if !in_u[x] {
+                return Vec::new();
+            }
+            let mut list: Vec<Color> = (0..=rng.below(3)).map(|_| rng.below(4)).collect();
+            list.sort_unstable();
+            list.dedup();
+            list
+        })
+        .collect();
+    Stage { stream: StoredStream::from_edges(edges), group, tables, avail, in_u }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn tournament_matches_the_frozen_loops(
+        (n, seed, l, lo, uniform) in (2usize..14, any::<u64>(), 0usize..=8, 0u64..1500, any::<bool>()),
+    ) {
+        // l = 0 stands for the full family, kept below p = 100.
+        let (strategy, p) = if l == 0 {
+            (DerandStrategy::FullFamily, prime_in_range(32 + lo % 60, 100).unwrap())
+        } else {
+            (DerandStrategy::Grid { l }, prime_in_range(32 + lo, 64 + 2 * lo).unwrap())
+        };
+        let stage = random_stage(n, seed, uniform, p);
+
+        let want = reference_select_hash(&stage.stream, &stage.group, &stage.tables, strategy);
+        let got = select_hash(&stage.stream, &stage.group, &stage.tables, strategy);
+        prop_assert_eq!(got.hash, want.hash);
+        prop_assert_eq!(got.phi.to_bits(), want.phi.to_bits());
+        prop_assert_eq!(got.accumulators, want.accumulators);
+
+        let (colors, hash, count, accumulators) =
+            reference_singleton(&stage.stream, &stage.avail, &stage.in_u, p, strategy);
+        let (got_colors, got) =
+            select_singleton_colors(&stage.stream, &stage.avail, &stage.in_u, &strategy.grid(p));
+        prop_assert_eq!(got_colors, colors);
+        prop_assert_eq!(got.hash, hash);
+        prop_assert_eq!(got.phi.to_bits(), (count as f64).to_bits());
+        prop_assert_eq!(got.accumulators, accumulators);
+    }
+}

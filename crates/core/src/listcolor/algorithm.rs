@@ -10,47 +10,45 @@
 //!    `√s`, so `≈ ⌈2 log(∆+1)/k⌉` stages bring it below `|U|`.
 //! 2. **Singleton last stage.** Once the mass is below `|U|`, a final
 //!    stage materializes each vertex's surviving colors (`≤ 2|U|` bits in
-//!    total), prunes those used by colored neighbors, and commits one
+//!    total), prunes those used by colored neighbors, and picks one
 //!    surviving color per vertex via the same derandomized tournament —
-//!    now directly minimizing the number of monochromatic edges `|F|`.
+//!    now directly minimizing the number of monochromatic edges `|F|` —
+//!    before Algorithm 1's commit step.
 //!
 //! A vertex's proposal set `P_x` is stored implicitly as the sequence of
 //! chosen cells: `c ∈ P_x ⇔ R_i(c) = j_i(x)` for every completed stage
 //! `i` — `O(log n)` bits per vertex, as the paper requires.
 
-use crate::det::config::{DerandStrategy, DetConfig};
-use crate::det::derand::select_hash;
+use crate::det::config::DerandStrategy;
+use crate::det::derand::{select_hash, tournament, SelectedHash};
+use crate::det::epoch::commit_proposals;
 use crate::det::tables::StageTables;
-use crate::listcolor::partition::{candidate_partitions, partition_cost_for_list, PartitionSearch};
-use sc_graph::{greedy_list_color, turan_independent_set, Color, Coloring, Graph, VertexId};
+use crate::listcolor::partition::{
+    candidate_partitions, four_pass_partition_selection, partition_cost_for_list, PartitionSearch,
+};
+use sc_graph::{greedy_list_color, Color, Coloring, Graph, VertexId};
 use sc_hash::affine::GridSubfamily;
 use sc_hash::modp::ceil_log2;
-use sc_hash::{prime_in_range, splitmix64, AffineFamily, TwoUniversalHash};
+use sc_hash::{prime_in_range, splitmix64, AffineHash, TwoUniversalHash};
 use sc_stream::{counter_bits, edge_bits, PassCounter, SpaceMeter, StreamSource};
 
+/// Safety cap on epochs; past it [`list_coloring`] falls back to batch
+/// list-greedy.
+const MAX_EPOCHS: usize = 200;
+
+/// Cap on stages per epoch, as a multiple of the nominal
+/// `⌈2 log(∆+1)/k⌉ + 1` (sampled partitions may need a few extra).
+const MAX_STAGE_FACTOR: usize = 4;
+
 /// Configuration for the list-coloring algorithm.
-#[derive(Debug, Clone)]
+///
+/// Both of an epoch's hash tournaments (per stage and singleton) run
+/// over [`DerandStrategy::default`]'s grid, as Theorem 1's stages do by
+/// default.
+#[derive(Debug, Clone, Default)]
 pub struct ListConfig {
     /// Partition-candidate search per stage (Lemma 3.10 selection).
     pub partition_search: PartitionSearch,
-    /// Hash-selection strategy for the per-stage tournament.
-    pub derand: DerandStrategy,
-    /// Safety cap on epochs (falls back to batch list-greedy).
-    pub max_epochs: usize,
-    /// Cap on stages per epoch, as a multiple of the nominal
-    /// `⌈2 log(∆+1)/k⌉ + 1` (sampled partitions may need a few extra).
-    pub max_stage_factor: usize,
-}
-
-impl Default for ListConfig {
-    fn default() -> Self {
-        Self {
-            partition_search: PartitionSearch::default(),
-            derand: DerandStrategy::default(),
-            max_epochs: 200,
-            max_stage_factor: 4,
-        }
-    }
 }
 
 /// Run report for Theorem 2 experiments.
@@ -111,7 +109,7 @@ pub fn list_coloring<S: StreamSource + ?Sized>(
     let mut fallback_used = false;
 
     while !u_set.is_empty() && u_set.len() * delta.max(1) > n {
-        if epochs >= config.max_epochs {
+        if epochs >= MAX_EPOCHS {
             fallback_used = true;
             break;
         }
@@ -188,7 +186,7 @@ fn list_epoch<S: StreamSource + ?Sized>(
     let s = 1u64 << k.min(20);
     let b = ceil_log2(delta as u64 + 1).max(1);
     let nominal_stages = (2 * b).div_ceil(k) as usize + 1;
-    let stage_cap = nominal_stages * config.max_stage_factor + 1;
+    let stage_cap = nominal_stages * MAX_STAGE_FACTOR + 1;
     let p = prime_in_range(8 * n as u64 * log_n, 16 * n as u64 * log_n)
         .expect("Bertrand interval contains a prime");
 
@@ -208,10 +206,6 @@ fn list_epoch<S: StreamSource + ?Sized>(
     // Proposal-identity tokens (P_u = P_v ⇔ same cell history).
     let mut group: Vec<u64> = (0..n).map(|x| if in_u[x] { 0 } else { u64::MAX }).collect();
     meter.charge(u_size as u64 * 2 * log_n); // per-vertex cell history
-
-    let in_px = |c: Color, x: usize, hs: &[TwoUniversalHash], ch: &[Vec<u64>]| -> bool {
-        hs.iter().zip(ch.iter()).all(|(h, row)| h.eval(c) == row[x])
-    };
 
     let mut ran_stages = 0usize;
     loop {
@@ -233,11 +227,7 @@ fn list_epoch<S: StreamSource + ?Sized>(
             if !in_u[x as usize] {
                 continue;
             }
-            let eff: Vec<Color> = l
-                .iter()
-                .copied()
-                .filter(|&c| in_px(c, x as usize, &stage_hashes, &choices))
-                .collect();
+            let eff = effective_list(l, x as usize, &stage_hashes, &choices);
             mass += (eff.len() as u64).saturating_sub(1);
             for (ci, r) in candidates.iter().enumerate() {
                 costs[ci] += partition_cost_for_list(r, &eff, &mut scratch);
@@ -250,18 +240,13 @@ fn list_epoch<S: StreamSource + ?Sized>(
         let r_star = if four_pass {
             // Paper-literal tournament: four more passes over the stream,
             // O(|F|^{1/4}) accumulators (Theorem 2's proof structure).
-            crate::listcolor::partition::four_pass_partition_selection(universe, s, |feed| {
+            four_pass_partition_selection(universe, s, |feed| {
                 for item in stream.pass() {
                     let Some((x, l)) = item.as_color_list() else { continue };
                     if !in_u[x as usize] {
                         continue;
                     }
-                    let eff: Vec<Color> = l
-                        .iter()
-                        .copied()
-                        .filter(|&c| in_px(c, x as usize, &stage_hashes, &choices))
-                        .collect();
-                    feed(&eff);
+                    feed(&effective_list(l, x as usize, &stage_hashes, &choices));
                 }
             })
         } else {
@@ -315,7 +300,8 @@ fn list_epoch<S: StreamSource + ?Sized>(
         let tables = StageTables::build(n, u_set, patterns, slack, p, log_n);
 
         // ---- Passes C–D: tournament for h⋆, then tighten P_x. ----
-        let sel = select_hash(stream, &group, &tables, config.derand);
+        let sel = select_hash(stream, &group, &tables, DerandStrategy::default());
+        meter.charge(sel.accumulators as u64 * 2 * log_n);
         let mut row = vec![u64::MAX; n];
         for &x in u_set.iter() {
             let dense = tables.position(x).expect("uncolored");
@@ -327,6 +313,7 @@ fn list_epoch<S: StreamSource + ?Sized>(
         stage_hashes.push(r_star);
         choices.push(row);
         meter.release(u_size as u64 * s * counter_bits(delta as u64 + 1));
+        meter.release(sel.accumulators as u64 * 2 * log_n);
     }
 
     // ---- Singleton stage. ----
@@ -335,11 +322,7 @@ fn list_epoch<S: StreamSource + ?Sized>(
     for item in stream.pass() {
         let Some((x, l)) = item.as_color_list() else { continue };
         if in_u[x as usize] {
-            let mut eff: Vec<Color> = l
-                .iter()
-                .copied()
-                .filter(|&c| in_px(c, x as usize, &stage_hashes, &choices))
-                .collect();
+            let mut eff = effective_list(l, x as usize, &stage_hashes, &choices);
             eff.sort_unstable();
             eff.dedup();
             avail[x as usize] = eff;
@@ -367,107 +350,65 @@ fn list_epoch<S: StreamSource + ?Sized>(
     }
 
     // Passes S3–S4: tournament choosing final colors to minimize |F|.
-    let final_color = select_singleton_colors(stream, &avail, &in_u, p, config.derand);
+    let grid = DerandStrategy::default().grid(p);
+    let (final_color, sel) = select_singleton_colors(stream, &avail, &in_u, &grid);
+    // Its accumulators were live beside `avail`, and are freed before F.
+    meter.charge(sel.accumulators as u64 * 2 * log_n);
+    meter.release(sel.accumulators as u64 * 2 * log_n);
 
-    // Pass S5: collect F.
-    let mut f_edges = Vec::new();
-    for item in stream.pass() {
-        let Some(e) = item.as_edge() else { continue };
-        if in_u[e.u() as usize]
-            && in_u[e.v() as usize]
-            && final_color[e.u() as usize] == final_color[e.v() as usize]
-        {
-            f_edges.push(e);
-        }
-    }
-    meter.charge(f_edges.len() as u64 * edge_bits(n));
-    let f_graph = Graph::from_edges(n, f_edges.iter().copied());
-    let independent = turan_independent_set(&f_graph, u_set);
-    for &x in &independent {
-        coloring.set(x, final_color[x as usize]);
-        in_u[x as usize] = false;
-    }
-    u_set.retain(|&x| in_u[x as usize]);
-    meter.release(f_edges.len() as u64 * edge_bits(n));
+    // Pass S5: collect F and commit.
+    commit_proposals(stream, n, coloring, u_set, &mut in_u, meter, |x| final_color[x as usize]);
     meter.release(avail_total * counter_bits(universe.max(1)));
     meter.release(u_size as u64 * 2 * log_n);
 
     ran_stages
 }
 
+/// `c ∈ P_x`: every completed stage's partition put `c` in the cell `x`
+/// chose.
+fn in_px(c: Color, x: usize, hashes: &[TwoUniversalHash], choices: &[Vec<u64>]) -> bool {
+    hashes.iter().zip(choices).all(|(h, row)| h.eval(c) == row[x])
+}
+
+/// The effective list `L_x ∩ P_x`, in list order.
+fn effective_list(
+    l: &[Color],
+    x: usize,
+    hashes: &[TwoUniversalHash],
+    choices: &[Vec<u64>],
+) -> Vec<Color> {
+    l.iter().copied().filter(|&c| in_px(c, x, hashes, choices)).collect()
+}
+
 /// The singleton-stage tournament: picks `h⋆` minimizing the number of
-/// monochromatic commitments, and returns each uncolored vertex's final
-/// color `avail[x][⌊h⋆(x)·|avail[x]|/p⌋]`.
-fn select_singleton_colors<S: StreamSource + ?Sized>(
+/// monochromatic edges of `G[U]`, and returns each uncolored vertex's
+/// final color `avail[x][⌊h⋆(x)·|avail[x]|/p⌋]` along with the
+/// tournament's result.
+pub(crate) fn select_singleton_colors<S: StreamSource + ?Sized>(
     stream: &S,
     avail: &[Vec<Color>],
     in_u: &[bool],
-    p: u64,
-    derand: DerandStrategy,
-) -> Vec<Color> {
-    let family = AffineFamily::new(p);
-    let grid: GridSubfamily = match derand {
-        DerandStrategy::FullFamily => family.grid(p as usize),
-        DerandStrategy::Grid { l } => family.grid(l),
-    };
-    let pick = |h: &sc_hash::AffineHash, x: usize| -> Color {
+    grid: &GridSubfamily,
+) -> (Vec<Color>, SelectedHash) {
+    let p = grid.modulus();
+    let pick = |h: AffineHash, x: usize| -> Color {
         let list = &avail[x];
         let idx = ((h.eval(x as u64) as u128 * list.len() as u128) / p as u128) as usize;
         list[idx.min(list.len() - 1)]
     };
-
-    // Pass S3: part sums of monochromatic counts.
-    let mut part_sums = vec![0u64; grid.num_parts()];
-    for item in stream.pass() {
-        let Some(e) = item.as_edge() else { continue };
-        let (u, v) = e.endpoints();
-        if !in_u[u as usize] || !in_u[v as usize] {
-            continue;
-        }
-        for (pi, sum) in part_sums.iter_mut().enumerate() {
-            for h in grid.part(pi) {
-                *sum += u64::from(pick(&h, u as usize) == pick(&h, v as usize));
-            }
-        }
-    }
-    let best_part = part_sums
-        .iter()
-        .enumerate()
-        .min_by_key(|&(_, &c)| c)
-        .map(|(i, _)| i)
-        .expect("grid nonempty");
-
-    // Pass S4: members of the best part.
-    let members: Vec<sc_hash::AffineHash> = grid.part(best_part).collect();
-    let mut member_sums = vec![0u64; members.len()];
-    for item in stream.pass() {
-        let Some(e) = item.as_edge() else { continue };
-        let (u, v) = e.endpoints();
-        if !in_u[u as usize] || !in_u[v as usize] {
-            continue;
-        }
-        for (mi, h) in members.iter().enumerate() {
-            member_sums[mi] += u64::from(pick(h, u as usize) == pick(h, v as usize));
-        }
-    }
-    let best = member_sums
-        .iter()
-        .enumerate()
-        .min_by_key(|&(_, &c)| c)
-        .map(|(i, _)| i)
-        .expect("part nonempty");
-    let h_star = members[best];
-
-    (0..avail.len())
-        .map(|x| if in_u[x] && !avail[x].is_empty() { pick(&h_star, x) } else { 0 })
-        .collect()
-}
-
-/// Convenience: derives a [`DetConfig`]-compatible tournament strategy.
-impl From<&DetConfig> for ListConfig {
-    fn from(c: &DetConfig) -> Self {
-        Self { derand: c.derand, max_epochs: c.max_epochs, ..Self::default() }
-    }
+    let sel = tournament(
+        stream,
+        grid,
+        |item| {
+            let (u, v) = item.as_edge()?.endpoints();
+            (in_u[u as usize] && in_u[v as usize]).then_some((u as usize, v as usize))
+        },
+        |&(u, v), h| if pick(h, u) == pick(h, v) { 1.0 } else { 0.0 },
+    );
+    let colors = (0..avail.len())
+        .map(|x| if in_u[x] && !avail[x].is_empty() { pick(sel.hash, x) } else { 0 })
+        .collect();
+    (colors, sel)
 }
 
 #[cfg(test)]
@@ -551,8 +492,7 @@ mod tests {
     fn exhaustive_partition_search_tiny_universe() {
         let g = generators::cycle(12);
         let lists: Vec<Vec<Color>> = (0..12).map(|_| vec![0, 1, 2]).collect();
-        let cfg =
-            ListConfig { partition_search: PartitionSearch::Exhaustive, ..ListConfig::default() };
+        let cfg = ListConfig { partition_search: PartitionSearch::Exhaustive };
         run(&g, &lists, 3, &cfg);
     }
 
@@ -562,8 +502,7 @@ mod tests {
         // full family enumerable).
         let g = generators::cycle(14);
         let lists: Vec<Vec<Color>> = (0..14).map(|x| vec![x % 3, 3 + x % 2, 5]).collect();
-        let cfg =
-            ListConfig { partition_search: PartitionSearch::FourPass, ..ListConfig::default() };
+        let cfg = ListConfig { partition_search: PartitionSearch::FourPass };
         run(&g, &lists, 6, &cfg);
     }
 
@@ -576,6 +515,33 @@ mod tests {
         let r2 = list_coloring(&stream, 25, 4, 50, &ListConfig::default());
         assert_eq!(r1.coloring, r2.coloring);
         assert_eq!(r1.passes, r2.passes);
+    }
+
+    #[test]
+    fn peak_space_counts_the_stage_tournament() {
+        let (n, universe) = (60usize, 12u64);
+        let g = generators::gnp_with_max_degree(n, 6, 0.5, 5);
+        let lists = generators::random_deg_plus_one_lists(&g, universe, 7);
+        let delta = g.max_degree();
+        // The first epoch has U = V, so k = 1 and each stage splits lists
+        // into s = 2 cells. Its first stage runs a tournament because the
+        // list mass Σ_x (|L_x| − 1) exceeds |U|.
+        let mass: usize = lists.iter().map(|l| l.len() - 1).sum();
+        assert!(mass > n && n * delta > n);
+        let r = run(&g, &lists, universe, &ListConfig::default());
+
+        let log_n = u64::from(ceil_log2(n as u64));
+        let p = prime_in_range(8 * n as u64 * log_n, 16 * n as u64 * log_n).unwrap();
+        let grid = DerandStrategy::default().grid(p);
+        let accumulators = grid.num_parts().max(grid.part_size()) as u64;
+        let n = n as u64;
+        // Live during that tournament: χ and U, the cell histories, the
+        // slack counters and the tournament's accumulators.
+        let live = n * (counter_bits(universe) + 1)
+            + n * 2 * log_n
+            + n * 2 * counter_bits(delta as u64 + 1)
+            + accumulators * 2 * log_n;
+        assert!(r.peak_space_bits >= live, "peak {} < {live} live bits", r.peak_space_bits);
     }
 
     #[test]

@@ -14,7 +14,8 @@
 //! shrinks the total list-mass by `√s` per stage. The paper finds one with
 //! a 4-pass tournament over the full `O(|C|²)` family; we support both the
 //! exhaustive search (tiny universes, ground truth in tests) and a
-//! deterministic strided subsample (DESIGN.md substitution S1), each
+//! deterministic strided subsample (standing in for the full family the
+//! way Algorithm 1's hash grid does; see `DerandStrategy`), each
 //! evaluated in a single pass with one accumulator per candidate.
 
 use sc_graph::Color;

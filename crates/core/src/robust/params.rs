@@ -11,8 +11,9 @@
 //! | `g` range (fast blocks) | `∆^{3(1−β)/2}` | `∆^{3/2}` |
 //!
 //! yielding `O(∆^{(5−3β)/2})` colors in `O(n∆^β)` space. All fractional
-//! powers are rounded **up** and clamped to `≥ 1` (DESIGN.md substitution
-//! S3), so tiny `∆` degrades gracefully.
+//! powers are rounded **up** and clamped to `≥ 1` (the table's
+//! exponents are real-valued; integer parameters need some rounding),
+//! so tiny `∆` degrades gracefully.
 
 /// Derived integer parameters for Algorithm 2.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

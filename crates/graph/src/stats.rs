@@ -1,5 +1,5 @@
-//! Workload statistics — the numbers EXPERIMENTS.md reports for each
-//! input graph, and quick structural summaries used in diagnostics.
+//! Workload statistics — per-graph summary numbers (size, degree range,
+//! mean and histogram) and a one-line description for diagnostics.
 
 use crate::graph::Graph;
 

@@ -15,7 +15,9 @@
 //! For practical input sizes the full family is too large to enumerate
 //! (`p² ≈ 10¹⁰` already at `n = 10³`), so the family also exposes
 //! deterministic *sub-grids* `A × B` used by the default derandomization
-//! strategy (DESIGN.md substitution S1).
+//! strategy: the tournament then runs over `l²` functions instead of
+//! `p²`, and its winner is below the grid's average potential rather
+//! than the family's.
 
 use crate::modp::{is_prime_u64, mulmod};
 

@@ -17,7 +17,7 @@
 //!   coloring) needs `k = 4`.
 //! * [`OracleFn`] — a seeded pseudorandom function standing in for the
 //!   "oracle access to `O(n∆)` random bits" that Algorithm 2 assumes
-//!   (see DESIGN.md §3, substitution S2).
+//!   (its docs state the substitution).
 //!
 //! Supporting machinery lives in [`modp`] (modular arithmetic on `u64`
 //! via `u128` widening, deterministic Miller–Rabin primality for all

@@ -1,5 +1,5 @@
 //! Seeded "oracle" random functions — the stand-in for Algorithm 2's
-//! oracle randomness (DESIGN.md substitution S2).
+//! oracle randomness.
 //!
 //! Algorithm 2 assumes `∆ + √∆` uniformly random functions
 //! `h_i : V → [∆²]`, `g_ℓ : V → [∆^{3/2}]`, accessed as a random oracle

@@ -3,7 +3,7 @@
 //! Used in two roles:
 //!
 //! 1. As the keyed "random oracle" behind [`crate::OracleFn`] (Algorithm 2's
-//!    `h_i`, `g_i` functions — see DESIGN.md substitution S2).
+//!    `h_i`, `g_i` functions; `OracleFn`'s docs state the substitution).
 //! 2. As a deterministic seed-stretcher for reproducible experiments.
 //!
 //! The mixer is SplitMix64 (Steele–Lea–Flood), whose output function is a

@@ -93,8 +93,9 @@ impl TwoUniversalFamily {
     }
 
     /// A deterministic subsample of `l` members, evenly strided through the
-    /// index space (used when enumerating all `p(p−1)` members is
-    /// impractical; see DESIGN.md substitution S1 which applies here too).
+    /// index space. It stands in for the full family when enumerating all
+    /// `p(p−1)` members is impractical, as the `l × l` grid of
+    /// [`crate::AffineFamily::grid`] does for the affine family.
     pub fn strided_sample(&self, l: usize) -> Vec<TwoUniversalHash> {
         let len = self.len();
         let l = (l.max(1) as u128).min(len);
