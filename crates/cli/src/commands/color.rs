@@ -32,6 +32,7 @@ pub fn run(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         .with_order(order)
         .with_seed(seed)
         .with_engine(EngineConfig::batched(chunk));
+    scenario.check_runnable().map_err(err)?;
     let outcome = Runner::default().run(&scenario);
 
     if let Some(path) = out_coloring {
@@ -158,6 +159,12 @@ mod tests {
         let text =
             run_str("color --algo robust --family exact --n 100 --delta 9 --beta 0.5").unwrap();
         assert!(text.contains("proper         true"));
+        // Out of [0, 1] is an error naming the parameter, not a panic.
+        for beta in ["2", "-0.5", "NaN"] {
+            let e = run_str(&format!("color --algo robust --family exact --n 40 --beta {beta}"))
+                .unwrap_err();
+            assert!(e.to_string().contains("\"beta\""), "{beta}: {e}");
+        }
     }
 
     #[test]

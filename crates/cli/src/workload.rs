@@ -34,19 +34,9 @@ pub fn acquire_spec(args: &Args) -> Result<SourceSpec, CliError> {
     let seed: u64 = args.parse_or("seed", 1)?;
     let family = match family {
         "gnp" => GraphFamily::Gnp,
-        "exact" => {
-            if delta >= n {
-                return Err(err(format!("family exact needs --delta < --n ({delta} ≥ {n})")));
-            }
-            GraphFamily::ExactDegree
-        }
+        "exact" => GraphFamily::ExactDegree,
         "pa" => GraphFamily::PreferentialAttachment,
-        "cycle" => {
-            if n < 3 {
-                return Err(err("family cycle needs --n ≥ 3"));
-            }
-            GraphFamily::Cycle
-        }
+        "cycle" => GraphFamily::Cycle,
         "path" => GraphFamily::Path,
         "complete" => GraphFamily::Complete,
         "star" => GraphFamily::Star,
@@ -61,19 +51,12 @@ pub fn acquire_spec(args: &Args) -> Result<SourceSpec, CliError> {
             GraphFamily::Bipartite { a, b }
         }
         "petersen" => GraphFamily::Petersen,
-        "circulant" => {
-            let half = (delta / 2).max(1);
-            if n <= 2 * half {
-                return Err(err(format!(
-                    "family circulant needs --n > --delta ({n} ≤ {})",
-                    2 * half
-                )));
-            }
-            GraphFamily::Circulant
-        }
+        "circulant" => GraphFamily::Circulant,
         other => return Err(err(format!("unknown --family {other:?}; one of: {FAMILIES}"))),
     };
-    Ok(SourceSpec::Family { family, n, delta, p, seed })
+    let spec = SourceSpec::Family { family, n, delta, p, seed };
+    spec.check().map_err(err)?;
+    Ok(spec)
 }
 
 /// Builds the input graph from the workload flags (materializing a

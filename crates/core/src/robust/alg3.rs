@@ -554,7 +554,7 @@ impl StreamingColorer for RandEfficientColorer {
             .d_sets
             .iter()
             .map(|d| match d {
-                Some(edges) => sc_stream::encode_edge_list(edges),
+                Some(edges) => sc_stream::encode_edges(edges),
                 None => "-".to_string(),
             })
             .collect::<Vec<_>>()
@@ -600,7 +600,7 @@ impl StreamingColorer for RandEfficientColorer {
                 d_sets.push(None);
                 continue;
             }
-            let edges = sc_stream::decode_edge_list(list, self.n)
+            let edges = sc_stream::decode_edges(list, Some(self.n))
                 .map_err(|e| format!("state: dsets: {e}"))?;
             if edges.len() > self.cap {
                 return Err(format!(

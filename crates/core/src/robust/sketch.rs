@@ -119,11 +119,11 @@ impl MonoSketch {
 }
 
 /// Encodes a bank of sketches' stored edge lists as `|`-joined
-/// [`sc_stream::state::encode_edge_list`] strings (state-codec
+/// [`sc_stream::state::encode_edges`] strings (state-codec
 /// vocabulary; the oracle functions are rebuilt from the seed, so only
 /// the edges travel).
 pub(crate) fn encode_sketch_bank(sketches: &[MonoSketch]) -> String {
-    sketches.iter().map(|s| sc_stream::encode_edge_list(s.edges())).collect::<Vec<_>>().join("|")
+    sketches.iter().map(|s| sc_stream::encode_edges(s.edges())).collect::<Vec<_>>().join("|")
 }
 
 /// Replays an [`encode_sketch_bank`] string into freshly built sketches,
@@ -145,7 +145,7 @@ pub(crate) fn decode_sketch_bank(
         ));
     }
     for (i, (sketch, list)) in sketches.iter_mut().zip(lists).enumerate() {
-        for e in sc_stream::decode_edge_list(list, n).map_err(|e| format!("state: {key}: {e}"))? {
+        for e in sc_stream::decode_edges(list, Some(n)).map_err(|e| format!("state: {key}: {e}"))? {
             if !sketch.offer(e) {
                 return Err(format!(
                     "state: {key}: edge {e} is not monochromatic under sketch {i}"

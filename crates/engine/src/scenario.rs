@@ -73,20 +73,26 @@ impl Scenario {
     }
 
     /// Whether [`Runner::run`](crate::Runner::run) can run this
-    /// scenario: a dynamic (turnstile) source needs a streaming colorer
-    /// that takes deletions. Decided as
+    /// scenario: the source can be generated ([`SourceSpec::check`]),
+    /// the colorer's parameters lie in range ([`ColorerSpec::check`]),
+    /// and a dynamic (turnstile) source gets a streaming colorer that
+    /// takes deletions. The last is decided as
     /// [`AttackScenario::check_playable`](crate::AttackScenario::check_playable)
     /// decides it — build the colorer from the source's own `n` and
     /// `delta` (without generating the stream) and ask
     /// [`supports_deletions`](StreamingColorer::supports_deletions).
     /// Insert-only sources pass without a build.
     /// [`ShardJob::check_runnable`](crate::shard::ShardJob::check_runnable)
-    /// applies this before every grid run, so a client-sent grid is
-    /// refused instead of panicking its host.
+    /// applies this before every grid run and `streamcolor color` before
+    /// its run, so a client-sent scenario is refused instead of
+    /// panicking its host.
     ///
     /// # Errors
-    /// Names the colorer and why it cannot run the dynamic source.
+    /// Names the family, the parameter, or the colorer and why it
+    /// cannot run the dynamic source.
     pub fn check_runnable(&self) -> Result<(), String> {
+        self.source.check()?;
+        self.colorer.check()?;
         let (SourceSpec::Churn { n, delta, .. } | SourceSpec::SlidingWindow { n, delta, .. }) =
             self.source
         else {

@@ -242,7 +242,7 @@ pub struct RunSummary {
     pub passes: Option<u64>,
     /// Self-reported peak space in bits (`None` for offline comparators).
     pub space_bits: Option<u64>,
-    /// The final coloring as `"0,1,-,2"` (`-` marks an uncolored vertex).
+    /// The final coloring as `"0,1,-,2"` ([`sc_stream::coloring_string`]; `-` is uncolored).
     pub coloring: String,
     /// Checkpoints as `"prefix:colors:space_bits:digest;…"`.
     pub checkpoints: String,
@@ -251,9 +251,6 @@ pub struct RunSummary {
 impl RunSummary {
     /// Summarizes one outcome.
     pub fn of(outcome: &RunOutcome) -> Self {
-        let coloring: Vec<String> = (0..outcome.coloring.n() as u32)
-            .map(|v| outcome.coloring.get(v).map_or("-".to_string(), |c| c.to_string()))
-            .collect();
         let checkpoints: Vec<String> = outcome
             .checkpoints
             .iter()
@@ -277,7 +274,7 @@ impl RunSummary {
             colors: outcome.colors,
             passes: outcome.passes,
             space_bits: outcome.space_bits,
-            coloring: coloring.join(","),
+            coloring: sc_stream::coloring_string(&outcome.coloring),
             checkpoints: checkpoints.join(";"),
         }
     }

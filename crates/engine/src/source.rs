@@ -144,6 +144,32 @@ impl SourceSpec {
         matches!(self, SourceSpec::Churn { .. } | SourceSpec::SlidingWindow { .. })
     }
 
+    /// Whether this source can be generated: [`GraphFamily::check`] for
+    /// a family, and a density `p ∈ [0, 1]` (NaN refused) wherever the
+    /// generator draws edges with it — `gnp`, `bipartite`, and the
+    /// dynamic sources' base graph.
+    ///
+    /// # Errors
+    /// Names the family and the violated precondition, or `p`.
+    pub fn check(&self) -> Result<(), String> {
+        let p = match *self {
+            SourceSpec::Stored(_) => return Ok(()),
+            SourceSpec::Family { family, n, delta, p, .. } => {
+                family.check(n, delta)?;
+                match family {
+                    GraphFamily::Gnp | GraphFamily::Bipartite { .. } => p,
+                    _ => return Ok(()),
+                }
+            }
+            SourceSpec::Churn { p, .. } | SourceSpec::SlidingWindow { p, .. } => p,
+        };
+        if (0.0..=1.0).contains(&p) {
+            Ok(())
+        } else {
+            Err(format!("field \"p\" = {p} must lie in [0, 1]"))
+        }
+    }
+
     /// Builds (or shares) the graph: the whole graph for insert-only
     /// sources, the **live** graph (post-stream) for dynamic ones.
     pub fn materialize(&self) -> Arc<Graph> {
@@ -254,8 +280,31 @@ fn live_graph(n: usize, tokens: &[SignedEdge]) -> Graph {
 }
 
 impl GraphFamily {
-    /// Generates a graph of this family (callers validate parameters;
-    /// precondition violations panic, as in `sc_graph::generators`).
+    /// Whether [`GraphFamily::generate`] accepts `n` and `delta` — the
+    /// one place family preconditions are decided, so every front end
+    /// (CLI flags, spec files, `run_job`) refuses the same specs:
+    /// `exact` needs `delta < n`, `cycle` needs `n ≥ 3` and `circulant`
+    /// needs `n > 2·max(⌊delta/2⌋, 1)`.
+    ///
+    /// # Errors
+    /// Names the family and the violated precondition.
+    pub fn check(self, n: usize, delta: usize) -> Result<(), String> {
+        let span = 2 * (delta / 2).max(1);
+        match self {
+            GraphFamily::ExactDegree if delta >= n => {
+                Err(format!("family exact needs delta < n ({delta} ≥ {n})"))
+            }
+            GraphFamily::Cycle if n < 3 => Err(format!("family cycle needs n ≥ 3 (n = {n})")),
+            GraphFamily::Circulant if n <= span => {
+                Err(format!("family circulant needs n > 2·max(⌊delta/2⌋, 1) ({n} ≤ {span})"))
+            }
+            _ => Ok(()),
+        }
+    }
+
+    /// Generates a graph of this family ([`GraphFamily::check`] decides
+    /// the parameters; precondition violations panic, as in
+    /// `sc_graph::generators`).
     pub fn generate(self, n: usize, delta: usize, p: f64, seed: u64) -> Graph {
         match self {
             GraphFamily::Gnp => generators::gnp_with_max_degree(n, delta, p, seed),

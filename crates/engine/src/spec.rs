@@ -80,6 +80,26 @@ impl ColorerSpec {
         )
     }
 
+    /// Whether the spec's parameters lie in their ranges: `beta ∈ [0, 1]`
+    /// (Corollary 4.7's tradeoff exponent) and `epsilon ≥ 0`; NaN is
+    /// refused. [`ColorerSpec::build`] checks this first, so an
+    /// out-of-range client parameter is an error, never a constructor
+    /// panic.
+    ///
+    /// # Errors
+    /// Names the wire field and its value.
+    pub fn check(&self) -> Result<(), String> {
+        match *self {
+            ColorerSpec::Robust { beta: Some(b) } if !(0.0..=1.0).contains(&b) => {
+                Err(format!("field \"beta\" = {b} must lie in [0, 1]"))
+            }
+            ColorerSpec::Bcg20 { epsilon } if !(0.0..).contains(&epsilon) => {
+                Err(format!("field \"epsilon\" = {epsilon} must be ≥ 0"))
+            }
+            _ => Ok(()),
+        }
+    }
+
     /// The universal factory: builds the owned, type-erased
     /// [`BoxedColorer`] for this spec — every call site (engine runner,
     /// attack referee, CLI, benches, the `sc-service` session host) goes
@@ -88,7 +108,8 @@ impl ColorerSpec {
     ///
     /// # Errors
     /// Returns a message (never panics) when the spec cannot become a
-    /// single-pass streaming colorer: multi-pass / offline specs
+    /// single-pass streaming colorer: out-of-range parameters
+    /// ([`ColorerSpec::check`]), multi-pass / offline specs
     /// ([`ColorerSpec::is_streaming`] is false), and `Bcg20` without a
     /// materialized graph (its palette is sized from the graph's exact
     /// degeneracy).
@@ -99,6 +120,7 @@ impl ColorerSpec {
         seed: u64,
         graph: Option<&Graph>,
     ) -> Result<BoxedColorer, String> {
+        self.check()?;
         let delta = delta.max(1);
         Ok(match self {
             ColorerSpec::Robust { beta } => match beta {

@@ -27,10 +27,15 @@ use crate::flatjson::{FlatObject, Scalar};
 use crate::scenario::Scenario;
 use crate::source::{GraphFamily, SourceSpec};
 use crate::spec::ColorerSpec;
-use sc_graph::{Edge, Graph};
+use sc_graph::Graph;
 use sc_stream::{EngineConfig, StreamOrder};
 use std::sync::Arc;
 use streamcolor::{DerandStrategy, DetConfig};
+
+/// Stored-graph `"edges"` and replay `"replay_edges"` travel in the one
+/// `u-v` token codec of [`sc_stream::state`], re-exported here for the
+/// protocol front ends.
+pub use sc_stream::state::{decode_edges, encode_edges};
 
 // ---------------------------------------------------------------------
 // Field accessors (shared by the decoders and the sc-service protocol;
@@ -116,42 +121,6 @@ pub(crate) fn reject_unknown_keys(
         }
     }
     Ok(())
-}
-
-// ---------------------------------------------------------------------
-// Edge lists (stored graphs, replay adversaries).
-// ---------------------------------------------------------------------
-
-/// Encodes an edge sequence as `"0-1 0-2 …"` (empty string for none).
-/// Public because the `sc-service` line protocol ships `push_batch`
-/// payloads in exactly this form.
-pub fn encode_edges(edges: impl IntoIterator<Item = Edge>) -> String {
-    let list: Vec<String> = edges.into_iter().map(|e| format!("{}-{}", e.u(), e.v())).collect();
-    list.join(" ")
-}
-
-/// Decodes an [`encode_edges`] string; endpoints must be distinct and
-/// `< n` when a bound is given.
-///
-/// # Errors
-/// Returns a message naming the malformed token.
-pub fn decode_edges(text: &str, n: Option<usize>) -> Result<Vec<Edge>, String> {
-    let mut out = Vec::new();
-    for tok in text.split_whitespace() {
-        let (a, b) = tok.split_once('-').ok_or(format!("edge {tok:?} is not u-v"))?;
-        let a: u32 = a.parse().map_err(|e| format!("edge {tok:?}: {e}"))?;
-        let b: u32 = b.parse().map_err(|e| format!("edge {tok:?}: {e}"))?;
-        if a == b {
-            return Err(format!("edge {tok:?} is a self-loop"));
-        }
-        if let Some(n) = n {
-            if a.max(b) as usize >= n {
-                return Err(format!("edge {tok:?} out of range for n = {n}"));
-            }
-        }
-        out.push(Edge::new(a, b));
-    }
-    Ok(out)
 }
 
 // ---------------------------------------------------------------------
@@ -502,6 +471,7 @@ pub fn attack_from_wire(obj: &FlatObject) -> Result<AttackScenario, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sc_graph::Edge;
     use sc_stream::QuerySchedule;
 
     fn all_colorers() -> Vec<ColorerSpec> {

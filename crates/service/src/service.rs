@@ -24,8 +24,8 @@
 //! parameters like `"beta"` / `"buckets"`) and an optional `"engine"`
 //! string ([`EngineConfig::wire_decode`]); `"delta"` defaults to `n − 1`
 //! and `"seed"` to 7. Edges travel as `"u-v"` tokens
-//! ([`sc_engine::wire::decode_edges`]), validated against the session's
-//! `n`. Unknown keys and unknown commands are errors, never silently
+//! ([`sc_stream::decode_edges`], the one token codec of every front
+//! end), validated against the session's `n`. Unknown keys and unknown commands are errors, never silently
 //! ignored.
 //!
 //! **Turnstile streams**: `push` takes an optional `"sign"` field
@@ -75,11 +75,15 @@
 use sc_engine::flatjson::{encode_object, parse_object, FlatObject, Scalar};
 use sc_engine::shard::ShardJob;
 use sc_engine::{wire, ColorerSpec, Runner};
-use sc_graph::Coloring;
 use sc_stream::{Checkpoint, DynamicSupport, EngineConfig, Session, SessionSnapshot};
 use std::collections::BTreeMap;
 use std::io::{BufRead, Write};
 use std::path::{Path, PathBuf};
+
+/// The coloring text of responses and snapshot checkpoints is the
+/// [`sc_stream::state`] codec, so service observations and shard run
+/// summaries diff cleanly.
+pub use sc_stream::{coloring_string, parse_coloring};
 
 /// One hosted session: the owned engine session, the open-time
 /// parameters needed to rebuild its colorer from a snapshot (`delta`,
@@ -530,38 +534,6 @@ fn check_keys(obj: &FlatObject, allowed: &[&str]) -> Result<(), String> {
     Ok(())
 }
 
-/// Renders a coloring as the protocol's `"0,1,-,2"` form (`-` marks an
-/// uncolored vertex) — the same shape `sc_engine::shard::RunSummary`
-/// uses, so service observations and shard summaries diff cleanly.
-pub fn coloring_string(c: &Coloring) -> String {
-    let cells: Vec<String> =
-        (0..c.n() as u32).map(|v| c.get(v).map_or("-".to_string(), |k| k.to_string())).collect();
-    cells.join(",")
-}
-
-/// Parses a [`coloring_string`] back into a coloring over `n` vertices.
-///
-/// # Errors
-/// Returns a message naming the malformed cell or a length mismatch.
-pub fn parse_coloring(text: &str, n: usize) -> Result<Coloring, String> {
-    let mut coloring = Coloring::empty(n);
-    if n == 0 && text.is_empty() {
-        return Ok(coloring);
-    }
-    let cells: Vec<&str> = text.split(',').collect();
-    if cells.len() != n {
-        return Err(format!("coloring has {} cells, expected {n}", cells.len()));
-    }
-    for (v, cell) in cells.iter().enumerate() {
-        if *cell == "-" {
-            continue;
-        }
-        let color = cell.parse().map_err(|e| format!("cell {v} {cell:?}: {e}"))?;
-        coloring.set(v as u32, color);
-    }
-    Ok(coloring)
-}
-
 fn apply(slot: &mut Option<Tenant>, session: &str, obj: &FlatObject) -> FlatObject {
     let cmd = match obj.get("cmd").and_then(Scalar::as_str) {
         Some(cmd) => cmd.to_string(),
@@ -647,7 +619,7 @@ fn apply_push(
     let tenant = slot.as_mut().ok_or("unknown session (open it first)")?;
     let tokens = if cmd == "push" {
         check_keys(obj, &["cmd", "session", "edge", "sign"])?;
-        let edges = wire::decode_edges(str_field(obj, "edge")?, Some(tenant.n))?;
+        let edges = sc_stream::decode_edges(str_field(obj, "edge")?, Some(tenant.n))?;
         if edges.len() != 1 {
             return Err(format!("push takes exactly one edge, got {}", edges.len()));
         }
@@ -967,7 +939,7 @@ fn apply_finish(slot: &mut Option<Tenant>, obj: &FlatObject) -> Result<FlatObjec
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sc_graph::{generators, Graph};
+    use sc_graph::{generators, Coloring, Graph};
 
     fn run_job_line(session: &str, job: &ShardJob, shard: usize, of: usize) -> String {
         let mut line = FlatObject::new();
@@ -1119,6 +1091,14 @@ mod tests {
                 r#"{"cmd":"open","session":"x","n":10,"delta":11,"colorer":"store-all"}"#,
                 "exceeds n",
             ),
+            (
+                r#"{"cmd":"open","session":"x","n":10,"colorer":"robust","beta":2.0}"#,
+                r#"field \"beta\" = 2 must lie in [0, 1]"#,
+            ),
+            (
+                r#"{"cmd":"open","session":"x","n":10,"colorer":"robust","beta":-0.5}"#,
+                r#"field \"beta\" = -0.5 must lie in [0, 1]"#,
+            ),
         ] {
             let response = service.respond(line).unwrap();
             assert!(
@@ -1133,6 +1113,10 @@ mod tests {
             (r#"{"cmd":"push","session":"x","edge":"3-3"}"#, "self-loop"),
             (r#"{"cmd":"push","session":"x","edge":"5-99"}"#, "out of range"),
             (r#"{"cmd":"push","session":"x","edge":"0-1 2-3"}"#, "exactly one edge"),
+            (
+                r#"{"cmd":"push_batch","session":"x","edges":"3-3"}"#,
+                r#"token \"3-3\": edge \"3-3\" is a self-loop"#,
+            ),
             (r#"{"cmd":"push","session":"x","edge":"0-1","extra":1}"#, "unknown key"),
             (r#"{"cmd":"observe","session":"x","extra":1}"#, "unknown key"),
         ] {
@@ -1304,7 +1288,8 @@ mod tests {
 
     #[test]
     fn run_job_refuses_unrunnable_grids_and_the_host_keeps_serving() {
-        use sc_engine::{Scenario, SourceSpec};
+        use sc_engine::{GraphFamily, Scenario, SourceSpec};
+        let family = |family, n, delta| SourceSpec::Family { family, n, delta, p: 0.3, seed: 1 };
         let mut service = Service::new();
         service.respond(&open_line("t", 10, 3, "store-all", 1)).unwrap();
         service.respond(r#"{"cmd":"push","session":"t","edge":"0-1"}"#).unwrap();
@@ -1317,6 +1302,15 @@ mod tests {
             (SourceSpec::churn(30, 4, 1, 2), ColorerSpec::BatchGreedy, "single-pass"),
             (SourceSpec::sliding_window(30, 4, 1, 20), ColorerSpec::Cgs22, "insert-only"),
             (SourceSpec::churn(30, 4, 1, 2), ColorerSpec::Det(Default::default()), "Thm 1"),
+            (family(GraphFamily::Cycle, 2, 2), ColorerSpec::StoreAll, "family cycle needs n ≥ 3"),
+            (SourceSpec::exact_degree(4, 4, 1), ColorerSpec::StoreAll, "family exact needs"),
+            (family(GraphFamily::Circulant, 4, 4), ColorerSpec::StoreAll, "family circulant"),
+            (SourceSpec::gnp(30, 4, 2.0, 1), ColorerSpec::StoreAll, r#"field \"p\" = 2 must"#),
+            (
+                SourceSpec::gnp(30, 4, 0.3, 1),
+                ColorerSpec::Bcg20 { epsilon: -1.0 },
+                r#"field \"epsilon\" = -1 must be"#,
+            ),
         ] {
             // One bad scenario refuses the whole spec, named by index.
             let job = ShardJob::Grid(vec![runnable.clone(), Scenario::new(source, colorer)]);
@@ -1583,6 +1577,15 @@ mod tests {
         service.respond(r#"{"cmd":"push","session":"a","edge":"0-1"}"#).unwrap();
         let snap = service.respond(r#"{"cmd":"snapshot","session":"a"}"#).unwrap();
         let blob = parse_object(&snap).unwrap()["snapshot"].as_str().unwrap().to_string();
+        service.respond(&open_line("d", 10, 3, "dynamic-sr", 1)).unwrap();
+        service.respond(r#"{"cmd":"push","session":"d","edge":"0-1"}"#).unwrap();
+        let snap = service.respond(r#"{"cmd":"snapshot","session":"d"}"#).unwrap();
+        let dynamic = parse_object(&snap).unwrap()["snapshot"].as_str().unwrap().to_string();
+        let with = |blob: &str, key: &str, value: &str| {
+            let mut obj = parse_object(blob).unwrap();
+            assert!(obj.insert(key.into(), Scalar::Str(value.into())).is_some(), "{key}");
+            encode_object(&obj)
+        };
 
         let restore_line = |blob: &str| {
             let mut line = FlatObject::new();
@@ -1601,6 +1604,11 @@ mod tests {
             (blob.replace("\"kind\"", "\"kindd\""), "missing string field \\\"kind\\\""),
             (blob.replace("\"chunks\"", "\"chunkz\""), "unknown key"),
             (blob.replace("\"state\":\"algo=store-all", "\"state\":\"algo=storr-all"), "algo"),
+            (
+                with(&blob, "pending", "3-3"),
+                r#"pending: token \"3-3\": edge \"3-3\" is a self-loop"#,
+            ),
+            (with(&dynamic, "support", "3-3:1"), r#"support entry \"3-3:1\": edge \"3-3\""#),
         ] {
             let response = service.respond(&restore_line(&mangled)).unwrap();
             assert!(

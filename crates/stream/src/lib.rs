@@ -53,8 +53,8 @@ pub use query_cache::{CacheState, CacheStats, QueryCache};
 pub use source::{PassCounter, StoredStream, StreamSource};
 pub use space::{color_bits, counter_bits, edge_bits, vertex_bits, SpaceMeter};
 pub use state::{
-    decode_edge_list, decode_signed_list, decode_u64_list, encode_edge_list, encode_signed_list,
-    encode_u64_list, StateReader, StateWriter,
+    coloring_string, decode_edges, decode_signed_list, decode_u64_list, encode_edges,
+    encode_signed_list, encode_u64_list, parse_coloring, parse_edge, StateReader, StateWriter,
 };
 pub use support::DynamicSupport;
 pub use token::{Sign, SignedEdge, StreamItem};

@@ -20,7 +20,8 @@
 //! half-session.
 
 use crate::token::{Sign, SignedEdge};
-use sc_graph::Edge;
+use sc_graph::{Coloring, Edge};
+use std::borrow::Borrow;
 
 /// Builds a canonical state string field by field.
 #[derive(Debug, Default)]
@@ -53,9 +54,9 @@ impl StateWriter {
         self
     }
 
-    /// Appends an edge-list field (see [`encode_edge_list`]).
+    /// Appends an edge-list field (see [`encode_edges`]).
     pub fn edges(&mut self, key: &str, edges: &[Edge]) -> &mut Self {
-        self.field(key, encode_edge_list(edges))
+        self.field(key, encode_edges(edges))
     }
 
     /// The finished canonical string.
@@ -111,7 +112,7 @@ impl<'a> StateReader<'a> {
     /// The next field as an edge list over vertex ids below `n`.
     pub fn edges_field(&mut self, key: &str, n: usize) -> Result<Vec<Edge>, String> {
         let v = self.expect(key)?;
-        decode_edge_list(v, n).map_err(|e| format!("state: {key}: {e}"))
+        decode_edges(v, Some(n)).map_err(|e| format!("state: {key}: {e}"))
     }
 
     /// Asserts the input is exhausted, naming the first leftover key.
@@ -126,79 +127,103 @@ impl<'a> StateReader<'a> {
     }
 }
 
-/// Encodes edges as `"0-1 0-2"` (space-separated `u-v` pairs; empty
-/// string for no edges) — the same vocabulary `sc_engine::wire` uses on
-/// the service protocol, duplicated here because this crate sits below
-/// it in the dependency order.
-pub fn encode_edge_list(edges: &[Edge]) -> String {
-    let mut out = String::new();
-    for (i, e) in edges.iter().enumerate() {
-        if i > 0 {
-            out.push(' ');
+/// Parses one `u-v` edge token — the edge-token rule of every front
+/// end (protocol lines, spec files, snapshot blobs, colorer states):
+/// two decimal vertex ids joined by `-`, distinct, and both `< n` when
+/// a bound is given.
+///
+/// # Errors
+/// Names the token: `edge "3-3" is a self-loop`, `edge "0-99" out of
+/// range for n = 16`, `edge "5:9" is not u-v`, or a parse failure.
+pub fn parse_edge(tok: &str, n: Option<usize>) -> Result<Edge, String> {
+    let (a, b) = tok.split_once('-').ok_or_else(|| format!("edge {tok:?} is not u-v"))?;
+    let a: u32 = a.parse().map_err(|e| format!("edge {tok:?}: {e}"))?;
+    let b: u32 = b.parse().map_err(|e| format!("edge {tok:?}: {e}"))?;
+    if a == b {
+        return Err(format!("edge {tok:?} is a self-loop"));
+    }
+    if let Some(n) = n {
+        if a.max(b) as usize >= n {
+            return Err(format!("edge {tok:?} out of range for n = {n}"));
         }
-        out.push_str(&format!("{}-{}", e.u(), e.v()));
     }
-    out
+    Ok(Edge::new(a, b))
 }
 
-/// Decodes an [`encode_edge_list`] string, validating every endpoint
-/// against `n`.
-pub fn decode_edge_list(text: &str, n: usize) -> Result<Vec<Edge>, String> {
-    if text.is_empty() {
-        return Ok(Vec::new());
-    }
-    text.split(' ')
-        .map(|pair| {
-            let (u, v) = pair.split_once('-').ok_or(format!("edge {pair:?} is not u-v"))?;
-            let u: u32 = u.parse().map_err(|e| format!("edge {pair:?}: {e}"))?;
-            let v: u32 = v.parse().map_err(|e| format!("edge {pair:?}: {e}"))?;
-            if u.max(v) as usize >= n {
-                return Err(format!("edge {pair:?} out of range for n={n}"));
-            }
-            Ok(Edge::new(u, v))
-        })
-        .collect()
+/// Encodes edges as `"0-1 0-2"` (single-space-separated `u-v` tokens;
+/// empty string for no edges).
+pub fn encode_edges(edges: impl IntoIterator<Item = impl Borrow<Edge>>) -> String {
+    let tokens: Vec<String> =
+        edges.into_iter().map(|e| format!("{}-{}", e.borrow().u(), e.borrow().v())).collect();
+    tokens.join(" ")
 }
 
-/// Encodes signed tokens as `"+0-1 -0-1"` (space-separated, each `u-v`
-/// pair prefixed by its sign glyph; empty string for none) — the signed
-/// extension of [`encode_edge_list`], shared by the engine snapshot and
-/// the service wire vocabularies.
+/// Decodes whitespace-separated [`parse_edge`] tokens.
+///
+/// # Errors
+/// The first malformed token's [`parse_edge`] error.
+pub fn decode_edges(text: &str, n: Option<usize>) -> Result<Vec<Edge>, String> {
+    text.split_whitespace().map(|tok| parse_edge(tok, n)).collect()
+}
+
+/// Encodes signed tokens as `"+0-1 -0-1"` (single-space-separated, each
+/// `u-v` token prefixed by its sign glyph; empty string for none).
 pub fn encode_signed_list(tokens: &[SignedEdge]) -> String {
-    let mut out = String::new();
-    for (i, t) in tokens.iter().enumerate() {
-        if i > 0 {
-            out.push(' ');
-        }
-        out.push(t.sign.glyph());
-        out.push_str(&format!("{}-{}", t.edge.u(), t.edge.v()));
-    }
-    out
+    let tokens: Vec<String> =
+        tokens.iter().map(|t| format!("{}{}", t.sign.glyph(), encode_edges([t.edge]))).collect();
+    tokens.join(" ")
 }
 
-/// Decodes an [`encode_signed_list`] string, validating every endpoint
-/// against `n`. A bare `u-v` token (no glyph) is an insertion, so every
-/// [`encode_edge_list`] string also decodes here.
+/// Decodes whitespace-separated signed tokens, validating every edge
+/// against `n` by [`parse_edge`]. A bare `u-v` token (no glyph) is an
+/// insertion, so every [`encode_edges`] string also decodes here.
+///
+/// # Errors
+/// Names the first malformed token.
 pub fn decode_signed_list(text: &str, n: usize) -> Result<Vec<SignedEdge>, String> {
-    if text.is_empty() {
-        return Ok(Vec::new());
-    }
-    text.split(' ')
+    text.split_whitespace()
         .map(|tok| {
-            let (sign, pair) = match tok.strip_prefix('+') {
-                Some(rest) => (Sign::Insert, rest),
-                None => match tok.strip_prefix('-') {
-                    Some(rest) => (Sign::Delete, rest),
-                    None => (Sign::Insert, tok),
-                },
+            let (sign, pair) = match tok.as_bytes().first() {
+                Some(b'+') => (Sign::Insert, &tok[1..]),
+                Some(b'-') => (Sign::Delete, &tok[1..]),
+                _ => (Sign::Insert, tok),
             };
-            let edges = decode_edge_list(pair, n).map_err(|e| format!("token {tok:?}: {e}"))?;
-            let [edge] = edges[..] else {
-                return Err(format!("token {tok:?} is not a single signed edge"));
-            };
+            let edge = parse_edge(pair, Some(n)).map_err(|e| format!("token {tok:?}: {e}"))?;
             Ok(SignedEdge { edge, sign })
         })
         .collect()
+}
+
+/// Renders a coloring as `"0,1,-,2"` (one `,`-joined cell per vertex;
+/// `-` marks an uncolored vertex) — the one coloring text of protocol
+/// responses, snapshot checkpoints and shard run summaries.
+pub fn coloring_string(c: &Coloring) -> String {
+    let cells: Vec<String> =
+        (0..c.n() as u32).map(|v| c.get(v).map_or("-".to_string(), |k| k.to_string())).collect();
+    cells.join(",")
+}
+
+/// Parses a [`coloring_string`] back into a coloring over `n` vertices.
+///
+/// # Errors
+/// Names the malformed cell or the length mismatch.
+pub fn parse_coloring(text: &str, n: usize) -> Result<Coloring, String> {
+    let mut coloring = Coloring::empty(n);
+    if n == 0 && text.is_empty() {
+        return Ok(coloring);
+    }
+    let cells: Vec<&str> = text.split(',').collect();
+    if cells.len() != n {
+        return Err(format!("coloring has {} cells, expected {n}", cells.len()));
+    }
+    for (v, cell) in cells.iter().enumerate() {
+        if *cell == "-" {
+            continue;
+        }
+        let color = cell.parse().map_err(|e| format!("cell {v} {cell:?}: {e}"))?;
+        coloring.set(v as u32, color);
+    }
+    Ok(coloring)
 }
 
 /// Encodes counters as `"0,3,1"` (`,`-joined; empty string for none).
@@ -276,16 +301,29 @@ mod tests {
         assert!(decode_signed_list("+0-9", 6).is_err(), "range check applies");
         assert!(decode_signed_list("-0-x", 6).is_err());
         assert!(decode_signed_list("~0-1", 6).is_err(), "unknown glyph is not a sign");
+        // Any whitespace separates tokens; a self-loop is an error naming it.
+        assert_eq!(decode_signed_list("+0-1\t -0-1\n+2-5", 6).unwrap(), tokens);
+        let err = decode_signed_list("+0-1 -3-3", 6).unwrap_err();
+        assert_eq!(err, "token \"-3-3\": edge \"3-3\" is a self-loop");
     }
 
     #[test]
     fn edge_lists_round_trip_and_validate() {
         let edges = vec![Edge::new(0, 1), Edge::new(2, 5), Edge::new(1, 3)];
-        let text = encode_edge_list(&edges);
-        assert_eq!(decode_edge_list(&text, 6).unwrap(), edges);
-        assert_eq!(decode_edge_list("", 6).unwrap(), Vec::new());
-        assert!(decode_edge_list(&text, 5).is_err(), "endpoint 5 out of range");
-        assert!(decode_edge_list("0-x", 6).is_err());
-        assert!(decode_edge_list("01", 6).is_err());
+        let text = encode_edges(&edges);
+        assert_eq!(text, "0-1 2-5 1-3");
+        assert_eq!(decode_edges(&text, Some(6)).unwrap(), edges);
+        assert_eq!(decode_edges("", Some(6)).unwrap(), Vec::new());
+        assert!(decode_edges(&text, Some(5)).is_err(), "endpoint 5 out of range");
+        assert!(decode_edges("0-x", Some(6)).is_err());
+        assert!(decode_edges("01", Some(6)).is_err());
+        assert_eq!(decode_edges("9-12", None).unwrap(), vec![Edge::new(9, 12)], "unbounded");
+        // Any whitespace separates tokens; errors name the token.
+        assert_eq!(decode_edges("0-1  2-5\t1-3 ", Some(6)).unwrap(), edges);
+        assert_eq!(decode_edges("0-1 3-3", None).unwrap_err(), "edge \"3-3\" is a self-loop");
+        assert_eq!(
+            decode_edges("0-9", Some(6)).unwrap_err(),
+            "edge \"0-9\" out of range for n = 6"
+        );
     }
 }

@@ -131,17 +131,12 @@ impl DynamicSupport {
     /// Names the malformed entry.
     pub fn decode(text: &str, n: usize) -> Result<Self, String> {
         let mut support = Self::new();
-        if text.is_empty() {
-            return Ok(support);
-        }
-        for part in text.split(' ') {
-            let (edge, count) =
-                part.split_once(':').ok_or(format!("support entry {part:?} is not u-v:count"))?;
-            let edges = crate::state::decode_edge_list(edge, n)
+        for part in text.split_whitespace() {
+            let (edge, count) = part
+                .split_once(':')
+                .ok_or_else(|| format!("support entry {part:?} is not u-v:count"))?;
+            let e = crate::state::parse_edge(edge, Some(n))
                 .map_err(|e| format!("support entry {part:?}: {e}"))?;
-            let [e] = edges[..] else {
-                return Err(format!("support entry {part:?} is not a single edge"));
-            };
             let count: u64 =
                 count.parse().map_err(|err| format!("support entry {part:?}: {err}"))?;
             if count == 0 {
@@ -219,11 +214,13 @@ mod tests {
         assert_eq!(back, s);
         assert_eq!(back.encode(), text);
         assert_eq!(DynamicSupport::decode("", 4).unwrap(), DynamicSupport::new());
+        // Any whitespace separates entries, as in every token decoder.
+        assert_eq!(DynamicSupport::decode(" 0-1:2\t 2-3:1\n", 4).unwrap(), s);
     }
 
     #[test]
     fn decode_rejects_malformed_entries() {
-        for bad in ["0-1", "0-1:0", "0-1:x", "9-1:1", "0-1:1 0-1:2", "0:1:1"] {
+        for bad in ["0-1", "0-1:0", "0-1:x", "9-1:1", "0-1:1 0-1:2", "0:1:1", "3-3:1"] {
             assert!(DynamicSupport::decode(bad, 5).is_err(), "{bad:?} must not decode");
         }
     }
