@@ -1,13 +1,15 @@
 //! The adaptive-adversary game (paper §2, "Adversarially Robust
 //! Streaming").
 //!
-//! The adversary produces the stream one edge at a time; after every
-//! insertion the algorithm reports an output, and the next edge may depend
+//! The adversary produces the stream one token at a time; after every
+//! token the algorithm reports an output, and the next token may depend
 //! on the whole transcript. The algorithm errs if *any* intermediate
-//! output is improper. [`referee`] is the one loop that judges that
-//! interaction, maintaining the ground-truth graph (which the algorithm
-//! never sees) and validating every output against it; [`run_game`] and
-//! [`run_signed_game`] run it against an in-process colorer.
+//! output is improper. There is one game: a token is an insertion or a
+//! deletion, and an insert-only adversary simply never deletes.
+//! [`referee`] is the one loop that judges that interaction,
+//! maintaining the ground-truth graph (which the algorithm never sees)
+//! and validating every output against it; [`run_game`] runs it
+//! against an in-process colorer.
 
 use sc_graph::{Coloring, Edge, Graph};
 use sc_stream::{EngineConfig, Session, SignedEdge, StreamingColorer};
@@ -19,10 +21,10 @@ pub trait Adversary {
     /// Returning `None` ends the game.
     fn next_edge(&mut self, last_output: &Coloring, graph: &Graph) -> Option<Edge>;
 
-    /// Produces the next **signed** token for turnstile games
-    /// ([`run_signed_game`]). The default wraps [`Adversary::next_edge`]
-    /// as an insertion, so every insert-only adversary plays the signed
-    /// game unchanged; deletion-aware attackers override this.
+    /// Produces the next **signed** token — the move [`referee`] asks
+    /// for. The default wraps [`Adversary::next_edge`] as an insertion,
+    /// so an insert-only adversary only implements `next_edge`;
+    /// deletion-aware attackers override this.
     fn next_token(&mut self, last_output: &Coloring, graph: &Graph) -> Option<SignedEdge> {
         self.next_edge(last_output, graph).map(SignedEdge::insert)
     }
@@ -34,9 +36,10 @@ pub trait Adversary {
 /// Outcome of one adversarial game.
 #[derive(Debug, Clone)]
 pub struct GameReport {
-    /// Tokens the adversary produced (insertions in the classic game).
+    /// Tokens the adversary produced.
     pub rounds: usize,
-    /// How many of those tokens were deletions (0 in the classic game).
+    /// How many of those tokens were deletions (0 for an insert-only
+    /// adversary).
     pub deletions: usize,
     /// Outputs that were improper for the graph-so-far (the paper's error
     /// events; a robust algorithm with error `δ` should have none, w.h.p.).
@@ -77,19 +80,10 @@ impl<C: StreamingColorer + ?Sized> Victim for Session<&mut C> {
     }
 }
 
-/// The classic game's move: [`Adversary::next_edge`] as an insertion.
-pub fn next_insertion<A: Adversary + ?Sized>(
-    adversary: &mut A,
-    last_output: &Coloring,
-    graph: &Graph,
-) -> Option<SignedEdge> {
-    adversary.next_edge(last_output, graph).map(SignedEdge::insert)
-}
-
 /// The one adaptive-game loop, for at most `max_rounds` tokens on `n`
-/// vertices: the adversary sees the last output and moves (`pull` is
-/// [`next_insertion`] or [`Adversary::next_token`]); the referee updates
-/// the ground-truth graph, pushes, observes, and judges the coloring.
+/// vertices: the adversary sees the last output and moves
+/// ([`Adversary::next_token`]); the referee updates the ground-truth
+/// graph, pushes, observes, and judges the coloring.
 ///
 /// # Errors
 /// The victim's first rejected push or failed observation.
@@ -100,7 +94,6 @@ pub fn next_insertion<A: Adversary + ?Sized>(
 pub fn referee<V, A>(
     victim: &mut V,
     adversary: &mut A,
-    pull: fn(&mut A, &Coloring, &Graph) -> Option<SignedEdge>,
     n: usize,
     max_rounds: usize,
 ) -> Result<GameReport, String>
@@ -120,7 +113,7 @@ where
     // before its first move.
     let (mut output, _) = victim.observe()?;
     for round in 1..=max_rounds {
-        let Some(t) = pull(adversary, &output, &report.final_graph) else { break };
+        let Some(t) = adversary.next_token(&output, &report.final_graph) else { break };
         let (e, graph) = (t.edge, &mut report.final_graph);
         if t.is_insert() {
             assert!(
@@ -151,31 +144,17 @@ where
     Ok(report)
 }
 
-/// [`referee`] through a borrowing session: the model forces per-edge
-/// chunking; the rest of `config` (the query path) passes through.
-fn referee_in_process<C, A>(
-    colorer: &mut C,
-    adversary: &mut A,
-    pull: fn(&mut A, &Coloring, &Graph) -> Option<SignedEdge>,
-    n: usize,
-    max_rounds: usize,
-    config: EngineConfig,
-) -> GameReport
-where
-    C: StreamingColorer + ?Sized,
-    A: Adversary + ?Sized,
-{
-    let mut session = Session::borrowing(colorer, EngineConfig { chunk_size: 1, ..config });
-    referee(&mut session, adversary, pull, n, max_rounds)
-        .unwrap_or_else(|err| panic!("game referee rejected a token: {err}"))
-}
-
 /// Referees a game between `colorer` and `adversary` on `n` vertices for
-/// at most `max_rounds` insertions.
+/// at most `max_rounds` tokens.
 ///
-/// The adversary sees each output *before* choosing the next edge —
+/// The adversary sees each output *before* choosing the next token —
 /// exactly the adaptive model. Every output is validated against the
-/// ground-truth graph.
+/// ground-truth (live) graph. The referee enforces stream sanity: an
+/// inserted edge must be absent, a deleted edge present (simple-graph
+/// multiplicities — it panics on a malformed adversary rather than
+/// blaming the colorer). A deleting adversary needs a colorer that
+/// supports deletions; an insert-only colorer's offender-naming
+/// rejection propagates as a panic.
 ///
 /// # Example
 /// ```
@@ -198,8 +177,8 @@ where
 
 /// [`run_game`] with an explicit engine configuration.
 ///
-/// The game still forces per-edge observation (the adaptive model), but
-/// the config controls the *query path*: the default routes every
+/// The game forces per-token chunking and observation (the adaptive
+/// model), but the config controls the *query path*: the default routes every
 /// per-round observation through
 /// [`StreamingColorer::query_incremental`], which the colorer contract
 /// makes observationally identical to from-scratch queries —
@@ -216,45 +195,9 @@ where
     C: StreamingColorer + ?Sized,
     A: Adversary + ?Sized,
 {
-    referee_in_process(colorer, adversary, next_insertion, n, max_rounds, config)
-}
-
-/// Referees a **turnstile** game: the adversary may delete as well as
-/// insert, and every output is validated against the *live* graph.
-///
-/// Same adaptive discipline as [`run_game`] (per-token observation), with
-/// the referee enforcing stream sanity: an inserted edge must be absent,
-/// a deleted edge present (simple-graph multiplicities — the referee
-/// panics on a malformed adversary rather than blaming the colorer). The
-/// colorer must support deletions; an insert-only colorer's
-/// offender-naming rejection propagates as a panic.
-pub fn run_signed_game<C, A>(
-    colorer: &mut C,
-    adversary: &mut A,
-    n: usize,
-    max_rounds: usize,
-) -> GameReport
-where
-    C: StreamingColorer + ?Sized,
-    A: Adversary + ?Sized,
-{
-    run_signed_game_with_config(colorer, adversary, n, max_rounds, EngineConfig::per_edge())
-}
-
-/// [`run_signed_game`] with an explicit engine configuration (see
-/// [`run_game_with_config`] for what the config governs).
-pub fn run_signed_game_with_config<C, A>(
-    colorer: &mut C,
-    adversary: &mut A,
-    n: usize,
-    max_rounds: usize,
-    config: EngineConfig,
-) -> GameReport
-where
-    C: StreamingColorer + ?Sized,
-    A: Adversary + ?Sized,
-{
-    referee_in_process(colorer, adversary, A::next_token, n, max_rounds, config)
+    let mut session = Session::borrowing(colorer, EngineConfig { chunk_size: 1, ..config });
+    referee(&mut session, adversary, n, max_rounds)
+        .unwrap_or_else(|err| panic!("game referee rejected a token: {err}"))
 }
 
 #[cfg(test)]
@@ -297,33 +240,12 @@ mod tests {
     }
 
     #[test]
-    fn signed_game_with_insert_only_adversary_matches_classic_game() {
-        let g = generators::gnp_with_max_degree(40, 6, 0.4, 3);
-        let edges = generators::shuffled_edges(&g, 3);
-        let classic = {
-            let mut adversary = ObliviousReplay::new(edges.clone());
-            let mut colorer = RobustColorer::new(40, 6, 8);
-            run_game(&mut colorer, &mut adversary, 40, 10_000)
-        };
-        let signed = {
-            let mut adversary = ObliviousReplay::new(edges);
-            let mut colorer = RobustColorer::new(40, 6, 8);
-            run_signed_game(&mut colorer, &mut adversary, 40, 10_000)
-        };
-        assert_eq!(signed.rounds, classic.rounds);
-        assert_eq!(signed.deletions, 0);
-        assert_eq!(signed.improper_outputs, classic.improper_outputs);
-        assert_eq!(signed.max_colors, classic.max_colors);
-        assert_eq!(signed.final_graph.m(), classic.final_graph.m());
-    }
-
-    #[test]
     #[should_panic(expected = "insert-only colorer cannot delete edge")]
     fn signed_game_names_insert_only_colorers_on_deletion() {
         struct InsertDelete(usize);
         impl crate::game::Adversary for InsertDelete {
             fn next_edge(&mut self, _: &Coloring, _: &Graph) -> Option<Edge> {
-                unreachable!("signed game uses next_token")
+                unreachable!("the referee asks for next_token")
             }
             fn next_token(&mut self, _: &Coloring, _: &Graph) -> Option<sc_stream::SignedEdge> {
                 self.0 += 1;
@@ -338,7 +260,7 @@ mod tests {
             }
         }
         let mut colorer = RobustColorer::new(10, 3, 1);
-        let _ = run_signed_game(&mut colorer, &mut InsertDelete(0), 10, 10);
+        let _ = run_game(&mut colorer, &mut InsertDelete(0), 10, 10);
     }
 
     #[test]

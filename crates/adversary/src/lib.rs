@@ -30,8 +30,5 @@ pub use attackers::{
     BufferBoundaryAttacker, CliqueBuilder, LevelBoundaryAttacker, MonochromaticAttacker,
     ObliviousReplay, OscillationAttacker, RandomAdversary,
 };
-pub use game::{
-    next_insertion, referee, run_game, run_game_with_config, run_signed_game,
-    run_signed_game_with_config, Adversary, GameReport, Victim,
-};
+pub use game::{referee, run_game, run_game_with_config, Adversary, GameReport, Victim};
 pub use simulation::{summarize, TrialSummary};

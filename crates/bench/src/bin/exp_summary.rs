@@ -26,7 +26,7 @@ use sc_adversary::{run_game_with_config, MonochromaticAttacker};
 use sc_bench::{fmt_bits, Table};
 use sc_engine::{ColorerSpec, RunOutcome, Runner, Scenario, SourceSpec};
 use sc_graph::generators;
-use sc_stream::{EngineConfig, QuerySchedule, StreamEngine, StreamOrder};
+use sc_stream::{EngineConfig, QuerySchedule, SignedEdge, StreamEngine, StreamOrder};
 use std::io::Write as _;
 use std::time::Instant;
 use streamcolor::{list_coloring, DetConfig, ListConfig, SparseRecovery};
@@ -178,20 +178,24 @@ fn main() {
 fn emit_engine_bench(profile: &Profile) {
     let (n, delta, reps) = profile.ingest;
     let g = generators::gnp_with_max_degree(n, delta, 0.4, 19);
-    let edges = StreamOrder::AsGenerated.arrange(&g);
+    let inserts = insertions(&g);
     let algos: Vec<(&str, ColorerSpec)> = vec![
         ("alg2", ColorerSpec::Robust { beta: None }),
         ("alg3", ColorerSpec::RandEfficient),
         ("bg18", ColorerSpec::Bg18 { buckets: None }),
         ("store_all", ColorerSpec::StoreAll),
     ];
-    let median_ms = |config: &EngineConfig, spec: &ColorerSpec| -> (f64, sc_graph::Coloring) {
+    let median_ms = |config: &EngineConfig,
+                     spec: &ColorerSpec,
+                     delta: usize,
+                     tokens: &[SignedEdge]|
+     -> (f64, sc_graph::Coloring) {
         let engine = StreamEngine::new(config.clone());
         let mut times: Vec<f64> = Vec::with_capacity(reps);
         let mut coloring = None;
         for _ in 0..reps {
-            let mut colorer = spec.build(n, delta, 5, Some(&g)).expect("streaming spec");
-            let report = engine.run(colorer.as_mut(), &edges);
+            let mut colorer = spec.build(n, delta, 5, None).expect("streaming spec");
+            let report = engine.run(colorer.as_mut(), tokens).expect("well-formed stream");
             times.push(report.elapsed.as_secs_f64() * 1e3);
             coloring = Some(report.final_coloring);
         }
@@ -200,8 +204,8 @@ fn emit_engine_bench(profile: &Profile) {
     };
     let mut entries = vec![hash_tier_entry(profile)];
     for (name, spec) in &algos {
-        let (per_edge_ms, c1) = median_ms(&EngineConfig::per_edge(), spec);
-        let (batched_ms, c2) = median_ms(&EngineConfig::batched(256), spec);
+        let (per_edge_ms, c1) = median_ms(&EngineConfig::per_edge(), spec, delta, &inserts);
+        let (batched_ms, c2) = median_ms(&EngineConfig::batched(256), spec, delta, &inserts);
         assert_eq!(c1, c2, "{name}: batching changed the coloring");
         entries.push(format!(
             "  {{\"algo\":\"{}\",\"n\":{},\"delta\":{},\"m\":{},\"per_edge_ms\":{:.3},\"batched_ms\":{:.3},\"chunk\":256,\"speedup\":{:.3}}}",
@@ -215,32 +219,17 @@ fn emit_engine_bench(profile: &Profile) {
         ));
     }
 
-    // The dynamic section: turnstile (churn) ingest through the signed
-    // route — same median protocol, but the stream carries deletions
-    // and oscillations, so this times the sparse-recovery sketch's
-    // update path rather than an insert-only append.
+    // The dynamic section: turnstile (churn) ingest — same median
+    // protocol, but the stream carries deletions and oscillations, so
+    // this times the sparse-recovery sketch's update path rather than an
+    // insert-only append.
     let churn = SourceSpec::churn(n, delta, 19, n / 2);
     let tokens = churn.signed_tokens();
     let dyn_delta = churn.stream_delta();
     let deletions = tokens.iter().filter(|t| !t.is_insert()).count();
     let spec = ColorerSpec::DynamicSr { sparsity: None };
-    let median_signed = |config: &EngineConfig| -> (f64, sc_graph::Coloring) {
-        let engine = StreamEngine::new(config.clone());
-        let mut times: Vec<f64> = Vec::with_capacity(reps);
-        let mut coloring = None;
-        for _ in 0..reps {
-            let mut colorer = spec.build(n, dyn_delta, 5, None).expect("dynamic spec");
-            let report = engine
-                .run_signed(colorer.as_mut(), &tokens)
-                .expect("churn sources emit well-formed turnstile streams");
-            times.push(report.elapsed.as_secs_f64() * 1e3);
-            coloring = Some(report.final_coloring);
-        }
-        times.sort_by(f64::total_cmp);
-        (times[times.len() / 2], coloring.expect("reps >= 1"))
-    };
-    let (per_edge_ms, c1) = median_signed(&EngineConfig::per_edge());
-    let (batched_ms, c2) = median_signed(&EngineConfig::batched(256));
+    let (per_edge_ms, c1) = median_ms(&EngineConfig::per_edge(), &spec, dyn_delta, &tokens);
+    let (batched_ms, c2) = median_ms(&EngineConfig::batched(256), &spec, dyn_delta, &tokens);
     assert_eq!(c1, c2, "dynamic_sr: batching changed the coloring");
     entries.push(format!(
         "  {{\"algo\":\"dynamic_sr\",\"kind\":\"churn-ingest\",\"n\":{},\"delta\":{},\"tokens\":{},\"deletions\":{},\"per_edge_ms\":{:.3},\"batched_ms\":{:.3},\"chunk\":256,\"speedup\":{:.3}}}",
@@ -370,9 +359,7 @@ fn hash_tier_entry(profile: &Profile) -> String {
 fn emit_query_bench(profile: &Profile) {
     let (n, delta, reps, queries) = profile.query;
     let g = generators::gnp_with_max_degree(n, delta, 0.4, 23);
-    let edges = StreamOrder::AsGenerated.arrange(&g);
-    let every = (edges.len() / queries).max(1);
-    let schedule = QuerySchedule::EveryEdges(every);
+    let inserts = insertions(&g);
     let algos: Vec<(&str, ColorerSpec)> = vec![
         ("alg2", ColorerSpec::Robust { beta: None }),
         ("alg3", ColorerSpec::RandEfficient),
@@ -380,15 +367,25 @@ fn emit_query_bench(profile: &Profile) {
         ("store_all", ColorerSpec::StoreAll),
         ("bcg20", ColorerSpec::Bcg20 { epsilon: 0.5 }),
     ];
-
-    let mut entries = Vec::new();
-    for (name, spec) in &algos {
+    // One checkpointed run per query path over `tokens`, checkpointing
+    // about `queries` times; returns (queries, scratch_ms,
+    // incremental_ms). `graph` feeds the specs that size themselves
+    // from it (bcg20).
+    let time_query_paths = |name: &str,
+                            spec: &ColorerSpec,
+                            graph: Option<&sc_graph::Graph>,
+                            delta: usize,
+                            tokens: &[SignedEdge]|
+     -> (usize, f64, f64) {
         let run_once = |config: EngineConfig| {
-            let mut colorer = spec.build(n, delta, 5, Some(&g)).expect("streaming spec");
-            let report = StreamEngine::new(config).run(colorer.as_mut(), &edges);
+            let mut colorer = spec.build(n, delta, 5, graph).expect("streaming spec");
+            let report = StreamEngine::new(config)
+                .run(colorer.as_mut(), tokens)
+                .expect("well-formed stream");
             (report.elapsed.as_secs_f64() * 1e3, report)
         };
-        let base = EngineConfig::batched(256).with_schedule(schedule.clone());
+        let every = (tokens.len() / queries).max(1);
+        let base = EngineConfig::batched(256).with_schedule(QuerySchedule::EveryEdges(every));
         // Equivalence first (the law the property tests prove; cheap to
         // re-assert where the numbers are produced).
         let (_, ri) = run_once(base.clone());
@@ -404,13 +401,20 @@ fn emit_query_bench(profile: &Profile) {
         };
         let incremental_ms = median(base.clone());
         let scratch_ms = median(base.scratch_queries());
+        (ri.checkpoints.len() + 1, scratch_ms, incremental_ms)
+    };
+
+    let mut entries = Vec::new();
+    for (name, spec) in &algos {
+        let (queries, scratch_ms, incremental_ms) =
+            time_query_paths(name, spec, Some(&g), delta, &inserts);
         entries.push(format!(
             "  {{\"algo\":\"{}\",\"kind\":\"checkpointed\",\"n\":{},\"delta\":{},\"m\":{},\"queries\":{},\"scratch_ms\":{:.3},\"incremental_ms\":{:.3},\"speedup\":{:.3}}}",
             name,
             n,
             delta,
             g.m(),
-            ri.checkpoints.len() + 1,
+            queries,
             scratch_ms,
             incremental_ms,
             scratch_ms / incremental_ms.max(1e-9),
@@ -421,50 +425,22 @@ fn emit_query_bench(profile: &Profile) {
     // (churn) stream — every scheduled observation lands on a sketch
     // that has absorbed deletions, so this times `query_incremental`'s
     // cache against from-scratch decodes under real churn.
-    {
-        let churn = SourceSpec::churn(n, delta, 23, n / 2);
-        let tokens = churn.signed_tokens();
-        let dyn_delta = churn.stream_delta();
-        let every = (tokens.len() / queries).max(1);
-        let schedule = QuerySchedule::EveryEdges(every);
-        let spec = ColorerSpec::DynamicSr { sparsity: None };
-        let run_once = |config: EngineConfig| {
-            let mut colorer = spec.build(n, dyn_delta, 5, None).expect("dynamic spec");
-            let start = Instant::now();
-            let report = StreamEngine::new(config)
-                .run_signed(colorer.as_mut(), &tokens)
-                .expect("churn sources emit well-formed turnstile streams");
-            (start.elapsed().as_secs_f64() * 1e3, report)
-        };
-        let base = EngineConfig::batched(256).with_schedule(schedule);
-        let (_, ri) = run_once(base.clone());
-        let (_, rs) = run_once(base.clone().scratch_queries());
-        assert_eq!(ri.final_coloring, rs.final_coloring, "dynamic_sr: query paths diverge");
-        for (a, b) in ri.checkpoints.iter().zip(&rs.checkpoints) {
-            assert_eq!(
-                a.coloring, b.coloring,
-                "dynamic_sr: checkpoint diverges at {}",
-                a.prefix_len
-            );
-        }
-        let median = |config: EngineConfig| -> f64 {
-            let mut times: Vec<f64> = (0..reps).map(|_| run_once(config.clone()).0).collect();
-            times.sort_by(f64::total_cmp);
-            times[times.len() / 2]
-        };
-        let incremental_ms = median(base.clone());
-        let scratch_ms = median(base.scratch_queries());
-        entries.push(format!(
-            "  {{\"algo\":\"dynamic_sr\",\"kind\":\"checkpointed-churn\",\"n\":{},\"delta\":{},\"tokens\":{},\"queries\":{},\"scratch_ms\":{:.3},\"incremental_ms\":{:.3},\"speedup\":{:.3}}}",
-            n,
-            dyn_delta,
-            tokens.len(),
-            ri.checkpoints.len() + 1,
-            scratch_ms,
-            incremental_ms,
-            scratch_ms / incremental_ms.max(1e-9),
-        ));
-    }
+    let churn = SourceSpec::churn(n, delta, 23, n / 2);
+    let tokens = churn.signed_tokens();
+    let dyn_delta = churn.stream_delta();
+    let spec = ColorerSpec::DynamicSr { sparsity: None };
+    let (queries, scratch_ms, incremental_ms) =
+        time_query_paths("dynamic_sr", &spec, None, dyn_delta, &tokens);
+    entries.push(format!(
+        "  {{\"algo\":\"dynamic_sr\",\"kind\":\"checkpointed-churn\",\"n\":{},\"delta\":{},\"tokens\":{},\"queries\":{},\"scratch_ms\":{:.3},\"incremental_ms\":{:.3},\"speedup\":{:.3}}}",
+        n,
+        dyn_delta,
+        tokens.len(),
+        queries,
+        scratch_ms,
+        incremental_ms,
+        scratch_ms / incremental_ms.max(1e-9),
+    ));
 
     // End-to-end adversary games: the paper's query-per-round cadence.
     let (gn, gdelta, rounds, greps) = profile.game;
@@ -514,6 +490,11 @@ fn emit_query_bench(profile: &Profile) {
         &entries,
         "incremental vs from-scratch query timings (checkpointed runs + adversary games)",
     );
+}
+
+/// `g`'s edges in generator order, as an insert-only token stream.
+fn insertions(g: &sc_graph::Graph) -> Vec<SignedEdge> {
+    StreamOrder::AsGenerated.arrange(g).into_iter().map(SignedEdge::insert).collect()
 }
 
 fn write_bench_file(path: &str, entries: &[String], what: &str) {

@@ -68,9 +68,6 @@ impl Hknt22Colorer {
                 self.meter.charge(sample.len() as u64 * counter_bits(u64::MAX));
                 self.samples[*x as usize] = Some(sample);
             }
-            StreamItem::Deletion(e) => {
-                panic!("hknt22: insert-only algorithm cannot delete edge {e}")
-            }
             StreamItem::Edge(e) => {
                 assert!((e.v() as usize) < self.n, "edge {e} out of range");
                 let keep = match (&self.samples[e.u() as usize], &self.samples[e.v() as usize]) {

@@ -134,9 +134,6 @@ pub fn list_coloring<S: StreamSource + ?Sized>(
                         residual.add_edge(e);
                     }
                 }
-                sc_stream::StreamItem::Deletion(e) => {
-                    panic!("list colorer: insert-only algorithm cannot delete edge {e}")
-                }
                 sc_stream::StreamItem::ColorList(x, l) => {
                     if in_u[x as usize] {
                         lists[x as usize] = l;
@@ -289,9 +286,6 @@ fn list_epoch<S: StreamSource + ?Sized>(
                             }
                         }
                     }
-                }
-                sc_stream::StreamItem::Deletion(e) => {
-                    panic!("list colorer: insert-only algorithm cannot delete edge {e}")
                 }
             }
         }

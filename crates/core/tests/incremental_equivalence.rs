@@ -12,7 +12,7 @@
 
 use proptest::prelude::*;
 use sc_graph::{generators, Edge};
-use sc_stream::{EngineConfig, QuerySchedule, StreamEngine, StreamingColorer};
+use sc_stream::{EngineConfig, QuerySchedule, SignedEdge, StreamEngine, StreamingColorer};
 use streamcolor::robust::{auto_robust_colorer, StoreAllColorer};
 use streamcolor::{Bcg20Colorer, Bg18Colorer, RandEfficientColorer, RobustColorer, RobustParams};
 
@@ -213,7 +213,8 @@ proptest! {
         // bit-identical checkpoints whether queries go incremental
         // (default) or from-scratch.
         let g = generators::gnp_with_max_degree(n, delta, 0.5, seed);
-        let edges = generators::shuffled_edges(&g, seed);
+        let tokens: Vec<SignedEdge> =
+            generators::shuffled_edges(&g, seed).into_iter().map(SignedEdge::insert).collect();
         let schedule = QuerySchedule::EveryEdges(every);
         let base = EngineConfig::batched(8).with_schedule(schedule);
         let specs: Vec<Box<dyn Fn() -> Box<dyn StreamingColorer>>> = vec![
@@ -224,9 +225,10 @@ proptest! {
         ];
         for build in &specs {
             let mut a = build();
-            let ra = StreamEngine::new(base.clone()).run(a.as_mut(), &edges);
+            let ra = StreamEngine::new(base.clone()).run(a.as_mut(), &tokens).unwrap();
             let mut b = build();
-            let rb = StreamEngine::new(base.clone().scratch_queries()).run(b.as_mut(), &edges);
+            let rb =
+                StreamEngine::new(base.clone().scratch_queries()).run(b.as_mut(), &tokens).unwrap();
             prop_assert_eq!(ra.final_coloring, rb.final_coloring, "{} final", a.name());
             prop_assert_eq!(ra.checkpoints.len(), rb.checkpoints.len());
             for (ca, cb) in ra.checkpoints.iter().zip(&rb.checkpoints) {

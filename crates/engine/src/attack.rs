@@ -30,8 +30,7 @@ pub enum AdversarySpec {
     /// Targets level thresholds of Algorithm 2.
     LevelBoundary,
     /// Delete/re-insert oscillation of monochromatic edges (a turnstile
-    /// attack: [`Runner::run_attack`] referees it with the signed game,
-    /// so the victim must support deletions).
+    /// attack: the victim must support deletions).
     Oscillation,
     /// Replays a fixed edge list (turns a game into an oblivious run).
     Replay(Arc<Vec<Edge>>),
@@ -53,8 +52,8 @@ impl AdversarySpec {
         }
     }
 
-    /// Whether this adversary's stream carries deletions, i.e. the game
-    /// must be refereed by [`sc_adversary::run_signed_game`].
+    /// Whether this adversary's stream carries deletions, i.e. its
+    /// victim must support them.
     pub fn is_signed(&self) -> bool {
         matches!(self, AdversarySpec::Oscillation)
     }
@@ -165,16 +164,7 @@ impl Runner {
             .expect("attack victims must be streaming colorers");
         let mut adversary =
             scenario.adversary.build(scenario.n, scenario.delta, scenario.adversary_seed);
-        if scenario.adversary.is_signed() {
-            sc_adversary::run_signed_game(
-                &mut victim,
-                adversary.as_mut(),
-                scenario.n,
-                scenario.rounds,
-            )
-        } else {
-            sc_adversary::run_game(&mut victim, adversary.as_mut(), scenario.n, scenario.rounds)
-        }
+        sc_adversary::run_game(&mut victim, adversary.as_mut(), scenario.n, scenario.rounds)
     }
 
     /// The workspace's one trial loop: runs the independently seeded

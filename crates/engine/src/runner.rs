@@ -66,56 +66,55 @@ impl Runner {
 
     /// Runs one scenario to completion.
     ///
-    /// Dynamic (turnstile) sources take the signed route: the token
-    /// sequence is fed as-is (the scenario's `order` is ignored —
-    /// permuting a signed stream could move an edge past its own
-    /// deletion), outputs are judged against the **live** graph, and
-    /// the colorer is built with the union-graph degree bound.
+    /// Every streaming spec takes the one signed-token route: an
+    /// insert-only source streams its graph's edges in the scenario's
+    /// `order` as insertions; a dynamic (turnstile) source streams its
+    /// token sequence as-is (the `order` is ignored — permuting a
+    /// signed stream could move an edge past its own deletion), outputs
+    /// are judged against the **live** graph, and the colorer is built
+    /// with the union-graph degree bound.
     ///
     /// # Panics
     /// Panics, naming the offender, when a dynamic source meets a
     /// non-streaming spec or an insert-only colorer.
     pub fn run(&self, scenario: &Scenario) -> RunOutcome {
-        if scenario.source.is_dynamic() {
-            return self.run_dynamic(scenario);
-        }
         let started = Instant::now();
-        let g = scenario.source.materialize();
-        let delta = g.max_degree();
-        let edges = scenario.order.arrange(&g);
-
-        let (algo, coloring, passes, space_bits, checkpoints) = if scenario.colorer.is_streaming() {
-            let mut colorer = scenario
-                .colorer
-                .build(g.n(), delta, scenario.seed, Some(&g))
-                .expect("streaming spec with a materialized graph always builds");
-            let report = StreamEngine::new(scenario.engine.clone()).run(&mut colorer, &edges);
-            (
-                colorer.name().to_string(),
-                report.final_coloring,
-                Some(report.passes),
-                Some(report.peak_space_bits),
-                report.checkpoints,
-            )
-        } else {
-            let label = scenario.colorer.label().to_string();
-            match &scenario.colorer {
-                ColorerSpec::Det(config) => {
-                    let stream = StoredStream::from_edges(edges.iter().copied());
-                    let r = deterministic_coloring(&stream, g.n(), delta, config);
-                    (label, r.coloring, Some(r.passes), Some(r.peak_space_bits), Vec::new())
-                }
-                ColorerSpec::BatchGreedy => {
-                    let stream = StoredStream::from_edges(edges.iter().copied());
-                    let r = batch_greedy_coloring(&stream, g.n(), delta.max(1));
-                    (label, r.coloring, Some(r.passes), Some(r.peak_space_bits), Vec::new())
-                }
-                ColorerSpec::OfflineGreedy => (label, offline_greedy(&g), None, None, Vec::new()),
-                ColorerSpec::Brooks => {
-                    (label, sc_graph::brooks_coloring(&g), None, None, Vec::new())
-                }
-                streaming => unreachable!("{streaming:?} is a streaming spec"),
+        let (g, delta, tokens) = scenario.source.stream(scenario.order);
+        let label = scenario.colorer.label().to_string();
+        let (algo, coloring, passes, space_bits, checkpoints) = match &scenario.colorer {
+            // First, so the offline arms below never color a live graph.
+            spec if scenario.source.is_dynamic() && !spec.is_streaming() => panic!(
+                "{label} cannot run a dynamic source (it owns its pass structure; turnstile \
+                 streams are single-pass)"
+            ),
+            spec if spec.is_streaming() => {
+                let mut colorer = spec
+                    .build(g.n(), delta, scenario.seed, Some(&g))
+                    .expect("streaming spec with a materialized graph always builds");
+                let report = StreamEngine::new(scenario.engine.clone())
+                    .run(&mut colorer, &tokens)
+                    .unwrap_or_else(|e| panic!("scenario {:?}: {e}", scenario.label));
+                (
+                    colorer.name().to_string(),
+                    report.final_coloring,
+                    Some(1),
+                    Some(report.peak_space_bits),
+                    report.checkpoints,
+                )
             }
+            ColorerSpec::Det(config) => {
+                let stream = StoredStream::from_edges(tokens.iter().map(|t| t.edge));
+                let r = deterministic_coloring(&stream, g.n(), delta, config);
+                (label, r.coloring, Some(r.passes), Some(r.peak_space_bits), Vec::new())
+            }
+            ColorerSpec::BatchGreedy => {
+                let stream = StoredStream::from_edges(tokens.iter().map(|t| t.edge));
+                let r = batch_greedy_coloring(&stream, g.n(), delta.max(1));
+                (label, r.coloring, Some(r.passes), Some(r.peak_space_bits), Vec::new())
+            }
+            ColorerSpec::OfflineGreedy => (label, offline_greedy(&g), None, None, Vec::new()),
+            ColorerSpec::Brooks => (label, sc_graph::brooks_coloring(&g), None, None, Vec::new()),
+            streaming => unreachable!("{streaming:?} is a streaming spec"),
         };
 
         let proper = coloring.is_proper_total(&g);
@@ -140,45 +139,6 @@ impl Runner {
     /// input order in the results.
     pub fn run_all(&self, scenarios: &[Scenario]) -> Vec<RunOutcome> {
         par_map(self.threads, scenarios, |_, s| self.run(s))
-    }
-
-    /// The signed (turnstile) route of [`Runner::run`].
-    fn run_dynamic(&self, scenario: &Scenario) -> RunOutcome {
-        let started = Instant::now();
-        let live = scenario.source.materialize();
-        let delta = scenario.source.stream_delta();
-        let tokens = scenario.source.signed_tokens();
-        assert!(
-            scenario.colorer.is_streaming(),
-            "{} cannot run a dynamic source (it owns its pass structure; turnstile streams \
-             are single-pass)",
-            scenario.colorer.label()
-        );
-        let mut colorer = scenario
-            .colorer
-            .build(live.n(), delta, scenario.seed, Some(&live))
-            .expect("streaming spec with a materialized graph always builds");
-        let report = StreamEngine::new(scenario.engine.clone())
-            .run_signed(&mut colorer, &tokens)
-            .unwrap_or_else(|e| panic!("dynamic scenario {:?}: {e}", scenario.label));
-
-        let coloring = report.final_coloring;
-        let proper = coloring.is_proper_total(&live);
-        let colors = coloring.num_distinct_colors();
-        RunOutcome {
-            label: scenario.label.clone(),
-            algo: colorer.name().to_string(),
-            n: live.n(),
-            m: live.m(),
-            delta,
-            coloring,
-            proper,
-            colors,
-            passes: Some(report.passes),
-            space_bits: Some(report.peak_space_bits),
-            checkpoints: report.checkpoints,
-            elapsed: started.elapsed(),
-        }
     }
 }
 
@@ -276,6 +236,22 @@ mod tests {
             .run(&Scenario::new(source, spec).with_engine(EngineConfig::batched(7)));
         assert_eq!(per_edge.coloring, batched.coloring, "chunking changed a dynamic run");
         assert_eq!(per_edge.space_bits, batched.space_bits);
+    }
+
+    #[test]
+    fn non_streaming_specs_refuse_dynamic_sources() {
+        for spec in [
+            ColorerSpec::Det(DetConfig::default()),
+            ColorerSpec::BatchGreedy,
+            ColorerSpec::OfflineGreedy,
+            ColorerSpec::Brooks,
+        ] {
+            let s = Scenario::new(SourceSpec::churn(30, 4, 1, 4), spec.clone());
+            let panic = std::panic::catch_unwind(|| Runner::sequential().run(&s))
+                .expect_err(&format!("{spec:?} colored a dynamic source"));
+            let message = panic.downcast_ref::<String>().map_or("", String::as_str);
+            assert!(message.contains("cannot run a dynamic source"), "{spec:?}: {message}");
+        }
     }
 
     #[test]

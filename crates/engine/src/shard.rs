@@ -50,17 +50,17 @@ use std::ops::Range;
 /// always owns the same items, so a re-run worker recomputes exactly its
 /// slice.
 pub fn partition(len: usize, shards: usize) -> Vec<Range<usize>> {
-    let shards = shards.max(1);
-    let base = len / shards;
-    let rem = len % shards;
-    let mut out = Vec::with_capacity(shards);
-    let mut start = 0;
-    for i in 0..shards {
-        let size = base + usize::from(i < rem);
-        out.push(start..start + size);
-        start += size;
-    }
-    out
+    (0..shards.max(1)).map(|i| shard_range(len, i, shards)).collect()
+}
+
+/// Shard `shard`'s range of [`partition`]`(len, of)`, computed without
+/// building the other `of − 1` ranges (a client picks `of`, so its size
+/// must not decide an allocation). `shard` must be below `of.max(1)`.
+pub fn shard_range(len: usize, shard: usize, of: usize) -> Range<usize> {
+    let of = of.max(1);
+    let (base, rem) = (len / of, len % of);
+    let start = shard * base + shard.min(rem);
+    start..start + base + usize::from(shard < rem)
 }
 
 // ---------------------------------------------------------------------
@@ -503,8 +503,8 @@ pub fn decode_worker_output(text: &str) -> Result<(usize, usize, ShardOutcome), 
 
 /// The fixed small grid behind `streamcolor shard --smoke` and CI's
 /// `cluster-smoke` job: every scenario-expressible algorithm class, two
-/// graph sources, several arrival orders and checkpoint schedules, in a
-/// few seconds of total work.
+/// insert-only graph sources and one turnstile source, several arrival
+/// orders and checkpoint schedules, in a few seconds of total work.
 pub fn smoke_grid() -> Vec<Scenario> {
     let exact = SourceSpec::exact_degree(240, 8, 7);
     let gnp = SourceSpec::gnp(240, 8, 0.35, 11);
@@ -551,6 +551,11 @@ pub fn smoke_grid() -> Vec<Scenario> {
             .labeled("smoke batch-greedy")
             .with_seed(31),
         Scenario::new(exact, ColorerSpec::OfflineGreedy).labeled("smoke greedy").with_seed(32),
+        Scenario::new(SourceSpec::churn(240, 8, 13, 60), ColorerSpec::DynamicSr { sparsity: None })
+            .labeled("smoke dynamic-sr")
+            .with_seed(33)
+            .with_engine(EngineConfig::batched(64))
+            .with_schedule(schedule),
     ]
 }
 
@@ -574,6 +579,14 @@ mod tests {
             assert!(hi - lo <= 1, "unfair split {sizes:?}");
         }
         assert_eq!(partition(4, 0), partition(4, 1), "0 shards degrades to 1");
+        for (len, of) in [(0usize, 3usize), (5, 2), (10, 3), (3, 8), (7, 0)] {
+            for (i, r) in partition(len, of).into_iter().enumerate() {
+                assert_eq!(shard_range(len, i, of), r, "shard {i} of {of} over {len}");
+            }
+        }
+        let huge = 1_000_000_000_000;
+        assert_eq!(shard_range(12, 0, huge), 0..1);
+        assert_eq!(shard_range(12, huge - 1, huge), 12..12);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use sc_graph::{generators, Edge, Graph};
 use sc_hash::SplitMix64;
-use sc_stream::SignedEdge;
+use sc_stream::{SignedEdge, StreamOrder};
 use std::sync::Arc;
 
 /// Where a scenario's graph comes from.
@@ -136,8 +136,7 @@ impl SourceSpec {
     /// Whether this source's stream carries deletions. Dynamic sources
     /// need a deletion-supporting colorer
     /// ([`StreamingColorer::supports_deletions`](sc_stream::StreamingColorer::supports_deletions))
-    /// and ignore the scenario's
-    /// [`StreamOrder`](sc_stream::StreamOrder) — the signed token
+    /// and ignore the scenario's [`StreamOrder`] — the signed token
     /// sequence *is* the stream, and permuting it would reorder an edge
     /// past its own deletion.
     pub fn is_dynamic(&self) -> bool {
@@ -208,6 +207,28 @@ impl SourceSpec {
         match self {
             SourceSpec::Stored(_) | SourceSpec::Family { .. } => self.materialize().max_degree(),
             _ => self.signed_stream().1,
+        }
+    }
+
+    /// What a scenario run needs, from one generation: the graph its
+    /// output is judged against, the degree bound its colorer is built
+    /// with, and its token stream. Insert-only sources give the
+    /// [`SourceSpec::materialize`] graph, its max degree, and its edges
+    /// in `order` as insertions; dynamic sources give the live graph,
+    /// the [`SourceSpec::stream_delta`] bound and their signed stream
+    /// as-is (`order` is ignored, see [`SourceSpec::is_dynamic`]).
+    pub(crate) fn stream(&self, order: StreamOrder) -> (Arc<Graph>, usize, Vec<SignedEdge>) {
+        match self {
+            SourceSpec::Stored(_) | SourceSpec::Family { .. } => {
+                let g = self.materialize();
+                let tokens = order.arrange(&g).into_iter().map(SignedEdge::insert).collect();
+                let delta = g.max_degree();
+                (g, delta, tokens)
+            }
+            SourceSpec::Churn { n, .. } | SourceSpec::SlidingWindow { n, .. } => {
+                let (tokens, delta) = self.signed_stream();
+                (Arc::new(live_graph(*n, &tokens)), delta, tokens)
+            }
         }
     }
 
@@ -362,6 +383,7 @@ mod tests {
         let inserts = a.iter().filter(|t| t.is_insert()).count();
         let deletes = a.len() - inserts;
         assert_eq!(live.m(), inserts - deletes);
+        assert_eq!(spec.stream(StreamOrder::HubsLast), (live, spec.stream_delta(), a));
     }
 
     #[test]
@@ -392,6 +414,10 @@ mod tests {
         assert!(tokens.iter().all(|t| t.is_insert()));
         assert_eq!(tokens.len(), spec.materialize().m());
         assert_eq!(spec.stream_delta(), spec.materialize().max_degree());
+        let (g, delta, tokens) = spec.stream(StreamOrder::Shuffled(3));
+        assert_eq!((&*g, delta), (&*spec.materialize(), spec.stream_delta()));
+        let edges: Vec<Edge> = tokens.iter().map(|t| t.edge).collect();
+        assert_eq!(edges, StreamOrder::Shuffled(3).arrange(&g), "tokens follow the order");
     }
 
     #[test]

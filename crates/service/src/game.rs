@@ -12,11 +12,11 @@
 //! game.
 
 use crate::service::{parse_coloring, Service};
-use sc_adversary::{next_insertion, referee, Adversary, GameReport, Victim};
+use sc_adversary::{referee, Adversary, GameReport, Victim};
 use sc_engine::flatjson::{encode_object, parse_object, FlatObject, Scalar};
 use sc_engine::{wire, ColorerSpec};
 use sc_graph::Coloring;
-use sc_stream::{EngineConfig, SignedEdge};
+use sc_stream::{encode_edges, EngineConfig, SignedEdge};
 
 /// A protocol-line client of one session on a private [`Service`]: the
 /// game's victim, seen only through the lines it sends and the
@@ -52,7 +52,7 @@ impl ProtocolVictim {
 impl Victim for ProtocolVictim {
     fn push(&mut self, token: SignedEdge) -> Result<(), String> {
         let mut fields = FlatObject::new();
-        fields.insert("edge".into(), Scalar::Str(format!("{}-{}", token.edge.u(), token.edge.v())));
+        fields.insert("edge".into(), Scalar::Str(encode_edges([token.edge])));
         if !token.is_insert() {
             fields.insert("sign".into(), Scalar::Str("delete".into()));
         }
@@ -69,7 +69,7 @@ impl Victim for ProtocolVictim {
 }
 
 /// Referees a game between a service-hosted `victim` and `adversary` on
-/// `n` vertices for at most `max_rounds` insertions — the protocol twin
+/// `n` vertices for at most `max_rounds` tokens — the protocol twin
 /// of [`sc_adversary::run_game_with_config`], producing an identical
 /// [`GameReport`] for identical seeds (the `config` controls the query
 /// path; per-edge observation is forced by the model, as in-process).
@@ -99,7 +99,7 @@ pub fn run_game_via_service<A: Adversary + ?Sized>(
     wire::colorer_to_wire(victim, &mut open);
     client.call("open", open)?;
 
-    let report = referee(&mut client, adversary, next_insertion, n, max_rounds)?;
+    let report = referee(&mut client, adversary, n, max_rounds)?;
     client.call("finish", FlatObject::new())?;
     Ok(report)
 }

@@ -52,7 +52,7 @@
 //! a stateless command that carries a whole [`ShardJob`] spec file (the
 //! `"spec"` string is the [`ShardJob::encode`] text, newlines escaped by
 //! the line codec) plus a `"shard"`/`"of"` slice selector, runs the
-//! deterministic [`sc_engine::shard::partition`] slice through the
+//! deterministic [`sc_engine::shard::shard_range`] slice through the
 //! ordinary [`Runner`], and answers with an `"output"` string holding
 //! the [`sc_engine::shard::encode_worker_output`] file verbatim. It
 //! opens no tenant session and touches none — the `"session"` name is
@@ -908,7 +908,7 @@ fn apply_run_job(obj: &FlatObject) -> Result<FlatObject, String> {
     }
     let job = ShardJob::decode(str_field(obj, "spec")?).map_err(|e| format!("spec: {e}"))?;
     job.check_runnable().map_err(|e| format!("spec: {e}"))?;
-    let range = sc_engine::shard::partition(job.len(), of)[shard].clone();
+    let range = sc_engine::shard::shard_range(job.len(), shard, of);
     let outcome = sc_engine::shard::run_job(&Runner::sequential(), &job, range);
     let mut response = FlatObject::new();
     response.insert("shard".into(), Scalar::Uint(shard as u64));
@@ -1253,6 +1253,24 @@ mod tests {
         assert!(response.unwrap().contains("\"ok\":true"));
         let stats = service.respond(r#"{"cmd":"stats","session":"j"}"#).unwrap();
         assert!(stats.contains("\"edges\":1"), "tenant perturbed: {stats}");
+    }
+
+    #[test]
+    fn client_chosen_sizes_are_answered_never_allocated() {
+        // `"of"` and the engine chunk size are client input: neither may
+        // size an allocation, so both requests are answered and the host
+        // answers the next line too.
+        let mut service = Service::new();
+        for line in [
+            r#"{"cmd":"run_job","session":"j","spec":"[{\"kind\":\"shard-job\",\"payload\":\"grid\"}]","shard":0,"of":1000000000000}"#,
+            r#"{"cmd":"host_stats","session":"h"}"#,
+            r#"{"cmd":"open","session":"a","n":4,"colorer":"store-all","engine":"chunk=1000000000000;schedule=final;incremental=true"}"#,
+            r#"{"cmd":"push","session":"a","edge":"0-1"}"#,
+            r#"{"cmd":"observe","session":"a"}"#,
+        ] {
+            let response = service.respond(line).unwrap();
+            assert!(response.contains("\"ok\":true"), "{line} -> {response}");
+        }
     }
 
     #[test]

@@ -306,7 +306,7 @@ mod game {
         } else {
             Box::new(MonochromaticAttacker::new(n, delta, seed))
         };
-        referee(&mut client, attacker.as_mut(), Adversary::next_token, n, rounds).unwrap();
+        referee(&mut client, attacker.as_mut(), n, rounds).unwrap();
         client.drive(r#"{"cmd":"finish","session":"game"}"#);
         client.transcript
     }

@@ -6,13 +6,14 @@
 //! prefix, and experiments measure it at many prefixes. [`StreamEngine`]
 //! makes the prefix the unit of ingestion: it owns
 //!
-//! * **chunking** — edges are fed through
-//!   [`StreamingColorer::process_batch`] in [`EngineConfig::chunk_size`]
-//!   slices, letting colorers amortize hashing and candidate-census work
-//!   (chunking never changes results: batched and per-edge ingestion are
-//!   observationally identical, a law the workspace property-tests);
-//! * **pass counting** — [`StreamEngine::run_source`] wraps sources in a
-//!   [`PassCounter`] so multi-pass consumers report realized passes;
+//! * **chunking** — signed tokens are fed through
+//!   [`StreamingColorer::process_batch`] (insertion runs) and
+//!   [`StreamingColorer::process_signed_batch`] (deletion runs) in
+//!   [`EngineConfig::chunk_size`] slices, letting colorers amortize
+//!   hashing and candidate-census work (chunking never changes results:
+//!   batched and per-edge ingestion are observationally identical, a law
+//!   the workspace property-tests). An insert-only stream is a signed
+//!   stream without deletions, so it takes the same route;
 //! * **space metering** — reports carry the colorer's self-reported peak
 //!   ([`StreamingColorer::peak_space_bits`]) at every observation point;
 //! * **checkpointed mid-stream queries** — a [`QuerySchedule`] names the
@@ -20,12 +21,11 @@
 //!   boundaries are split as needed so a checkpoint lands exactly on its
 //!   prefix.
 //!
-//! Interactive consumers (the adversarial game, where the next edge
+//! Interactive consumers (the adversarial game, where the next token
 //! depends on the last output) drive a [`Session`] instead, which
-//! exposes the same chunk-and-checkpoint machinery one edge at a time.
+//! exposes the same chunk-and-checkpoint machinery one token at a time.
 
 use crate::colorer::{BoxedColorer, StreamingColorer};
-use crate::source::{PassCounter, StreamSource};
 use crate::support::DynamicSupport;
 use crate::token::{Sign, SignedEdge};
 use sc_graph::{Coloring, Edge};
@@ -233,13 +233,11 @@ pub struct Checkpoint {
 /// The outcome of one engine run.
 #[derive(Debug, Clone)]
 pub struct EngineReport {
-    /// Total tokens ingested (edges; plus deletions on signed runs).
+    /// Total tokens ingested (insertions and deletions alike).
     pub edges: usize,
     /// Colorer feed calls made (chunks, after checkpoint and sign-run
     /// splitting).
     pub chunks: usize,
-    /// Passes started on the source (1 for a slice run).
-    pub passes: u64,
     /// The final coloring.
     pub final_coloring: Coloring,
     /// Final self-reported peak space in bits.
@@ -267,28 +265,17 @@ impl StreamEngine {
         &self.config
     }
 
-    /// Feeds `edges` through `colorer` in chunks, checkpointing per the
-    /// schedule, and finishes with a final query.
-    pub fn run<C: StreamingColorer + ?Sized>(
-        &self,
-        colorer: &mut C,
-        edges: &[Edge],
-    ) -> EngineReport {
-        let mut session = Session::borrowing(colorer, self.config.clone());
-        session.push_slice(edges);
-        session.finish()
-    }
-
-    /// Feeds a **signed** (turnstile) token stream through `colorer`,
-    /// with the same chunking and checkpointing as [`StreamEngine::run`].
+    /// Feeds a signed token stream through `colorer` in chunks,
+    /// checkpointing per the schedule, and finishes with a final query.
+    /// Checkpoint `prefix_len`s count *tokens* (insertions and deletions
+    /// alike); an insert-only stream is one without deletions.
     ///
     /// # Errors
     /// Rejects the stream at the first malformed token, naming the
     /// offender: a deletion aimed at an insert-only colorer names the
     /// colorer and the edge; a deletion of a never-inserted edge names
-    /// the edge (see [`DynamicSupport`]). Checkpoint `prefix_len`s count
-    /// *tokens* (insertions and deletions alike).
-    pub fn run_signed<C: StreamingColorer + ?Sized>(
+    /// the edge (see [`DynamicSupport`]).
+    pub fn run<C: StreamingColorer + ?Sized>(
         &self,
         colorer: &mut C,
         tokens: &[SignedEdge],
@@ -296,34 +283,6 @@ impl StreamEngine {
         let mut session = Session::borrowing(colorer, self.config.clone());
         session.push_signed_slice(tokens)?;
         Ok(session.finish())
-    }
-
-    /// Like [`StreamEngine::run`] but reading one pass from a
-    /// [`StreamSource`], counting it, and skipping non-edge tokens.
-    /// Signed edge tokens are routed through the turnstile path.
-    ///
-    /// # Panics
-    /// On a malformed turnstile stream (a deletion aimed at an
-    /// insert-only colorer, or of a never-inserted edge): sources are
-    /// trusted producers, so a bad token is a harness bug, not a
-    /// recoverable condition.
-    pub fn run_source<C, S>(&self, colorer: &mut C, source: &S) -> EngineReport
-    where
-        C: StreamingColorer + ?Sized,
-        S: StreamSource + ?Sized,
-    {
-        let counted = PassCounter::new(source);
-        let mut session = Session::borrowing(colorer, self.config.clone());
-        // The session's own pending buffer does the chunk assembly.
-        for item in counted.pass() {
-            let Some(t) = item.as_signed() else { continue };
-            session
-                .push_signed(t)
-                .unwrap_or_else(|e| panic!("run_source: malformed turnstile stream: {e}"));
-        }
-        let mut report = session.finish();
-        report.passes = counted.passes();
-        report
     }
 }
 
@@ -334,9 +293,7 @@ impl StreamEngine {
 #[derive(Debug, Clone)]
 struct SessionState {
     config: EngineConfig,
-    /// Tokens accepted but not yet fed to the colorer. Insert-only
-    /// pushes stage plain-insert tokens, so the two push vocabularies
-    /// share one buffer and one chunking discipline.
+    /// Tokens accepted but not yet fed to the colorer.
     pending: Vec<SignedEdge>,
     /// Tokens fed to the colorer so far.
     ingested: usize,
@@ -353,10 +310,11 @@ struct SessionState {
 
 impl SessionState {
     fn new(config: EngineConfig, track_support: bool) -> Self {
-        let cap = config.chunk_size.max(1);
+        // `pending` grows with what is pushed, never with the requested
+        // chunk size: the chunk size is client input.
         Self {
             config,
-            pending: Vec::with_capacity(cap),
+            pending: Vec::new(),
             ingested: 0,
             chunks: 0,
             checkpoints: Vec::new(),
@@ -366,19 +324,6 @@ impl SessionState {
 
     fn len(&self) -> usize {
         self.ingested + self.pending.len()
-    }
-
-    /// Accepts a slice of edge insertions. Complete chunks are fed
-    /// through immediately; a sub-chunk tail stays staged for later
-    /// pushes.
-    fn push_slice<C: StreamingColorer + ?Sized>(&mut self, colorer: &mut C, edges: &[Edge]) {
-        if let Some(support) = &mut self.support {
-            for &e in edges {
-                support.apply(SignedEdge::insert(e)).expect("insertions never underflow");
-            }
-        }
-        self.pending.extend(edges.iter().copied().map(SignedEdge::insert));
-        self.settle(colorer);
     }
 
     /// Accepts a slice of signed tokens, validating it **atomically**
@@ -411,8 +356,8 @@ impl SessionState {
         Ok(())
     }
 
-    /// Post-staging bookkeeping shared by both push vocabularies: run
-    /// covered checkpoints, then feed complete chunks through.
+    /// Post-staging bookkeeping: run covered checkpoints, then feed
+    /// complete chunks through.
     fn settle<C: StreamingColorer + ?Sized>(&mut self, colorer: &mut C) {
         self.drain_schedule(colorer);
         let chunk = self.config.chunk_size.max(1);
@@ -434,10 +379,10 @@ impl SessionState {
 
     /// Feeds the first `take` pending tokens to the colorer, in
     /// chunk-size batches. Within each chunk, maximal same-sign runs are
-    /// fed together: insertion runs go through the classic
-    /// [`StreamingColorer::process_batch`] (so insert-only streams keep
-    /// their exact call pattern and every existing fast path), deletion
-    /// runs through [`StreamingColorer::process_signed_batch`].
+    /// fed together: insertion runs go through
+    /// [`StreamingColorer::process_batch`] (so an insert-only stream
+    /// reaches every colorer as plain edge batches), deletion runs
+    /// through [`StreamingColorer::process_signed_batch`].
     fn flush_first<C: StreamingColorer + ?Sized>(&mut self, colorer: &mut C, take: usize) {
         if take == 0 {
             return;
@@ -514,7 +459,6 @@ impl SessionState {
         EngineReport {
             edges: self.ingested,
             chunks: self.chunks,
-            passes: 1,
             peak_space_bits: colorer.peak_space_bits(),
             final_coloring,
             checkpoints: self.checkpoints,
@@ -568,7 +512,7 @@ pub struct SessionSnapshot {
 /// argument to thread through (or to get wrong).
 ///
 /// ```
-/// use sc_stream::{EngineConfig, Session};
+/// use sc_stream::{EngineConfig, Session, SignedEdge};
 /// # use sc_graph::{Coloring, Edge, Graph};
 /// # struct Toy(Vec<Edge>);
 /// # impl sc_stream::StreamingColorer for Toy {
@@ -583,11 +527,12 @@ pub struct SessionSnapshot {
 /// #     fn name(&self) -> &'static str { "toy" }
 /// # }
 /// let mut session = Session::new(Box::new(Toy(vec![])), EngineConfig::per_edge());
-/// session.push(Edge::new(0, 1));
+/// session.push_signed(SignedEdge::insert(Edge::new(0, 1)))?;
 /// let observed = session.observe();
 /// assert_eq!(observed.prefix_len, 1);
 /// let report = session.finish();
 /// assert_eq!(report.edges, 1);
+/// # Ok::<(), String>(())
 /// ```
 pub struct Session<C = BoxedColorer> {
     colorer: C,
@@ -663,17 +608,6 @@ impl<C: StreamingColorer> Session<C> {
     /// Wall-clock time since the session opened.
     pub fn elapsed(&self) -> Duration {
         self.started.elapsed()
-    }
-
-    /// Accepts one edge, flushing/checkpointing per the configuration.
-    pub fn push(&mut self, e: Edge) {
-        self.push_slice(std::slice::from_ref(&e));
-    }
-
-    /// Accepts a slice of edges. Complete chunks are fed through
-    /// immediately; a sub-chunk tail stays staged for later pushes.
-    pub fn push_slice(&mut self, edges: &[Edge]) {
-        self.state.push_slice(&mut self.colorer, edges);
     }
 
     /// Accepts one signed token (see [`Session::push_signed_slice`]).
@@ -844,13 +778,18 @@ mod tests {
         (g, e)
     }
 
+    fn inserts(edges: &[Edge]) -> Vec<SignedEdge> {
+        edges.iter().copied().map(SignedEdge::insert).collect()
+    }
+
     #[test]
     fn engine_run_matches_run_oblivious() {
         let (g, edges) = edges_of(40, 1);
         let mut a = StoreAll::new(40);
         let expect = run_oblivious(&mut a, edges.iter().copied());
         let mut b = StoreAll::new(40);
-        let report = StreamEngine::new(EngineConfig::batched(16)).run(&mut b, &edges);
+        let report =
+            StreamEngine::new(EngineConfig::batched(16)).run(&mut b, &inserts(&edges)).unwrap();
         assert_eq!(report.final_coloring, expect);
         assert_eq!(report.edges, g.m());
         assert!(report.final_coloring.is_proper_total(&g));
@@ -862,7 +801,9 @@ mod tests {
         let (_, edges) = edges_of(50, 2);
         for chunk in [1usize, 3, 7, 64, 1000] {
             let mut c = StoreAll::new(50);
-            let report = StreamEngine::new(EngineConfig::batched(chunk)).run(&mut c, &edges);
+            let report = StreamEngine::new(EngineConfig::batched(chunk))
+                .run(&mut c, &inserts(&edges))
+                .unwrap();
             assert_eq!(report.edges, edges.len());
             assert!(c.batches.iter().all(|&b| b <= chunk));
             assert_eq!(c.batches.iter().sum::<usize>(), edges.len());
@@ -877,7 +818,7 @@ mod tests {
         let cfg = EngineConfig::batched(8)
             .with_schedule(QuerySchedule::AtPrefixes(vec![5, 17, 25, 10_000]));
         let mut c = StoreAll::new(60);
-        let report = StreamEngine::new(cfg).run(&mut c, &edges);
+        let report = StreamEngine::new(cfg).run(&mut c, &inserts(&edges)).unwrap();
         let prefixes: Vec<usize> = report.checkpoints.iter().map(|c| c.prefix_len).collect();
         assert_eq!(prefixes, vec![5, 17, 25]);
         // Each checkpoint is proper for its prefix.
@@ -895,7 +836,7 @@ mod tests {
         let cfg =
             EngineConfig::batched(8).with_schedule(QuerySchedule::AtPrefixes(vec![25, 5, 17]));
         let mut c = StoreAll::new(60);
-        let report = StreamEngine::new(cfg).run(&mut c, &edges);
+        let report = StreamEngine::new(cfg).run(&mut c, &inserts(&edges)).unwrap();
         let prefixes: Vec<usize> = report.checkpoints.iter().map(|c| c.prefix_len).collect();
         assert_eq!(prefixes, vec![5, 17, 25]);
     }
@@ -907,7 +848,7 @@ mod tests {
         let cfg = EngineConfig::batched(8)
             .with_schedule(QuerySchedule::AtPrefixes(vec![5, 5, 17, 5, 17]));
         let mut c = StoreAll::new(60);
-        let report = StreamEngine::new(cfg).run(&mut c, &edges);
+        let report = StreamEngine::new(cfg).run(&mut c, &inserts(&edges)).unwrap();
         let prefixes: Vec<usize> = report.checkpoints.iter().map(|c| c.prefix_len).collect();
         assert_eq!(prefixes, vec![5, 17], "duplicates must collapse");
     }
@@ -923,7 +864,7 @@ mod tests {
             3,
         ]));
         let mut c = StoreAll::new(40);
-        let report = StreamEngine::new(cfg).run(&mut c, &edges);
+        let report = StreamEngine::new(cfg).run(&mut c, &inserts(&edges)).unwrap();
         let prefixes: Vec<usize> = report.checkpoints.iter().map(|c| c.prefix_len).collect();
         assert_eq!(prefixes, vec![3], "prefix 0 and past-end prefixes never fire");
         assert_eq!(report.edges, m, "the final query still covers the whole stream");
@@ -934,7 +875,7 @@ mod tests {
         let (_, edges) = edges_of(30, 9);
         let cfg = EngineConfig::batched(4).with_schedule(QuerySchedule::EveryEdges(0));
         let mut c = StoreAll::new(30);
-        let report = StreamEngine::new(cfg).run(&mut c, &edges);
+        let report = StreamEngine::new(cfg).run(&mut c, &inserts(&edges)).unwrap();
         let prefixes: Vec<usize> = report.checkpoints.iter().map(|c| c.prefix_len).collect();
         assert_eq!(prefixes, (1..=edges.len()).collect::<Vec<_>>());
     }
@@ -947,11 +888,11 @@ mod tests {
         let cfg =
             EngineConfig::batched(8).with_schedule(QuerySchedule::AtPrefixes(vec![25, 4, 4, 9]));
         let mut a = StoreAll::new(50);
-        let slice_report = StreamEngine::new(cfg.clone()).run(&mut a, &edges);
+        let slice_report = StreamEngine::new(cfg.clone()).run(&mut a, &inserts(&edges)).unwrap();
         let mut b = StoreAll::new(50);
         let mut session = Session::borrowing(&mut b, cfg);
         for &e in &edges {
-            session.push(e);
+            session.push_signed(SignedEdge::insert(e)).unwrap();
         }
         let push_report = session.finish();
         let slice_prefixes: Vec<usize> =
@@ -970,23 +911,11 @@ mod tests {
         let (_, edges) = edges_of(40, 4);
         let cfg = EngineConfig::batched(10).with_schedule(QuerySchedule::EveryEdges(6));
         let mut c = StoreAll::new(40);
-        let report = StreamEngine::new(cfg).run(&mut c, &edges);
+        let report = StreamEngine::new(cfg).run(&mut c, &inserts(&edges)).unwrap();
         for (i, cp) in report.checkpoints.iter().enumerate() {
             assert_eq!(cp.prefix_len, 6 * (i + 1));
         }
         assert_eq!(report.checkpoints.len(), edges.len() / 6);
-    }
-
-    #[test]
-    fn run_source_counts_the_pass_and_skips_lists() {
-        let g = generators::path(8);
-        let lists = vec![vec![1u64]; 8];
-        let s = crate::source::StoredStream::from_graph_with_lists(&g, &lists);
-        let mut c = StoreAll::new(8);
-        let report = StreamEngine::default().run_source(&mut c, &s);
-        assert_eq!(report.passes, 1);
-        assert_eq!(report.edges, g.m());
-        assert!(report.final_coloring.is_proper_total(&g));
     }
 
     #[test]
@@ -995,7 +924,7 @@ mod tests {
         let mut c = StoreAll::new(30);
         let mut session = Session::borrowing(&mut c, EngineConfig::per_edge());
         for (i, &e) in edges.iter().enumerate().take(10) {
-            session.push(e);
+            session.push_signed(SignedEdge::insert(e)).unwrap();
             let cp = session.checkpoint();
             assert_eq!(cp.prefix_len, i + 1);
         }
@@ -1019,8 +948,8 @@ mod tests {
         assert!(owned.is_empty());
         assert_eq!(owned.algo(), "store-all");
         for chunk in edges.chunks(5) {
-            session.push_slice(chunk);
-            owned.push_slice(chunk);
+            session.push_signed_slice(&inserts(chunk)).unwrap();
+            owned.push_signed_slice(&inserts(chunk)).unwrap();
             assert_eq!(session.len(), owned.len());
         }
         let mid_borrowed = session.observe();
@@ -1045,7 +974,7 @@ mod tests {
         let (_, edges) = edges_of(30, 12);
         let mut owned = Session::new(Box::new(StoreAll::new(30)), EngineConfig::per_edge());
         for (i, &e) in edges.iter().enumerate().take(6) {
-            owned.push(e);
+            owned.push_signed(SignedEdge::insert(e)).unwrap();
             let cp = owned.checkpoint();
             assert_eq!(cp.prefix_len, i + 1);
         }
@@ -1096,7 +1025,7 @@ mod tests {
     #[test]
     fn empty_stream_report() {
         let mut c = StoreAll::new(5);
-        let report = StreamEngine::default().run(&mut c, &[]);
+        let report = StreamEngine::default().run(&mut c, &[]).unwrap();
         assert_eq!(report.edges, 0);
         assert_eq!(report.chunks, 0);
         assert!(report.checkpoints.is_empty());
@@ -1183,9 +1112,8 @@ mod tests {
         assert!(expect.is_proper_total(&live));
         for chunk in [1usize, 3, 8, 64, 1000] {
             let mut c = DynStore::new(40);
-            let report = StreamEngine::new(EngineConfig::batched(chunk))
-                .run_signed(&mut c, &tokens)
-                .unwrap();
+            let report =
+                StreamEngine::new(EngineConfig::batched(chunk)).run(&mut c, &tokens).unwrap();
             assert_eq!(report.final_coloring, expect, "chunk={chunk}");
             assert_eq!(report.edges, tokens.len(), "prefixes count tokens");
             assert!(report.final_coloring.is_proper_total(&live));
@@ -1272,32 +1200,5 @@ mod tests {
             Err(e) => e,
         };
         assert!(err.contains("missing the dynamic support"), "{err}");
-    }
-
-    #[test]
-    fn run_source_routes_deletion_tokens() {
-        use crate::source::StreamSource;
-        struct TinyChurn;
-        impl StreamSource for TinyChurn {
-            fn pass(&self) -> Box<dyn Iterator<Item = crate::StreamItem> + '_> {
-                Box::new(
-                    [
-                        crate::StreamItem::Edge(Edge::new(0, 1)),
-                        crate::StreamItem::Edge(Edge::new(1, 2)),
-                        crate::StreamItem::Deletion(Edge::new(0, 1)),
-                    ]
-                    .into_iter(),
-                )
-            }
-            fn len(&self) -> usize {
-                3
-            }
-        }
-        let mut c = DynStore::new(3);
-        let report = StreamEngine::default().run_source(&mut c, &TinyChurn);
-        assert_eq!(report.edges, 3, "all three tokens count");
-        let live = Graph::from_edges(3, [Edge::new(1, 2)]);
-        assert!(report.final_coloring.is_proper_total(&live));
-        assert_eq!(c.live.live_edges().collect::<Vec<_>>(), vec![Edge::new(1, 2)]);
     }
 }

@@ -10,9 +10,10 @@
 //!   `O(n log² n)` / `Õ(n)` bounds.
 //! * [`StreamingColorer`] — the process/query contract of the single-pass
 //!   (robust) setting, shared by the adversarial game driver.
-//! * [`StreamEngine`] / [`Session`] — the batched ingestion engine:
-//!   chunking, pass counting, space metering and checkpointed mid-stream
-//!   queries in one place (see [`engine`]). A session either owns a
+//! * [`StreamEngine`] / [`Session`] — the batched ingestion engine for
+//!   signed token streams (an insert-only stream has no deletions):
+//!   chunking, space metering and checkpointed mid-stream queries in one
+//!   place (see [`engine`]). A session either owns a
 //!   [`BoxedColorer`] (stored, sent across threads, and hosted
 //!   many-at-a-time by `sc-service`) or borrows one (engine runs and the
 //!   adversary game).
@@ -24,9 +25,11 @@
 //!   rejects deletions of never-inserted edges loudly (see [`support`]).
 //!
 //! **Ownership contract** (see ROADMAP.md, "which layer owns what"):
-//! the engine owns chunking, pass counting, and checkpointed
-//! mid-stream queries — colorers only ever see `process_batch` slices
-//! and must behave identically for every chunking. Space is
+//! the engine owns chunking and checkpointed mid-stream queries —
+//! colorers only ever see `process_batch` / `process_signed_batch`
+//! slices and must behave identically for every chunking. Multi-pass
+//! algorithms own their pass structure and count it with
+//! [`PassCounter`]. Space is
 //! self-reported by each colorer through [`SpaceMeter`]; the engine
 //! snapshots it at checkpoints and never guesses. Parallelism lives
 //! strictly *above* this crate (`sc-engine`'s `Runner` fans out whole

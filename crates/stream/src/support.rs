@@ -119,8 +119,11 @@ impl DynamicSupport {
     /// entries, space-joined, empty string for an empty support. Free of
     /// `;` and `=`, so it embeds in [`crate::state`] blobs.
     pub fn encode(&self) -> String {
-        let parts: Vec<String> =
-            self.counts.iter().map(|(e, c)| format!("{}-{}:{}", e.u(), e.v(), c)).collect();
+        let parts: Vec<String> = self
+            .counts
+            .iter()
+            .map(|(e, c)| format!("{}:{c}", crate::state::encode_edges([e])))
+            .collect();
         parts.join(" ")
     }
 

@@ -8,10 +8,10 @@
 //! The **dynamic (turnstile) model** — the natural adversarial playground
 //! of the robust-coloring line (Chakrabarti–Ghosh–Stoeckl 2021) — adds
 //! *signed* edge tokens: an edge may be deleted again after insertion.
-//! [`StreamItem::Deletion`] is that third token kind, and [`SignedEdge`]
-//! is the `(edge, sign)` pair the dynamic engine paths traffic in.
-//! Insert-only consumers keep using [`StreamItem::as_edge`], which sees
-//! insertions only, so every existing law is untouched.
+//! [`SignedEdge`] is that `(edge, sign)` pair. It is the one token of the
+//! single-pass engine and the adversarial game: an insert-only stream is
+//! a signed stream without deletions. [`StreamItem`] is the token of the
+//! stored multi-pass sources, which are insert-only.
 
 use sc_graph::{Color, Edge, VertexId};
 
@@ -95,37 +95,21 @@ impl From<Edge> for SignedEdge {
     }
 }
 
-/// One token of a (possibly list-annotated, possibly turnstile) graph
-/// stream.
+/// One token of a (possibly list-annotated) insert-only graph stream.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StreamItem {
     /// An edge insertion.
     Edge(Edge),
-    /// An edge deletion (turnstile streams only).
-    Deletion(Edge),
     /// The allowed-color list `L_x` for vertex `x`.
     ColorList(VertexId, Vec<Color>),
 }
 
 impl StreamItem {
-    /// The edge, if this token is an **insertion**. Deletions answer
-    /// `None` here: insert-only consumers written against this accessor
-    /// never see a deletion as an insertion by accident (the engine's
-    /// signed path routes deletions explicitly).
+    /// The edge, if this token is one.
     #[inline]
     pub fn as_edge(&self) -> Option<Edge> {
         match self {
             StreamItem::Edge(e) => Some(*e),
-            StreamItem::Deletion(_) | StreamItem::ColorList(..) => None,
-        }
-    }
-
-    /// The signed form, if this token is an edge token of either sign.
-    #[inline]
-    pub fn as_signed(&self) -> Option<SignedEdge> {
-        match self {
-            StreamItem::Edge(e) => Some(SignedEdge::insert(*e)),
-            StreamItem::Deletion(e) => Some(SignedEdge::delete(*e)),
             StreamItem::ColorList(..) => None,
         }
     }
@@ -134,7 +118,7 @@ impl StreamItem {
     #[inline]
     pub fn as_color_list(&self) -> Option<(VertexId, &[Color])> {
         match self {
-            StreamItem::Edge(_) | StreamItem::Deletion(_) => None,
+            StreamItem::Edge(_) => None,
             StreamItem::ColorList(x, l) => Some((*x, l)),
         }
     }
@@ -144,16 +128,6 @@ impl From<Edge> for StreamItem {
     #[inline]
     fn from(e: Edge) -> Self {
         StreamItem::Edge(e)
-    }
-}
-
-impl From<SignedEdge> for StreamItem {
-    #[inline]
-    fn from(t: SignedEdge) -> Self {
-        match t.sign {
-            Sign::Insert => StreamItem::Edge(t.edge),
-            Sign::Delete => StreamItem::Deletion(t.edge),
-        }
     }
 }
 
@@ -169,7 +143,6 @@ mod tests {
 
         let l = StreamItem::ColorList(3, vec![1, 4, 9]);
         assert!(l.as_edge().is_none());
-        assert!(l.as_signed().is_none());
         let (x, colors) = l.as_color_list().unwrap();
         assert_eq!(x, 3);
         assert_eq!(colors, &[1, 4, 9]);
@@ -179,22 +152,6 @@ mod tests {
     fn from_edge() {
         let item: StreamItem = Edge::new(5, 2).into();
         assert_eq!(item, StreamItem::Edge(Edge::new(2, 5)));
-    }
-
-    #[test]
-    fn deletions_are_not_insertions() {
-        let d = StreamItem::Deletion(Edge::new(0, 4));
-        assert_eq!(d.as_edge(), None, "as_edge sees insertions only");
-        assert_eq!(d.as_signed(), Some(SignedEdge::delete(Edge::new(0, 4))));
-        assert!(d.as_color_list().is_none());
-    }
-
-    #[test]
-    fn signed_round_trips_through_items() {
-        for t in [SignedEdge::insert(Edge::new(1, 2)), SignedEdge::delete(Edge::new(3, 4))] {
-            let item: StreamItem = t.into();
-            assert_eq!(item.as_signed(), Some(t));
-        }
     }
 
     #[test]
