@@ -11,7 +11,9 @@
 //! machine-readable curves:
 //!
 //! * `BENCH_engine.json` — batched vs per-edge **ingestion**, plus the
-//!   turnstile sketch's update-vs-decode balance (`sketch-decode`);
+//!   turnstile sketch's update-vs-decode balance (`sketch-decode`) and
+//!   Theorem 1's hash tournament against one evaluation per function
+//!   (`det-tournament`);
 //! * `BENCH_query.json` — incremental vs from-scratch **queries**, both
 //!   on checkpointed engine runs and end-to-end adversary games.
 //!
@@ -47,6 +49,9 @@ struct Profile {
     /// Adversary-game bench (BENCH_query.json): vertices, ∆, rounds,
     /// repetitions.
     game: (usize, usize, usize, usize),
+    /// Det tournament bench (BENCH_engine.json): vertices, ∆,
+    /// repetitions.
+    tournament: (usize, usize, usize),
 }
 
 impl Profile {
@@ -63,6 +68,7 @@ impl Profile {
             ingest: (3000, 32, 5),
             query: (3000, 32, 5, 64),
             game: (400, 16, 1600, 3),
+            tournament: (2000, 48, 5),
         }
     }
 
@@ -75,6 +81,7 @@ impl Profile {
             ingest: (800, 16, 3),
             query: (800, 16, 3, 32),
             game: (200, 8, 600, 3),
+            tournament: (600, 16, 5),
         }
     }
 }
@@ -242,6 +249,7 @@ fn emit_engine_bench(profile: &Profile) {
         per_edge_ms / batched_ms.max(1e-9),
     ));
     entries.push(sketch_decode_entry(n, dyn_delta, &tokens, reps));
+    entries.push(det_tournament_entry(profile));
 
     write_bench_file(
         &profile.bench_path("engine"),
@@ -303,6 +311,78 @@ fn sketch_decode_entry(
         update_ms,
         decode_ms,
         update_ms / decode_ms.max(1e-9),
+    )
+}
+
+/// Times Theorem 1's hash tournament on one synthetic stage shaped like
+/// the first stage of a `paper-grid` Det run: every vertex uncolored and
+/// in one proposal group, 2 patterns with a first stage's slack (the
+/// colors `≤ ∆` under each top bit), `p` from `prime_in_range(8nL,
+/// 16nL)` and the default `l = 16` grid.
+///
+/// `per_function_ms` sums [`phi_of_hash`] over all `l²` grid members:
+/// one evaluation per function, the kernel the tournament ran before its
+/// row kernel, kept as the calibration side of the ratio.
+/// `tournament_ms` is [`select_hash`]'s two passes. `speedup` is their
+/// ratio, so a slower row kernel shows up on either machine. The
+/// winner's `Φ` is asserted bit-identical to its per-function value
+/// before anything is timed.
+///
+/// [`phi_of_hash`]: streamcolor::det::derand::phi_of_hash
+/// [`select_hash`]: streamcolor::det::derand::select_hash
+fn det_tournament_entry(profile: &Profile) -> String {
+    use sc_hash::modp::ceil_log2;
+    use streamcolor::det::derand::{phi_of_hash, select_hash};
+    use streamcolor::det::tables::StageTables;
+    use streamcolor::det::{stage_prime, DerandStrategy, Subcube};
+
+    let (n, delta, reps) = profile.tournament;
+    let g = generators::gnp_with_max_degree(n, delta, 0.05, 29);
+    let stream = sc_stream::StoredStream::from_graph(&g);
+    let b = ceil_log2(delta as u64 + 1);
+    let row: Vec<u64> =
+        (0..2).map(|j| Subcube::full(b).child(1, j).count_at_most(delta as u64)).collect();
+    let u_set: Vec<u32> = (0..n as u32).collect();
+    let slack: Vec<u64> = u_set.iter().flat_map(|_| row.iter().copied()).collect();
+    let p = stage_prime(n);
+    let log_n = u64::from(ceil_log2(n as u64)).max(1);
+    let tables = StageTables::build(n, &u_set, 2, slack, p, log_n);
+    let group = vec![7u64; n];
+    let strategy = DerandStrategy::default();
+    let grid = strategy.grid(p);
+
+    let sel = select_hash(&stream, &group, &tables, strategy);
+    let phi = phi_of_hash(&stream, &group, &tables, sel.hash);
+    assert_eq!(sel.phi.to_bits(), phi.to_bits(), "det-tournament: the kernels disagree on Φ(h⋆)");
+
+    let median = |f: &mut dyn FnMut() -> f64| -> f64 {
+        let mut times: Vec<f64> = (0..reps)
+            .map(|_| {
+                let start = Instant::now();
+                std::hint::black_box(f());
+                start.elapsed().as_secs_f64() * 1e3
+            })
+            .collect();
+        times.sort_by(f64::total_cmp);
+        times[times.len() / 2]
+    };
+    let per_function_ms = median(&mut || {
+        (0..grid.num_parts())
+            .flat_map(|i| grid.part(i))
+            .map(|h| phi_of_hash(&stream, &group, &tables, h))
+            .sum()
+    });
+    let tournament_ms = median(&mut || select_hash(&stream, &group, &tables, strategy).phi);
+    format!(
+        "  {{\"algo\":\"det-tournament\",\"n\":{},\"delta\":{},\"m\":{},\"p\":{},\"l\":{},\"per_function_ms\":{:.3},\"tournament_ms\":{:.3},\"speedup\":{:.3}}}",
+        n,
+        delta,
+        g.m(),
+        p,
+        grid.num_parts(),
+        per_function_ms,
+        tournament_ms,
+        per_function_ms / tournament_ms.max(1e-9),
     )
 }
 

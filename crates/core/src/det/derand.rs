@@ -11,15 +11,28 @@
 //!
 //! For Theorem 1, `Φ(P_h) = Σ_{{u,v} ∈ E(G[U]), P_u = P_v, j_h(u) = j_h(v)}
 //!   (1/slack(u | P_{u,j}) + 1/slack(v | P_{v,j}))` where
-//! `j_h(x) = g_w(x, h(x))`, so each edge contributes to an accumulator in
-//! O(1) after two hash evaluations and two `g_w` lookups.
+//! `j_h(x) = g_w(x, h(x))`. An edge is costed a whole part at a time by a
+//! row kernel: within a part, `h(u)` and `h(v)` run through arithmetic
+//! progressions that wrap at most once (the
+//! [`GridSubfamily`] invariant), so the kernel steps them by adding and
+//! conditionally subtracting `p`, reads `j_h` off the `g_w` blocks by a
+//! branch-free count of block starts (stages of at most 8 patterns, among
+//! them every first-epoch stage) or a forward pointer walk (the rest), and
+//! takes `1/slack` from per-edge stack rows. Per edge that is one `mulmod`
+//! per endpoint in pass 2 — no `u128` modulo, `g_w` search or division per
+//! function. `phi_contribution` and [`phi_of_hash`] keep the per-function
+//! evaluation as the reference the law module and `exp_summary`'s
+//! `det-tournament` row hold the kernel to.
 //!
 //! The accumulators are `f64` (far exceeding the `(1 + 1/(8 log n))`
 //! relative precision the analysis grants each pass); callers charge
-//! them to the space meter at the paper's `O(log n)` bits each.
+//! them to the space meter at the paper's `O(log n)` bits each. Pass 2
+//! adds a row into its part's sum left to right and pass 3 adds it
+//! member by member, the same terms in the same order as one evaluation
+//! per function, so `h⋆` and `Φ`'s bits do not depend on the kernel.
 
 use crate::det::config::DerandStrategy;
-use crate::det::tables::StageTables;
+use crate::det::tables::{pattern_below, StageTables};
 use sc_hash::affine::GridSubfamily;
 use sc_hash::{mulmod, AffineHash};
 use sc_stream::{StreamItem, StreamSource};
@@ -38,43 +51,51 @@ pub struct SelectedHash {
 
 /// Runs passes 2 and 3 over `grid` and returns the cheapest member found.
 ///
-/// `qualify` maps a stream token to the context its cost needs, or `None`
-/// if the token costs nothing under every hash; `cost(ctx, h)` is its
-/// contribution to the potential of `h`. Ties go to the first minimum:
-/// the lowest part, then the lowest member.
+/// `qualify` maps a stream token to the two points its cost hashes and
+/// the context the cost needs, or `None` if the token costs nothing under
+/// every hash. `fill(ctx, starts, row)` sets `row[j]` to the token's cost
+/// under member `j` of a part whose first member sends the two points to
+/// `starts`; member `j` sends them `j` steps along
+/// [`GridSubfamily::member_values`]. Ties go to the first minimum: the
+/// lowest part, then the lowest member.
 pub(crate) fn tournament<S: StreamSource + ?Sized, E>(
     stream: &S,
     grid: &GridSubfamily,
-    qualify: impl Fn(&StreamItem) -> Option<E>,
-    cost: impl Fn(&E, AffineHash) -> f64,
+    qualify: impl Fn(&StreamItem) -> Option<([u64; 2], E)>,
+    fill: impl Fn(&E, [u64; 2], &mut [f64]),
 ) -> SelectedHash {
+    let mut row = vec![0.0f64; grid.part_size()];
+
     // ---- Pass 2: part sums. ----
     let parts = grid.num_parts();
     let mut part_sums = vec![0.0f64; parts];
     for item in stream.pass() {
-        let Some(ctx) = qualify(&item) else { continue };
-        for (pi, sum) in part_sums.iter_mut().enumerate() {
-            for h in grid.part(pi) {
-                *sum += cost(&ctx, h);
+        let Some(([u, v], ctx)) = qualify(&item) else { continue };
+        let starts = grid.part_starts(u).zip(grid.part_starts(v));
+        for (sum, (su, sv)) in part_sums.iter_mut().zip(starts) {
+            fill(&ctx, [su, sv], &mut row);
+            for &cost in &row {
+                *sum += cost;
             }
         }
     }
 
     // ---- Pass 3: members of the winning part. ----
-    let members: Vec<AffineHash> = grid.part(first_min(&part_sums)).collect();
-    let mut member_sums = vec![0.0f64; members.len()];
+    let part = first_min(&part_sums);
+    let mut member_sums = vec![0.0f64; grid.part_size()];
     for item in stream.pass() {
-        let Some(ctx) = qualify(&item) else { continue };
-        for (sum, &h) in member_sums.iter_mut().zip(&members) {
-            *sum += cost(&ctx, h);
+        let Some(([u, v], ctx)) = qualify(&item) else { continue };
+        fill(&ctx, [grid.part_start(part, u), grid.part_start(part, v)], &mut row);
+        for (sum, &cost) in member_sums.iter_mut().zip(&row) {
+            *sum += cost;
         }
     }
     let best = first_min(&member_sums);
 
     SelectedHash {
-        hash: members[best],
+        hash: grid.member(part, best),
         phi: member_sums[best],
-        accumulators: parts.max(members.len()),
+        accumulators: parts.max(member_sums.len()),
     }
 }
 
@@ -99,12 +120,103 @@ pub fn select_hash<S: StreamSource + ?Sized>(
     tables: &StageTables,
     strategy: DerandStrategy,
 ) -> SelectedHash {
+    let grid = strategy.grid(tables.p());
     tournament(
         stream,
-        &strategy.grid(tables.p()),
-        |item| qualifying(item, group, tables),
-        |&(u, v, du, dv), h| phi_contribution(h, u, v, du, dv, tables),
+        &grid,
+        |item| {
+            let (u, v, du, dv) = qualifying(item, group, tables)?;
+            Some(([u64::from(u), u64::from(v)], PhiEdge::new(tables, [du, dv])))
+        },
+        |edge, starts, row| phi_row(tables, &grid, edge, starts, row),
     )
+}
+
+/// Stages with at most this many patterns cost their edges from stack
+/// rows of `1/slack` and the branch-free [`StageTables::cuts`] count.
+const STACK_PATTERNS: usize = 8;
+
+/// A qualifying edge as the row kernel sees it: its endpoints' dense
+/// indices and, for stages of at most [`STACK_PATTERNS`] patterns, their
+/// `1/slack` rows (a zero-slack pattern's `∞` is never read, since `g_w`
+/// never selects it).
+struct PhiEdge {
+    dense: [usize; 2],
+    inv: [[f64; STACK_PATTERNS]; 2],
+}
+
+impl PhiEdge {
+    fn new(tables: &StageTables, dense: [usize; 2]) -> Self {
+        let mut inv = [[0.0; STACK_PATTERNS]; 2];
+        if tables.num_patterns() <= STACK_PATTERNS {
+            for (row, &d) in inv.iter_mut().zip(&dense) {
+                for (j, r) in row[..tables.num_patterns()].iter_mut().enumerate() {
+                    *r = tables.inv_slack(d, j);
+                }
+            }
+        }
+        Self { dense, inv }
+    }
+}
+
+/// Fills `row[j]` with `edge`'s contribution to `Φ(P_h)` for member `j`
+/// of the part whose first member sends its endpoints to `starts`: what
+/// [`phi_contribution`] gives for that member.
+fn phi_row(
+    tables: &StageTables,
+    grid: &GridSubfamily,
+    edge: &PhiEdge,
+    starts: [u64; 2],
+    row: &mut [f64],
+) {
+    match tables.num_patterns() {
+        1 => phi_row_by_cuts::<0>(tables, grid, edge, starts, row),
+        2 => phi_row_by_cuts::<1>(tables, grid, edge, starts, row),
+        4 => phi_row_by_cuts::<3>(tables, grid, edge, starts, row),
+        8 => phi_row_by_cuts::<7>(tables, grid, edge, starts, row),
+        _ => phi_row_by_walk(tables, grid, edge, starts, row),
+    }
+}
+
+/// [`phi_row`] for a stage of `K + 1 ≤ 8` patterns: `j_h` is a count of
+/// block starts and the sum is selected, not branched on (at 2 patterns
+/// `j_h(u) = j_h(v)` is a coin flip). Rows whose blocks fall short of
+/// `[p]` take the walk, which clamps.
+#[inline]
+fn phi_row_by_cuts<const K: usize>(
+    tables: &StageTables,
+    grid: &GridSubfamily,
+    edge: &PhiEdge,
+    starts: [u64; 2],
+    row: &mut [f64],
+) {
+    let [du, dv] = edge.dense;
+    let (Some(cu), Some(cv)) = (tables.cuts::<K>(du), tables.cuts::<K>(dv)) else {
+        return phi_row_by_walk(tables, grid, edge, starts, row);
+    };
+    let [iu, iv] = &edge.inv;
+    let ts = grid.member_values(starts[0]).zip(grid.member_values(starts[1]));
+    for (cost, (tu, tv)) in row.iter_mut().zip(ts) {
+        let (ju, jv) = (pattern_below(&cu, tu), pattern_below(&cv, tv));
+        let hit = iu[ju] + iv[jv];
+        *cost = if ju == jv { hit } else { 0.0 };
+    }
+}
+
+/// [`phi_row`] by [`StageTables::walk`], dividing only on a match.
+fn phi_row_by_walk(
+    tables: &StageTables,
+    grid: &GridSubfamily,
+    edge: &PhiEdge,
+    starts: [u64; 2],
+    row: &mut [f64],
+) {
+    let [du, dv] = edge.dense;
+    let ju = tables.walk(du, grid.member_values(starts[0]));
+    let jv = tables.walk(dv, grid.member_values(starts[1]));
+    for (cost, (ju, jv)) in row.iter_mut().zip(ju.zip(jv)) {
+        *cost = if ju == jv { tables.inv_slack(du, ju) + tables.inv_slack(dv, jv) } else { 0.0 };
+    }
 }
 
 /// The edge's contribution to `Φ(P_h)`, or 0 if `h` separates the

@@ -11,8 +11,14 @@
 //! `S_x = Σ_j slack(x | P_x ∩ Q_j)`, pattern `j` receives
 //! `⌊p · s_{x,j} · (8L + 1) / (S_x · 8L)⌋` consecutive entries of `[p]`.
 //! Lemma A.3's argument (every nonzero `w ≥ 1/n`, `p ≥ 8 n L`) guarantees
-//! the blocks cover all of `[p]`; evaluation is a binary search over the
-//! per-vertex prefix sums.
+//! the blocks cover all of `[p]`. A single evaluation, [`StageTables::gw`],
+//! is a binary search over the per-vertex prefix sums. The tournament
+//! instead evaluates a whole part of the hash grid at once, where the
+//! points `t` rise in an arithmetic progression that wraps at most once:
+//! `StageTables::walk` moves one pointer forward through the prefix
+//! sums and resets it at the wrap, and `StageTables::cuts` gives
+//! stages of at most 8 patterns the pattern as a count of the block
+//! starts at or below `t`. Both equal `gw` point for point.
 
 /// Dense per-stage tables for the uncolored set `U`.
 #[derive(Debug, Clone)]
@@ -135,6 +141,60 @@ impl StageTables {
             .expect("total slack ≥ 1 guarantees a positive pattern")
     }
 
+    /// `g_w(x, t)` for each `t` of `ts`, by dense index, found by one
+    /// pointer walking forward through `x`'s prefix sums: equal to
+    /// [`StageTables::gw`] at every point. The pointer restarts whenever
+    /// `t` falls, so a rising progression that wraps once — a grid part's
+    /// [`member_values`](sc_hash::affine::GridSubfamily::member_values) —
+    /// costs `O(l + num_patterns)` compares in all, with no search. The
+    /// defensive clamp is left to `gw` on its cold path.
+    pub(crate) fn walk<'a>(
+        &'a self,
+        dense: usize,
+        ts: impl IntoIterator<Item = u64> + 'a,
+    ) -> impl Iterator<Item = usize> + 'a {
+        let cum = self.cum_row(dense);
+        let last = self.num_patterns;
+        let (mut j, mut prev) = (0usize, 0u64);
+        ts.into_iter().map(move |t| {
+            if t < prev {
+                j = 0;
+            }
+            prev = t;
+            while j < last && cum[j + 1] <= t {
+                j += 1;
+            }
+            if j < last {
+                j
+            } else {
+                self.gw(dense, t)
+            }
+        })
+    }
+
+    /// The block starts `cum[1..=K]` of `x`'s row when the stage has
+    /// `K + 1` patterns and the blocks cover `[p]` (Lemma A.3), else
+    /// `None`. Under that cover `g_w(x, t)` is the number of starts at or
+    /// below `t` ([`pattern_below`]), which a tournament row counts
+    /// without a branch.
+    #[inline]
+    pub(crate) fn cuts<const K: usize>(&self, dense: usize) -> Option<[u64; K]> {
+        let cum = self.cum_row(dense);
+        if self.num_patterns != K + 1 || cum[K + 1] < self.p {
+            return None;
+        }
+        let mut cuts = [0u64; K];
+        cuts.copy_from_slice(&cum[1..=K]);
+        Some(cuts)
+    }
+
+    /// The prefix sums `cum[0..=num_patterns]` of `x`'s `g_w` blocks.
+    #[inline]
+    fn cum_row(&self, dense: usize) -> &[u64] {
+        let base = dense * (self.num_patterns + 1);
+        &self.gw_cum[base..base + self.num_patterns + 1]
+    }
+
     /// `Φ`-style reciprocal slack `1/slack(x | P_x ∩ Q_j)` used by the
     /// tournament accumulators; `j` must have positive slack.
     #[inline]
@@ -149,9 +209,17 @@ impl StageTables {
     }
 }
 
+/// `g_w(x, t)` from [`StageTables::cuts`]: the number of block starts at
+/// or below `t`.
+#[inline]
+pub(crate) fn pattern_below<const K: usize>(cuts: &[u64; K], t: u64) -> usize {
+    cuts.iter().map(|&c| usize::from(c <= t)).sum()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn simple_tables() -> StageTables {
         // 2 vertices, 4 patterns, p = 1000, L = 4.
@@ -224,9 +292,78 @@ mod tests {
     }
 
     #[test]
+    fn cuts_need_the_stage_pattern_count() {
+        let t = simple_tables();
+        assert_eq!(t.cuts::<3>(0), Some([128, 514, 514]));
+        assert_eq!(t.cuts::<1>(0), None);
+        assert_eq!(t.cuts::<7>(1), None);
+    }
+
+    #[test]
     #[should_panic(expected = "zero total slack")]
     fn rejects_zero_slack_row() {
         StageTables::build(2, &[0], 2, vec![0, 0], 100, 3);
+    }
+
+    /// Random tables: 1–3 vertices over `patterns` patterns, slack
+    /// entries in `0..4` (so zero-slack patterns are common) with one
+    /// bumped so every row's total is positive, hashed mod
+    /// `p ≥ 8·patterns` so that `log n = 1` keeps Lemma A.3's cover.
+    fn random_tables(seed: u64, patterns: usize, p: u64) -> StageTables {
+        let mut rng = sc_hash::SplitMix64::new(seed);
+        let vertices = 1 + rng.below(3) as usize;
+        let mut slack = Vec::with_capacity(vertices * patterns);
+        for _ in 0..vertices {
+            let mut row: Vec<u64> = (0..patterns).map(|_| rng.below(4)).collect();
+            row[rng.below(patterns as u64) as usize] += 1;
+            slack.extend(row);
+        }
+        let u_set: Vec<u32> = (0..vertices as u32).collect();
+        StageTables::build(vertices, &u_set, patterns, slack, p, 1)
+    }
+
+    /// Under the cover, counting block starts is `g_w` at every `t < p`.
+    fn assert_cuts_match_gw<const K: usize>(t: &StageTables) {
+        for dense in 0..t.num_vertices() {
+            let cuts = t.cuts::<K>(dense).expect("the blocks cover [p]");
+            for tt in 0..t.p() {
+                assert_eq!(pattern_below(&cuts, tt), t.gw(dense, tt), "t = {tt}");
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The walk over `(base + j·stride) mod p`, `j < l`, is `gw` point
+        /// for point, for every `(l, stride)` with `(l − 1)·stride < p`.
+        #[test]
+        fn walk_matches_gw_on_every_grid_progression(
+            (seed, patterns, extra) in (any::<u64>(), 1usize..=64, 0u64..100),
+        ) {
+            let p = 8 * patterns as u64 + extra;
+            let t = random_tables(seed, patterns, p);
+            let mut rng = sc_hash::SplitMix64::new(seed ^ 0x5EED);
+            for dense in 0..t.num_vertices() {
+                for l in 1..=p {
+                    let strides = if l == 1 { p } else { (p - 1) / (l - 1) };
+                    for stride in 1..=strides {
+                        let base = rng.below(p);
+                        let ts = (0..l).map(|j| (base + j * stride) % p);
+                        let want: Vec<usize> = ts.clone().map(|tt| t.gw(dense, tt)).collect();
+                        let got: Vec<usize> = t.walk(dense, ts).collect();
+                        prop_assert_eq!(got, want, "l = {}, stride = {}", l, stride);
+                    }
+                }
+            }
+            match patterns {
+                1 => assert_cuts_match_gw::<0>(&t),
+                2 => assert_cuts_match_gw::<1>(&t),
+                4 => assert_cuts_match_gw::<3>(&t),
+                8 => assert_cuts_match_gw::<7>(&t),
+                _ => {}
+            }
+        }
     }
 
     #[test]

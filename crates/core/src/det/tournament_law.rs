@@ -145,18 +145,35 @@ fn reference_singleton<S: StreamSource + ?Sized>(
 }
 
 /// A random stage: a graph on `n` vertices, about a fifth of them
-/// colored, the rest in three proposal groups; slack rows over 1, 2 or
-/// 4 patterns (all equal when `uniform`); and lists of 1–3 colors from
-/// a 4-color universe for the singleton stage.
+/// colored, the rest in three proposal groups; slack rows over 1 to 64
+/// patterns (all equal when `uniform`), hashed mod a prime `p`; and
+/// lists of 1–3 colors from a 4-color universe for the singleton stage.
 struct Stage {
     stream: StoredStream,
     group: Vec<u64>,
     tables: StageTables,
     avail: Vec<Vec<Color>>,
     in_u: Vec<bool>,
+    p: u64,
 }
 
-fn random_stage(n: usize, seed: u64, uniform: bool, p: u64) -> Stage {
+/// Draws [`random_stage`]'s pattern count, `1 << rng.below(7)`, and a
+/// prime `p ≥ 8·patterns` from `lo`: with `log n = 1` that keeps Lemma
+/// A.3's cover, so the tournament's branch-free path runs at 1, 2, 4
+/// and 8 patterns and its walk above. The full family (`full`) stays
+/// below `p = 100`, so it draws at most 8 patterns.
+fn stage_shape(rng: &mut SplitMix64, lo: u64, full: bool) -> (usize, u64) {
+    let patterns = 1usize << rng.below(if full { 4 } else { 7 });
+    let floor = 8 * patterns.max(4) as u64;
+    let p = if full {
+        prime_in_range(floor + lo % (92 - floor), 100)
+    } else {
+        prime_in_range(floor + lo, 2 * (floor + lo))
+    };
+    (patterns, p.expect("Bertrand"))
+}
+
+fn random_stage(n: usize, seed: u64, uniform: bool, lo: u64, full: bool) -> Stage {
     let mut rng = SplitMix64::new(seed);
     let mut edges = Vec::new();
     for u in 0..n as u32 {
@@ -170,7 +187,7 @@ fn random_stage(n: usize, seed: u64, uniform: bool, p: u64) -> Stage {
         (0..n).map(|_| if rng.below(5) == 0 { u64::MAX } else { rng.below(3) }).collect();
     let in_u: Vec<bool> = group.iter().map(|&g| g != u64::MAX).collect();
     let u_set: Vec<u32> = (0..n as u32).filter(|&x| in_u[x as usize]).collect();
-    let patterns = 1usize << rng.below(3);
+    let (patterns, p) = stage_shape(&mut rng, lo, full);
     let mut slack = Vec::with_capacity(u_set.len() * patterns);
     for _ in &u_set {
         let mut row: Vec<u64> =
@@ -178,7 +195,6 @@ fn random_stage(n: usize, seed: u64, uniform: bool, p: u64) -> Stage {
         row[rng.below(patterns as u64) as usize] += 1;
         slack.extend(row);
     }
-    // log n = 1 keeps Lemma A.3's cover (p ≥ 8·log n·patterns) at p ≥ 32.
     let tables = StageTables::build(n, &u_set, patterns, slack, p, 1);
     let avail = (0..n)
         .map(|x| {
@@ -191,7 +207,7 @@ fn random_stage(n: usize, seed: u64, uniform: bool, p: u64) -> Stage {
             list
         })
         .collect();
-    Stage { stream: StoredStream::from_edges(edges), group, tables, avail, in_u }
+    Stage { stream: StoredStream::from_edges(edges), group, tables, avail, in_u, p }
 }
 
 proptest! {
@@ -202,12 +218,9 @@ proptest! {
         (n, seed, l, lo, uniform) in (2usize..14, any::<u64>(), 0usize..=8, 0u64..1500, any::<bool>()),
     ) {
         // l = 0 stands for the full family, kept below p = 100.
-        let (strategy, p) = if l == 0 {
-            (DerandStrategy::FullFamily, prime_in_range(32 + lo % 60, 100).unwrap())
-        } else {
-            (DerandStrategy::Grid { l }, prime_in_range(32 + lo, 64 + 2 * lo).unwrap())
-        };
-        let stage = random_stage(n, seed, uniform, p);
+        let strategy = if l == 0 { DerandStrategy::FullFamily } else { DerandStrategy::Grid { l } };
+        let stage = random_stage(n, seed, uniform, lo, l == 0);
+        let p = stage.p;
 
         let want = reference_select_hash(&stage.stream, &stage.group, &stage.tables, strategy);
         let got = select_hash(&stage.stream, &stage.group, &stage.tables, strategy);

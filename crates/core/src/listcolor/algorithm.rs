@@ -29,7 +29,7 @@ use crate::listcolor::partition::{
 use sc_graph::{greedy_list_color, Color, Coloring, Graph, VertexId};
 use sc_hash::affine::GridSubfamily;
 use sc_hash::modp::ceil_log2;
-use sc_hash::{prime_in_range, splitmix64, AffineHash, TwoUniversalHash};
+use sc_hash::{prime_in_range, splitmix64, TwoUniversalHash};
 use sc_stream::{counter_bits, edge_bits, PassCounter, SpaceMeter, StreamSource};
 
 /// Safety cap on epochs; past it [`list_coloring`] falls back to batch
@@ -385,9 +385,10 @@ pub(crate) fn select_singleton_colors<S: StreamSource + ?Sized>(
     grid: &GridSubfamily,
 ) -> (Vec<Color>, SelectedHash) {
     let p = grid.modulus();
-    let pick = |h: AffineHash, x: usize| -> Color {
+    // x's color under a hash that sends it to t.
+    let pick = |t: u64, x: usize| -> Color {
         let list = &avail[x];
-        let idx = ((h.eval(x as u64) as u128 * list.len() as u128) / p as u128) as usize;
+        let idx = ((t as u128 * list.len() as u128) / p as u128) as usize;
         list[idx.min(list.len() - 1)]
     };
     let sel = tournament(
@@ -395,12 +396,18 @@ pub(crate) fn select_singleton_colors<S: StreamSource + ?Sized>(
         grid,
         |item| {
             let (u, v) = item.as_edge()?.endpoints();
-            (in_u[u as usize] && in_u[v as usize]).then_some((u as usize, v as usize))
+            let (u, v) = (u as usize, v as usize);
+            (in_u[u] && in_u[v]).then_some(([u as u64, v as u64], (u, v)))
         },
-        |&(u, v), h| if pick(h, u) == pick(h, v) { 1.0 } else { 0.0 },
+        |&(u, v), [su, sv], row| {
+            let ts = grid.member_values(su).zip(grid.member_values(sv));
+            for (cost, (tu, tv)) in row.iter_mut().zip(ts) {
+                *cost = if pick(tu, u) == pick(tv, v) { 1.0 } else { 0.0 };
+            }
+        },
     );
     let colors = (0..avail.len())
-        .map(|x| if in_u[x] && !avail[x].is_empty() { pick(sel.hash, x) } else { 0 })
+        .map(|x| if in_u[x] && !avail[x].is_empty() { pick(sel.hash.eval(x as u64), x) } else { 0 })
         .collect();
     (colors, sel)
 }

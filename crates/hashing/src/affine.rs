@@ -19,7 +19,7 @@
 //! `p²`, and its winner is below the grid's average potential rather
 //! than the family's.
 
-use crate::modp::{is_prime_u64, mulmod};
+use crate::modp::{add_reduced, is_prime_u64, mulmod};
 
 /// One member `z ↦ (az + b) mod p` of the affine family.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -106,9 +106,7 @@ impl AffineFamily {
     pub fn grid(&self, l: usize) -> GridSubfamily {
         let l = l.max(1).min(self.p as usize);
         let stride = (self.p / l as u64).max(1);
-        let multipliers: Vec<u64> = (0..l as u64).map(|i| (1 + i * stride) % self.p).collect();
-        let offsets: Vec<u64> = (0..l as u64).map(|i| (i * stride) % self.p).collect();
-        GridSubfamily { p: self.p, multipliers, offsets }
+        GridSubfamily { p: self.p, l, stride }
     }
 }
 
@@ -117,31 +115,76 @@ impl AffineFamily {
 /// Parts are indexed by multiplier (`part(i)` fixes `a = A[i]`), mirroring
 /// the paper's `√|H|`-way split, so the derandomization tournament code is
 /// identical for the full family and the grid.
+///
+/// **The progression invariant.** With `s = ⌊p/l⌋` (at least 1), the
+/// multipliers are `A[i] = (1 + i·s) mod p` and the offsets `B[j] = j·s`,
+/// for `i, j < l`, and `(l − 1)·s < p`. So at a point `z`, part `i`'s
+/// members send `z` to `(A[i]·z + j·s) mod p` for `j = 0, 1, …, l − 1`:
+/// an arithmetic progression from [`GridSubfamily::part_start`] that
+/// wraps past `p` at most once ([`GridSubfamily::member_values`]). And
+/// `A[i]·z ≡ z + i·(s·z)`, so the parts' starts are a progression too
+/// ([`GridSubfamily::part_starts`]). Both walk by adding and
+/// conditionally subtracting `p`, with no modulo per function.
 #[derive(Debug, Clone)]
 pub struct GridSubfamily {
     p: u64,
-    multipliers: Vec<u64>,
-    offsets: Vec<u64>,
+    l: usize,
+    stride: u64,
 }
 
 impl GridSubfamily {
     /// Number of parts (= number of multipliers).
     #[inline]
     pub fn num_parts(&self) -> usize {
-        self.multipliers.len()
+        self.l
     }
 
     /// Number of functions per part (= number of offsets).
     #[inline]
     pub fn part_size(&self) -> usize {
-        self.offsets.len()
+        self.l
+    }
+
+    /// The multiplier `A[i]` of part `i`.
+    #[inline]
+    fn multiplier(&self, i: usize) -> u64 {
+        // i·s ≤ (l − 1)·s < p, so neither step overflows.
+        (1 + i as u64 * self.stride) % self.p
+    }
+
+    /// Member `j` of part `i`: `z ↦ (A[i]·z + B[j]) mod p`.
+    #[inline]
+    pub fn member(&self, i: usize, j: usize) -> AffineHash {
+        debug_assert!(i < self.l && j < self.l);
+        AffineHash { a: self.multiplier(i), b: j as u64 * self.stride, p: self.p }
     }
 
     /// Iterates the functions of part `i`.
     pub fn part(&self, i: usize) -> impl Iterator<Item = AffineHash> + '_ {
-        let a = self.multipliers[i];
+        (0..self.l).map(move |j| self.member(i, j))
+    }
+
+    /// `A[i]·z mod p`: where part `i`'s first member (`b = 0`) sends `z`.
+    #[inline]
+    pub fn part_start(&self, i: usize, z: u64) -> u64 {
+        mulmod(self.multiplier(i), z % self.p, self.p)
+    }
+
+    /// [`GridSubfamily::part_start`]`(i, z)` for every part `i` in order,
+    /// from one `mulmod`: the starts step by `s·z mod p`.
+    pub fn part_starts(&self, z: u64) -> impl Iterator<Item = u64> {
         let p = self.p;
-        self.offsets.iter().map(move |&b| AffineHash { a, b, p })
+        let z = z % p;
+        progression(z, mulmod(self.stride, z, p), p).take(self.l)
+    }
+
+    /// Where the members of a part send a point the part's first member
+    /// sends to `start`: `(start + j·s) mod p` for `j = 0, …, l − 1`, in
+    /// member order. The values rise by `s` and wrap past `p` at most
+    /// once.
+    pub fn member_values(&self, start: u64) -> impl Iterator<Item = u64> {
+        debug_assert!(start < self.p);
+        progression(start, self.stride, self.p).take(self.l)
     }
 
     /// The modulus of the underlying family.
@@ -149,6 +192,12 @@ impl GridSubfamily {
     pub fn modulus(&self) -> u64 {
         self.p
     }
+}
+
+/// `x, x + d, x + 2d, …` modulo `p`, for `x < p` and `d ≤ p`.
+#[inline]
+fn progression(x: u64, d: u64, p: u64) -> impl Iterator<Item = u64> {
+    std::iter::successors(Some(x), move |&t| Some(add_reduced(t, d, p)))
 }
 
 #[cfg(test)]
@@ -222,6 +271,29 @@ mod tests {
         let all: Vec<_> = (0..8).flat_map(|i| g1.part(i)).collect();
         assert_eq!(all.len(), 64);
         assert!(all.iter().all(|h| h.p == 101));
+    }
+
+    /// The walks the progression invariant licenses agree with
+    /// evaluating every member, for grids with and without a wrapped
+    /// multiplier (`l = p` ends on `a = 0`) and a prime above `2^63`.
+    #[test]
+    fn grid_progressions_match_member_evaluation() {
+        let big = 9_223_372_036_854_775_837u64; // the least prime above 2^63
+        for (p, l) in
+            [(2u64, 1usize), (2, 2), (13, 13), (101, 8), (101, 100), (4099, 16), (big, 16)]
+        {
+            let grid = AffineFamily::new(p).grid(l);
+            for z in [0u64, 1, 5, 12, 123_456_789, u64::MAX] {
+                let starts: Vec<u64> = grid.part_starts(z).collect();
+                assert_eq!(starts.len(), grid.num_parts());
+                for (i, &start) in starts.iter().enumerate() {
+                    assert_eq!(start, grid.part_start(i, z), "p={p} l={l} z={z} i={i}");
+                    let want: Vec<u64> = grid.part(i).map(|h| h.eval(z)).collect();
+                    let got: Vec<u64> = grid.member_values(start).collect();
+                    assert_eq!(got, want, "p={p} l={l} z={z} i={i}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -19,6 +19,20 @@ pub fn addmod(a: u64, b: u64, m: u64) -> u64 {
     ((a as u128 + b as u128) % m as u128) as u64
 }
 
+/// Computes `(a + b) mod m` for `a < m` and `b ≤ m` with one add and one
+/// conditional subtract: no `u128`, no divide. Exact for every `u64`
+/// modulus, including `m > 2^63`, where `a + b` carries out of 64 bits.
+#[inline]
+pub fn add_reduced(a: u64, b: u64, m: u64) -> u64 {
+    debug_assert!(a < m && b <= m, "add_reduced needs a < m and b ≤ m");
+    let (sum, carry) = a.overflowing_add(b);
+    if carry || sum >= m {
+        sum.wrapping_sub(m)
+    } else {
+        sum
+    }
+}
+
 /// Computes `base^exp mod m` by binary exponentiation.
 pub fn powmod(mut base: u64, mut exp: u64, m: u64) -> u64 {
     debug_assert!(m > 0, "modulus must be positive");
@@ -365,5 +379,17 @@ mod tests {
     fn addmod_wraps() {
         assert_eq!(addmod(u64::MAX - 1, u64::MAX - 1, u64::MAX), u64::MAX - 2);
         assert_eq!(addmod(3, 4, 5), 2);
+    }
+
+    #[test]
+    fn add_reduced_matches_addmod_across_the_carry() {
+        let big = (1u64 << 63) + 29; // a modulus whose sums carry out of 64 bits
+        for m in [2u64, 7, 101, big, u64::MAX] {
+            for a in [0, 1, m / 2, m - 1] {
+                for b in [0, 1, m / 2, m - 1, m] {
+                    assert_eq!(add_reduced(a, b, m), addmod(a, b, m), "{a} + {b} mod {m}");
+                }
+            }
+        }
     }
 }

@@ -1307,7 +1307,9 @@ mod tests {
     #[test]
     fn run_job_refuses_unrunnable_grids_and_the_host_keeps_serving() {
         use sc_engine::{GraphFamily, Scenario, SourceSpec};
+        use streamcolor::{DerandStrategy, DetConfig};
         let family = |family, n, delta| SourceSpec::Family { family, n, delta, p: 0.3, seed: 1 };
+        let det = |derand| ColorerSpec::Det(DetConfig { derand, ..DetConfig::default() });
         let mut service = Service::new();
         service.respond(&open_line("t", 10, 3, "store-all", 1)).unwrap();
         service.respond(r#"{"cmd":"push","session":"t","edge":"0-1"}"#).unwrap();
@@ -1329,6 +1331,14 @@ mod tests {
                 ColorerSpec::Bcg20 { epsilon: -1.0 },
                 r#"field \"epsilon\" = -1 must be"#,
             ),
+            // A client-sized Theorem 1 tournament would hold the host for
+            // minutes: both knobs are capped at 2^16 functions per pass.
+            (SourceSpec::gnp(200, 8, 0.1, 1), det(DerandStrategy::FullFamily), r#"\"derand\""#),
+            (
+                SourceSpec::gnp(200, 8, 0.1, 1),
+                det(DerandStrategy::Grid { l: 1_000_000 }),
+                r#"field \"grid_l\" = 1000000"#,
+            ),
         ] {
             // One bad scenario refuses the whole spec, named by index.
             let job = ShardJob::Grid(vec![runnable.clone(), Scenario::new(source, colorer)]);
@@ -1340,8 +1350,11 @@ mod tests {
                 "{needle}: {response}"
             );
         }
-        // A deletion-supporting colorer still runs its dynamic grid.
-        let job = ShardJob::Grid(vec![runnable]);
+        // A deletion-supporting colorer still runs its dynamic grid, and
+        // a Theorem 1 grid at the cap runs.
+        let capped =
+            Scenario::new(SourceSpec::gnp(12, 3, 0.3, 1), det(DerandStrategy::Grid { l: 256 }));
+        let job = ShardJob::Grid(vec![runnable, capped]);
         let response = service.respond(&run_job_line("j", &job, 0, 1)).unwrap();
         assert!(response.contains("\"ok\":true"), "{response}");
         let stats = service.respond(r#"{"cmd":"stats","session":"t"}"#).unwrap();
