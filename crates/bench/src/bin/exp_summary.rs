@@ -331,10 +331,10 @@ fn sketch_decode_entry(
 /// [`phi_of_hash`]: streamcolor::det::derand::phi_of_hash
 /// [`select_hash`]: streamcolor::det::derand::select_hash
 fn det_tournament_entry(profile: &Profile) -> String {
-    use sc_hash::modp::ceil_log2;
+    use sc_hash::modp::{ceil_log2, prime_in_range};
     use streamcolor::det::derand::{phi_of_hash, select_hash};
     use streamcolor::det::tables::StageTables;
-    use streamcolor::det::{stage_prime, DerandStrategy, Subcube};
+    use streamcolor::det::{DerandStrategy, Subcube};
 
     let (n, delta, reps) = profile.tournament;
     let g = generators::gnp_with_max_degree(n, delta, 0.05, 29);
@@ -344,8 +344,8 @@ fn det_tournament_entry(profile: &Profile) -> String {
         (0..2).map(|j| Subcube::full(b).child(1, j).count_at_most(delta as u64)).collect();
     let u_set: Vec<u32> = (0..n as u32).collect();
     let slack: Vec<u64> = u_set.iter().flat_map(|_| row.iter().copied()).collect();
-    let p = stage_prime(n);
     let log_n = u64::from(ceil_log2(n as u64)).max(1);
+    let p = prime_in_range(8 * n as u64 * log_n, 16 * n as u64 * log_n).expect("Bertrand");
     let tables = StageTables::build(n, &u_set, 2, slack, p, log_n);
     let group = vec![7u64; n];
     let strategy = DerandStrategy::default();

@@ -1,6 +1,5 @@
 //! Configuration for the deterministic multi-pass algorithm.
 
-use crate::det::epoch::stage_prime;
 use sc_hash::affine::GridSubfamily;
 use sc_hash::AffineFamily;
 
@@ -41,16 +40,6 @@ impl DerandStrategy {
             DerandStrategy::Grid { l } => l,
         };
         AffineFamily::new(p).grid(l)
-    }
-
-    /// How many functions a run on `n` vertices evaluates per qualifying
-    /// edge in each stage's pass 2: `min(l, p)²` over
-    /// [`stage_prime`]`(n)`, with `l = p` for the full family. `n` is
-    /// capped at `u32::MAX`, since vertex ids are `u32`.
-    pub fn tournament_size(self, n: usize) -> u128 {
-        let p = stage_prime(n.min(u32::MAX as usize));
-        let side = self.grid(p).num_parts() as u128;
-        side * side
     }
 }
 
@@ -103,18 +92,5 @@ mod tests {
     fn constructors() {
         assert_eq!(DetConfig::theory().derand, DerandStrategy::FullFamily);
         assert_eq!(DetConfig::with_grid(8).derand, DerandStrategy::Grid { l: 8 });
-    }
-
-    #[test]
-    fn tournament_size_is_the_clamped_side_squared() {
-        // n = 200: L = 8, p is the first prime ≥ 12800.
-        let p = stage_prime(200) as u128;
-        assert_eq!(p, 12809);
-        assert_eq!(DerandStrategy::Grid { l: 16 }.tournament_size(200), 256);
-        assert_eq!(DerandStrategy::Grid { l: 0 }.tournament_size(200), 1);
-        assert_eq!(DerandStrategy::Grid { l: 1 << 20 }.tournament_size(200), p * p);
-        assert_eq!(DerandStrategy::FullFamily.tournament_size(200), p * p);
-        // A tiny run's full family is small: n = 2 hashes mod 17.
-        assert_eq!(DerandStrategy::FullFamily.tournament_size(2), 17 * 17);
     }
 }

@@ -43,14 +43,6 @@ pub struct EpochOutcome {
     pub stages: usize,
 }
 
-/// The prime `p ∈ [8nL, 16nL]`, `L = max(1, ⌈log₂ n⌉)`, that every
-/// stage of a run on `n` vertices hashes into (Algorithm 1, line 16).
-pub fn stage_prime(n: usize) -> u64 {
-    let log_n = u64::from(ceil_log2(n as u64)).max(1);
-    prime_in_range(8 * n as u64 * log_n, 16 * n as u64 * log_n)
-        .expect("Bertrand: the interval [8nL, 16nL] contains a prime")
-}
-
 /// Runs one epoch, extending `coloring` and shrinking `u_set` in place.
 #[allow(clippy::too_many_arguments)]
 pub fn coloring_epoch<S: StreamSource + ?Sized>(
@@ -74,7 +66,8 @@ pub fn coloring_epoch<S: StreamSource + ?Sized>(
     let pcc_bits = u_size as u64 * u64::from(b.max(1));
     meter.charge(pcc_bits);
 
-    let p = stage_prime(n);
+    let p = prime_in_range(8 * n as u64 * log_n, 16 * n as u64 * log_n)
+        .expect("Bertrand: the interval [8nL, 16nL] contains a prime");
 
     let mut in_u = vec![false; n];
     for &x in u_set.iter() {

@@ -21,5 +21,5 @@ pub mod tables;
 pub use algorithm::{deterministic_coloring, max_degree_pass, DetReport};
 pub use communication::{two_party_coloring, ProtocolTranscript};
 pub use config::{DerandStrategy, DetConfig};
-pub use epoch::{stage_prime, EpochOutcome};
+pub use epoch::EpochOutcome;
 pub use subcube::Subcube;

@@ -117,8 +117,7 @@ impl StageTables {
     /// invariant of Lemma 3.6.
     pub fn gw(&self, dense: usize, t: u64) -> usize {
         debug_assert!(t < self.p);
-        let base = dense * (self.num_patterns + 1);
-        let cum = &self.gw_cum[base..base + self.num_patterns + 1];
+        let cum = self.cum_row(dense);
         // Find smallest j with cum[j+1] > t.
         let mut lo = 0usize;
         let mut hi = self.num_patterns;

@@ -3,7 +3,6 @@
 use crate::source::SourceSpec;
 use crate::spec::ColorerSpec;
 use sc_stream::{EngineConfig, QuerySchedule, StreamOrder, StreamingColorer};
-use streamcolor::DerandStrategy;
 
 /// One experiment: a graph source, an arrival order, an algorithm, an
 /// engine configuration and a seed.
@@ -76,8 +75,7 @@ impl Scenario {
     /// Whether [`Runner::run`](crate::Runner::run) can run this
     /// scenario: the source can be generated ([`SourceSpec::check`]),
     /// the colorer's parameters lie in range ([`ColorerSpec::check`]),
-    /// a `det` spec's hash tournament stays within 2^16 functions per
-    /// part-pass ([`DerandStrategy::tournament_size`]), and a dynamic (turnstile) source gets a streaming colorer that
+    /// and a dynamic (turnstile) source gets a streaming colorer that
     /// takes deletions. The last is decided as
     /// [`AttackScenario::check_playable`](crate::AttackScenario::check_playable)
     /// decides it — build the colorer from the source's own `n` and
@@ -95,9 +93,6 @@ impl Scenario {
     pub fn check_runnable(&self) -> Result<(), String> {
         self.source.check()?;
         self.colorer.check()?;
-        if let ColorerSpec::Det(config) = &self.colorer {
-            check_tournament(config.derand, self.source.vertices())?;
-        }
         let (SourceSpec::Churn { n, delta, .. } | SourceSpec::SlidingWindow { n, delta, .. }) =
             self.source
         else {
@@ -117,36 +112,11 @@ impl Scenario {
     }
 }
 
-/// The most functions a `det` scenario's tournament may evaluate per
-/// qualifying edge in each stage's pass 2
-/// ([`DerandStrategy::tournament_size`]): `2^16`, a grid side of 256.
-/// That is 16× the largest in-repo grid, while the full family of a
-/// 200-vertex run is over `10^8` and would hold its host for minutes.
-const MAX_TOURNAMENT: u128 = 1 << 16;
-
-/// Refuses a Theorem 1 tournament larger than [`MAX_TOURNAMENT`] over a
-/// run on `n` vertices, naming the wire field that chose it.
-fn check_tournament(derand: DerandStrategy, n: usize) -> Result<(), String> {
-    let size = derand.tournament_size(n);
-    if size <= MAX_TOURNAMENT {
-        return Ok(());
-    }
-    let side = size.isqrt();
-    Err(match derand {
-        DerandStrategy::Grid { l } => format!(
-            "field \"grid_l\" = {l} gives a {side}² = {size}-function tournament at n = {n}; \
-             at most {MAX_TOURNAMENT} (grid_l ≤ 256)"
-        ),
-        DerandStrategy::FullFamily => format!(
-            "field \"derand\" = \"full\" gives a p² = {size}-function tournament at n = {n}; \
-             at most {MAX_TOURNAMENT} (use \"grid\" with grid_l ≤ 256)"
-        ),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::GraphFamily;
+    use streamcolor::DerandStrategy;
 
     #[test]
     fn builder_chain_sets_fields() {
@@ -173,20 +143,26 @@ mod tests {
         assert!(e.contains("insert-only"), "{e}");
         let e = runnable(&churn, ColorerSpec::BatchGreedy).unwrap_err();
         assert!(e.contains("not a single-pass streaming algorithm"), "{e}");
-        // Theorem 1's tournament is capped at 2^16 functions per part-pass.
-        let gnp = SourceSpec::gnp(200, 8, 0.1, 1);
+        // Theorem 1's tournament is capped at 2^16 functions per part-pass,
+        // whatever the source's vertex count.
         let det =
             |derand| ColorerSpec::Det(streamcolor::DetConfig { derand, ..Default::default() });
+        let gnp = SourceSpec::gnp(200, 8, 0.1, 1);
         assert!(runnable(&gnp, det(DerandStrategy::Grid { l: 256 })).is_ok());
         let e = runnable(&gnp, det(DerandStrategy::Grid { l: 257 })).unwrap_err();
         assert!(e.contains(r#"field "grid_l" = 257"#), "{e}");
-        let e = runnable(&gnp, det(DerandStrategy::Grid { l: 1_000_000 })).unwrap_err();
-        assert!(e.contains("12809² = 164070481-function"), "{e}");
-        let e = runnable(&gnp, det(DerandStrategy::FullFamily)).unwrap_err();
+        let bipartite = SourceSpec::Family {
+            family: GraphFamily::Bipartite { a: 1000, b: 1000 },
+            n: 2,
+            delta: 8,
+            p: 0.1,
+            seed: 1,
+        };
+        let e = runnable(&bipartite, det(DerandStrategy::FullFamily)).unwrap_err();
         assert!(e.contains(r#"field "derand" = "full""#), "{e}");
-        // A tiny run's full family is small enough (n = 2 hashes mod 17).
-        let pair = SourceSpec::gnp(2, 1, 1.0, 1);
-        assert!(runnable(&pair, det(DerandStrategy::FullFamily)).is_ok());
+        // An empty graph's run reaches no epoch.
+        let empty = SourceSpec::gnp(0, 8, 0.1, 1);
+        assert!(runnable(&empty, det(DerandStrategy::Grid { l: 16 })).is_ok());
         // Insert-only sources are never screened.
         let exact = SourceSpec::exact_degree(30, 4, 1);
         assert!(runnable(&exact, ColorerSpec::BatchGreedy).is_ok());

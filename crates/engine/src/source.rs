@@ -143,16 +143,6 @@ impl SourceSpec {
         matches!(self, SourceSpec::Churn { .. } | SourceSpec::SlidingWindow { .. })
     }
 
-    /// Number of vertices of the graphs this source yields.
-    pub(crate) fn vertices(&self) -> usize {
-        match *self {
-            SourceSpec::Stored(ref g) => g.n(),
-            SourceSpec::Family { n, .. }
-            | SourceSpec::Churn { n, .. }
-            | SourceSpec::SlidingWindow { n, .. } => n,
-        }
-    }
-
     /// Whether this source can be generated: [`GraphFamily::check`] for
     /// a family, and a density `p ∈ [0, 1]` (NaN refused) wherever the
     /// generator draws edges with it — `gnp`, `bipartite`, and the

@@ -4,9 +4,17 @@ use sc_graph::Graph;
 use sc_stream::BoxedColorer;
 use streamcolor::robust::auto_robust_colorer;
 use streamcolor::{
-    Bcg20Colorer, Bg18Colorer, Cgs22Colorer, DetConfig, DynamicColorer, PaletteSparsification,
-    RandEfficientColorer, RobustColorer, RobustParams, StoreAllColorer, TrivialColorer,
+    Bcg20Colorer, Bg18Colorer, Cgs22Colorer, DerandStrategy, DetConfig, DynamicColorer,
+    PaletteSparsification, RandEfficientColorer, RobustColorer, RobustParams, StoreAllColorer,
+    TrivialColorer,
 };
+
+/// The largest `grid_l` a `det` spec may ask for. A grid of side `l`
+/// evaluates at most `l² = 2^16` functions per qualifying edge in each
+/// stage's pass 2, 16× the largest in-repo grid; the full family
+/// (`l = p ≥ 8·n·⌈log₂ n⌉`) exceeds that beyond about five vertices and
+/// would hold its host for minutes.
+const MAX_GRID_L: usize = 256;
 
 /// Which algorithm a [`Scenario`](crate::Scenario) runs.
 ///
@@ -81,8 +89,9 @@ impl ColorerSpec {
     }
 
     /// Whether the spec's parameters lie in their ranges: `beta ∈ [0, 1]`
-    /// (Corollary 4.7's tradeoff exponent) and `epsilon ≥ 0`; NaN is
-    /// refused. [`ColorerSpec::build`] checks this first, so an
+    /// (Corollary 4.7's tradeoff exponent) and `epsilon ≥ 0`, NaN
+    /// refused; and a `det` hash tournament of at most `2^16` functions
+    /// per part-pass, i.e. `grid_l ≤ 256` and never the full family. [`ColorerSpec::build`] checks this first, so an
     /// out-of-range client parameter is an error, never a constructor
     /// panic.
     ///
@@ -96,6 +105,18 @@ impl ColorerSpec {
             ColorerSpec::Bcg20 { epsilon } if !(0.0..).contains(&epsilon) => {
                 Err(format!("field \"epsilon\" = {epsilon} must be ≥ 0"))
             }
+            ColorerSpec::Det(DetConfig { derand: DerandStrategy::Grid { l }, .. })
+                if l > MAX_GRID_L =>
+            {
+                Err(format!(
+                    "field \"grid_l\" = {l} gives a tournament of up to {l}² functions \
+                     per part-pass; at most {MAX_GRID_L}"
+                ))
+            }
+            ColorerSpec::Det(DetConfig { derand: DerandStrategy::FullFamily, .. }) => Err(format!(
+                "field \"derand\" = \"full\" gives a tournament of p² ≥ (8·n·⌈log₂ n⌉)² \
+                     functions per part-pass; use \"grid\" with grid_l ≤ {MAX_GRID_L}"
+            )),
             _ => Ok(()),
         }
     }

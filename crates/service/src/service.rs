@@ -1334,6 +1334,17 @@ mod tests {
             // A client-sized Theorem 1 tournament would hold the host for
             // minutes: both knobs are capped at 2^16 functions per pass.
             (SourceSpec::gnp(200, 8, 0.1, 1), det(DerandStrategy::FullFamily), r#"\"derand\""#),
+            // The bipartite family's vertex count is a + b, not n.
+            (
+                family(GraphFamily::Bipartite { a: 1000, b: 1000 }, 2, 8),
+                det(DerandStrategy::FullFamily),
+                r#"field \"derand\" = \"full\""#,
+            ),
+            (
+                family(GraphFamily::CliqueUnion { k: 100, size: 20 }, 2, 8),
+                det(DerandStrategy::Grid { l: 257 }),
+                r#"field \"grid_l\" = 257"#,
+            ),
             (
                 SourceSpec::gnp(200, 8, 0.1, 1),
                 det(DerandStrategy::Grid { l: 1_000_000 }),
@@ -1350,11 +1361,13 @@ mod tests {
                 "{needle}: {response}"
             );
         }
-        // A deletion-supporting colorer still runs its dynamic grid, and
-        // a Theorem 1 grid at the cap runs.
+        // A deletion-supporting colorer still runs its dynamic grid, a
+        // Theorem 1 grid at the cap runs, and so does one on no vertices.
         let capped =
             Scenario::new(SourceSpec::gnp(12, 3, 0.3, 1), det(DerandStrategy::Grid { l: 256 }));
-        let job = ShardJob::Grid(vec![runnable, capped]);
+        let empty =
+            Scenario::new(SourceSpec::gnp(0, 3, 0.3, 1), det(DerandStrategy::Grid { l: 16 }));
+        let job = ShardJob::Grid(vec![runnable, capped, empty]);
         let response = service.respond(&run_job_line("j", &job, 0, 1)).unwrap();
         assert!(response.contains("\"ok\":true"), "{response}");
         let stats = service.respond(r#"{"cmd":"stats","session":"t"}"#).unwrap();
