@@ -35,6 +35,14 @@
 //! stay decisively cheaper than replay, or evict-to-disk and live
 //! migration stop paying for themselves.
 //!
+//! An encode section times one `observe` response at the profile's n
+//! two ways: the allocate-and-join coloring text plus the per-`char`
+//! string escaper that `sc_stream` and `flatjson` used before they
+//! gained one writer (frozen in this binary as the reference), against
+//! the shipped `coloring_string` + `encode_object`. The bytes are
+//! asserted equal; `speedup = reference_ms / writer_ms` is gated in
+//! `ci/bench_baselines.json`.
+//!
 //! `--smoke` shrinks the instances and writes `BENCH_service.smoke.json`
 //! (CI-sized; never clobbers the committed full-profile file).
 
@@ -390,6 +398,78 @@ fn main() {
         ));
     }
 
+    // Response encode: the frozen join reference against the writer, on
+    // the last `observe` response of a real session.
+    {
+        use sc_engine::flatjson::{encode_object, parse_object, Scalar};
+        let script = session_script("encode", &ColorerSpec::StoreAll, &profile, 400);
+        let mut service = Service::new();
+        let observed = script[..script.len() - 2]
+            .iter()
+            .filter_map(|line| service.respond(line))
+            .last()
+            .expect("the script ends with an observe");
+        let mut base = parse_object(&observed).expect("observe response parses");
+        let coloring = match base.remove("coloring") {
+            Some(Scalar::Str(text)) => {
+                sc_service::service::parse_coloring(&text, profile.n).expect("coloring parses")
+            }
+            other => panic!("observe response has no coloring: {other:?}"),
+        };
+        let writer = || {
+            let mut obj = base.clone();
+            obj.insert(
+                "coloring".into(),
+                Scalar::Str(sc_service::service::coloring_string(&coloring)),
+            );
+            encode_object(&obj)
+        };
+        let reference = || {
+            let mut obj = base.clone();
+            obj.insert("coloring".into(), Scalar::Str(frozen::coloring_string(&coloring)));
+            frozen::encode_object(&obj)
+        };
+        assert_eq!(writer(), observed, "the writer changed the observe response");
+        assert_eq!(reference(), observed, "the frozen reference drifted from the response");
+
+        // Enough responses per timed pass to sit well above timer noise.
+        const RESPONSES: usize = 2000;
+        let time = |encode: &dyn Fn() -> String| -> f64 {
+            let start = Instant::now();
+            for _ in 0..RESPONSES {
+                std::hint::black_box(encode());
+            }
+            start.elapsed().as_secs_f64() * 1e3
+        };
+        let median = |times: &mut Vec<f64>| -> f64 {
+            times.sort_by(f64::total_cmp);
+            times[times.len() / 2]
+        };
+        // Alternate the two so drift in the machine's speed hits both.
+        let (mut reference_times, mut writer_times) = (Vec::new(), Vec::new());
+        for _ in 0..profile.reps {
+            reference_times.push(time(&reference));
+            writer_times.push(time(&writer));
+        }
+        let reference_ms = median(&mut reference_times);
+        let writer_ms = median(&mut writer_times);
+        let speedup = reference_ms / writer_ms.max(1e-9);
+        println!(
+            "   encode: {RESPONSES} observe responses of {} bytes — reference {reference_ms:.2} ms, \
+             writer {writer_ms:.2} ms, speedup {speedup:.2}",
+            observed.len(),
+        );
+        entries.push(format!(
+            "  {{\"algo\":\"encode\",\"kind\":\"encode\",\"n\":{},\"responses\":{},\"response_bytes\":{},\"reference_ms\":{:.3},\"writer_ms\":{:.3},\"speedup\":{:.3}}}",
+            profile.n,
+            RESPONSES,
+            observed.len(),
+            reference_ms,
+            writer_ms,
+            speedup,
+        ));
+    }
+
     let path = profile.bench_path();
     let json = format!("[\n{}\n]\n", entries.join(",\n"));
     match std::fs::File::create(path).and_then(|mut f| f.write_all(json.as_bytes())) {
@@ -397,4 +477,61 @@ fn main() {
         Err(e) => eprintln!("\ncould not write {path}: {e}"),
     }
     print!("{json}");
+}
+
+/// The response encoders `coloring_string` and `encode_object` replaced,
+/// frozen as the encode row's reference: one `String` per cell joined,
+/// and a string escaper that pushes one `char` at a time.
+mod frozen {
+    use sc_engine::flatjson::{FlatObject, Scalar};
+    use sc_graph::Coloring;
+    use std::fmt::Write as _;
+
+    pub fn coloring_string(c: &Coloring) -> String {
+        let cells: Vec<String> = (0..c.n() as u32)
+            .map(|v| c.get(v).map_or("-".to_string(), |k| k.to_string()))
+            .collect();
+        cells.join(",")
+    }
+
+    pub fn encode_object(obj: &FlatObject) -> String {
+        let mut out = String::from("{");
+        for (j, (key, value)) in obj.iter().enumerate() {
+            if j > 0 {
+                out.push(',');
+            }
+            encode_string(&mut out, key);
+            out.push(':');
+            match value {
+                Scalar::Str(s) => encode_string(&mut out, s),
+                Scalar::Num(x) => {
+                    let _ = write!(out, "{x:?}");
+                }
+                Scalar::Uint(x) => {
+                    let _ = write!(out, "{x}");
+                }
+                Scalar::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            }
+        }
+        out.push('}');
+        out
+    }
+
+    fn encode_string(out: &mut String, s: &str) {
+        out.push('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\t' => out.push_str("\\t"),
+                '\r' => out.push_str("\\r"),
+                c if (c as u32) < 0x20 => {
+                    let _ = write!(out, "\\u{:04x}", c as u32);
+                }
+                _ => out.push(c),
+            }
+        }
+        out.push('"');
+    }
 }

@@ -82,6 +82,9 @@ struct Conn {
     stream: TcpStream,
     /// Bytes read but not yet terminated by `\n`.
     rbuf: Vec<u8>,
+    /// How many leading `rbuf` bytes are known to hold no `\n`, so each
+    /// byte is scanned once however many reads a line spans.
+    scanned: usize,
     /// Response bytes not yet accepted by the socket; `wpos` marks how
     /// far the front has been written (drained wholesale once the
     /// buffer empties, so no per-write memmove).
@@ -305,6 +308,7 @@ impl Reactor {
                     let conn = Conn {
                         stream,
                         rbuf: Vec::new(),
+                        scanned: 0,
                         wbuf: Vec::new(),
                         wpos: 0,
                         last_activity: (self.clock)(),
@@ -373,15 +377,22 @@ fn step_conn(conn: &mut Conn, owner: u64, service: &mut Service, now: Instant) -
         }
     }
 
-    // Answer complete lines in arrival order.
-    while let Some(pos) = conn.rbuf.iter().position(|&b| b == b'\n') {
-        let line: Vec<u8> = conn.rbuf.drain(..=pos).collect();
-        let line = String::from_utf8_lossy(&line[..pos]);
+    // Answer complete lines in arrival order from a cursor into `rbuf`,
+    // then drop the answered prefix with one shift: a burst of pipelined
+    // lines costs linear time, not a shift of the whole buffer per line.
+    let mut start = 0;
+    while let Some(len) = conn.rbuf[conn.scanned..].iter().position(|&b| b == b'\n') {
+        let end = conn.scanned + len;
+        let line = String::from_utf8_lossy(&conn.rbuf[start..end]);
         if let Some(response) = service.respond_as(owner, line.trim_end_matches('\r')) {
             conn.wbuf.extend_from_slice(response.as_bytes());
             conn.wbuf.push(b'\n');
         }
+        start = end + 1;
+        conn.scanned = start;
     }
+    conn.rbuf.drain(..start);
+    conn.scanned = conn.rbuf.len();
 
     // Flush what the socket will take right now; leftovers arm write
     // interest in `rearm`.

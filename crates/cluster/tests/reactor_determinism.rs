@@ -229,6 +229,56 @@ fn soak_256_connections_match_per_connection_reference() {
 }
 
 #[test]
+fn a_pipelined_burst_in_one_write_matches_the_isolated_transcript() {
+    // One client writes 60k lines in a single write and reads the
+    // replies on another thread. The reactor answers them from one read
+    // buffer, so this is the case where a per-line shift of that buffer
+    // turned quadratic. Blank lines, comments and `\r\n` endings ride
+    // along: they must be skipped or trimmed exactly as in-process.
+    const LINES: usize = 60_000;
+    let mut lines =
+        vec![r#"{"cmd":"open","session":"p","n":64,"delta":8,"colorer":"store-all","seed":3}"#
+            .to_string()];
+    for i in 0..LINES {
+        lines.push(match i % 6 {
+            0 if i < 64 * 4 => {
+                format!(r#"{{"cmd":"push","session":"p","edge":"{}-{}"}}"#, i / 4, (i / 4 + 1) % 64)
+            }
+            1 | 2 => r#"{"cmd":"stats","session":"p"}"#.to_string(),
+            3 => r#"{"cmd":"observe","session":"p"}"#.to_string(),
+            4 if i % 1000 == 4 => String::new(),
+            5 if i % 1000 == 5 => "# a comment".to_string(),
+            _ => r#"{"cmd":"stats","session":"p"}"#.to_string() + "\r",
+        });
+    }
+    lines.push(r#"{"cmd":"finish","session":"p"}"#.to_string());
+    let mut service = Service::new();
+    let reference: Vec<String> =
+        lines.iter().filter_map(|l| service.respond(l.trim_end_matches('\r'))).collect();
+    assert!(reference.len() > 50_000, "the burst must carry at least 50k answered lines");
+
+    let mut reactor = Reactor::bind("127.0.0.1:0").unwrap();
+    let addr = reactor.local_addr().unwrap().to_string();
+    let handle = std::thread::spawn(move || reactor.run(Some(1)).unwrap());
+    let stream = std::net::TcpStream::connect(&addr).unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let burst: String = lines.iter().map(|l| format!("{l}\n")).collect();
+    let sender = std::thread::spawn(move || {
+        use std::io::Write as _;
+        writer.write_all(burst.as_bytes()).unwrap();
+        writer.shutdown(std::net::Shutdown::Write).unwrap();
+    });
+    // The reactor closes the connection once EOF arrives and every
+    // reply is flushed, so the replies are the whole read side.
+    let replies: Vec<String> =
+        std::io::BufRead::lines(std::io::BufReader::new(stream)).map(Result::unwrap).collect();
+    sender.join().unwrap();
+    handle.join().unwrap();
+    assert_eq!(replies.len(), reference.len());
+    assert!(replies == reference, "pipelined replies diverged from the isolated transcript");
+}
+
+#[test]
 fn idle_connections_are_evicted_on_the_injected_clock() {
     // A fake clock: an atomic tick count layered on a fixed origin. The
     // reactor samples it on every loop wake, so advancing it past the

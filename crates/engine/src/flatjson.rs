@@ -191,24 +191,35 @@ pub fn parse_object(text: &str) -> Result<FlatObject, String> {
     }
 }
 
+/// Appends `s` as a JSON string literal. Each maximal run of bytes that
+/// needs no escape is copied with one `push_str`; every escaped byte is
+/// ASCII, so run boundaries always fall on `char` boundaries.
 fn encode_string(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => Some("\\\""),
+            b'\\' => Some("\\\\"),
+            b'\n' => Some("\\n"),
+            b'\t' => Some("\\t"),
+            b'\r' => Some("\\r"),
             // RFC 8259 forbids raw control characters in strings; the
             // remaining ones get the generic \u escape so external tools
             // (serde_json, jq) can read our files.
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+            0..=0x1f => None,
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        match escape {
+            Some(escape) => out.push_str(escape),
+            None => {
+                let _ = write!(out, "\\u{b:04x}");
             }
-            _ => out.push(c),
         }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -306,12 +317,17 @@ impl Parser<'_> {
         let start = self.pos;
         let mut s: Vec<u8> = Vec::new();
         loop {
+            // Copy the run up to the next quote or backslash in one step.
+            let rest = &self.bytes[self.pos..];
+            let run = rest.iter().position(|&b| b == b'"' || b == b'\\').unwrap_or(rest.len());
+            s.extend_from_slice(&rest[..run]);
+            self.pos += run;
             match self.next() {
                 Some(b'"') => {
                     return String::from_utf8(s)
                         .map_err(|_| format!("invalid UTF-8 in string at byte {start}"))
                 }
-                Some(b'\\') => match self.next() {
+                Some(_backslash) => match self.next() {
                     Some(c @ (b'"' | b'\\')) => s.push(c),
                     Some(b'n') => s.push(b'\n'),
                     Some(b't') => s.push(b'\t'),
@@ -332,7 +348,6 @@ impl Parser<'_> {
                     }
                     other => return Err(format!("unsupported escape {other:?}")),
                 },
-                Some(c) => s.push(c),
                 None => return Err("unterminated string".to_string()),
             }
         }
@@ -367,6 +382,74 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The per-`char` string encoder the run-copying one replaced,
+    /// frozen here as the byte-for-byte reference.
+    fn frozen_encode_string(out: &mut String, s: &str) {
+        out.push('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\t' => out.push_str("\\t"),
+                '\r' => out.push_str("\\r"),
+                c if (c as u32) < 0x20 => {
+                    let _ = write!(out, "\\u{:04x}", c as u32);
+                }
+                _ => out.push(c),
+            }
+        }
+        out.push('"');
+    }
+
+    /// One character drawn toward the escape set: `"`, `\`, every
+    /// byte 0x00–0x1f, DEL, multibyte UTF-8 of each width, and plain
+    /// ASCII.
+    fn pick_char(pick: u8, raw: u32) -> char {
+        match pick % 8 {
+            0 => '"',
+            1 => '\\',
+            2 | 3 => char::from((raw % 0x20) as u8),
+            4 => '\u{7f}',
+            5 => ['é', '∆', '😀'][(raw % 3) as usize],
+            _ => char::from(b' ' + (raw % 95) as u8),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn string_encoding_matches_the_frozen_per_char_encoder(
+            picks in prop::collection::vec((any::<u8>(), any::<u32>()), 0..24),
+        ) {
+            let text: String = picks.iter().map(|&(pick, raw)| pick_char(pick, raw)).collect();
+            let (mut run, mut frozen) = (String::new(), String::new());
+            encode_string(&mut run, &text);
+            frozen_encode_string(&mut frozen, &text);
+            prop_assert_eq!(&run, &frozen, "text {:?}", text);
+            let mut obj = FlatObject::new();
+            obj.insert(text.clone(), Scalar::Str(text.clone()));
+            prop_assert_eq!(parse_object(&encode_object(&obj)), Ok(obj));
+        }
+    }
+
+    #[test]
+    fn escapes_at_the_ends_of_a_run_keep_the_run_whole() {
+        let mut out = String::new();
+        encode_string(&mut out, "\"a∆\u{7f}b\u{1}");
+        assert_eq!(out, "\"\\\"a∆\u{7f}b\\u0001\"");
+        out.clear();
+        encode_string(&mut out, "");
+        assert_eq!(out, "\"\"");
+        assert_eq!(
+            parse_object("{\"k\":\"\\n\\u0041bc\\\\\"}").unwrap()["k"].as_str(),
+            Some("\nAbc\\")
+        );
+        assert_eq!(parse_object("{\"k\":\"abc").unwrap_err(), "unterminated string");
+    }
 
     #[test]
     fn parses_the_bench_engine_shape() {

@@ -720,11 +720,15 @@ fn snapshot_path(dir: &Path, owner: u64, name: &str) -> PathBuf {
 /// Checkpoint history as `prefix@space_bits@coloring` records joined by
 /// `|` (the `colors` count is derivable and recomputed on decode).
 fn encode_checkpoints(checkpoints: &[Checkpoint]) -> String {
-    let parts: Vec<String> = checkpoints
-        .iter()
-        .map(|cp| format!("{}@{}@{}", cp.prefix_len, cp.space_bits, coloring_string(&cp.coloring)))
-        .collect();
-    parts.join("|")
+    let mut out = String::new();
+    for (i, cp) in checkpoints.iter().enumerate() {
+        if i > 0 {
+            out.push('|');
+        }
+        out.push_str(&format!("{}@{}@", cp.prefix_len, cp.space_bits));
+        sc_stream::write_coloring(&mut out, &cp.coloring);
+    }
+    out
 }
 
 fn decode_checkpoints(text: &str, n: usize) -> Result<Vec<Checkpoint>, String> {

@@ -57,7 +57,8 @@ pub use source::{PassCounter, StoredStream, StreamSource};
 pub use space::{color_bits, counter_bits, edge_bits, vertex_bits, SpaceMeter};
 pub use state::{
     coloring_string, decode_edges, decode_signed_list, decode_u64_list, encode_edges,
-    encode_signed_list, encode_u64_list, parse_coloring, parse_edge, StateReader, StateWriter,
+    encode_signed_list, encode_u64_list, parse_coloring, parse_edge, write_coloring, write_edges,
+    write_signed_list, write_u64_list, StateReader, StateWriter,
 };
 pub use support::DynamicSupport;
 pub use token::{Sign, SignedEdge, StreamItem};

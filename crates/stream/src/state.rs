@@ -45,18 +45,24 @@ impl StateWriter {
             !value.contains(';') && !value.contains('='),
             "state value for {key:?} contains a separator: {value:?}"
         );
+        self.key(key).out.push_str(&value);
+        self
+    }
+
+    /// Appends an edge-list field (see [`write_edges`]).
+    pub fn edges(&mut self, key: &str, edges: &[Edge]) -> &mut Self {
+        write_edges(&mut self.key(key).out, edges);
+        self
+    }
+
+    /// Starts a field: the `;` separator (unless first), `key` and `=`.
+    fn key(&mut self, key: &str) -> &mut Self {
         if !self.out.is_empty() {
             self.out.push(';');
         }
         self.out.push_str(key);
         self.out.push('=');
-        self.out.push_str(&value);
         self
-    }
-
-    /// Appends an edge-list field (see [`encode_edges`]).
-    pub fn edges(&mut self, key: &str, edges: &[Edge]) -> &mut Self {
-        self.field(key, encode_edges(edges))
     }
 
     /// The finished canonical string.
@@ -151,11 +157,16 @@ pub fn parse_edge(tok: &str, n: Option<usize>) -> Result<Edge, String> {
 }
 
 /// Encodes edges as `"0-1 0-2"` (single-space-separated `u-v` tokens;
-/// empty string for no edges).
+/// empty string for no edges): [`write_edges`] run into a fresh string.
 pub fn encode_edges(edges: impl IntoIterator<Item = impl Borrow<Edge>>) -> String {
-    let tokens: Vec<String> =
-        edges.into_iter().map(|e| format!("{}-{}", e.borrow().u(), e.borrow().v())).collect();
-    tokens.join(" ")
+    let mut out = String::new();
+    write_edges(&mut out, edges);
+    out
+}
+
+/// Appends the [`encode_edges`] text of `edges` to `out`.
+pub fn write_edges(out: &mut String, edges: impl IntoIterator<Item = impl Borrow<Edge>>) {
+    write_joined(out, edges, ' ', |out, e| write_edge(out, e.borrow()));
 }
 
 /// Decodes whitespace-separated [`parse_edge`] tokens.
@@ -167,11 +178,20 @@ pub fn decode_edges(text: &str, n: Option<usize>) -> Result<Vec<Edge>, String> {
 }
 
 /// Encodes signed tokens as `"+0-1 -0-1"` (single-space-separated, each
-/// `u-v` token prefixed by its sign glyph; empty string for none).
+/// `u-v` token prefixed by its sign glyph; empty string for none):
+/// [`write_signed_list`] run into a fresh string.
 pub fn encode_signed_list(tokens: &[SignedEdge]) -> String {
-    let tokens: Vec<String> =
-        tokens.iter().map(|t| format!("{}{}", t.sign.glyph(), encode_edges([t.edge]))).collect();
-    tokens.join(" ")
+    let mut out = String::new();
+    write_signed_list(&mut out, tokens);
+    out
+}
+
+/// Appends the [`encode_signed_list`] text of `tokens` to `out`.
+pub fn write_signed_list(out: &mut String, tokens: &[SignedEdge]) {
+    write_joined(out, tokens, ' ', |out, t| {
+        out.push(t.sign.glyph());
+        write_edge(out, &t.edge);
+    });
 }
 
 /// Decodes whitespace-separated signed tokens, validating every edge
@@ -196,11 +216,21 @@ pub fn decode_signed_list(text: &str, n: usize) -> Result<Vec<SignedEdge>, Strin
 
 /// Renders a coloring as `"0,1,-,2"` (one `,`-joined cell per vertex;
 /// `-` marks an uncolored vertex) — the one coloring text of protocol
-/// responses, snapshot checkpoints and shard run summaries.
+/// responses, snapshot checkpoints and shard run summaries:
+/// [`write_coloring`] run into a fresh string.
 pub fn coloring_string(c: &Coloring) -> String {
-    let cells: Vec<String> =
-        (0..c.n() as u32).map(|v| c.get(v).map_or("-".to_string(), |k| k.to_string())).collect();
-    cells.join(",")
+    let mut out = String::new();
+    write_coloring(&mut out, c);
+    out
+}
+
+/// Appends the [`coloring_string`] text of `c` to `out`.
+pub fn write_coloring(out: &mut String, c: &Coloring) {
+    out.reserve(2 * c.n()); // every cell takes at least one byte and a comma
+    write_joined(out, 0..c.n() as u32, ',', |out, v| match c.get(v) {
+        Some(color) => write_u64(out, color),
+        None => out.push('-'),
+    });
 }
 
 /// Parses a [`coloring_string`] back into a coloring over `n` vertices.
@@ -212,12 +242,14 @@ pub fn parse_coloring(text: &str, n: usize) -> Result<Coloring, String> {
     if n == 0 && text.is_empty() {
         return Ok(coloring);
     }
-    let cells: Vec<&str> = text.split(',').collect();
-    if cells.len() != n {
-        return Err(format!("coloring has {} cells, expected {n}", cells.len()));
+    // Count before parsing, so a length mismatch is reported ahead of
+    // any bad cell.
+    let cells = text.bytes().filter(|&b| b == b',').count() + 1;
+    if cells != n {
+        return Err(format!("coloring has {cells} cells, expected {n}"));
     }
-    for (v, cell) in cells.iter().enumerate() {
-        if *cell == "-" {
+    for (v, cell) in text.split(',').enumerate() {
+        if cell == "-" {
             continue;
         }
         let color = cell.parse().map_err(|e| format!("cell {v} {cell:?}: {e}"))?;
@@ -226,9 +258,61 @@ pub fn parse_coloring(text: &str, n: usize) -> Result<Coloring, String> {
     Ok(coloring)
 }
 
-/// Encodes counters as `"0,3,1"` (`,`-joined; empty string for none).
+/// Encodes counters as `"0,3,1"` (`,`-joined; empty string for none):
+/// [`write_u64_list`] run into a fresh string.
 pub fn encode_u64_list(values: &[u64]) -> String {
-    values.iter().map(u64::to_string).collect::<Vec<_>>().join(",")
+    let mut out = String::new();
+    write_u64_list(&mut out, values);
+    out
+}
+
+/// Appends the [`encode_u64_list`] text of `values` to `out`.
+pub fn write_u64_list(out: &mut String, values: &[u64]) {
+    write_joined(out, values, ',', |out, &x| write_u64(out, x));
+}
+
+/// Appends `items` to `out`, `sep` between consecutive ones — the one
+/// list layout behind every writer above.
+fn write_joined<T>(
+    out: &mut String,
+    items: impl IntoIterator<Item = T>,
+    sep: char,
+    mut write: impl FnMut(&mut String, T),
+) {
+    for (i, item) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push(sep);
+        }
+        write(out, item);
+    }
+}
+
+/// Appends one `u-v` token.
+fn write_edge(out: &mut String, e: &Edge) {
+    write_u64(out, u64::from(e.u()));
+    out.push('-');
+    write_u64(out, u64::from(e.v()));
+}
+
+/// Appends the decimal digits of `x` (the same text as `x.to_string()`),
+/// formatted on the stack: the one integer formatter of every writer
+/// here (colors are `u64`, vertex ids widen to it).
+fn write_u64(out: &mut String, mut x: u64) {
+    if x < 10 {
+        out.push(char::from(b'0' + x as u8));
+        return;
+    }
+    let mut digits = [0u8; 20]; // u64::MAX has 20 digits
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (x % 10) as u8;
+        x /= 10;
+        if x == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[start..]).expect("decimal digits are ASCII"));
 }
 
 /// Decodes an [`encode_u64_list`] string.
@@ -242,6 +326,140 @@ pub fn decode_u64_list(text: &str) -> Result<Vec<u64>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The allocate-and-join encoders the writers replaced, frozen here
+    /// as the byte-for-byte reference.
+    mod frozen {
+        use super::*;
+
+        pub fn encode_edges(edges: &[Edge]) -> String {
+            let tokens: Vec<String> =
+                edges.iter().map(|e| format!("{}-{}", e.u(), e.v())).collect();
+            tokens.join(" ")
+        }
+
+        pub fn encode_signed_list(tokens: &[SignedEdge]) -> String {
+            let tokens: Vec<String> = tokens
+                .iter()
+                .map(|t| format!("{}{}", t.sign.glyph(), encode_edges(&[t.edge])))
+                .collect();
+            tokens.join(" ")
+        }
+
+        pub fn coloring_string(c: &Coloring) -> String {
+            let cells: Vec<String> = (0..c.n() as u32)
+                .map(|v| c.get(v).map_or("-".to_string(), |k| k.to_string()))
+                .collect();
+            cells.join(",")
+        }
+
+        pub fn encode_u64_list(values: &[u64]) -> String {
+            values.iter().map(u64::to_string).collect::<Vec<_>>().join(",")
+        }
+    }
+
+    /// A `u64` biased toward the formatter's edge cases: 0, one digit,
+    /// every power-of-ten boundary, `u64::MAX`, and arbitrary values.
+    fn value(pick: u8, raw: u64) -> u64 {
+        let power = 10u64.pow((raw % 20) as u32);
+        match pick % 7 {
+            0 => 0,
+            1 => raw % 10,
+            2 => power,
+            3 => power - 1,
+            4 => u64::MAX,
+            _ => raw,
+        }
+    }
+
+    /// A vertex id biased toward one digit and toward `u32::MAX`.
+    fn vertex(raw: u32) -> u32 {
+        match raw % 4 {
+            0 => raw % 10,
+            1 => u32::MAX - raw % 2,
+            _ => raw,
+        }
+    }
+
+    /// The edge `a-b`, nudging `b` off `a` (edges are never self-loops).
+    fn edge(a: u32, b: u32) -> Edge {
+        Edge::new(a, if a == b { b.wrapping_add(1) } else { b })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn colorings_match_the_frozen_join(
+            cells in prop::collection::vec((any::<u8>(), any::<u64>()), 0..40),
+        ) {
+            // pick 6 and 7 leave the vertex uncolored.
+            let coloring = Coloring::from_vec(
+                cells.iter().map(|&(pick, raw)| (pick % 8 < 6).then(|| value(pick, raw))).collect(),
+            );
+            let text = coloring_string(&coloring);
+            prop_assert_eq!(&text, &frozen::coloring_string(&coloring));
+            prop_assert_eq!(parse_coloring(&text, coloring.n()), Ok(coloring.clone()));
+            // The writer appends: existing text is kept, never cleared.
+            let mut out = String::from("x");
+            write_coloring(&mut out, &coloring);
+            prop_assert_eq!(out, format!("x{text}"));
+        }
+
+        #[test]
+        fn edge_lists_match_the_frozen_join(
+            pairs in prop::collection::vec((any::<u32>(), any::<u32>()), 0..24),
+        ) {
+            let edges: Vec<Edge> = pairs.iter().map(|&(a, b)| edge(vertex(a), vertex(b))).collect();
+            let text = encode_edges(&edges);
+            prop_assert_eq!(&text, &frozen::encode_edges(&edges));
+            prop_assert_eq!(decode_edges(&text, None), Ok(edges));
+        }
+
+        #[test]
+        fn signed_lists_match_the_frozen_join(
+            tokens in prop::collection::vec((any::<bool>(), any::<u32>(), any::<u32>()), 0..24),
+        ) {
+            let tokens: Vec<SignedEdge> = tokens
+                .iter()
+                .map(|&(insert, a, b)| {
+                    let e = edge(a % 1000, b % 1000);
+                    if insert { SignedEdge::insert(e) } else { SignedEdge::delete(e) }
+                })
+                .collect();
+            let text = encode_signed_list(&tokens);
+            prop_assert_eq!(&text, &frozen::encode_signed_list(&tokens));
+            prop_assert_eq!(decode_signed_list(&text, 1001), Ok(tokens));
+        }
+
+        #[test]
+        fn u64_lists_match_the_frozen_join(
+            raw in prop::collection::vec((any::<u8>(), any::<u64>()), 0..24),
+        ) {
+            let values: Vec<u64> = raw.iter().map(|&(pick, raw)| value(pick, raw)).collect();
+            let text = encode_u64_list(&values);
+            prop_assert_eq!(&text, &frozen::encode_u64_list(&values));
+            prop_assert_eq!(decode_u64_list(&text), Ok(values));
+        }
+    }
+
+    #[test]
+    fn coloring_errors_keep_their_texts_and_order() {
+        assert_eq!(parse_coloring("", 0), Ok(Coloring::empty(0)));
+        assert_eq!(coloring_string(&Coloring::empty(0)), "");
+        // A length mismatch is reported before any bad cell.
+        assert_eq!(parse_coloring("x,1", 3).unwrap_err(), "coloring has 2 cells, expected 3");
+        assert_eq!(parse_coloring("", 2).unwrap_err(), "coloring has 1 cells, expected 2");
+        assert_eq!(
+            parse_coloring("0,-,x", 3).unwrap_err(),
+            "cell 2 \"x\": invalid digit found in string"
+        );
+        assert_eq!(
+            parse_coloring("0,,1", 3).unwrap_err(),
+            "cell 1 \"\": cannot parse integer from empty string"
+        );
+    }
 
     #[test]
     fn u64_lists_round_trip() {
