@@ -34,9 +34,12 @@
 //!
 //! * A connection's pending responses live in its own write buffer;
 //!   when the buffer passes a high watermark the reactor **stops
-//!   reading from that connection** (its interest drops to
-//!   write-only) until the peer drains it below the low watermark. A
-//!   slow reader stalls only its own pipeline, never the loop.
+//!   answering and reading on that connection** (its interest drops to
+//!   write-only) until the peer drains it below the low watermark; then
+//!   it answers the lines it already holds before it reads more. A peer
+//!   that pipelines requests without reading replies therefore queues at
+//!   most the high watermark plus one response, and a slow reader stalls
+//!   only its own pipeline, never the loop.
 //! * [`Reactor::with_idle_timeout`] evicts connections whose last
 //!   activity is older than the timeout (their sessions drop with
 //!   them, like a disconnect). The clock is injected
@@ -62,8 +65,8 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Pause reading from a connection once this many response bytes are
-/// queued for it…
+/// Pause answering and reading on a connection once this many response
+/// bytes are queued for it…
 const WRITE_HIGH_WATERMARK: usize = 1 << 20;
 /// …and resume once the queue drains below this.
 const WRITE_LOW_WATERMARK: usize = 1 << 18;
@@ -92,10 +95,10 @@ struct Conn {
     wpos: usize,
     last_activity: Instant,
     /// Peer half-closed its sending side; the connection closes once
-    /// the write buffer drains.
+    /// every buffered line is answered and the write buffer drains.
     eof: bool,
-    /// Reading is suspended (write buffer passed the high watermark)
-    /// until the peer drains it below the low watermark.
+    /// Answering and reading are suspended (write buffer passed the high
+    /// watermark) until the peer drains it below the low watermark.
     paused: bool,
 }
 
@@ -355,33 +358,90 @@ impl Reactor {
     }
 }
 
-/// Services one readiness event on `conn`: drain the socket, answer
-/// every complete line through the shared service (owner = connection
-/// id, or 0 for every connection under shared sessions), flush
-/// opportunistically. Returns `true` when the connection is finished
-/// (peer gone, I/O error, or clean EOF with an empty write buffer).
+/// Services one readiness event on `conn`: answer buffered lines through
+/// the shared service (owner = connection id, or 0 for every connection
+/// under shared sessions), flush, and read until the socket runs dry —
+/// once per step, so a peer that keeps its pipe full cannot hold the
+/// loop. Answering stops while the queued responses sit at or above the
+/// high watermark, so the queue never holds more than the watermark plus
+/// one response; once the peer drains it below the low watermark the
+/// buffered lines are answered before anything more is read. Returns
+/// `true` when the connection is finished (peer gone, I/O error, or
+/// clean EOF with every line answered and the write buffer empty).
 fn step_conn(conn: &mut Conn, owner: u64, service: &mut Service, now: Instant) -> bool {
-    // Read until the socket runs dry — but not while the peer refuses
-    // to drain our responses (backpressure).
+    let mut read = false;
+    loop {
+        // A paused connection may still hold complete lines; it answers
+        // them on the first pass after it resumes.
+        let lines_left = conn.paused || answer_lines(conn, owner, service);
+        if !flush(conn) {
+            return true;
+        }
+        // Watermark hysteresis: pause above HIGH, resume below LOW.
+        if conn.pending_write() >= WRITE_HIGH_WATERMARK {
+            conn.paused = true;
+        } else if conn.pending_write() < WRITE_LOW_WATERMARK {
+            conn.paused = false;
+        }
+        if conn.paused {
+            break;
+        }
+        if lines_left {
+            continue;
+        }
+        if conn.eof || read {
+            break;
+        }
+        read = true;
+        if !read_dry(conn, now) {
+            return true;
+        }
+    }
+    // A paused connection still has responses queued; an unpaused one
+    // only stops with every complete line answered.
+    conn.eof && conn.pending_write() == 0
+}
+
+/// Reads until the socket runs dry or reports EOF. Returns `false` when
+/// the connection is broken.
+fn read_dry(conn: &mut Conn, now: Instant) -> bool {
     let mut chunk = [0u8; READ_CHUNK];
-    while !conn.eof && !conn.paused {
+    loop {
         match conn.stream.read(&mut chunk) {
-            Ok(0) => conn.eof = true,
+            Ok(0) => {
+                conn.eof = true;
+                return true;
+            }
             Ok(n) => {
                 conn.rbuf.extend_from_slice(&chunk[..n]);
                 conn.last_activity = now;
             }
-            Err(err) if err.kind() == ErrorKind::WouldBlock => break,
-            Err(err) if err.kind() == ErrorKind::Interrupted => continue,
-            Err(_) => return true,
+            Err(err) if err.kind() == ErrorKind::WouldBlock => return true,
+            Err(err) if err.kind() == ErrorKind::Interrupted => {}
+            Err(_) => return false,
         }
     }
+}
 
-    // Answer complete lines in arrival order from a cursor into `rbuf`,
-    // then drop the answered prefix with one shift: a burst of pipelined
-    // lines costs linear time, not a shift of the whole buffer per line.
+/// Answers complete lines in arrival order from a cursor into `rbuf`
+/// while the queued responses stay under the high watermark, then drops
+/// the answered prefix with one shift: a burst of pipelined lines costs
+/// linear time, not a shift of the whole buffer per line. Returns whether
+/// a complete line is left unanswered.
+fn answer_lines(conn: &mut Conn, owner: u64, service: &mut Service) -> bool {
     let mut start = 0;
+    let mut left = false;
     while let Some(len) = conn.rbuf[conn.scanned..].iter().position(|&b| b == b'\n') {
+        if conn.pending_write() >= WRITE_HIGH_WATERMARK {
+            left = true;
+            break;
+        }
+        if conn.wpos > 0 {
+            // Drop the already-written front before queueing more, so a
+            // peer that drains slowly cannot grow the buffer unboundedly.
+            conn.wbuf.drain(..conn.wpos);
+            conn.wpos = 0;
+        }
         let end = conn.scanned + len;
         let line = String::from_utf8_lossy(&conn.rbuf[start..end]);
         if let Some(response) = service.respond_as(owner, line.trim_end_matches('\r')) {
@@ -392,32 +452,27 @@ fn step_conn(conn: &mut Conn, owner: u64, service: &mut Service, now: Instant) -
         conn.scanned = start;
     }
     conn.rbuf.drain(..start);
-    conn.scanned = conn.rbuf.len();
+    conn.scanned = if left { 0 } else { conn.rbuf.len() };
+    left
+}
 
-    // Flush what the socket will take right now; leftovers arm write
-    // interest in `rearm`.
+/// Writes what the socket will take right now; leftovers arm write
+/// interest in `rearm`. Returns `false` when the connection is broken.
+fn flush(conn: &mut Conn) -> bool {
     while conn.pending_write() > 0 {
         match conn.stream.write(&conn.wbuf[conn.wpos..]) {
-            Ok(0) => return true,
+            Ok(0) => return false,
             Ok(n) => conn.wpos += n,
             Err(err) if err.kind() == ErrorKind::WouldBlock => break,
             Err(err) if err.kind() == ErrorKind::Interrupted => continue,
-            Err(_) => return true,
+            Err(_) => return false,
         }
     }
     if conn.pending_write() == 0 {
         conn.wbuf.clear();
         conn.wpos = 0;
     }
-
-    // Watermark hysteresis: pause reads above HIGH, resume below LOW.
-    if conn.pending_write() >= WRITE_HIGH_WATERMARK {
-        conn.paused = true;
-    } else if conn.pending_write() < WRITE_LOW_WATERMARK {
-        conn.paused = false;
-    }
-
-    conn.eof && conn.pending_write() == 0
+    true
 }
 
 /// Re-arms oneshot interest to match the connection's state: readable
@@ -525,5 +580,76 @@ mod tests {
         assert!(t.recv(TICK).unwrap().contains("\"ok\":true"));
         drop(t);
         handle.join().unwrap();
+    }
+
+    #[test]
+    fn a_peer_that_never_reads_queues_at_most_the_watermark_plus_one_response() {
+        // Several megabytes of observe replies — more than the loopback
+        // socket buffers hold — asked for by a peer that reads nothing
+        // until its whole burst is in and its sending side is closed.
+        let mut lines =
+            vec![r#"{"cmd":"open","session":"s","n":2000,"colorer":"trivial"}"#.to_string()];
+        lines.push(r#"{"cmd":"push_batch","session":"s","edges":"0-1 1-2 5-9"}"#.to_string());
+        lines.extend((0..2500).map(|_| r#"{"cmd":"observe","session":"s"}"#.to_string()));
+        let mut isolated = Service::new();
+        let replies: Vec<String> = lines.iter().map(|l| isolated.respond(l).unwrap()).collect();
+        let bound = WRITE_HIGH_WATERMARK + replies.iter().map(|r| r.len() + 1).max().unwrap();
+        let expected: String = replies.iter().map(|r| format!("{r}\n")).collect();
+        assert!(expected.len() > 16 * WRITE_HIGH_WATERMARK, "the burst must overrun the watermark");
+
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        stream.set_nonblocking(true).unwrap();
+        let mut conn = Conn {
+            stream,
+            rbuf: Vec::new(),
+            scanned: 0,
+            wbuf: Vec::new(),
+            wpos: 0,
+            last_activity: Instant::now(),
+            eof: false,
+            paused: false,
+        };
+        let mut writer = client.try_clone().unwrap();
+        let burst: String = lines.iter().map(|l| format!("{l}\n")).collect();
+        let writer = std::thread::spawn(move || {
+            writer.write_all(burst.as_bytes()).unwrap();
+            writer.shutdown(std::net::Shutdown::Write).unwrap();
+        });
+        let mut service = Service::new();
+        let step = |conn: &mut Conn, service: &mut Service| {
+            let gone = step_conn(conn, 1, service, Instant::now());
+            assert!(conn.pending_write() <= bound, "{} bytes queued", conn.pending_write());
+            std::thread::sleep(Duration::from_millis(1));
+            gone
+        };
+
+        // Until the peer reads, the connection fills to the watermark and
+        // stops answering and reading.
+        let deadline = Instant::now() + TICK;
+        while !conn.paused {
+            assert!(!step(&mut conn, &mut service), "closed with lines unanswered");
+            assert!(Instant::now() < deadline, "the connection never paused");
+        }
+        writer.join().unwrap();
+        for _ in 0..20 {
+            assert!(!step(&mut conn, &mut service), "closed with lines unanswered");
+        }
+
+        // Once the peer drains, every line is answered in order and the
+        // connection closes; the transcript is the isolated one.
+        let mut reader = client;
+        let reader = std::thread::spawn(move || {
+            let mut got = Vec::new();
+            reader.read_to_end(&mut got).unwrap();
+            got
+        });
+        let deadline = Instant::now() + TICK;
+        while !step(&mut conn, &mut service) {
+            assert!(Instant::now() < deadline, "the drained connection never closed");
+        }
+        drop(conn);
+        assert!(reader.join().unwrap() == expected.as_bytes(), "transcript differs");
     }
 }

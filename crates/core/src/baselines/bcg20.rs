@@ -161,8 +161,8 @@ impl Bcg20Colorer {
     }
 
     /// Reverse-degeneracy list coloring of a conflict graph — the shared
-    /// core of [`query`](StreamingColorer::query) and the incremental
-    /// path. Returns the coloring and the exhausted-list count.
+    /// core of [`Bcg20Colorer::rebuild`] and the incremental patch.
+    /// Returns the coloring and the exhausted-list count.
     fn color_conflicts(&self, g: &Graph) -> (Coloring, u64) {
         let all: Vec<u32> = (0..self.n as u32).collect();
         let order: Vec<u32> = degeneracy_ordering(g, &all).order.into_iter().rev().collect();
@@ -181,6 +181,15 @@ impl Bcg20Colorer {
             }
         }
         (coloring, failures)
+    }
+
+    /// The from-scratch answer: a fresh mirror of the conflict edges,
+    /// list-colored. [`StreamingColorer::query`] returns its coloring and
+    /// a cache miss installs it.
+    fn rebuild(&self) -> ConflictState {
+        let mirror = Graph::from_edges(self.n, self.conflict_edges.iter().copied());
+        let (out, failures_per_query) = self.color_conflicts(&mirror);
+        ConflictState { mirror, out, failures_per_query, synced: self.conflict_edges.len() }
     }
 
     fn lists_intersect(&self, u: u32, v: u32) -> bool {
@@ -215,10 +224,9 @@ impl StreamingColorer for Bcg20Colorer {
     }
 
     fn query(&mut self) -> Coloring {
-        let g = Graph::from_edges(self.n, self.conflict_edges.iter().copied());
-        let (coloring, failures) = self.color_conflicts(&g);
-        self.failures += failures;
-        coloring
+        let state = self.rebuild();
+        self.failures += state.failures_per_query;
+        state.out
     }
 
     fn query_incremental(&mut self) -> Coloring {
@@ -243,11 +251,7 @@ impl StreamingColorer for Bcg20Colorer {
                     ConflictState { out, failures_per_query, ..s }
                 }
             }
-            None => {
-                let mirror = Graph::from_edges(self.n, self.conflict_edges.iter().copied());
-                let (out, failures_per_query) = self.color_conflicts(&mirror);
-                ConflictState { mirror, out, failures_per_query, synced: self.conflict_edges.len() }
-            }
+            None => self.rebuild(),
         };
         self.failures += state.failures_per_query;
         let out = state.out.clone();

@@ -99,8 +99,8 @@ impl Bg18Colorer {
     }
 
     /// Chains every group's relative coloring into the absolute answer,
-    /// advancing the palette by `span.max(1)` per group exactly as the
-    /// from-scratch query does.
+    /// advancing the palette by `span.max(1)` per group: each bucket gets
+    /// a fresh palette.
     fn assemble(state: &mut BucketState) {
         let mut offset: Color = 0;
         for (gi, (_, members)) in state.groups.iter().enumerate() {
@@ -112,7 +112,8 @@ impl Bg18Colorer {
         }
     }
 
-    /// Builds the bucket state from scratch (cache-miss path).
+    /// Builds the bucket state from scratch: [`StreamingColorer::query`]
+    /// returns its answer and a cache miss installs it.
     fn rebuild_state(&self) -> BucketState {
         let all: Vec<u32> = (0..self.n as u32).collect();
         let groups = group_by_block(&self.sketch, &all);
@@ -154,15 +155,7 @@ impl StreamingColorer for Bg18Colorer {
     }
 
     fn query(&mut self) -> Coloring {
-        let mut coloring = Coloring::empty(self.n);
-        let mut offset = 0u64;
-        let g = Graph::from_edges(self.n, self.sketch.edges().iter().copied());
-        let all: Vec<u32> = (0..self.n as u32).collect();
-        for (_, members) in group_by_block(&self.sketch, &all) {
-            let span = greedy_color_in_order(&g, &mut coloring, &members, offset);
-            offset += span.max(1);
-        }
-        coloring
+        self.rebuild_state().out
     }
 
     fn query_incremental(&mut self) -> Coloring {
@@ -265,6 +258,20 @@ mod tests {
         (c.query(), c.peak_space_bits(), c.stored_edges())
     }
 
+    /// The direct transcription of the query: first-fit each bucket on
+    /// the stored subgraph, buckets ascending, each on a fresh palette.
+    fn direct_query(c: &Bg18Colorer) -> Coloring {
+        let mut coloring = Coloring::empty(c.n);
+        let mut offset = 0u64;
+        let g = Graph::from_edges(c.n, c.sketch.edges().iter().copied());
+        let all: Vec<u32> = (0..c.n as u32).collect();
+        for (_, members) in group_by_block(&c.sketch, &all) {
+            let span = greedy_color_in_order(&g, &mut coloring, &members, offset);
+            offset += span.max(1);
+        }
+        coloring
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -276,6 +283,22 @@ mod tests {
             let edges = generators::shuffled_edges(&g, seed);
             let colorer = Bg18Colorer::new(n, delta as u64, seed ^ 6);
             assert_matches_scalar(colorer, &edges, chunk, scalar_ingest, observe)?;
+        }
+
+        #[test]
+        fn query_matches_the_direct_transcription(
+            (n, delta, seed, chunk) in (20usize..80, 2usize..12, any::<u64>(), 1usize..20),
+        ) {
+            let g = generators::gnp_with_max_degree(n, delta, 0.4, seed);
+            let edges = generators::shuffled_edges(&g, seed);
+            let mut colorer = Bg18Colorer::new(n, delta as u64, seed ^ 6);
+            for (k, part) in edges.chunks(chunk).enumerate() {
+                colorer.process_batch(part);
+                if k % 2 == 1 {
+                    colorer.query_incremental();
+                }
+                prop_assert_eq!(colorer.query(), direct_query(&colorer), "after chunk {}", k);
+            }
         }
     }
 

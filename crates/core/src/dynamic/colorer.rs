@@ -107,6 +107,9 @@ impl DynamicColorer {
             .collect()
     }
 
+    /// The from-scratch answer: decode, mirror, first-fit.
+    /// [`StreamingColorer::query`] returns its coloring and a cache miss
+    /// installs it.
     fn rebuild(&self) -> DynamicArtifact {
         let live = self.decode_live();
         let mirror = Graph::from_edges(self.n, live.iter().copied());

@@ -23,8 +23,7 @@
 
 use crate::robust::params::RobustParams;
 use crate::robust::sketch::{
-    decode_sketch_bank, encode_sketch_bank, group_by_block, group_by_block_with, BlockMemo,
-    EvalScratch, MonoSketch,
+    decode_sketch_bank, encode_sketch_bank, group_by_block_with, BlockMemo, EvalScratch, MonoSketch,
 };
 use sc_graph::{degeneracy_coloring, greedy_color_in_order, Color, Coloring, Edge, Graph};
 use sc_hash::{OracleFn, SplitMix64};
@@ -34,8 +33,8 @@ use sc_stream::{
 };
 
 /// One hash block of one query phase as a reusable artifact. Every edge a
-/// phase colors over is *intra-block* (the scratch query filters
-/// `block_of(u) == block_of(v)`), so given its member list and the
+/// phase colors over is *intra-block* (lines 21 and 25 keep only edges
+/// with `block_of(u) == block_of(v)`), so given its member list and the
 /// era-frozen edge pools a block's sub-coloring is independent of every
 /// other block: it can be recomputed alone, relative to palette base 0,
 /// and re-chained into the absolute answer by offset translation.
@@ -43,23 +42,13 @@ use sc_stream::{
 struct BlockArtifact {
     /// The hash value naming this block (`h_curr` or `g_ℓ` of its members).
     id: u64,
-    /// The block's members, ascending — the exact group the scratch
-    /// query's [`group_by_block`] would form. Never empty.
+    /// The block's members, ascending — the exact group
+    /// [`RobustColorer::rebuild_phase`] forms. Never empty.
     members: Vec<u32>,
     /// `color − block_base`, parallel to `members`.
     rel: Vec<Color>,
     /// Colors this block used; the palette advances by `span.max(1)`.
     span: Color,
-}
-
-/// Dirtiness ledger of one phase between syncs.
-#[derive(Debug, Clone)]
-enum PhaseDirty {
-    /// No artifacts yet (fresh state): rebuild the whole phase.
-    All,
-    /// Block ids whose members or induced edges may have changed since
-    /// the artifacts were computed (unsorted, may repeat). Empty = clean.
-    Blocks(Vec<u64>),
 }
 
 /// One query *phase* of Algorithm 2 — the slow pass (lines 20–22) or one
@@ -73,16 +62,11 @@ struct PhaseState {
     /// Per-block artifacts, ascending by `id`, all nonempty.
     blocks: Vec<BlockArtifact>,
     /// Membership moves recorded by sync, in order: `(block, v, joined)`.
-    /// Applied (then drained) by the next repair; a full rebuild
-    /// re-enumerates members instead and just drops them.
+    /// Applied (then drained) by the next repair.
     pending: Vec<(u64, u32, bool)>,
-    dirty: PhaseDirty,
-}
-
-impl PhaseState {
-    fn invalid() -> Self {
-        Self { blocks: Vec::new(), pending: Vec::new(), dirty: PhaseDirty::All }
-    }
+    /// Block ids whose members or induced edges may have changed since
+    /// the artifacts were computed (unsorted, may repeat). Empty = clean.
+    dirty: Vec<u64>,
 }
 
 /// Incremental query state for the current epoch of Algorithm 2: the
@@ -155,8 +139,8 @@ pub struct RobustColorer {
 ///   clear exactly their member set before coloring (members and their
 ///   phase-graph neighbors are the only vertices a greedy pass reads).
 /// - `memo` is generation-stamped ([`BlockMemo::reset`] is `O(1)`), so
-///   each distinct vertex hashes at most once per phase where the
-///   scratch query pays per filtered edge endpoint.
+///   each distinct vertex hashes at most once per phase, not once per
+///   filtered edge endpoint.
 #[derive(Debug, Clone)]
 struct PhaseArena {
     memo: BlockMemo,
@@ -338,8 +322,8 @@ impl RobustColorer {
         self.meter.charge(stored * eb);
     }
 
-    /// A query state for the current epoch with a full census and no
-    /// computed phases (the cache-miss path).
+    /// A query state for the current epoch with a full census (lines
+    /// 18–19) and no computed phases.
     fn fresh_query_state(&self) -> Alg2QueryState {
         let n = self.params.n;
         let mut s = Alg2QueryState {
@@ -349,7 +333,7 @@ impl RobustColorer {
             fast_level: vec![0; n],
             b_synced: self.buffer.len(),
             g_synced: self.g_sketches.iter().map(MonoSketch::len).collect(),
-            phases: (0..=self.params.num_levels).map(|_| PhaseState::invalid()).collect(),
+            phases: Vec::new(),
             out: Coloring::empty(n),
         };
         for e in &self.buffer {
@@ -363,6 +347,51 @@ impl RobustColorer {
             }
         }
         s
+    }
+
+    /// The from-scratch answer (lines 18–26): a full census, every phase
+    /// rebuilt, then assembled. [`StreamingColorer::query`] returns it and
+    /// a cache miss in [`StreamingColorer::query_incremental`] installs it.
+    fn rebuild(&mut self) -> Alg2QueryState {
+        let mut s = self.fresh_query_state();
+        // The arena moves out of `self` for the rebuild borrows; its
+        // pooled buffers come back at the end.
+        let mut arena = std::mem::replace(&mut self.arena, PhaseArena::new(0));
+        s.phases = (0..=self.params.num_levels)
+            .map(|p| PhaseState {
+                blocks: self.rebuild_phase(p, &s.is_fast, &s.fast_level, &mut arena),
+                pending: Vec::new(),
+                dirty: Vec::new(),
+            })
+            .collect();
+        self.arena = arena;
+        self.assemble(&mut s);
+        s
+    }
+
+    /// Brings a cached state of this era up to date: syncs the census and
+    /// ledgers, repairs every phase with dirty blocks or pending moves,
+    /// and re-assembles if anything was recolored.
+    fn patch(&mut self, s: &mut Alg2QueryState) {
+        self.sync_query_state(s);
+        let mut recolored = 0u64;
+        let mut recomputed = false;
+        let mut arena = std::mem::replace(&mut self.arena, PhaseArena::new(0));
+        {
+            let Alg2QueryState { is_fast, fast_level, phases, .. } = &mut *s;
+            for (p, ph) in phases.iter_mut().enumerate() {
+                if !ph.dirty.is_empty() || !ph.pending.is_empty() {
+                    recolored += self.repair_phase(p, is_fast, fast_level, ph, &mut arena);
+                    recomputed = true;
+                }
+            }
+        }
+        self.arena = arena;
+        if recomputed {
+            // Any recomputed phase can shift every later phase's base.
+            self.assemble(s);
+        }
+        self.cache.note_patched(recolored);
     }
 
     /// Patches the census with the buffer edges ingested since the last
@@ -393,15 +422,10 @@ impl RobustColorer {
     fn sync_query_state(&mut self, s: &mut Alg2QueryState) {
         debug_assert_eq!(s.era, self.curr, "rotation must reset the query state");
         for (l, sk) in self.g_sketches.iter().enumerate() {
-            if s.g_synced[l] != sk.len() {
-                if let PhaseDirty::Blocks(d) = &mut s.phases[l + 1].dirty {
-                    let f = sk.oracle();
-                    for e in &sk.edges()[s.g_synced[l]..] {
-                        d.push(f.eval(e.u() as u64));
-                    }
-                }
-                s.g_synced[l] = sk.len();
-            }
+            let f = sk.oracle();
+            let dirty = &mut s.phases[l + 1].dirty;
+            dirty.extend(sk.edges()[s.g_synced[l]..].iter().map(|e| f.eval(e.u() as u64)));
+            s.g_synced[l] = sk.len();
         }
         let gap = &self.buffer[s.b_synced..];
         if gap.is_empty() {
@@ -410,12 +434,10 @@ impl RobustColorer {
         self.scratch.load(gap);
         let scratch = &self.scratch;
         let mark_mono = |f: &OracleFn, ph: &mut PhaseState| {
-            if let PhaseDirty::Blocks(d) = &mut ph.dirty {
-                for k in 0..gap.len() {
-                    let bu = f.eval_presplit(scratch.su(k));
-                    if bu == f.eval_presplit(scratch.sv(k)) {
-                        d.push(bu);
-                    }
+            for k in 0..gap.len() {
+                let bu = f.eval_presplit(scratch.su(k));
+                if bu == f.eval_presplit(scratch.sv(k)) {
+                    ph.dirty.push(bu);
                 }
             }
         };
@@ -456,14 +478,10 @@ impl RobustColorer {
     }
 
     /// Records a membership move in a phase's ledgers: dirties the block
-    /// and queues the member edit for the next repair. A phase awaiting a
-    /// full rebuild re-enumerates members from the census instead, so the
-    /// move needs no record there.
+    /// and queues the member edit for the next repair.
     fn move_member(ph: &mut PhaseState, block: u64, v: u32, joined: bool) {
-        if let PhaseDirty::Blocks(d) = &mut ph.dirty {
-            d.push(block);
-            ph.pending.push((block, v, joined));
-        }
+        ph.dirty.push(block);
+        ph.pending.push((block, v, joined));
     }
 
     /// The edge pool of phase `p` (its sketch; the buffer is chained on
@@ -489,18 +507,18 @@ impl RobustColorer {
         }
     }
 
-    /// Recomputes every block of phase `p` from the census — the slow
-    /// pass (lines 18–22) for `p = 0`, fast level `p` (lines 23–26)
-    /// otherwise. Same structure as the matching [`StreamingColorer::query`]
-    /// section, but running entirely in the pooled [`PhaseArena`] and
-    /// emitting per-block artifacts. Returns `(artifacts, recolored)`.
+    /// Computes every block of phase `p` from the census — the slow pass
+    /// (lines 20–22) for `p = 0`, fast level `p` (lines 23–26) otherwise —
+    /// in the pooled [`PhaseArena`], as per-block artifacts relative to
+    /// palette base 0. The from-scratch [`RobustColorer::rebuild`] runs it
+    /// for every phase; the incremental path never does.
     fn rebuild_phase(
         &self,
         p: usize,
         is_fast: &[bool],
         fast_level: &[u32],
         arena: &mut PhaseArena,
-    ) -> (Vec<BlockArtifact>, u64) {
+    ) -> Vec<BlockArtifact> {
         let n = self.params.n;
         let in_phase = |w: u32| {
             let wi = w as usize;
@@ -512,7 +530,7 @@ impl RobustColorer {
         };
         let members: Vec<u32> = (0..n as u32).filter(|&v| in_phase(v)).collect();
         if members.is_empty() {
-            return (Vec::new(), 0);
+            return Vec::new();
         }
         let sketch = self.phase_sketch(p);
         let PhaseArena { memo, graph, touched, coloring } = arena;
@@ -536,14 +554,15 @@ impl RobustColorer {
         for &m in &members {
             coloring.unset(m);
         }
-        let recolored = members.len() as u64;
-        let mut blocks = Vec::new();
-        for (id, members) in group_by_block_with(&mut block, &members) {
-            let span = Self::color_block(p, graph, coloring, &members);
-            let rel = members.iter().map(|&m| coloring.get(m).expect("member colored")).collect();
-            blocks.push(BlockArtifact { id, members, rel, span });
-        }
-        (blocks, recolored)
+        group_by_block_with(&mut block, &members)
+            .into_iter()
+            .map(|(id, members)| {
+                let span = Self::color_block(p, graph, coloring, &members);
+                let rel =
+                    members.iter().map(|&m| coloring.get(m).expect("member colored")).collect();
+                BlockArtifact { id, members, rel, span }
+            })
+            .collect()
     }
 
     /// Recomputes only the dirty blocks of phase `p`, reusing every clean
@@ -561,10 +580,7 @@ impl RobustColorer {
         ph: &mut PhaseState,
         arena: &mut PhaseArena,
     ) -> u64 {
-        let PhaseDirty::Blocks(list) = &mut ph.dirty else {
-            unreachable!("repair_phase runs only on block-granular dirty states");
-        };
-        let mut dirty = std::mem::take(list);
+        let mut dirty = std::mem::take(&mut ph.dirty);
         dirty.sort_unstable();
         dirty.dedup();
         // Membership moves, in recorded order (a vertex can move twice in
@@ -645,7 +661,8 @@ impl RobustColorer {
 
     /// Chains all phases' blocks into the absolute answer — phases in
     /// order, blocks ascending by id, the palette base advancing by
-    /// `span.max(1)` per block — exactly the scratch query's offsets.
+    /// `span.max(1)` per block, as lines 22 and 26 hand each block a
+    /// fresh palette.
     fn assemble(&self, s: &mut Alg2QueryState) {
         s.out.reset();
         let mut base: Color = 0;
@@ -657,7 +674,7 @@ impl RobustColorer {
                 base += a.span.max(1);
             }
         }
-        debug_assert!(s.out.is_total(), "incremental query must color every vertex");
+        debug_assert!(s.out.is_total(), "query must color every vertex");
     }
 }
 
@@ -697,73 +714,7 @@ impl StreamingColorer for RobustColorer {
     }
 
     fn query(&mut self) -> Coloring {
-        let n = self.params.n;
-        let mut coloring = Coloring::empty(n);
-        let mut offset: u64 = 0;
-
-        // Lines 18–19: fast/slow split by buffer degree.
-        let mut deg_b = vec![0u64; n];
-        for e in &self.buffer {
-            deg_b[e.u() as usize] += 1;
-            deg_b[e.v() as usize] += 1;
-        }
-        let fast: Vec<u32> =
-            (0..n as u32).filter(|&v| deg_b[v as usize] > self.params.fast_threshold).collect();
-        let slow: Vec<u32> =
-            (0..n as u32).filter(|&v| deg_b[v as usize] <= self.params.fast_threshold).collect();
-
-        // Lines 20–22: slow vertices, per h_curr-block, on A_curr ∪ B.
-        let h_curr = &self.h_sketches[self.curr - 1];
-        let mut is_slow = vec![false; n];
-        for &v in &slow {
-            is_slow[v as usize] = true;
-        }
-        let mut g_slow = Graph::empty(n);
-        for e in h_curr.edges().iter().chain(self.buffer.iter()) {
-            if is_slow[e.u() as usize]
-                && is_slow[e.v() as usize]
-                && h_curr.block_of(e.u()) == h_curr.block_of(e.v())
-            {
-                g_slow.add_edge(*e);
-            }
-        }
-        for (_, members) in group_by_block(h_curr, &slow) {
-            let span = greedy_color_in_order(&g_slow, &mut coloring, &members, offset);
-            offset += span.max(1);
-        }
-
-        // Lines 23–26: fast vertices, per (level, g_ℓ-block), on C_ℓ ∪ B.
-        for l in 1..=self.params.num_levels {
-            let level_fast: Vec<u32> = fast
-                .iter()
-                .copied()
-                .filter(|&w| self.params.level_of(self.degrees[w as usize]) == l)
-                .collect();
-            if level_fast.is_empty() {
-                continue;
-            }
-            let g_l = &self.g_sketches[l - 1];
-            let mut in_level = vec![false; n];
-            for &v in &level_fast {
-                in_level[v as usize] = true;
-            }
-            let mut g_fast = Graph::empty(n);
-            for e in g_l.edges().iter().chain(self.buffer.iter()) {
-                if in_level[e.u() as usize]
-                    && in_level[e.v() as usize]
-                    && g_l.block_of(e.u()) == g_l.block_of(e.v())
-                {
-                    g_fast.add_edge(*e);
-                }
-            }
-            for (_, members) in group_by_block(g_l, &level_fast) {
-                let span = degeneracy_coloring(&g_fast, &mut coloring, &members, offset);
-                offset += span.max(1);
-            }
-        }
-
-        debug_assert!(coloring.is_total(), "query must color every vertex");
-        coloring
+        self.rebuild().out
     }
 
     fn query_incremental(&mut self) -> Coloring {
@@ -773,12 +724,12 @@ impl StreamingColorer for RobustColorer {
         // Cost-aware fallback. A patch pays O(gap) sync work (batched
         // monochromaticity scans plus the endpoint census walk) and then
         // recomputes only the *blocks* the gap dirtied — a few per sketch
-        // per gap — where a scratch query recolors all n vertices. That
-        // keeps the patch ahead of a rebuild at any in-era gap, so the
-        // guard below only drops states from another era (rotation
-        // already invalidates; this is defense in depth) or ones staler
-        // than a full buffer turnover, where the census walk alone
-        // matches the rebuild cost.
+        // per gap — where a rebuild recolors all n vertices. That keeps
+        // the patch ahead of a rebuild at any in-era gap, so the guard
+        // below only drops states from another era (rotation already
+        // invalidates; this is defense in depth) or ones staler than a
+        // full buffer turnover, where the census walk alone matches the
+        // rebuild cost.
         let patch_limit = self.params.buffer_capacity.max(8) as u64;
         let epoch = self.cache.epoch();
         let curr = self.curr;
@@ -789,50 +740,13 @@ impl StreamingColorer for RobustColorer {
         if too_stale {
             self.cache.invalidate();
         }
-        let taken = self.cache.take_for_patch();
-        let patched = taken.is_some();
-        let mut state = match taken {
-            // Rotations invalidate eagerly, so a cached state is always
-            // this epoch's; the guard is defense in depth.
-            Some((_, s)) if s.era == self.curr => s,
-            _ => self.fresh_query_state(),
-        };
-        self.sync_query_state(&mut state);
-        let mut recomputed = false;
-        let mut recolored = 0u64;
-        // The arena moves out of `self` for the recompute borrows; its
-        // pooled buffers come back at the end either way.
-        let mut arena = std::mem::replace(&mut self.arena, PhaseArena::new(0));
-        {
-            let Alg2QueryState { is_fast, fast_level, phases, .. } = &mut state;
-            for (p, ph) in phases.iter_mut().enumerate() {
-                let needs_repair = match &ph.dirty {
-                    PhaseDirty::All => {
-                        let (blocks, count) =
-                            self.rebuild_phase(p, is_fast, fast_level, &mut arena);
-                        ph.blocks = blocks;
-                        ph.pending.clear();
-                        ph.dirty = PhaseDirty::Blocks(Vec::new());
-                        recolored += count;
-                        recomputed = true;
-                        false
-                    }
-                    PhaseDirty::Blocks(d) => !d.is_empty() || !ph.pending.is_empty(),
-                };
-                if needs_repair {
-                    recolored += self.repair_phase(p, is_fast, fast_level, ph, &mut arena);
-                    recomputed = true;
-                }
+        let state = match self.cache.take_for_patch() {
+            Some((_, mut s)) => {
+                self.patch(&mut s);
+                s
             }
-        }
-        self.arena = arena;
-        if recomputed {
-            // Any recomputed phase can shift every later phase's base.
-            self.assemble(&mut state);
-        }
-        if patched {
-            self.cache.note_patched(recolored);
-        }
+            None => self.rebuild(),
+        };
         let out = state.out.clone();
         self.cache.install(state);
         out
@@ -906,6 +820,7 @@ impl StreamingColorer for RobustColorer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::robust::sketch::group_by_block;
     use crate::scalar_reference::assert_matches_scalar;
     use proptest::prelude::*;
     use sc_graph::generators;
@@ -946,6 +861,92 @@ mod tests {
                 c.meter.charge(eb);
             }
         }
+    }
+
+    /// The direct transcription of the query, lines 18–26: split by
+    /// buffer degree, then color the slow vertices per `h_curr`-block on
+    /// `A_curr ∪ B` and each fast level per `g_ℓ`-block on `C_ℓ ∪ B`, every
+    /// block on a fresh palette.
+    fn direct_query(c: &RobustColorer) -> Coloring {
+        let n = c.params.n;
+        let mut coloring = Coloring::empty(n);
+        let mut offset: u64 = 0;
+
+        // Lines 18–19: fast/slow split by buffer degree.
+        let deg_b = c.buffer_degrees();
+        let fast: Vec<u32> =
+            (0..n as u32).filter(|&v| deg_b[v as usize] > c.params.fast_threshold).collect();
+        let slow: Vec<u32> =
+            (0..n as u32).filter(|&v| deg_b[v as usize] <= c.params.fast_threshold).collect();
+
+        // Lines 20–22: slow vertices, per h_curr-block, on A_curr ∪ B.
+        let h_curr = &c.h_sketches[c.curr - 1];
+        let mut is_slow = vec![false; n];
+        for &v in &slow {
+            is_slow[v as usize] = true;
+        }
+        let mut g_slow = Graph::empty(n);
+        for e in h_curr.edges().iter().chain(c.buffer.iter()) {
+            if is_slow[e.u() as usize]
+                && is_slow[e.v() as usize]
+                && h_curr.block_of(e.u()) == h_curr.block_of(e.v())
+            {
+                g_slow.add_edge(*e);
+            }
+        }
+        for (_, members) in group_by_block(h_curr, &slow) {
+            let span = greedy_color_in_order(&g_slow, &mut coloring, &members, offset);
+            offset += span.max(1);
+        }
+
+        // Lines 23–26: fast vertices, per (level, g_ℓ-block), on C_ℓ ∪ B.
+        for l in 1..=c.params.num_levels {
+            let level_fast: Vec<u32> = fast
+                .iter()
+                .copied()
+                .filter(|&w| c.params.level_of(c.degrees[w as usize]) == l)
+                .collect();
+            if level_fast.is_empty() {
+                continue;
+            }
+            let g_l = &c.g_sketches[l - 1];
+            let mut in_level = vec![false; n];
+            for &v in &level_fast {
+                in_level[v as usize] = true;
+            }
+            let mut g_fast = Graph::empty(n);
+            for e in g_l.edges().iter().chain(c.buffer.iter()) {
+                if in_level[e.u() as usize]
+                    && in_level[e.v() as usize]
+                    && g_l.block_of(e.u()) == g_l.block_of(e.v())
+                {
+                    g_fast.add_edge(*e);
+                }
+            }
+            for (_, members) in group_by_block(g_l, &level_fast) {
+                let span = degeneracy_coloring(&g_fast, &mut coloring, &members, offset);
+                offset += span.max(1);
+            }
+        }
+        coloring
+    }
+
+    /// Queries `colorer` after every chunk of `edges` and checks each
+    /// answer against [`direct_query`] on the same prefix; interleaved
+    /// incremental queries must leave the scratch answer unchanged.
+    fn assert_matches_direct(
+        mut colorer: RobustColorer,
+        edges: &[Edge],
+        chunk: usize,
+    ) -> Result<(), TestCaseError> {
+        for (k, part) in edges.chunks(chunk).enumerate() {
+            colorer.process_batch(part);
+            if k % 2 == 1 {
+                colorer.query_incremental();
+            }
+            prop_assert_eq!(colorer.query(), direct_query(&colorer), "after chunk {}", k);
+        }
+        Ok(())
     }
 
     type Observed = (Coloring, u64, Vec<u64>, Vec<u64>, usize, usize);
@@ -989,6 +990,22 @@ mod tests {
             let mut fed = colorer;
             fed.process_batch(&edges);
             prop_assert!(fed.current_epoch() > 3, "the buffer must rotate");
+        }
+
+        #[test]
+        fn query_matches_the_direct_transcription(
+            (n, delta, seed, chunk) in (20usize..70, 3usize..9, any::<u64>(), 1usize..20),
+        ) {
+            let g = generators::gnp_with_max_degree(n, delta, 0.5, seed);
+            let edges = generators::shuffled_edges(&g, seed ^ 1);
+            assert_matches_direct(RobustColorer::new(n, delta, seed ^ 2), &edges, chunk)?;
+            // A 7-edge buffer rotates every few edges, so prefixes end in
+            // many epochs and the buffer is rarely empty.
+            let params =
+                RobustParams { buffer_capacity: 7, num_epochs: 96, ..RobustParams::theorem3(40, 12) };
+            let g = generators::gnp_with_max_degree(40, 12, 0.6, seed);
+            let edges = generators::shuffled_edges(&g, seed);
+            assert_matches_direct(RobustColorer::with_params(params, seed ^ 5), &edges, chunk)?;
         }
     }
 

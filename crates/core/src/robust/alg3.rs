@@ -52,9 +52,10 @@ struct DecodeMeta {
 /// * While the colorer's cache holds a [`DecodeMeta`], `mirror`, `chi`
 ///   and `out` are exactly the decode of `D_{curr,k} ∪ B` (first
 ///   `b_synced` buffer edges) for that meta. `mirror` receives edges in
-///   the same order a scratch `Graph::from_edges` build would insert
-///   them, so adjacency order — and hence every first-fit color — matches
-///   the from-scratch [`RandEfficientColorer::query`] bit-for-bit.
+///   the order [`RandEfficientColorer::decode_into`] inserts them, so
+///   adjacency order — and hence every first-fit color — matches the
+///   from-scratch [`RandEfficientColorer::query`] bit-for-bit. A scratch
+///   query decodes into an arena of its own and never touches this one.
 /// * When the cache is empty the arena's contents are stale; the next
 ///   rebuild clears them in `O(|touched|)` (not `O(n)`, and with zero
 ///   frees) via [`Graph::clear_incident`] / [`Coloring::reset`].
@@ -289,16 +290,14 @@ impl RandEfficientColorer {
         (0..self.p_copies).map(|j| self.idx(self.curr, j)).find(|&s| self.d_sets[s].is_some())
     }
 
-    /// Decodes the current epoch's sketch into the pooled [`DecodeArena`]
-    /// (the cache-miss path; also bumps the failure counter exactly as a
-    /// scratch query would). Allocation-free in the steady state: the
-    /// arena is cleared in `O(|touched|)` and refilled in place.
-    fn rebuild_decode(&mut self) -> DecodeMeta {
+    /// The from-scratch decode (lines 15–17): greedily colors
+    /// `D_{curr,k} ∪ B` for the first surviving candidate `k` — or `B`
+    /// alone when every candidate is `⊥`, the failure event — into
+    /// `arena` and pair-encodes the answer into `arena.out`.
+    /// Allocation-free on a warm arena: it is cleared in `O(|touched|)`
+    /// and refilled in place.
+    fn decode_into(&self, arena: &mut DecodeArena) -> DecodeMeta {
         let slot = self.surviving_slot();
-        if slot.is_none() {
-            self.failures += 1;
-        }
-        let arena = &mut self.arena;
         arena.clear_mirror();
         if let Some(s) = slot {
             for &e in self.d_sets[s].as_ref().expect("surviving slot is Some") {
@@ -310,9 +309,8 @@ impl RandEfficientColorer {
         }
         arena.chi.reset();
         greedy_color_in_order(&arena.mirror, &mut arena.chi, &arena.order, 0);
-        // Refill the second-component column for this epoch's slot; the
-        // batched tier is bit-identical to scalar `eval` (and to the value
-        // matrix), so the pair encoding matches the scratch query exactly.
+        // Line 17: the second components h_{curr,k}(y), one batched sweep
+        // (bit-identical to scalar `eval` and to the value matrix).
         match slot {
             Some(s) => self.hashes[s].eval_batch(&arena.order, &mut arena.second),
             None => arena.second.fill(0),
@@ -323,6 +321,46 @@ impl RandEfficientColorer {
             arena.out.set(y, chi_y * range + arena.second[y as usize]);
         }
         DecodeMeta { era: self.curr, slot, b_synced: self.buffer.len() }
+    }
+
+    /// [`Self::decode_into`] the pooled arena — the cache-miss path.
+    fn rebuild_decode(&mut self) -> DecodeMeta {
+        let mut arena = std::mem::replace(&mut self.arena, DecodeArena::new(0));
+        let meta = self.decode_into(&mut arena);
+        self.arena = arena;
+        meta
+    }
+
+    /// Brings the pooled arena from `meta`'s buffer prefix to the whole
+    /// buffer. Within an epoch only buffer edges join `D_{curr,k} ∪ B`:
+    /// they are appended to the mirror and χ is repaired around them.
+    fn patch_decode(&mut self, mut meta: DecodeMeta) -> DecodeMeta {
+        debug_assert_eq!(meta.era, self.curr, "rotation must invalidate the decode cache");
+        // Seed the repair only where an inserted edge actually conflicts.
+        // For a new edge {u, v} with u < v, first-fit's choice at v can
+        // change only if χ(u) = χ(v): a smaller χ(u) was already
+        // forbidden at v (else first-fit would have picked it), and a
+        // larger one never lowers the smallest non-forbidden color. If
+        // the cascade later recolors u, it re-enqueues v itself.
+        let arena = &mut self.arena;
+        let mut seeds = Vec::new();
+        for &e in &self.buffer[meta.b_synced..] {
+            if arena.add_edge(e) && arena.chi.get(e.u()) == arena.chi.get(e.v()) {
+                seeds.push(e.u().max(e.v()));
+            }
+        }
+        meta.b_synced = self.buffer.len();
+        let changed = greedy_repair_ascending(&arena.mirror, &mut arena.chi, seeds);
+        self.cache.note_patched(changed.len() as u64);
+        let range = self.ell * self.ell;
+        for v in changed {
+            let chi_v = arena.chi.get(v).expect("repair keeps χ total");
+            // `second` holds this epoch's slot values (the slot is frozen
+            // between rebuilds), so patching the pair encoding is two
+            // cache-resident reads per vertex.
+            arena.out.set(v, chi_v * range + arena.second[v as usize]);
+        }
+        meta
     }
 
     /// Batched ingestion of a run of edges within one epoch.
@@ -441,97 +479,33 @@ impl StreamingColorer for RandEfficientColorer {
     }
 
     fn query(&mut self) -> Coloring {
-        // Line 15: first surviving candidate.
-        let k = (0..self.p_copies).find(|&j| self.d_sets[self.idx(self.curr, j)].is_some());
-        let (edges, h): (Vec<Edge>, Option<&PolynomialHash>) = match k {
-            Some(j) => {
-                let d = self.d_sets[self.idx(self.curr, j)].as_ref().unwrap();
-                (
-                    d.iter().chain(self.buffer.iter()).copied().collect(),
-                    Some(&self.hashes[self.idx(self.curr, j)]),
-                )
-            }
-            None => {
-                // All candidates invalidated — the low-probability failure
-                // event. Color what we can see (the buffer alone).
-                self.failures += 1;
-                (self.buffer.clone(), None)
-            }
-        };
-
-        // Line 16: greedy (∆+1)-coloring χ of the stored subgraph.
-        let g = Graph::from_edges(self.n, edges);
-        let mut chi = Coloring::empty(self.n);
-        let order: Vec<u32> = (0..self.n as u32).collect();
-        greedy_color_in_order(&g, &mut chi, &order, 0);
-
-        // Line 17: output pair (χ(y), h(y)) encoded as χ(y)·ℓ² + h(y).
-        let range = self.ell * self.ell;
-        let mut out = Coloring::empty(self.n);
-        for y in 0..self.n as u32 {
-            let chi_y = chi.get(y).expect("greedy colored everything");
-            let second = h.map_or(0, |h| h.eval(y as u64));
-            out.set(y, chi_y * range + second);
+        // The pooled arena belongs to the cache, so a scratch query
+        // decodes into a fresh one.
+        let mut arena = DecodeArena::new(self.n);
+        if self.decode_into(&mut arena).slot.is_none() {
+            self.failures += 1;
         }
-        out
+        arena.out
     }
 
     fn query_incremental(&mut self) -> Coloring {
-        // Fresh: nothing ingested since the last decode.
-        if let Some(meta) = self.cache.fresh() {
-            let failed = meta.slot.is_none();
-            let out = self.arena.out.clone();
-            if failed {
-                self.failures += 1; // each query observes the failure anew
-            }
-            return out;
-        }
-        match self.cache.take_for_patch() {
-            Some((_, mut meta)) => {
-                debug_assert_eq!(meta.era, self.curr, "rotation must invalidate the decode cache");
-                // Within an epoch only buffer edges join D_{curr,k} ∪ B:
-                // append them to the arena mirror and repair χ around them.
-                // Seed the repair only where an inserted edge actually
-                // conflicts. For a new edge {u, v} with u < v, first-fit's
-                // choice at v can change only if χ(u) = χ(v): a smaller
-                // χ(u) was already forbidden at v (else first-fit would
-                // have picked it), and a larger one never lowers the
-                // smallest non-forbidden color. If the cascade later
-                // recolors u, it re-enqueues v itself.
-                let mut seeds = Vec::new();
-                for &e in &self.buffer[meta.b_synced..] {
-                    if self.arena.add_edge(e)
-                        && self.arena.chi.get(e.u()) == self.arena.chi.get(e.v())
-                    {
-                        seeds.push(e.u().max(e.v()));
-                    }
-                }
-                meta.b_synced = self.buffer.len();
-                let arena = &mut self.arena;
-                let changed = greedy_repair_ascending(&arena.mirror, &mut arena.chi, seeds);
-                self.cache.note_patched(changed.len() as u64);
-                let range = self.ell * self.ell;
-                for v in changed {
-                    let chi_v = arena.chi.get(v).expect("repair keeps χ total");
-                    // `second` holds this epoch's slot values (the slot is
-                    // frozen between rebuilds), so patching the pair
-                    // encoding is two cache-resident reads per vertex.
-                    arena.out.set(v, chi_v * range + arena.second[v as usize]);
-                }
-                if meta.slot.is_none() {
-                    self.failures += 1;
-                }
-                let out = arena.out.clone();
-                self.cache.install(meta);
-                out
-            }
+        let failed = match self.cache.fresh() {
+            // Fresh: nothing ingested since the last decode.
+            Some(meta) => meta.slot.is_none(),
             None => {
-                let meta = self.rebuild_decode();
-                let out = self.arena.out.clone();
+                let meta = match self.cache.take_for_patch() {
+                    Some((_, meta)) => self.patch_decode(meta),
+                    None => self.rebuild_decode(),
+                };
+                let failed = meta.slot.is_none();
                 self.cache.install(meta);
-                out
+                failed
             }
+        };
+        if failed {
+            self.failures += 1; // each query observes the failure anew
         }
+        self.arena.out.clone()
     }
 
     fn query_cache_stats(&self) -> Option<CacheStats> {
@@ -686,6 +660,41 @@ mod tests {
         }
     }
 
+    /// The direct transcription of the query, lines 15–17: take the
+    /// first surviving candidate `k`, greedily `(∆+1)`-color
+    /// `D_{curr,k} ∪ B`, and output `χ(y)·ℓ² + h_{curr,k}(y)`. With every
+    /// candidate `⊥` it colors the buffer alone and the second component
+    /// is 0.
+    fn direct_query(c: &RandEfficientColorer) -> Coloring {
+        // Line 15: first surviving candidate.
+        let k = (0..c.p_copies).find(|&j| c.d_sets[c.idx(c.curr, j)].is_some());
+        let (edges, h): (Vec<Edge>, Option<&PolynomialHash>) = match k {
+            Some(j) => {
+                let d = c.d_sets[c.idx(c.curr, j)].as_ref().unwrap();
+                (
+                    d.iter().chain(c.buffer.iter()).copied().collect(),
+                    Some(&c.hashes[c.idx(c.curr, j)]),
+                )
+            }
+            None => (c.buffer.clone(), None),
+        };
+
+        // Line 16: greedy (∆+1)-coloring χ of the stored subgraph.
+        let g = Graph::from_edges(c.n, edges);
+        let mut chi = Coloring::empty(c.n);
+        let order: Vec<u32> = (0..c.n as u32).collect();
+        greedy_color_in_order(&g, &mut chi, &order, 0);
+
+        // Line 17: output pair (χ(y), h(y)) encoded as χ(y)·ℓ² + h(y).
+        let range = c.ell * c.ell;
+        let mut out = Coloring::empty(c.n);
+        for y in 0..c.n as u32 {
+            let chi_y = chi.get(y).expect("greedy colored everything");
+            out.set(y, chi_y * range + h.map_or(0, |h| h.eval(y as u64)));
+        }
+        out
+    }
+
     type Observed = (Coloring, u64, Vec<Vec<Option<usize>>>, usize, u64, usize);
 
     fn observe(c: &mut RandEfficientColorer) -> Observed {
@@ -744,6 +753,29 @@ mod tests {
             fed.process_batch(&edges);
             prop_assert!(fed.current_epoch() > 1, "the buffer must rotate");
             prop_assert!(fed.candidate_sizes(2).contains(&None), "a candidate must overflow");
+        }
+
+        #[test]
+        fn query_matches_the_direct_transcription(
+            (n, delta, seed, chunk) in (20usize..60, 3usize..9, any::<u64>(), 1usize..20),
+        ) {
+            // m ≈ n∆/2 > n edges, so the buffer rotates mid-stream.
+            let g = generators::gnp_with_max_degree(n, delta, 0.5, seed);
+            let edges = generators::shuffled_edges(&g, seed ^ 1);
+            let tabled = RandEfficientColorer::new(n, delta, seed ^ 3);
+            prop_assert!(tabled.has_table_tier(), "this configuration should tabulate");
+            let mut generic = tabled.clone();
+            generic.force_generic_tier();
+            for mut colorer in [tabled, generic] {
+                for (k, part) in edges.chunks(chunk).enumerate() {
+                    colorer.process_batch(part);
+                    if k % 2 == 1 {
+                        // A warm cache must not leak into the scratch answer.
+                        colorer.query_incremental();
+                    }
+                    prop_assert_eq!(colorer.query(), direct_query(&colorer), "after chunk {}", k);
+                }
+            }
         }
     }
 

@@ -56,6 +56,16 @@ impl StoreAllColorer {
         self.edges.len()
     }
 
+    /// The from-scratch answer: first-fit over a fresh mirror of the
+    /// stored edges. [`StreamingColorer::query`] returns its coloring and
+    /// a cache miss installs it.
+    fn rebuild(&self) -> StoreAllArtifact {
+        let mirror = Graph::from_edges(self.n, self.edges.iter().copied());
+        let mut chi = Coloring::empty(self.n);
+        greedy_complete(&mirror, &mut chi);
+        StoreAllArtifact { mirror, chi, synced: self.edges.len() }
+    }
+
     /// Brings `artifact` up to date with the stored edges, repairing the
     /// coloring only around the insertions. Returns the number of
     /// vertices the repair recolored (the dirty-frontier size).
@@ -87,10 +97,7 @@ impl StreamingColorer for StoreAllColorer {
     }
 
     fn query(&mut self) -> Coloring {
-        let g = Graph::from_edges(self.n, self.edges.iter().copied());
-        let mut c = Coloring::empty(self.n);
-        greedy_complete(&g, &mut c);
-        c
+        self.rebuild().chi
     }
 
     fn query_incremental(&mut self) -> Coloring {
@@ -103,12 +110,7 @@ impl StreamingColorer for StoreAllColorer {
                 self.cache.note_patched(recolored);
                 a
             }
-            None => {
-                let mirror = Graph::from_edges(self.n, self.edges.iter().copied());
-                let mut chi = Coloring::empty(self.n);
-                greedy_complete(&mirror, &mut chi);
-                StoreAllArtifact { mirror, chi, synced: self.edges.len() }
-            }
+            None => self.rebuild(),
         };
         let out = artifact.chi.clone();
         self.cache.install(artifact);

@@ -33,7 +33,8 @@ fn chunkings(edges: &[Edge], cuts: &[usize]) -> Vec<(usize, usize)> {
 /// Feeds `inc` and `scr` identically chunk by chunk; after every chunk,
 /// `inc.query_incremental()` must match `scr.query()`. Exercises the pure
 /// hit path (back-to-back incremental queries) and mixed usage (scratch
-/// queries interleaved on the *same* instance must not corrupt the cache).
+/// queries interleaved on the *same* instance must not corrupt the cache
+/// or move its stats).
 fn assert_equivalent<C: StreamingColorer>(
     mut inc: C,
     mut scr: C,
@@ -63,12 +64,21 @@ fn assert_equivalent<C: StreamingColorer>(
             );
         }
         if k % 3 == 0 {
-            // A scratch query on the incremental instance must agree and
-            // must not poison later incremental queries.
+            // A scratch query on the incremental instance must agree, must
+            // not poison later incremental queries, and must leave the
+            // cache's stats as they were.
+            let stats = inc.query_cache_stats();
             prop_assert_eq!(
                 inc.query(),
                 reference,
                 "{}: scratch query on the cached instance diverges after {} edges",
+                label,
+                b
+            );
+            prop_assert_eq!(
+                inc.query_cache_stats(),
+                stats,
+                "{}: scratch query touched the cache stats after {} edges",
                 label,
                 b
             );

@@ -95,11 +95,17 @@ pub trait StreamingColorer {
         Ok(())
     }
 
-    /// Returns a coloring of all edges processed so far.
+    /// Returns a coloring of all edges processed so far, built from
+    /// scratch.
     ///
     /// For robust algorithms this must be proper with probability `≥ 1 − δ`
     /// against *adaptive* streams; for non-robust baselines only against
-    /// oblivious ones.
+    /// oblivious ones. A colorer with a query cache answers through the
+    /// same from-scratch routine its [`query_incremental`] installs on a
+    /// cache miss, and leaves the cache alone: no stats, no epoch, no
+    /// artifact.
+    ///
+    /// [`query_incremental`]: StreamingColorer::query_incremental
     fn query(&mut self) -> Coloring;
 
     /// Like [`query`], but allowed to reuse artifacts of the previous
@@ -108,9 +114,11 @@ pub trait StreamingColorer {
     /// **Law:** must be observationally identical to [`query`] at every
     /// prefix, under arbitrary interleavings of `process`/`process_batch`
     /// calls and queries of either kind — same colorings, same space
-    /// report. Implementors fall back to a from-scratch rebuild whenever
-    /// invalidation since the last query is too large to patch. The
-    /// default *is* the from-scratch path.
+    /// report. A fresh artifact is returned as is and a stale one is
+    /// patched; on a miss (empty cache, or invalidation since the last
+    /// query too large to patch) implementors install the answer of the
+    /// one from-scratch routine [`query`] also runs. The default *is* the
+    /// from-scratch path.
     ///
     /// [`query`]: StreamingColorer::query
     fn query_incremental(&mut self) -> Coloring {

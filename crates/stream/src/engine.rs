@@ -45,10 +45,12 @@ pub struct EngineConfig {
     /// Which stream prefixes to snapshot mid-stream.
     pub schedule: QuerySchedule,
     /// Whether queries go through the epoch-keyed incremental path
-    /// ([`StreamingColorer::query_incremental`], the default) or always
-    /// rebuild from scratch ([`StreamingColorer::query`]). The two are
-    /// observationally identical by the colorer contract; the switch
-    /// exists so benchmarks and CI can measure one against the other.
+    /// ([`StreamingColorer::query_incremental`], the default) or run in
+    /// scratch mode ([`StreamingColorer::query`]): every query rebuilds
+    /// through the routine the cache uses on a miss, and the cache is
+    /// never consulted. The two are observationally identical by the
+    /// colorer contract; the switch exists so benchmarks and CI can
+    /// measure one against the other.
     pub incremental: bool,
 }
 

@@ -16,6 +16,12 @@
 //!   invalidations (epoch-buffer rotations, `⊥`-wipes), so experiments
 //!   can report how often the incremental path actually engaged.
 //!
+//! Each colorer has one from-scratch routine: a miss installs its answer,
+//! and the from-scratch [`query`] (scratch mode) returns the same answer
+//! without reading or writing the cache — its stats, epoch and artifact
+//! stay as they were. So scratch mode means every query rebuilds through
+//! the routine the cache uses on a miss.
+//!
 //! The cache is harness bookkeeping, **not** algorithm state: it never
 //! touches the [`SpaceMeter`](crate::SpaceMeter), and the incremental
 //! path it powers must be observationally identical to the from-scratch
