@@ -57,7 +57,7 @@ struct BlockArtifact {
 /// then levels ascending; blocks ascending by id within a phase), so a
 /// query recomputes only the *blocks* whose inputs changed and re-chains
 /// the rest by offset arithmetic.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct PhaseState {
     /// Per-block artifacts, ascending by `id`, all nonempty.
     blocks: Vec<BlockArtifact>,
@@ -323,7 +323,7 @@ impl RobustColorer {
     }
 
     /// A query state for the current epoch with a full census (lines
-    /// 18–19) and no computed phases.
+    /// 18–19) and an empty state for every phase.
     fn fresh_query_state(&self) -> Alg2QueryState {
         let n = self.params.n;
         let mut s = Alg2QueryState {
@@ -333,7 +333,7 @@ impl RobustColorer {
             fast_level: vec![0; n],
             b_synced: self.buffer.len(),
             g_synced: self.g_sketches.iter().map(MonoSketch::len).collect(),
-            phases: Vec::new(),
+            phases: (0..=self.params.num_levels).map(|_| PhaseState::default()).collect(),
             out: Coloring::empty(n),
         };
         for e in &self.buffer {
@@ -357,13 +357,12 @@ impl RobustColorer {
         // The arena moves out of `self` for the rebuild borrows; its
         // pooled buffers come back at the end.
         let mut arena = std::mem::replace(&mut self.arena, PhaseArena::new(0));
-        s.phases = (0..=self.params.num_levels)
-            .map(|p| PhaseState {
-                blocks: self.rebuild_phase(p, &s.is_fast, &s.fast_level, &mut arena),
-                pending: Vec::new(),
-                dirty: Vec::new(),
-            })
-            .collect();
+        {
+            let Alg2QueryState { is_fast, fast_level, phases, .. } = &mut s;
+            for (p, ph) in phases.iter_mut().enumerate() {
+                ph.blocks = self.rebuild_phase(p, is_fast, fast_level, &mut arena);
+            }
+        }
         self.arena = arena;
         self.assemble(&mut s);
         s
@@ -554,15 +553,13 @@ impl RobustColorer {
         for &m in &members {
             coloring.unset(m);
         }
-        group_by_block_with(&mut block, &members)
-            .into_iter()
-            .map(|(id, members)| {
-                let span = Self::color_block(p, graph, coloring, &members);
-                let rel =
-                    members.iter().map(|&m| coloring.get(m).expect("member colored")).collect();
-                BlockArtifact { id, members, rel, span }
-            })
-            .collect()
+        let mut blocks = Vec::new();
+        for (id, members) in group_by_block_with(&mut block, &members) {
+            let span = Self::color_block(p, graph, coloring, &members);
+            let rel = members.iter().map(|&m| coloring.get(m).expect("member colored")).collect();
+            blocks.push(BlockArtifact { id, members, rel, span });
+        }
+        blocks
     }
 
     /// Recomputes only the dirty blocks of phase `p`, reusing every clean
