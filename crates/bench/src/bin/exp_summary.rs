@@ -11,9 +11,10 @@
 //! machine-readable curves:
 //!
 //! * `BENCH_engine.json` — batched vs per-edge **ingestion**, plus the
-//!   turnstile sketch's update-vs-decode balance (`sketch-decode`) and
+//!   turnstile sketch's update-vs-decode balance (`sketch-decode`),
 //!   Theorem 1's hash tournament against one evaluation per function
-//!   (`det-tournament`);
+//!   (`det-tournament`) and alg3's slot-table fill against scalar
+//!   evaluation (`table-build`);
 //! * `BENCH_query.json` — incremental vs from-scratch **queries**, both
 //!   on checkpointed engine runs and end-to-end adversary games.
 //!
@@ -209,7 +210,7 @@ fn emit_engine_bench(profile: &Profile) {
         times.sort_by(f64::total_cmp);
         (times[times.len() / 2], coloring.expect("reps >= 1"))
     };
-    let mut entries = vec![hash_tier_entry(profile)];
+    let mut entries = vec![hash_tier_entry(profile), table_build_entry(profile)];
     for (name, spec) in &algos {
         let (per_edge_ms, c1) = median_ms(&EngineConfig::per_edge(), spec, delta, &inserts);
         let (batched_ms, c2) = median_ms(&EngineConfig::batched(256), spec, delta, &inserts);
@@ -355,24 +356,14 @@ fn det_tournament_entry(profile: &Profile) -> String {
     let phi = phi_of_hash(&stream, &group, &tables, sel.hash);
     assert_eq!(sel.phi.to_bits(), phi.to_bits(), "det-tournament: the kernels disagree on Φ(h⋆)");
 
-    let median = |f: &mut dyn FnMut() -> f64| -> f64 {
-        let mut times: Vec<f64> = (0..reps)
-            .map(|_| {
-                let start = Instant::now();
-                std::hint::black_box(f());
-                start.elapsed().as_secs_f64() * 1e3
-            })
-            .collect();
-        times.sort_by(f64::total_cmp);
-        times[times.len() / 2]
-    };
-    let per_function_ms = median(&mut || {
+    let per_function_ms = median_time_ms(reps, || {
         (0..grid.num_parts())
             .flat_map(|i| grid.part(i))
             .map(|h| phi_of_hash(&stream, &group, &tables, h))
-            .sum()
+            .sum::<f64>()
     });
-    let tournament_ms = median(&mut || select_hash(&stream, &group, &tables, strategy).phi);
+    let tournament_ms =
+        median_time_ms(reps, || select_hash(&stream, &group, &tables, strategy).phi);
     format!(
         "  {{\"algo\":\"det-tournament\",\"n\":{},\"delta\":{},\"m\":{},\"p\":{},\"l\":{},\"per_function_ms\":{:.3},\"tournament_ms\":{:.3},\"speedup\":{:.3}}}",
         n,
@@ -397,17 +388,6 @@ fn hash_tier_entry(profile: &Profile) -> String {
     let (points, reps) = if profile.smoke { (20_000usize, 5usize) } else { (200_000, 7) };
     let xs: Vec<u32> = (0..points as u32).map(|i| i.wrapping_mul(2_654_435_761)).collect();
     let mut out = vec![0u64; xs.len()];
-    let median = |f: &mut dyn FnMut() -> u64| -> f64 {
-        let mut times: Vec<f64> = (0..reps)
-            .map(|_| {
-                let start = Instant::now();
-                std::hint::black_box(f());
-                start.elapsed().as_secs_f64() * 1e3
-            })
-            .collect();
-        times.sort_by(f64::total_cmp);
-        times[times.len() / 2]
-    };
 
     // Degree-4 polynomial over an alg3-shaped field (range = ℓ²).
     let fam = PolynomialFamily::for_domain(points as u64, 4096, 4);
@@ -416,8 +396,9 @@ fn hash_tier_entry(profile: &Profile) -> String {
     for (&x, &o) in xs.iter().zip(&out) {
         assert_eq!(o, h.eval(x as u64), "poly4 tiers must be bit-identical");
     }
-    let scalar_ms = median(&mut || xs.iter().map(|&x| h.eval(x as u64)).fold(0, u64::wrapping_add));
-    let batched_ms = median(&mut || {
+    let scalar_ms =
+        median_time_ms(reps, || xs.iter().map(|&x| h.eval(x as u64)).fold(0, u64::wrapping_add));
+    let batched_ms = median_time_ms(reps, || {
         h.eval_batch(&xs, &mut out);
         out[out.len() - 1]
     });
@@ -427,6 +408,71 @@ fn hash_tier_entry(profile: &Profile) -> String {
         scalar_ms,
         batched_ms,
         scalar_ms / batched_ms.max(1e-9),
+    )
+}
+
+/// Median wall time of `reps` calls of `f`, in milliseconds.
+fn median_time_ms<T>(reps: usize, mut f: impl FnMut() -> T) -> f64 {
+    let mut times: Vec<f64> = (0..reps)
+        .map(|_| {
+            let start = Instant::now();
+            std::hint::black_box(f());
+            start.elapsed().as_secs_f64() * 1e3
+        })
+        .collect();
+    times.sort_by(f64::total_cmp);
+    times[times.len() / 2]
+}
+
+/// Times [`sc_hash::VertexSlotTable::build`], the slot-table fill every
+/// `rand-efficient` open, restore and reload pays, against filling the
+/// same `n × slots` matrix with one scalar `eval` per entry. The hashes
+/// have alg3's shape at the ingest bench's `(n, ∆)`: one per slot of a
+/// `RandEfficientColorer` (epochs × copies), degree 3, range `ℓ²`. Every
+/// table entry is asserted equal to its scalar value before anything is
+/// timed.
+fn table_build_entry(profile: &Profile) -> String {
+    use sc_hash::{PolynomialFamily, SplitMix64, VertexSlotTable};
+    use streamcolor::RandEfficientColorer;
+    let (n, delta, _) = profile.ingest;
+    let reps = 5;
+    let alg3 = RandEfficientColorer::new(n, delta, 5);
+    let slots = alg3.num_epochs() * alg3.copies();
+    let ell = 1u64 << (delta as u64).ilog2();
+    let family = PolynomialFamily::for_domain(n as u64, ell * ell, 4);
+    let mut rng = SplitMix64::new(43);
+    let hashes: Vec<_> = (0..slots).map(|_| family.sample(&mut rng)).collect();
+    let table = VertexSlotTable::build(&hashes, n).expect("alg3's shape tabulates");
+    for v in 0..n as u32 {
+        for (slot, h) in hashes.iter().enumerate() {
+            assert_eq!(
+                table.value(v, slot),
+                h.eval(v as u64),
+                "table-build: v = {v}, slot = {slot}"
+            );
+        }
+    }
+    let scalar_ms = median_time_ms(reps, || {
+        let mut vals = vec![0u16; n * slots];
+        for (v, row) in vals.chunks_exact_mut(slots).enumerate() {
+            for (h, out) in hashes.iter().zip(row.iter_mut()) {
+                *out = h.eval(v as u64) as u16;
+            }
+        }
+        vals[vals.len() - 1] as u64
+    });
+    let build_ms = median_time_ms(reps, || {
+        let table = VertexSlotTable::build(&hashes, n).expect("alg3's shape tabulates");
+        table.value(n as u32 - 1, slots - 1)
+    });
+    format!(
+        "  {{\"algo\":\"table-build\",\"n\":{},\"delta\":{},\"slots\":{},\"scalar_ms\":{:.3},\"build_ms\":{:.3},\"speedup\":{:.3}}}",
+        n,
+        delta,
+        slots,
+        scalar_ms,
+        build_ms,
+        scalar_ms / build_ms.max(1e-9),
     )
 }
 

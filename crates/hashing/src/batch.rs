@@ -20,14 +20,20 @@
 //!    megabytes of `u16`s. Build it once at colorer construction; every
 //!    later "which slots consider this edge monochromatic?" question
 //!    becomes a SIMD-friendly equality scan of two rows instead of
-//!    `slots` modular polynomial evaluations.
+//!    `slots` modular polynomial evaluations. The build itself evaluates
+//!    nothing per vertex: it walks the vertices in order and steps each
+//!    hash by **forward differences**. A polynomial of degree ≤ 3 has a
+//!    constant third difference, so `h(v + 1) mod p` follows from four
+//!    running values `h, Δh, Δ²h, Δ³h` with three modular additions, and
+//!    the `mod s` step is a mask when `s` is a power of two (Algorithm
+//!    3's `s = ℓ²` always is).
 //!
 //! The table is a cache of values the colorer can recompute from its
 //! stored coefficients at any time — like a query cache or a block memo,
 //! it is harness acceleration, not algorithm state, and is never charged
 //! to a space meter.
 
-use crate::modp::Reducer;
+use crate::modp::{add_reduced, Reducer};
 use crate::polynomial::PolynomialHash;
 
 /// Upper bound on [`VertexSlotTable`] memory (64 MiB). Configurations
@@ -45,10 +51,21 @@ pub const MAX_TABLE_BYTES: usize = 64 << 20;
 ///
 /// # Exactness
 ///
-/// Construction evaluates through [`Reducer`]-based dot products when the
-/// modulus permits and scalar Horner otherwise; either way each entry
-/// equals `hashes[slot].eval(v)` bit-for-bit, so consulting the table can
-/// never diverge from scalar evaluation. Property-tested in
+/// Each entry equals `hashes[slot].eval(v)` bit-for-bit, so consulting
+/// the table can never diverge from scalar evaluation. The difference
+/// fill (see [`VertexSlotTable::build`]) is exact because:
+///
+/// * over the integers, a polynomial `F` of degree ≤ 3 satisfies
+///   `F(v + 1) = F(v) + ΔF(v)`, `ΔF(v + 1) = ΔF(v) + Δ²F(v)` and
+///   `Δ²F(v + 1) = Δ²F(v) + Δ³F`, and reducing these identities mod `p`
+///   keeps them true, so the stepped lane holds `F(v) mod p`;
+/// * `F(v) ≡ F(v mod p) (mod p)` for integer coefficients, so that is
+///   the value [`PolynomialHash::eval`] computes, even for vertices past
+///   `p` (a small field over a large vertex range);
+/// * every lane value is `< p < 2^31`, so each `u32` step `a + b` stays
+///   below `2p < 2^32` and one conditional subtract reduces it.
+///
+/// Property-tested against [`PolynomialHash::eval`] in
 /// `tests/hash_properties.rs`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VertexSlotTable {
@@ -63,6 +80,18 @@ impl VertexSlotTable {
     /// when the configuration is out of the table tier's envelope: no
     /// hashes, mixed `(p, s)` parameters, range `s > 2^16`, or a matrix
     /// larger than [`MAX_TABLE_BYTES`].
+    ///
+    /// Two fill arms, equal entry for entry:
+    ///
+    /// * **Differences**, when `p < 2^31` and every hash has at most 4
+    ///   coefficients (every table Algorithm 3 builds). Each slot's lanes
+    ///   `f, Δf, Δ²f, Δ³f` are seeded from Horner's values mod `p` at
+    ///   `x = 0, 1, 2, 3` (a hash of lower degree gets zero higher
+    ///   differences). Per vertex, the row gets `f mod s` (a mask for a
+    ///   power-of-two `s`, [`Reducer::rem`] otherwise) and the lanes step
+    ///   by three modular additions. See the type's "Exactness" section.
+    /// * **Horner**, otherwise: one scalar [`PolynomialHash::eval`] per
+    ///   entry.
     pub fn build(hashes: &[PolynomialHash], n: usize) -> Option<Self> {
         let first = hashes.first()?;
         let (p, s) = (first.p, first.s);
@@ -73,18 +102,19 @@ impl VertexSlotTable {
         if n.checked_mul(slots)?.checked_mul(2)? > MAX_TABLE_BYTES {
             return None;
         }
+        // `vals` is allocated before the difference lanes: a serving
+        // worker's RSS depends on where glibc puts this multi-megabyte
+        // matrix among the allocations before it, so it comes first.
         let mut vals = vec![0u16; n * slots];
-        let fast = s >= 2 && hashes.iter().all(PolynomialHash::dot_fits_u64);
-        if fast {
-            let rp = Reducer::new(p);
-            let rs = Reducer::new(s);
-            for (v, row) in vals.chunks_exact_mut(slots).enumerate() {
-                for (h, out) in hashes.iter().zip(row.iter_mut()) {
-                    *out = rs.rem(rp.rem(h.dot_u64(v as u64, &rp))) as u16;
-                }
+        if p < 1 << 31 && hashes.iter().all(|h| h.coefficients.len() <= 4) {
+            if s.is_power_of_two() {
+                let mask = (s - 1) as u32;
+                fill_by_differences(hashes, &mut vals, |x| (x & mask) as u16);
+            } else {
+                let rs = Reducer::new(s); // s ≥ 3 here: 1 and 2 are powers of two
+                fill_by_differences(hashes, &mut vals, |x| rs.rem(x as u64) as u16);
             }
         } else {
-            // Degenerate ranges (`s = 1`) or huge moduli: scalar fill.
             for (v, row) in vals.chunks_exact_mut(slots).enumerate() {
                 for (h, out) in hashes.iter().zip(row.iter_mut()) {
                     *out = h.eval(v as u64) as u16;
@@ -176,6 +206,74 @@ impl VertexSlotTable {
             }
         }
         equal_slots_scalar(a, b, from, &mut f);
+    }
+}
+
+/// [`VertexSlotTable::build`]'s difference arm. Caller guarantees one
+/// shared `(p, s)` with `p < 2^31`, at most 4 coefficients per hash, and
+/// `reduce(x) = x mod s` for `x < p`.
+fn fill_by_differences(hashes: &[PolynomialHash], vals: &mut [u16], reduce: impl Fn(u32) -> u16) {
+    let slots = hashes.len();
+    let p = hashes[0].p;
+    // Struct-of-arrays lanes `f | Δf | Δ²f | Δ³f`, one allocation.
+    let mut lanes = vec![0u32; 4 * slots];
+    for (i, h) in hashes.iter().enumerate() {
+        // Difference table over f(0..4): after round k, ys[j] = Δ^k f(j−k)
+        // for j ≥ k, so ys ends as [f(0), Δf(0), Δ²f(0), Δ³f(0)].
+        let mut ys = [0u64, 1, 2, 3].map(|x| h.horner_mod_p(x));
+        for k in 1..4 {
+            for j in (k..4).rev() {
+                ys[j] = add_reduced(ys[j], p - ys[j - 1], p);
+            }
+        }
+        for (d, y) in ys.into_iter().enumerate() {
+            lanes[d * slots + i] = y as u32;
+        }
+    }
+    #[cfg(target_arch = "x86_64")]
+    {
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: feature checked at runtime.
+            return unsafe { step_rows_avx2(vals, &mut lanes, p as u32, reduce) };
+        }
+    }
+    step_rows(vals, &mut lanes, p as u32, reduce);
+}
+
+/// [`step_rows`] compiled for 8-lane AVX2 adds and minimums.
+///
+/// # Safety
+/// Requires the `avx2` target feature at runtime.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn step_rows_avx2(vals: &mut [u16], lanes: &mut [u32], p: u32, reduce: impl Fn(u32) -> u16) {
+    step_rows(vals, lanes, p, reduce)
+}
+
+/// Writes `reduce(f)` into each row of `vals` in turn, stepping the
+/// lanes `f | Δf | Δ²f | Δ³f` (each `slots` long, values `< p`) to the
+/// next vertex after every row. Branch-free, so it autovectorizes.
+#[inline(always)]
+fn step_rows(vals: &mut [u16], lanes: &mut [u32], p: u32, reduce: impl Fn(u32) -> u16) {
+    let slots = lanes.len() / 4;
+    let (f, rest) = lanes.split_at_mut(slots);
+    let (d1, rest) = rest.split_at_mut(slots);
+    let (d2, d3) = rest.split_at_mut(slots);
+    // a, b < p < 2^31, so a + b cannot wrap; when a + b < p the subtract
+    // wraps past it and `min` keeps the sum.
+    let add = |a: u32, b: u32| {
+        let t = a + b;
+        t.min(t.wrapping_sub(p))
+    };
+    for row in vals.chunks_exact_mut(slots) {
+        let (f, d1, d2, d3) =
+            (&mut f[..row.len()], &mut d1[..row.len()], &mut d2[..row.len()], &d3[..row.len()]);
+        for i in 0..row.len() {
+            row[i] = reduce(f[i]);
+            f[i] = add(f[i], d1[i]);
+            d1[i] = add(d1[i], d2[i]);
+            d2[i] = add(d2[i], d3[i]);
+        }
     }
 }
 
@@ -329,6 +427,22 @@ mod tests {
             for (slot, h) in hashes.iter().enumerate() {
                 assert_eq!(t.value(v, slot), h.eval(v as u64), "v = {v}, slot = {slot}");
                 assert_eq!(t.row(v)[slot] as u64, h.eval(v as u64));
+            }
+        }
+    }
+
+    #[test]
+    fn difference_fill_at_the_top_of_the_field() {
+        // f = −(1 + x + x² + x³) starts every lane within 8 below p, so
+        // the first step adds near-maximal residues: their sum fits a u32
+        // for p < 2^31 and would wrap above it, where the Horner arm must
+        // take over.
+        for p in [(1 << 31) - 1, crate::modp::next_prime(1 << 31)] {
+            let h = PolynomialHash { coefficients: vec![p - 1; 4], p, s: 1 << 16 };
+            let hashes = vec![h; 3];
+            let t = VertexSlotTable::build(&hashes, 50).unwrap();
+            for v in 0..50u32 {
+                assert_eq!(t.value(v, 2), hashes[2].eval(v as u64), "p = {p}, v = {v}");
             }
         }
     }

@@ -30,11 +30,11 @@
 //! tiers (see [`batch`] for the full contract): scalar reference
 //! evaluation ([`PolynomialHash::eval`], [`OracleFn::eval`]), a batched
 //! branch-free loop over pooled buffers ([`PolynomialHash::eval_batch`],
-//! powered by the Barrett [`modp::Reducer`]),
-//! and the precomputed per-seed value matrix [`VertexSlotTable`] for
-//! many-functions-over-one-small-domain workloads like Algorithm 3's
-//! `∆ · P` candidate hashes. Equality across tiers is a tested law —
-//! callers may pick purely on performance.
+//! powered by the Barrett [`modp::Reducer`]), and the precomputed
+//! per-seed value matrix [`VertexSlotTable`], filled by forward
+//! differences, for many-functions-over-one-small-domain workloads like
+//! Algorithm 3's `∆ · P` candidate hashes. Equality across tiers is a
+//! tested law — callers may pick purely on performance.
 //!
 //! **Ownership contract** (see ROADMAP.md, "which layer owns what"):
 //! this crate owns seeded randomness and its arithmetic — a seed plus a

@@ -55,10 +55,10 @@ pub fn powmod(mut base: u64, mut exp: u64, m: u64) -> u64 {
 ///
 /// Rust compiles a `% m` with a *runtime* modulus to a hardware divide
 /// (u128 long division here, since the callers widen), which costs an
-/// order of magnitude more than a multiply. Batched evaluation tiers
-/// ([`crate::PolynomialHash::eval_batch`], [`crate::VertexSlotTable`])
-/// reduce millions of times against the same modulus, so they hoist the
-/// division into this one-time reciprocal and reduce with two multiplies.
+/// order of magnitude more than a multiply. The batched evaluation tier
+/// ([`crate::PolynomialHash::eval_batch`]) reduces millions of times
+/// against the same modulus, so it hoists the division into this one-time
+/// reciprocal and reduces with two multiplies.
 ///
 /// Exact — [`Reducer::rem`] equals `x % m` for **every** `u64` input, so
 /// routing a hash through it cannot perturb a single output bit. Proof

@@ -31,12 +31,19 @@ impl PolynomialHash {
     /// Evaluates by Horner's rule, then reduces into `[0, s)`.
     #[inline]
     pub fn eval(&self, z: u64) -> u64 {
+        self.horner_mod_p(z) % self.s
+    }
+
+    /// `Σ c_t z^t mod p` by Horner's rule: [`PolynomialHash::eval`]
+    /// before its `mod s` step.
+    #[inline]
+    pub(crate) fn horner_mod_p(&self, z: u64) -> u64 {
         let z = z % self.p;
         let mut acc = 0u64;
         for &c in self.coefficients.iter().rev() {
             acc = addmod(mulmod(acc, z, self.p), c, self.p);
         }
-        acc % self.s
+        acc
     }
 
     /// The number of random field elements this hash consumed — the

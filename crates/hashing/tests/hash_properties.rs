@@ -95,7 +95,7 @@ proptest! {
 // the vectorized loops are most likely to mishandle (range 1, domain
 // endpoints, moduli past the u64 dot-product guard).
 
-use sc_hash::{Reducer, VertexSlotTable};
+use sc_hash::{PolynomialHash, Reducer, VertexSlotTable};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -169,5 +169,49 @@ proptest! {
             .filter(|&s| hashes[s].eval(u as u64) == hashes[s].eval(v as u64))
             .collect();
         prop_assert_eq!(reported, expect);
+    }
+
+    #[test]
+    fn slot_table_difference_fill_matches_horner(
+        seed in any::<u64>(),
+        range_raw in any::<u64>(),
+        n in 1usize..200,
+        slots in 1usize..10,
+        max_k in 1usize..6,
+    ) {
+        // Small primes put most vertices past the modulus; 2^31 − 1 is the
+        // largest modulus the difference arm takes, and the prime above
+        // 2^31 forces the Horner arm, as does any hash with 5
+        // coefficients (drawn only when max_k = 5).
+        let primes = [2, 3, 5, 7, 31, 97, 1009, 65_537, (1 << 31) - 1, next_prime(1 << 31)];
+        let mut rng = SplitMix64::new(seed);
+        for p in primes {
+            let max_range = p.min(1 << 16);
+            let pow2 = 1 << (range_raw % (max_range.ilog2() as u64 + 1));
+            let other = 1 + range_raw % max_range;
+            for s in [1, pow2, other] {
+                let hashes: Vec<PolynomialHash> = (0..slots)
+                    .map(|_| {
+                        let k = 1 + rng.below(max_k as u64) as usize;
+                        let coefficients = (0..k).map(|_| rng.below(p)).collect();
+                        PolynomialHash { coefficients, p, s }
+                    })
+                    .collect();
+                let table = VertexSlotTable::build(&hashes, n).expect("in the table envelope");
+                for v in 0..n as u32 {
+                    for (slot, h) in hashes.iter().enumerate() {
+                        prop_assert_eq!(
+                            table.value(v, slot),
+                            h.eval(v as u64),
+                            "v={} slot={} p={} s={}",
+                            v,
+                            slot,
+                            p,
+                            s
+                        );
+                    }
+                }
+            }
+        }
     }
 }
