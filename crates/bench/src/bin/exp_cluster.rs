@@ -29,11 +29,11 @@
 //! full-profile file). CI's `cluster-smoke` job gates the efficiency
 //! fields via `ci/bench_baselines.json`.
 
+use sc_bench::{median, median_time_ms, smoke_run, write_rows, Row};
 use sc_cluster::{ChildStdio, InProcess, Transport, Unreliable, WorkerPool};
 use sc_engine::shard::{run_in_process, smoke_grid, ShardJob};
 use sc_engine::{ColorerSpec, Scenario, SourceSpec};
 use sc_stream::{QuerySchedule, StreamOrder};
-use std::io::Write as _;
 use std::time::{Duration, Instant};
 
 struct Profile {
@@ -53,14 +53,6 @@ impl Profile {
         // The smoke grid runs in ~15 ms, so single-run noise is a large
         // fraction of the signal; more reps keep the gated medians stable.
         Self { smoke: true, workers: 3, reps: 7 }
-    }
-
-    fn bench_path(&self) -> &'static str {
-        if self.smoke {
-            "BENCH_cluster.smoke.json"
-        } else {
-            "BENCH_cluster.json"
-        }
     }
 
     /// The job under test: the CI smoke grid, or a heavier full-profile
@@ -157,7 +149,7 @@ impl Fleet {
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
+    let smoke = smoke_run();
     let profile = if smoke { Profile::smoke() } else { Profile::full() };
     let job = profile.job();
     println!(
@@ -172,18 +164,8 @@ fn main() {
     let reference_bytes = reference.encode();
     // Warm caches (and the allocator) before any timed run.
     let _ = run_in_process(&job, 1).expect("warmup run");
-    let median = |times: &mut Vec<f64>| -> f64 {
-        times.sort_by(f64::total_cmp);
-        times[times.len() / 2]
-    };
-    let mut in_process_times: Vec<f64> = (0..profile.reps)
-        .map(|_| {
-            let start = Instant::now();
-            let _ = run_in_process(&job, 1).expect("reference run");
-            start.elapsed().as_secs_f64() * 1e3
-        })
-        .collect();
-    let in_process_ms = median(&mut in_process_times);
+    let in_process_ms =
+        median_time_ms(profile.reps, || run_in_process(&job, 1).expect("reference run"));
     println!("in-process reference: {in_process_ms:.1} ms");
 
     let mut entries = Vec::new();
@@ -202,7 +184,7 @@ fn main() {
         let expected_retries = usize::from(matches!(fleet, Fleet::Retry));
         assert_eq!(report.retries, expected_retries, "{} fleet retry count", fleet.name());
 
-        let mut times: Vec<f64> = (0..profile.reps)
+        let times: Vec<f64> = (0..profile.reps)
             .map(|_| {
                 let transports = fleet.build(profile.workers).expect("fleet build");
                 let mut pool = WorkerPool::new(transports).with_timeout(Duration::from_secs(600));
@@ -213,7 +195,7 @@ fn main() {
                 elapsed
             })
             .collect();
-        let cluster_ms = median(&mut times);
+        let cluster_ms = median(times);
         let efficiency = in_process_ms / cluster_ms.max(1e-9);
         println!(
             "{:>8}: {} worker(s) — dispatch {cluster_ms:.1} ms, efficiency {efficiency:.3}{}",
@@ -221,16 +203,16 @@ fn main() {
             profile.workers,
             if expected_retries > 0 { " (1 injected death per run)" } else { "" },
         );
-        entries.push(format!(
-            "  {{\"algo\":\"{}\",\"kind\":\"cluster\",\"workers\":{},\"items\":{},\"in_process_ms\":{:.3},\"cluster_ms\":{:.3},\"efficiency\":{:.3},\"retries\":{}}}",
-            fleet.name(),
-            profile.workers,
-            job.len(),
-            in_process_ms,
-            cluster_ms,
-            efficiency,
-            expected_retries,
-        ));
+        entries.push(
+            Row::new(fleet.name())
+                .text("kind", "cluster")
+                .count("workers", profile.workers)
+                .count("items", job.len())
+                .num("in_process_ms", in_process_ms)
+                .num("cluster_ms", cluster_ms)
+                .num("efficiency", efficiency)
+                .count("retries", expected_retries),
+        );
     }
 
     // The skewed fleet: healthy workers plus one whose answers straggle
@@ -273,29 +255,24 @@ fn main() {
             })
             .collect()
     };
-    let stealing_ms = median(&mut time_mode(&stealing_pool));
-    let unspeculated_ms = median(&mut time_mode(&unspeculated_pool));
+    let stealing_ms = median(time_mode(&stealing_pool));
+    let unspeculated_ms = median(time_mode(&unspeculated_pool));
     let efficiency = unspeculated_ms / stealing_ms.max(1e-9);
     println!(
         "    skew: {} worker(s) + 1 slowed {skew_delay:?} — unspeculated {unspeculated_ms:.1} ms, \
          stealing {stealing_ms:.1} ms, efficiency {efficiency:.3} ({speculated} speculated)",
         profile.workers,
     );
-    entries.push(format!(
-        "  {{\"algo\":\"skew\",\"kind\":\"cluster\",\"workers\":{},\"items\":{},\"unspeculated_ms\":{:.3},\"stealing_ms\":{:.3},\"efficiency\":{:.3},\"speculated\":{}}}",
-        profile.workers + 1,
-        job.len(),
-        unspeculated_ms,
-        stealing_ms,
-        efficiency,
-        speculated,
-    ));
+    entries.push(
+        Row::new("skew")
+            .text("kind", "cluster")
+            .count("workers", profile.workers + 1)
+            .count("items", job.len())
+            .num("unspeculated_ms", unspeculated_ms)
+            .num("stealing_ms", stealing_ms)
+            .num("efficiency", efficiency)
+            .count("speculated", speculated),
+    );
 
-    let path = profile.bench_path();
-    let json = format!("[\n{}\n]\n", entries.join(",\n"));
-    match std::fs::File::create(path).and_then(|mut f| f.write_all(json.as_bytes())) {
-        Ok(()) => println!("\nwrote {path} (cluster dispatch overhead + retry cost vs in-process)"),
-        Err(e) => eprintln!("\ncould not write {path}: {e}"),
-    }
-    print!("{json}");
+    write_rows("cluster", smoke, entries, "cluster dispatch overhead + retry cost vs in-process");
 }

@@ -46,16 +46,15 @@
 //! `--smoke` shrinks the instances and writes `BENCH_service.smoke.json`
 //! (CI-sized; never clobbers the committed full-profile file).
 
+use sc_bench::{median, median_time_ms, smoke_run, write_rows, Row};
 use sc_cluster::transport::{Tcp, Transport as _};
 use sc_cluster::Reactor;
 use sc_engine::{wire, ColorerSpec};
 use sc_graph::generators;
 use sc_service::Service;
-use std::io::Write as _;
 use std::time::{Duration, Instant};
 
 struct Profile {
-    smoke: bool,
     /// Concurrent sessions per algorithm.
     sessions: usize,
     /// Vertices / max degree of each session's stream.
@@ -69,19 +68,11 @@ struct Profile {
 
 impl Profile {
     fn full() -> Self {
-        Self { smoke: false, sessions: 8, n: 1200, delta: 16, batch: 64, reps: 5 }
+        Self { sessions: 8, n: 1200, delta: 16, batch: 64, reps: 5 }
     }
 
     fn smoke() -> Self {
-        Self { smoke: true, sessions: 4, n: 400, delta: 8, batch: 32, reps: 3 }
-    }
-
-    fn bench_path(&self) -> &'static str {
-        if self.smoke {
-            "BENCH_service.smoke.json"
-        } else {
-            "BENCH_service.json"
-        }
+        Self { sessions: 4, n: 400, delta: 8, batch: 32, reps: 3 }
     }
 }
 
@@ -208,7 +199,7 @@ fn run_reactor(scripts: &[Vec<String>]) -> (Vec<Vec<String>>, f64) {
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
+    let smoke = smoke_run();
     let profile = if smoke { Profile::smoke() } else { Profile::full() };
     let algos: Vec<(&str, ColorerSpec)> = vec![
         ("alg2", ColorerSpec::Robust { beta: None }),
@@ -241,33 +232,26 @@ fn main() {
             "{name}: interleaving changed a tenant's responses"
         );
 
-        let median = |times: &mut Vec<f64>| -> f64 {
-            times.sort_by(f64::total_cmp);
-            times[times.len() / 2]
-        };
-        let mut isolated_times: Vec<f64> =
-            (0..profile.reps).map(|_| run_isolated(&scripts).1).collect();
-        let mut interleaved_times: Vec<f64> =
-            (0..profile.reps).map(|_| run_interleaved(&scripts).1).collect();
-        let isolated_ms = median(&mut isolated_times);
-        let interleaved_ms = median(&mut interleaved_times);
+        let isolated_ms = median((0..profile.reps).map(|_| run_isolated(&scripts).1).collect());
+        let interleaved_ms =
+            median((0..profile.reps).map(|_| run_interleaved(&scripts).1).collect());
         let ratio = isolated_ms / interleaved_ms.max(1e-9);
         println!(
             "{name:>9}: {sessions} sessions, {commands} commands — isolated {isolated_ms:.1} ms, \
              interleaved {interleaved_ms:.1} ms, ratio {ratio:.3}",
             sessions = profile.sessions,
         );
-        entries.push(format!(
-            "  {{\"algo\":\"{}\",\"kind\":\"service\",\"sessions\":{},\"n\":{},\"delta\":{},\"commands\":{},\"isolated_ms\":{:.3},\"interleaved_ms\":{:.3},\"ratio\":{:.3}}}",
-            name,
-            profile.sessions,
-            profile.n,
-            profile.delta,
-            commands,
-            isolated_ms,
-            interleaved_ms,
-            ratio,
-        ));
+        entries.push(
+            Row::new(name)
+                .text("kind", "service")
+                .count("sessions", profile.sessions)
+                .count("n", profile.n)
+                .count("delta", profile.delta)
+                .count("commands", commands)
+                .num("isolated_ms", isolated_ms)
+                .num("interleaved_ms", interleaved_ms)
+                .num("ratio", ratio),
+        );
     }
 
     // Reactor serving over real sockets. The store-all colorer keeps
@@ -287,21 +271,20 @@ fn main() {
         let (from_reactor, _) = run_reactor(&scripts);
         assert_eq!(from_reactor, reference, "reactor responses diverged from isolated services");
 
-        let median = |times: &mut Vec<f64>| -> f64 {
-            times.sort_by(f64::total_cmp);
-            times[times.len() / 2]
-        };
-        let mut reactor_times: Vec<f64> =
-            (0..profile.reps).map(|_| run_reactor(&scripts).1).collect();
-        let reactor_ms = median(&mut reactor_times);
+        let reactor_ms = median((0..profile.reps).map(|_| run_reactor(&scripts).1).collect());
         println!(
             "  reactor: {sessions} connections, {commands} commands — {reactor_ms:.1} ms",
             sessions = profile.sessions,
         );
-        entries.push(format!(
-            "  {{\"algo\":\"reactor\",\"kind\":\"serving\",\"sessions\":{},\"n\":{},\"delta\":{},\"commands\":{},\"reactor_ms\":{:.3}}}",
-            profile.sessions, profile.n, profile.delta, commands, reactor_ms,
-        ));
+        entries.push(
+            Row::new("reactor")
+                .text("kind", "serving")
+                .count("sessions", profile.sessions)
+                .count("n", profile.n)
+                .count("delta", profile.delta)
+                .count("commands", commands)
+                .num("reactor_ms", reactor_ms),
+        );
     }
 
     // Snapshot+restore round trip vs replay-from-scratch. A restore
@@ -357,45 +340,35 @@ fn main() {
             "restored session diverged from the uninterrupted source"
         );
 
-        let median = |times: &mut Vec<f64>| -> f64 {
-            times.sort_by(f64::total_cmp);
-            times[times.len() / 2]
-        };
         // One timed pass is several round trips off a live source
         // (snapshot is non-destructive), reported per trip so the
         // number stays comparable to a single replay.
         const TRIPS: usize = 8;
         let mut source = build();
-        let mut roundtrip_times: Vec<f64> = (0..profile.reps)
-            .map(|_| {
-                let start = Instant::now();
-                for _ in 0..TRIPS {
-                    let blob = snapshot_blob(&mut source);
-                    let mut target = Service::new();
-                    let ack = target.respond(&restore_line(&blob)).expect("restore answers");
-                    assert!(ack.contains("\"ok\":true"), "restore failed: {ack}");
-                }
-                start.elapsed().as_secs_f64() * 1e3 / TRIPS as f64
-            })
-            .collect();
-        let mut replay_times: Vec<f64> = (0..profile.reps)
-            .map(|_| {
-                let start = Instant::now();
-                build();
-                start.elapsed().as_secs_f64() * 1e3
-            })
-            .collect();
-        let roundtrip_ms = median(&mut roundtrip_times);
-        let replay_ms = median(&mut replay_times);
+        let roundtrip_ms = median_time_ms(profile.reps, || {
+            for _ in 0..TRIPS {
+                let blob = snapshot_blob(&mut source);
+                let mut target = Service::new();
+                let ack = target.respond(&restore_line(&blob)).expect("restore answers");
+                assert!(ack.contains("\"ok\":true"), "restore failed: {ack}");
+            }
+        }) / TRIPS as f64;
+        let replay_ms = median_time_ms(profile.reps, build);
         let ratio = replay_ms / roundtrip_ms.max(1e-9);
         println!(
             " snapshot: {snapshot_bytes} blob bytes — round trip {roundtrip_ms:.3} ms, \
              replay {replay_ms:.1} ms, ratio {ratio:.1}"
         );
-        entries.push(format!(
-            "  {{\"algo\":\"snapshot\",\"kind\":\"persistence\",\"n\":{},\"delta\":{},\"snapshot_bytes\":{},\"roundtrip_ms\":{:.3},\"replay_ms\":{:.3},\"ratio\":{:.3}}}",
-            profile.n, profile.delta, snapshot_bytes, roundtrip_ms, replay_ms, ratio,
-        ));
+        entries.push(
+            Row::new("snapshot")
+                .text("kind", "persistence")
+                .count("n", profile.n)
+                .count("delta", profile.delta)
+                .count("snapshot_bytes", snapshot_bytes)
+                .num("roundtrip_ms", roundtrip_ms)
+                .num("replay_ms", replay_ms)
+                .num("ratio", ratio),
+        );
     }
 
     // Response encode: the frozen join reference against the writer, on
@@ -441,42 +414,33 @@ fn main() {
             }
             start.elapsed().as_secs_f64() * 1e3
         };
-        let median = |times: &mut Vec<f64>| -> f64 {
-            times.sort_by(f64::total_cmp);
-            times[times.len() / 2]
-        };
         // Alternate the two so drift in the machine's speed hits both.
         let (mut reference_times, mut writer_times) = (Vec::new(), Vec::new());
         for _ in 0..profile.reps {
             reference_times.push(time(&reference));
             writer_times.push(time(&writer));
         }
-        let reference_ms = median(&mut reference_times);
-        let writer_ms = median(&mut writer_times);
+        let reference_ms = median(reference_times);
+        let writer_ms = median(writer_times);
         let speedup = reference_ms / writer_ms.max(1e-9);
         println!(
             "   encode: {RESPONSES} observe responses of {} bytes — reference {reference_ms:.2} ms, \
              writer {writer_ms:.2} ms, speedup {speedup:.2}",
             observed.len(),
         );
-        entries.push(format!(
-            "  {{\"algo\":\"encode\",\"kind\":\"encode\",\"n\":{},\"responses\":{},\"response_bytes\":{},\"reference_ms\":{:.3},\"writer_ms\":{:.3},\"speedup\":{:.3}}}",
-            profile.n,
-            RESPONSES,
-            observed.len(),
-            reference_ms,
-            writer_ms,
-            speedup,
-        ));
+        entries.push(
+            Row::new("encode")
+                .text("kind", "encode")
+                .count("n", profile.n)
+                .count("responses", RESPONSES)
+                .count("response_bytes", observed.len())
+                .num("reference_ms", reference_ms)
+                .num("writer_ms", writer_ms)
+                .num("speedup", speedup),
+        );
     }
 
-    let path = profile.bench_path();
-    let json = format!("[\n{}\n]\n", entries.join(",\n"));
-    match std::fs::File::create(path).and_then(|mut f| f.write_all(json.as_bytes())) {
-        Ok(()) => println!("\nwrote {path} (multi-session interleaved vs isolated service runs)"),
-        Err(e) => eprintln!("\ncould not write {path}: {e}"),
-    }
-    print!("{json}");
+    write_rows("service", smoke, entries, "multi-session interleaved vs isolated service runs");
 }
 
 /// The response encoders `coloring_string` and `encode_object` replaced,

@@ -26,11 +26,10 @@
 //! `bench_gate`.
 
 use sc_adversary::{run_game_with_config, MonochromaticAttacker};
-use sc_bench::{fmt_bits, Table};
+use sc_bench::{fmt_bits, median, median_time_ms, smoke_run, write_rows, Row, Table};
 use sc_engine::{ColorerSpec, RunOutcome, Runner, Scenario, SourceSpec};
 use sc_graph::generators;
 use sc_stream::{EngineConfig, QuerySchedule, SignedEdge, StreamEngine, StreamOrder};
-use std::io::Write as _;
 use std::time::Instant;
 use streamcolor::{list_coloring, DetConfig, ListConfig, SparseRecovery};
 
@@ -56,11 +55,6 @@ struct Profile {
 }
 
 impl Profile {
-    /// `BENCH_<stem>.json`, or `BENCH_<stem>.smoke.json` for smoke runs.
-    fn bench_path(&self, stem: &str) -> String {
-        format!("BENCH_{stem}{}.json", if self.smoke { ".smoke" } else { "" })
-    }
-
     fn full() -> Self {
         Self {
             smoke: false,
@@ -113,7 +107,7 @@ fn scenario_grid(source: &SourceSpec) -> Vec<Scenario> {
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
+    let smoke = smoke_run();
     let profile = if smoke { Profile::smoke() } else { Profile::full() };
     let n = profile.summary_n;
     println!(
@@ -207,24 +201,23 @@ fn emit_engine_bench(profile: &Profile) {
             times.push(report.elapsed.as_secs_f64() * 1e3);
             coloring = Some(report.final_coloring);
         }
-        times.sort_by(f64::total_cmp);
-        (times[times.len() / 2], coloring.expect("reps >= 1"))
+        (median(times), coloring.expect("reps >= 1"))
     };
     let mut entries = vec![hash_tier_entry(profile), table_build_entry(profile)];
     for (name, spec) in &algos {
         let (per_edge_ms, c1) = median_ms(&EngineConfig::per_edge(), spec, delta, &inserts);
         let (batched_ms, c2) = median_ms(&EngineConfig::batched(256), spec, delta, &inserts);
         assert_eq!(c1, c2, "{name}: batching changed the coloring");
-        entries.push(format!(
-            "  {{\"algo\":\"{}\",\"n\":{},\"delta\":{},\"m\":{},\"per_edge_ms\":{:.3},\"batched_ms\":{:.3},\"chunk\":256,\"speedup\":{:.3}}}",
-            name,
-            n,
-            delta,
-            g.m(),
-            per_edge_ms,
-            batched_ms,
-            per_edge_ms / batched_ms.max(1e-9),
-        ));
+        entries.push(
+            Row::new(name)
+                .count("n", n)
+                .count("delta", delta)
+                .count("m", g.m())
+                .num("per_edge_ms", per_edge_ms)
+                .num("batched_ms", batched_ms)
+                .count("chunk", 256)
+                .num("speedup", per_edge_ms / batched_ms.max(1e-9)),
+        );
     }
 
     // The dynamic section: turnstile (churn) ingest — same median
@@ -239,22 +232,25 @@ fn emit_engine_bench(profile: &Profile) {
     let (per_edge_ms, c1) = median_ms(&EngineConfig::per_edge(), &spec, dyn_delta, &tokens);
     let (batched_ms, c2) = median_ms(&EngineConfig::batched(256), &spec, dyn_delta, &tokens);
     assert_eq!(c1, c2, "dynamic_sr: batching changed the coloring");
-    entries.push(format!(
-        "  {{\"algo\":\"dynamic_sr\",\"kind\":\"churn-ingest\",\"n\":{},\"delta\":{},\"tokens\":{},\"deletions\":{},\"per_edge_ms\":{:.3},\"batched_ms\":{:.3},\"chunk\":256,\"speedup\":{:.3}}}",
-        n,
-        dyn_delta,
-        tokens.len(),
-        deletions,
-        per_edge_ms,
-        batched_ms,
-        per_edge_ms / batched_ms.max(1e-9),
-    ));
+    entries.push(
+        Row::new("dynamic_sr")
+            .text("kind", "churn-ingest")
+            .count("n", n)
+            .count("delta", dyn_delta)
+            .count("tokens", tokens.len())
+            .count("deletions", deletions)
+            .num("per_edge_ms", per_edge_ms)
+            .num("batched_ms", batched_ms)
+            .count("chunk", 256)
+            .num("speedup", per_edge_ms / batched_ms.max(1e-9)),
+    );
     entries.push(sketch_decode_entry(n, dyn_delta, &tokens, reps));
     entries.push(det_tournament_entry(profile));
 
-    write_bench_file(
-        &profile.bench_path("engine"),
-        &entries,
+    write_rows(
+        "engine",
+        profile.smoke,
+        entries,
         "batched vs per-edge ingestion timings (insert-only + turnstile churn)",
     );
 }
@@ -274,7 +270,7 @@ fn sketch_decode_entry(
     delta: usize,
     tokens: &[sc_stream::SignedEdge],
     reps: usize,
-) -> String {
+) -> Row {
     // The budget and edge ids `ColorerSpec::DynamicSr { sparsity: None }`
     // gives its colorer: `n·∆/2` live edges, id `u·n + v`.
     let sparsity = (n * delta).div_ceil(2).max(1);
@@ -286,10 +282,6 @@ fn sketch_decode_entry(
             sketch.update(t.edge.u() as u64 * n as u64 + t.edge.v() as u64, t.sign.unit());
         }
         (start.elapsed().as_secs_f64() * 1e3, sketch)
-    };
-    let median = |mut times: Vec<f64>| {
-        times.sort_by(f64::total_cmp);
-        times[times.len() / 2]
     };
     let update_ms = median((0..reps).map(|_| load().0).collect());
     let sketch = load().1;
@@ -303,16 +295,15 @@ fn sketch_decode_entry(
             })
             .collect(),
     );
-    format!(
-        "  {{\"algo\":\"sketch-decode\",\"kind\":\"churn\",\"n\":{},\"sparsity\":{},\"tokens\":{},\"support\":{},\"update_ms\":{:.3},\"decode_ms\":{:.3},\"ratio\":{:.3}}}",
-        n,
-        sparsity,
-        tokens.len(),
-        support,
-        update_ms,
-        decode_ms,
-        update_ms / decode_ms.max(1e-9),
-    )
+    Row::new("sketch-decode")
+        .text("kind", "churn")
+        .count("n", n)
+        .count("sparsity", sparsity)
+        .count("tokens", tokens.len())
+        .count("support", support)
+        .num("update_ms", update_ms)
+        .num("decode_ms", decode_ms)
+        .num("ratio", update_ms / decode_ms.max(1e-9))
 }
 
 /// Times Theorem 1's hash tournament on one synthetic stage shaped like
@@ -331,7 +322,7 @@ fn sketch_decode_entry(
 ///
 /// [`phi_of_hash`]: streamcolor::det::derand::phi_of_hash
 /// [`select_hash`]: streamcolor::det::derand::select_hash
-fn det_tournament_entry(profile: &Profile) -> String {
+fn det_tournament_entry(profile: &Profile) -> Row {
     use sc_hash::modp::{ceil_log2, prime_in_range};
     use streamcolor::det::derand::{phi_of_hash, select_hash};
     use streamcolor::det::tables::StageTables;
@@ -364,17 +355,15 @@ fn det_tournament_entry(profile: &Profile) -> String {
     });
     let tournament_ms =
         median_time_ms(reps, || select_hash(&stream, &group, &tables, strategy).phi);
-    format!(
-        "  {{\"algo\":\"det-tournament\",\"n\":{},\"delta\":{},\"m\":{},\"p\":{},\"l\":{},\"per_function_ms\":{:.3},\"tournament_ms\":{:.3},\"speedup\":{:.3}}}",
-        n,
-        delta,
-        g.m(),
-        p,
-        grid.num_parts(),
-        per_function_ms,
-        tournament_ms,
-        per_function_ms / tournament_ms.max(1e-9),
-    )
+    Row::new("det-tournament")
+        .count("n", n)
+        .count("delta", delta)
+        .count("m", g.m())
+        .count("p", p as usize)
+        .count("l", grid.num_parts())
+        .num("per_function_ms", per_function_ms)
+        .num("tournament_ms", tournament_ms)
+        .num("speedup", per_function_ms / tournament_ms.max(1e-9))
 }
 
 /// Times the hashing substrate's batched polynomial tier
@@ -383,7 +372,7 @@ fn det_tournament_entry(profile: &Profile) -> String {
 /// same `BENCH_engine.json` so the gate can hold the tier advantage
 /// directly. Both paths are asserted bit-identical before anything is
 /// timed.
-fn hash_tier_entry(profile: &Profile) -> String {
+fn hash_tier_entry(profile: &Profile) -> Row {
     use sc_hash::{PolynomialFamily, SplitMix64};
     let (points, reps) = if profile.smoke { (20_000usize, 5usize) } else { (200_000, 7) };
     let xs: Vec<u32> = (0..points as u32).map(|i| i.wrapping_mul(2_654_435_761)).collect();
@@ -402,26 +391,11 @@ fn hash_tier_entry(profile: &Profile) -> String {
         h.eval_batch(&xs, &mut out);
         out[out.len() - 1]
     });
-    format!(
-        "  {{\"algo\":\"hash-poly4\",\"points\":{},\"scalar_ms\":{:.3},\"batched_ms\":{:.3},\"speedup\":{:.3}}}",
-        points,
-        scalar_ms,
-        batched_ms,
-        scalar_ms / batched_ms.max(1e-9),
-    )
-}
-
-/// Median wall time of `reps` calls of `f`, in milliseconds.
-fn median_time_ms<T>(reps: usize, mut f: impl FnMut() -> T) -> f64 {
-    let mut times: Vec<f64> = (0..reps)
-        .map(|_| {
-            let start = Instant::now();
-            std::hint::black_box(f());
-            start.elapsed().as_secs_f64() * 1e3
-        })
-        .collect();
-    times.sort_by(f64::total_cmp);
-    times[times.len() / 2]
+    Row::new("hash-poly4")
+        .count("points", points)
+        .num("scalar_ms", scalar_ms)
+        .num("batched_ms", batched_ms)
+        .num("speedup", scalar_ms / batched_ms.max(1e-9))
 }
 
 /// Times [`sc_hash::VertexSlotTable::build`], the slot-table fill every
@@ -431,7 +405,7 @@ fn median_time_ms<T>(reps: usize, mut f: impl FnMut() -> T) -> f64 {
 /// `RandEfficientColorer` (epochs × copies), degree 3, range `ℓ²`. Every
 /// table entry is asserted equal to its scalar value before anything is
 /// timed.
-fn table_build_entry(profile: &Profile) -> String {
+fn table_build_entry(profile: &Profile) -> Row {
     use sc_hash::{PolynomialFamily, SplitMix64, VertexSlotTable};
     use streamcolor::RandEfficientColorer;
     let (n, delta, _) = profile.ingest;
@@ -465,15 +439,13 @@ fn table_build_entry(profile: &Profile) -> String {
         let table = VertexSlotTable::build(&hashes, n).expect("alg3's shape tabulates");
         table.value(n as u32 - 1, slots - 1)
     });
-    format!(
-        "  {{\"algo\":\"table-build\",\"n\":{},\"delta\":{},\"slots\":{},\"scalar_ms\":{:.3},\"build_ms\":{:.3},\"speedup\":{:.3}}}",
-        n,
-        delta,
-        slots,
-        scalar_ms,
-        build_ms,
-        scalar_ms / build_ms.max(1e-9),
-    )
+    Row::new("table-build")
+        .count("n", n)
+        .count("delta", delta)
+        .count("slots", slots)
+        .num("scalar_ms", scalar_ms)
+        .num("build_ms", build_ms)
+        .num("speedup", scalar_ms / build_ms.max(1e-9))
 }
 
 /// Times incremental vs from-scratch queries and writes
@@ -520,13 +492,10 @@ fn emit_query_bench(profile: &Profile) {
         for (a, b) in ri.checkpoints.iter().zip(&rs.checkpoints) {
             assert_eq!(a.coloring, b.coloring, "{name}: checkpoint diverges at {}", a.prefix_len);
         }
-        let median = |config: EngineConfig| -> f64 {
-            let mut times: Vec<f64> = (0..reps).map(|_| run_once(config.clone()).0).collect();
-            times.sort_by(f64::total_cmp);
-            times[times.len() / 2]
-        };
-        let incremental_ms = median(base.clone());
-        let scratch_ms = median(base.scratch_queries());
+        let median_ms =
+            |config: EngineConfig| median((0..reps).map(|_| run_once(config.clone()).0).collect());
+        let incremental_ms = median_ms(base.clone());
+        let scratch_ms = median_ms(base.scratch_queries());
         (ri.checkpoints.len() + 1, scratch_ms, incremental_ms)
     };
 
@@ -534,17 +503,17 @@ fn emit_query_bench(profile: &Profile) {
     for (name, spec) in &algos {
         let (queries, scratch_ms, incremental_ms) =
             time_query_paths(name, spec, Some(&g), delta, &inserts);
-        entries.push(format!(
-            "  {{\"algo\":\"{}\",\"kind\":\"checkpointed\",\"n\":{},\"delta\":{},\"m\":{},\"queries\":{},\"scratch_ms\":{:.3},\"incremental_ms\":{:.3},\"speedup\":{:.3}}}",
-            name,
-            n,
-            delta,
-            g.m(),
-            queries,
-            scratch_ms,
-            incremental_ms,
-            scratch_ms / incremental_ms.max(1e-9),
-        ));
+        entries.push(
+            Row::new(name)
+                .text("kind", "checkpointed")
+                .count("n", n)
+                .count("delta", delta)
+                .count("m", g.m())
+                .count("queries", queries)
+                .num("scratch_ms", scratch_ms)
+                .num("incremental_ms", incremental_ms)
+                .num("speedup", scratch_ms / incremental_ms.max(1e-9)),
+        );
     }
 
     // The dynamic section: checkpointed queries over a turnstile
@@ -557,16 +526,17 @@ fn emit_query_bench(profile: &Profile) {
     let spec = ColorerSpec::DynamicSr { sparsity: None };
     let (queries, scratch_ms, incremental_ms) =
         time_query_paths("dynamic_sr", &spec, None, dyn_delta, &tokens);
-    entries.push(format!(
-        "  {{\"algo\":\"dynamic_sr\",\"kind\":\"checkpointed-churn\",\"n\":{},\"delta\":{},\"tokens\":{},\"queries\":{},\"scratch_ms\":{:.3},\"incremental_ms\":{:.3},\"speedup\":{:.3}}}",
-        n,
-        dyn_delta,
-        tokens.len(),
-        queries,
-        scratch_ms,
-        incremental_ms,
-        scratch_ms / incremental_ms.max(1e-9),
-    ));
+    entries.push(
+        Row::new("dynamic_sr")
+            .text("kind", "checkpointed-churn")
+            .count("n", n)
+            .count("delta", dyn_delta)
+            .count("tokens", tokens.len())
+            .count("queries", queries)
+            .num("scratch_ms", scratch_ms)
+            .num("incremental_ms", incremental_ms)
+            .num("speedup", scratch_ms / incremental_ms.max(1e-9)),
+    );
 
     // End-to-end adversary games: the paper's query-per-round cadence.
     let (gn, gdelta, rounds, greps) = profile.game;
@@ -593,27 +563,27 @@ fn emit_query_bench(profile: &Profile) {
                 times.push(start.elapsed().as_secs_f64() * 1e3);
                 played = report.rounds;
             }
-            times.sort_by(f64::total_cmp);
-            (times[times.len() / 2], played)
+            (median(times), played)
         };
         let (incremental_ms, ri) = play(EngineConfig::per_edge());
         let (scratch_ms, rs) = play(EngineConfig::per_edge().scratch_queries());
         assert_eq!(ri, rs, "{name}: query path changed the game transcript length");
-        entries.push(format!(
-            "  {{\"algo\":\"{}\",\"kind\":\"adversary-game\",\"n\":{},\"delta\":{},\"rounds\":{},\"scratch_ms\":{:.3},\"incremental_ms\":{:.3},\"speedup\":{:.3}}}",
-            name,
-            gn,
-            gdelta,
-            ri,
-            scratch_ms,
-            incremental_ms,
-            scratch_ms / incremental_ms.max(1e-9),
-        ));
+        entries.push(
+            Row::new(name)
+                .text("kind", "adversary-game")
+                .count("n", gn)
+                .count("delta", gdelta)
+                .count("rounds", ri)
+                .num("scratch_ms", scratch_ms)
+                .num("incremental_ms", incremental_ms)
+                .num("speedup", scratch_ms / incremental_ms.max(1e-9)),
+        );
     }
 
-    write_bench_file(
-        &profile.bench_path("query"),
-        &entries,
+    write_rows(
+        "query",
+        profile.smoke,
+        entries,
         "incremental vs from-scratch query timings (checkpointed runs + adversary games)",
     );
 }
@@ -621,13 +591,4 @@ fn emit_query_bench(profile: &Profile) {
 /// `g`'s edges in generator order, as an insert-only token stream.
 fn insertions(g: &sc_graph::Graph) -> Vec<SignedEdge> {
     StreamOrder::AsGenerated.arrange(g).into_iter().map(SignedEdge::insert).collect()
-}
-
-fn write_bench_file(path: &str, entries: &[String], what: &str) {
-    let json = format!("[\n{}\n]\n", entries.join(",\n"));
-    match std::fs::File::create(path).and_then(|mut f| f.write_all(json.as_bytes())) {
-        Ok(()) => println!("\nwrote {path} ({what})"),
-        Err(e) => eprintln!("\ncould not write {path}: {e}"),
-    }
-    print!("{json}");
 }

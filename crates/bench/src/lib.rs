@@ -6,8 +6,11 @@
 //! theorem bound rendered as a measured curve; binaries print aligned
 //! text tables to stdout.
 //!
-//! `bench_gate` reads the `BENCH_*.json` files with
-//! [`sc_engine::flatjson`], the workspace's one flat-JSON codec.
+//! `exp_summary`, `exp_service` and `exp_cluster` write the
+//! `BENCH_*.json` perf trajectory through one harness: the [`smoke_run`]
+//! switch, one [`median`], and [`write_rows`], which encodes each
+//! [`Row`] with [`sc_engine::flatjson`] — the workspace's one flat-JSON
+//! codec, which `bench_gate` reads the files back with.
 //!
 //! **Ownership contract** (see ROADMAP.md, "which layer owns what"):
 //! this crate owns *measurement and reporting* — the `exp_*` binaries,
@@ -17,7 +20,84 @@
 //! `sc-engine` scenario vocabulary as everything else, so a bench can
 //! never observe behavior the tests don't.
 
+use sc_engine::flatjson::{encode_array, FlatObject, Scalar};
 use std::fmt::Display;
+use std::time::Instant;
+
+/// Whether the binary was started with `--smoke`: the small fixed
+/// CI-sized profile, written to `BENCH_<stem>.smoke.json`.
+pub fn smoke_run() -> bool {
+    std::env::args().any(|a| a == "--smoke")
+}
+
+/// The middle sample (the upper one of the two for an even count).
+///
+/// # Panics
+/// Panics on an empty sample.
+pub fn median(mut samples: Vec<f64>) -> f64 {
+    samples.sort_by(f64::total_cmp);
+    samples[samples.len() / 2]
+}
+
+/// Median wall time of `reps` calls of `f`, in milliseconds; only the
+/// call is inside the clock.
+pub fn median_time_ms<T>(reps: usize, mut f: impl FnMut() -> T) -> f64 {
+    median(
+        (0..reps)
+            .map(|_| {
+                let start = Instant::now();
+                std::hint::black_box(f());
+                start.elapsed().as_secs_f64() * 1e3
+            })
+            .collect(),
+    )
+}
+
+/// One row of a `BENCH_*.json` file: its `algo` plus measured fields.
+#[derive(Debug, Clone)]
+pub struct Row(FlatObject);
+
+impl Row {
+    /// A row for `algo`.
+    pub fn new(algo: &str) -> Self {
+        Self(FlatObject::new()).text("algo", algo)
+    }
+
+    /// Sets `key` to a string.
+    pub fn text(mut self, key: &str, value: &str) -> Self {
+        self.0.insert(key.to_string(), Scalar::Str(value.to_string()));
+        self
+    }
+
+    /// Sets `key` to an exact count.
+    pub fn count(mut self, key: &str, value: usize) -> Self {
+        self.0.insert(key.to_string(), Scalar::Uint(value as u64));
+        self
+    }
+
+    /// Sets `key` to a time or ratio, rounded to the trajectory's one
+    /// precision: three decimals.
+    pub fn num(mut self, key: &str, value: f64) -> Self {
+        self.0.insert(key.to_string(), Scalar::Num((value * 1e3).round() / 1e3));
+        self
+    }
+}
+
+/// Writes `rows` to `BENCH_<stem>.json` (`BENCH_<stem>.smoke.json` when
+/// `smoke`) and echoes them to stdout; `what` names the measurement.
+///
+/// # Panics
+/// Panics when the file cannot be written, so a run that produced no
+/// trajectory fails instead of exiting 0.
+pub fn write_rows(stem: &str, smoke: bool, rows: Vec<Row>, what: &str) {
+    let path = format!("BENCH_{stem}{}.json", if smoke { ".smoke" } else { "" });
+    let json = encode_array(&rows.into_iter().map(|row| row.0).collect::<Vec<_>>());
+    if let Err(e) = std::fs::write(&path, &json) {
+        panic!("could not write {path}: {e}");
+    }
+    println!("\nwrote {path} ({what})");
+    print!("{json}");
+}
 
 /// A fixed-width text table writer for experiment output.
 #[derive(Debug, Default)]
@@ -157,6 +237,22 @@ mod tests {
     fn slope_ignores_nonpositive_points() {
         let pts = vec![(0.0, 5.0), (2.0, 4.0), (4.0, 16.0), (8.0, 64.0)];
         assert!((loglog_slope(&pts) - 2.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn rows_encode_with_sorted_keys_and_three_decimals() {
+        let row =
+            Row::new("x").num("b_ms", 1.23456).count("a", 3).text("kind", "k").num("c", 0.5704);
+        assert_eq!(
+            encode_array(&[row.0]),
+            "[\n  {\"a\":3,\"algo\":\"x\",\"b_ms\":1.235,\"c\":0.57,\"kind\":\"k\"}\n]\n"
+        );
+    }
+
+    #[test]
+    fn median_takes_the_middle_sample() {
+        assert_eq!(median(vec![3.0, 1.0, 2.0]), 2.0);
+        assert_eq!(median(vec![4.0, 1.0, 3.0, 2.0]), 3.0);
     }
 
     #[test]

@@ -40,6 +40,12 @@
 //!   that pipelines requests without reading replies therefore queues at
 //!   most the high watermark plus one response, and a slow reader stalls
 //!   only its own pipeline, never the loop.
+//! * Reading stops while a connection holds `MAX_LINE_BYTES` (16 MiB)
+//!   of received bytes it has not answered. If none of them is a `\n`,
+//!   the line can never fit: the connection gets one `"ok":false` error
+//!   naming the limit and closes once that error is written, so a peer
+//!   that never ends its line holds at most the limit (plus one read
+//!   chunk) of server memory.
 //! * [`Reactor::with_idle_timeout`] evicts connections whose last
 //!   activity is older than the timeout (their sessions drop with
 //!   them, like a disconnect). The clock is injected
@@ -58,6 +64,7 @@
 //!   opened.
 
 use polling::{Event, Events, Poller};
+use sc_engine::flatjson::{encode_object, FlatObject, Scalar};
 use sc_service::Service;
 use std::collections::BTreeMap;
 use std::io::{ErrorKind, Read, Write};
@@ -72,6 +79,10 @@ const WRITE_HIGH_WATERMARK: usize = 1 << 20;
 const WRITE_LOW_WATERMARK: usize = 1 << 18;
 /// Nonblocking read chunk size.
 const READ_CHUNK: usize = 16 * 1024;
+/// Reading pauses while a connection holds this many unanswered bytes,
+/// so a line must be shorter; a longer one is refused. Far above the longest line
+/// any shipped client sends (documented in `docs/PROTOCOL.md`).
+const MAX_LINE_BYTES: usize = 1 << 24;
 /// The poller key reserved for the listener (connection ids start at 1).
 const LISTENER_KEY: usize = 0;
 
@@ -94,8 +105,10 @@ struct Conn {
     wbuf: Vec<u8>,
     wpos: usize,
     last_activity: Instant,
-    /// Peer half-closed its sending side; the connection closes once
-    /// every buffered line is answered and the write buffer drains.
+    /// No more input will be read: the peer half-closed its sending
+    /// side, or sent a line of [`MAX_LINE_BYTES`] or more. The
+    /// connection closes once every buffered line is answered and the
+    /// write buffer drains.
     eof: bool,
     /// Answering and reading are suspended (write buffer passed the high
     /// watermark) until the peer drains it below the low watermark.
@@ -389,6 +402,10 @@ fn step_conn(conn: &mut Conn, owner: u64, service: &mut Service, now: Instant) -
         if lines_left {
             continue;
         }
+        if conn.rbuf.len() >= MAX_LINE_BYTES {
+            refuse_long_line(conn);
+            continue;
+        }
         if conn.eof || read {
             break;
         }
@@ -402,11 +419,12 @@ fn step_conn(conn: &mut Conn, owner: u64, service: &mut Service, now: Instant) -
     conn.eof && conn.pending_write() == 0
 }
 
-/// Reads until the socket runs dry or reports EOF. Returns `false` when
-/// the connection is broken.
+/// Reads until the socket runs dry, reports EOF, or [`MAX_LINE_BYTES`]
+/// unanswered bytes are buffered. Returns `false` when the connection is
+/// broken.
 fn read_dry(conn: &mut Conn, now: Instant) -> bool {
     let mut chunk = [0u8; READ_CHUNK];
-    loop {
+    while conn.rbuf.len() < MAX_LINE_BYTES {
         match conn.stream.read(&mut chunk) {
             Ok(0) => {
                 conn.eof = true;
@@ -421,6 +439,22 @@ fn read_dry(conn: &mut Conn, now: Instant) -> bool {
             Err(_) => return false,
         }
     }
+    true
+}
+
+/// Answers a line that reached [`MAX_LINE_BYTES`] without a `\n` with
+/// one error, drops it, and reads nothing more: the connection closes
+/// once the error is written.
+fn refuse_long_line(conn: &mut Conn) {
+    let mut error = FlatObject::new();
+    error.insert("ok".into(), Scalar::Bool(false));
+    let message = format!("line too long: no newline within {MAX_LINE_BYTES} bytes");
+    error.insert("error".into(), Scalar::Str(message));
+    conn.wbuf.extend_from_slice(encode_object(&error).as_bytes());
+    conn.wbuf.push(b'\n');
+    conn.rbuf = Vec::new();
+    conn.scanned = 0;
+    conn.eof = true;
 }
 
 /// Answers complete lines in arrival order from a cursor into `rbuf`
@@ -580,6 +614,47 @@ mod tests {
         assert!(t.recv(TICK).unwrap().contains("\"ok\":true"));
         drop(t);
         handle.join().unwrap();
+    }
+
+    #[test]
+    fn an_over_long_line_gets_one_error_then_eof_and_spares_other_connections() {
+        let mut reactor = Reactor::bind("127.0.0.1:0").unwrap();
+        let addr = reactor.local_addr().unwrap().to_string();
+        let server = std::thread::spawn(move || reactor.run(Some(2)).unwrap());
+
+        let script = [
+            r#"{"cmd":"open","session":"s","n":40,"delta":6,"colorer":"robust"}"#,
+            r#"{"cmd":"push_batch","session":"s","edges":"0-1 1-2 2-3"}"#,
+            r#"{"cmd":"observe","session":"s"}"#,
+            r#"{"cmd":"finish","session":"s"}"#,
+        ];
+        let mut isolated = Service::new();
+        let expected: Vec<String> = script.iter().map(|l| isolated.respond(l).unwrap()).collect();
+        let mut bystander = Tcp::connect(&addr).unwrap();
+        let mut transcript = Vec::new();
+        for line in &script[..2] {
+            bystander.send(line).unwrap();
+            transcript.push(bystander.recv(TICK).unwrap());
+        }
+
+        // Exactly the limit, no newline: the server reads all of it, so
+        // it closes with nothing unread and the peer sees a clean EOF.
+        let mut hog = TcpStream::connect(&addr).unwrap();
+        hog.set_read_timeout(Some(TICK)).unwrap();
+        hog.write_all(&vec![b'x'; MAX_LINE_BYTES]).unwrap();
+        let mut got = String::new();
+        hog.read_to_string(&mut got).unwrap();
+        let expected_error =
+            format!("{{\"error\":\"line too long: no newline within {MAX_LINE_BYTES} bytes\",\"ok\":false}}\n");
+        assert_eq!(got, expected_error);
+
+        for line in &script[2..] {
+            bystander.send(line).unwrap();
+            transcript.push(bystander.recv(TICK).unwrap());
+        }
+        drop(bystander);
+        server.join().unwrap();
+        assert_eq!(transcript, expected);
     }
 
     #[test]

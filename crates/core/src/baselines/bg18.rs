@@ -200,8 +200,7 @@ impl StreamingColorer for Bg18Colorer {
     }
 
     fn encode_state(&self) -> Result<String, String> {
-        let mut w = StateWriter::new();
-        w.field("algo", self.name());
+        let mut w = StateWriter::new(self.name());
         w.edges("edges", self.sketch.edges());
         w.field("space_cur", self.meter.current_bits());
         w.field("space_peak", self.meter.peak_bits());
@@ -210,11 +209,7 @@ impl StreamingColorer for Bg18Colorer {
     }
 
     fn decode_state(&mut self, state: &str) -> Result<(), String> {
-        let mut r = StateReader::new(state);
-        let algo = r.expect("algo")?;
-        if algo != self.name() {
-            return Err(format!("state: algo {algo:?} is not {:?}", self.name()));
-        }
+        let mut r = StateReader::new(state, self.name())?;
         let edges = r.edges_field("edges", self.n)?;
         let space_cur = r.u64_field("space_cur")?;
         let space_peak = r.u64_field("space_peak")?;

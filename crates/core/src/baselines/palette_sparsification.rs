@@ -129,8 +129,7 @@ impl StreamingColorer for PaletteSparsification {
     }
 
     fn encode_state(&self) -> Result<String, String> {
-        let mut w = StateWriter::new();
-        w.field("algo", self.name());
+        let mut w = StateWriter::new(self.name());
         w.edges("conflicts", &self.conflict_edges);
         w.field("space_cur", self.meter.current_bits());
         w.field("space_peak", self.meter.peak_bits());
@@ -139,11 +138,7 @@ impl StreamingColorer for PaletteSparsification {
     }
 
     fn decode_state(&mut self, state: &str) -> Result<(), String> {
-        let mut r = StateReader::new(state);
-        let algo = r.expect("algo")?;
-        if algo != self.name() {
-            return Err(format!("state: algo {algo:?} is not {:?}", self.name()));
-        }
+        let mut r = StateReader::new(state, self.name())?;
         let conflicts = r.edges_field("conflicts", self.n)?;
         let space_cur = r.u64_field("space_cur")?;
         let space_peak = r.u64_field("space_peak")?;

@@ -50,18 +50,11 @@ impl StreamingColorer for TrivialColorer {
     // Stateless, but still round-trippable: a tagged empty state keeps
     // the persistence law uniform across every buildable spec.
     fn encode_state(&self) -> Result<String, String> {
-        let mut w = StateWriter::new();
-        w.field("algo", self.name());
-        Ok(w.finish())
+        Ok(StateWriter::new(self.name()).finish())
     }
 
     fn decode_state(&mut self, state: &str) -> Result<(), String> {
-        let mut r = StateReader::new(state);
-        let algo = r.expect("algo")?;
-        if algo != self.name() {
-            return Err(format!("state: algo {algo:?} is not {:?}", self.name()));
-        }
-        r.done()
+        StateReader::new(state, self.name())?.done()
     }
 
     fn name(&self) -> &'static str {

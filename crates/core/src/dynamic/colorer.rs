@@ -222,8 +222,7 @@ impl StreamingColorer for DynamicColorer {
     }
 
     fn encode_state(&self) -> Result<String, String> {
-        let mut w = StateWriter::new();
-        w.field("algo", self.name());
+        let mut w = StateWriter::new(self.name());
         w.field("cells", self.sketch.encode_cells());
         w.field("space_cur", self.meter.current_bits());
         w.field("space_peak", self.meter.peak_bits());
@@ -232,11 +231,7 @@ impl StreamingColorer for DynamicColorer {
     }
 
     fn decode_state(&mut self, state: &str) -> Result<(), String> {
-        let mut r = StateReader::new(state);
-        let algo = r.expect("algo")?;
-        if algo != self.name() {
-            return Err(format!("state: algo {algo:?} is not {:?}", self.name()));
-        }
+        let mut r = StateReader::new(state, self.name())?;
         let cells = r.expect("cells")?;
         let space_cur = r.u64_field("space_cur")?;
         let space_peak = r.u64_field("space_peak")?;

@@ -758,8 +758,7 @@ impl StreamingColorer for RobustColorer {
     }
 
     fn encode_state(&self) -> Result<String, String> {
-        let mut w = StateWriter::new();
-        w.field("algo", self.name());
+        let mut w = StateWriter::new(self.name());
         w.field("deg", sc_stream::encode_u64_list(&self.degrees));
         w.field("curr", self.curr);
         w.edges("buffer", &self.buffer);
@@ -772,11 +771,7 @@ impl StreamingColorer for RobustColorer {
     }
 
     fn decode_state(&mut self, state: &str) -> Result<(), String> {
-        let mut r = StateReader::new(state);
-        let algo = r.expect("algo")?;
-        if algo != self.name() {
-            return Err(format!("state: algo {algo:?} is not {:?}", self.name()));
-        }
+        let mut r = StateReader::new(state, self.name())?;
         let degrees =
             sc_stream::decode_u64_list(r.expect("deg")?).map_err(|e| format!("state: deg: {e}"))?;
         if degrees.len() != self.params.n {

@@ -518,8 +518,7 @@ impl StreamingColorer for RandEfficientColorer {
     }
 
     fn encode_state(&self) -> Result<String, String> {
-        let mut w = StateWriter::new();
-        w.field("algo", self.name());
+        let mut w = StateWriter::new(self.name());
         w.field("curr", self.curr);
         w.edges("buffer", &self.buffer);
         // `-` marks an invalidated (⊥) candidate; `⊥` never revives, so
@@ -542,11 +541,7 @@ impl StreamingColorer for RandEfficientColorer {
     }
 
     fn decode_state(&mut self, state: &str) -> Result<(), String> {
-        let mut r = StateReader::new(state);
-        let algo = r.expect("algo")?;
-        if algo != self.name() {
-            return Err(format!("state: algo {algo:?} is not {:?}", self.name()));
-        }
+        let mut r = StateReader::new(state, self.name())?;
         let curr = r.usize_field("curr")?;
         if !(1..=self.num_epochs).contains(&curr) {
             return Err(format!("state: curr={curr} outside 1..={}", self.num_epochs));

@@ -1067,16 +1067,12 @@ mod tests {
             1
         }
         fn encode_state(&self) -> Result<String, String> {
-            let mut w = crate::state::StateWriter::new();
-            w.field("algo", self.name()).field("live", self.live.encode());
+            let mut w = crate::state::StateWriter::new(self.name());
+            w.field("live", self.live.encode());
             Ok(w.finish())
         }
         fn decode_state(&mut self, state: &str) -> Result<(), String> {
-            let mut r = crate::state::StateReader::new(state);
-            let algo = r.expect("algo")?;
-            if algo != self.name() {
-                return Err(format!("dyn-toy: state is for {algo:?}"));
-            }
+            let mut r = crate::state::StateReader::new(state, self.name())?;
             self.live = DynamicSupport::decode(r.expect("live")?, self.n)?;
             r.done()
         }

@@ -24,15 +24,18 @@ use sc_graph::{Coloring, Edge};
 use std::borrow::Borrow;
 
 /// Builds a canonical state string field by field.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct StateWriter {
     out: String,
 }
 
 impl StateWriter {
-    /// An empty writer.
-    pub fn new() -> Self {
-        Self::default()
+    /// A writer whose first field is the `algo=` header naming the
+    /// colorer the state belongs to; [`StateReader::new`] checks it.
+    pub fn new(algo: &str) -> Self {
+        let mut w = Self { out: String::new() };
+        w.field("algo", algo);
+        w
     }
 
     /// Appends `key=value`. Values must not contain `;` or `=` (the
@@ -79,9 +82,19 @@ pub struct StateReader<'a> {
 }
 
 impl<'a> StateReader<'a> {
-    /// A reader over `text`.
-    pub fn new(text: &'a str) -> Self {
-        Self { parts: text.split(';').peekable() }
+    /// A reader over `text`, which must open with the `algo=` header
+    /// [`StateWriter::new`] writes, naming `algo`.
+    ///
+    /// # Errors
+    /// Names both colorers when the header names another one, and the
+    /// key when the header is missing.
+    pub fn new(text: &'a str, algo: &str) -> Result<Self, String> {
+        let mut r = Self { parts: text.split(';').peekable() };
+        let found = r.expect("algo")?;
+        if found != algo {
+            return Err(format!("state: algo {found:?} is not {algo:?}"));
+        }
+        Ok(r)
     }
 
     /// The next field, which must be named `key`; returns its raw value.
@@ -471,12 +484,11 @@ mod tests {
 
     #[test]
     fn round_trips_field_by_field() {
-        let mut w = StateWriter::new();
-        w.field("algo", "toy").field("curr", 3u64).edges("buf", &[Edge::new(0, 1)]);
+        let mut w = StateWriter::new("toy");
+        w.field("curr", 3u64).edges("buf", &[Edge::new(0, 1)]);
         let text = w.finish();
         assert_eq!(text, "algo=toy;curr=3;buf=0-1");
-        let mut r = StateReader::new(&text);
-        assert_eq!(r.expect("algo").unwrap(), "toy");
+        let mut r = StateReader::new(&text, "toy").unwrap();
         assert_eq!(r.u64_field("curr").unwrap(), 3);
         assert_eq!(r.edges_field("buf", 2).unwrap(), vec![Edge::new(0, 1)]);
         r.done().unwrap();
@@ -484,20 +496,27 @@ mod tests {
 
     #[test]
     fn errors_name_the_offending_key() {
-        let mut r = StateReader::new("algo=toy");
-        r.expect("algo").unwrap();
+        let mut r = StateReader::new("algo=toy", "toy").unwrap();
         let err = r.u64_field("curr").unwrap_err();
         assert!(err.contains("curr"), "{err}");
 
-        let mut r = StateReader::new("algo=toy;currr=3");
-        r.expect("algo").unwrap();
+        let mut r = StateReader::new("algo=toy;currr=3", "toy").unwrap();
         let err = r.u64_field("curr").unwrap_err();
         assert!(err.contains("curr") && err.contains("currr"), "{err}");
 
-        let mut r = StateReader::new("algo=toy;bogus=1");
-        r.expect("algo").unwrap();
+        let r = StateReader::new("algo=toy;bogus=1", "toy").unwrap();
         let err = r.done().unwrap_err();
         assert!(err.contains("bogus"), "{err}");
+    }
+
+    #[test]
+    fn the_algo_header_must_name_the_reader_s_colorer() {
+        let err = StateReader::new("algo=other;curr=3", "toy").unwrap_err();
+        assert_eq!(err, r#"state: algo "other" is not "toy""#);
+        let err = StateReader::new("curr=3", "toy").unwrap_err();
+        assert_eq!(err, r#"state: expected key "algo", found "curr""#);
+        let err = StateReader::new("", "toy").unwrap_err();
+        assert_eq!(err, r#"state: truncated before key "algo""#);
     }
 
     #[test]
