@@ -19,7 +19,8 @@
 //! answer. `--script FILE` reads the commands from a file instead,
 //! through the same loop, so its output is byte-identical to piping the
 //! file to stdin (CI's `service-smoke` job diffs both against a
-//! committed golden file).
+//! committed golden file). Both frame lines like `--listen` does, with
+//! `sc_service::LineBuf` (see "Framing" in `docs/PROTOCOL.md`).
 //!
 //! `--listen ADDR` serves over a TCP socket instead of stdio: every
 //! connection is multiplexed onto **one** event loop over one shared
@@ -124,7 +125,7 @@ pub fn run(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         Some(path) => {
             let file = std::fs::File::open(&path)
                 .map_err(|e| err(format!("cannot read script {path:?}: {e}")))?;
-            service.serve(std::io::BufReader::new(file), out)
+            service.serve(file, out)
         }
         None => service.serve(std::io::stdin().lock(), out),
     };

@@ -16,8 +16,8 @@
 //! target/release/streamcolor shard --smoke --transport tcp --connect 127.0.0.1:7841 --workers 4
 //! ```
 //!
-//! `--transport` selects an `sc_cluster::TransportSpec`, whose fleet
-//! runs through one `sc_cluster::WorkerPool`: `stdio` (the
+//! `--transport` selects the fleet's `sc_cluster` transports, and the
+//! fleet runs through one `sc_cluster::WorkerPool`: `stdio` (the
 //! default) spawns `streamcolor serve` children and speaks over their
 //! pipes, `process` hosts loopback services in this process (protocol
 //! fidelity, no spawn cost), `tcp` opens `--workers` connections to a
@@ -38,7 +38,7 @@
 //! `--smoke` grid.
 
 use crate::args::{err, Args, CliError};
-use sc_cluster::{TransportSpec, Unreliable, WorkerPool};
+use sc_cluster::{ChildStdio, InProcess, Tcp, Transport, Unreliable, WorkerPool};
 use sc_engine::shard::{run_in_process, smoke_grid, ShardJob, ShardOutcome};
 use std::io::Write;
 use std::time::Duration;
@@ -102,24 +102,21 @@ pub fn run(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let (outcome, how) = if in_process {
         (run_in_process(&job, workers).map_err(err)?, "1 process".to_string())
     } else {
-        let spec = match mode {
-            "process" => TransportSpec::InProcess { workers },
+        let make: Box<dyn Fn() -> Result<Box<dyn Transport>, String>> = match mode {
+            "process" => Box::new(|| Ok(Box::new(InProcess::new()))),
             "stdio" => {
                 let exe = std::env::current_exe()
                     .map_err(|e| err(format!("cannot locate myself: {e}")))?;
-                TransportSpec::ChildStdio {
-                    command: vec![exe.to_string_lossy().into_owned(), "serve".into()],
-                    workers,
-                }
+                Box::new(move || Ok(Box::new(ChildStdio::spawn(&exe, &["serve"])?)))
             }
             "tcp" => {
                 let addr = connect.ok_or_else(|| err("--transport tcp needs --connect ADDR"))?;
-                TransportSpec::Tcp { addr, connections: workers }
+                Box::new(move || Ok(Box::new(Tcp::connect(&addr)?)))
             }
             "ssh" => {
                 let dest = connect
                     .ok_or_else(|| err("--transport ssh needs --connect USER@HOST[:PATH]"))?;
-                TransportSpec::Ssh { dest, connections: workers }
+                Box::new(move || Ok(Box::new(ChildStdio::ssh(&dest)?)))
             }
             other => {
                 return Err(err(format!(
@@ -127,10 +124,10 @@ pub fn run(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
                 )))
             }
         };
-        let mut fleet = spec.build().map_err(err)?;
+        let mut fleet = (0..workers).map(|_| make()).collect::<Result<Vec<_>, _>>().map_err(err)?;
         if let Some(ms) = skew_ms {
             // The reproducible straggler: the last worker answers late.
-            let last = fleet.pop().expect("build rejects empty fleets");
+            let last = fleet.pop().expect("--workers is at least 1");
             fleet.push(Box::new(Unreliable::slowed_by(last, Duration::from_millis(ms))));
         }
         let mut pool = WorkerPool::new(fleet).with_timeout(Duration::from_millis(timeout_ms));

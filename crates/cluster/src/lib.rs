@@ -17,9 +17,13 @@
 //!    straggler       └─ Transport: Tcp        (connect to the Reactor
 //!    timeout,              behind `serve --listen ADDR`)
 //!    speculative
-//!    re-dispatch,     TransportSpec: a fleet as plain data
+//!    re-dispatch,     a fleet: Vec<Box<dyn Transport>>, any mix
 //!    merge)             (`shard --transport {process,stdio,tcp,ssh}`)
 //! ```
+//!
+//! The [`Reactor`] and [`Tcp`] frame their lines with
+//! `sc_service`'s [`LineBuf`](sc_service::LineBuf), the reader behind
+//! stdin serving too.
 //!
 //! `streamcolor serve` is the one worker endpoint. The `cluster_worker`
 //! bin is the same `Service::serve` loop, kept only so this crate's
@@ -93,6 +97,4 @@ pub mod transport;
 pub use migrate::{migrate_session, MigrationReport};
 pub use pool::{DispatchReport, WorkerPool};
 pub use reactor::Reactor;
-pub use transport::{
-    ChildStdio, InProcess, Tcp, Transport, TransportError, TransportSpec, Unreliable,
-};
+pub use transport::{ChildStdio, InProcess, Tcp, Transport, TransportError, Unreliable};

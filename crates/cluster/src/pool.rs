@@ -78,9 +78,9 @@ struct DispatchState {
 
 /// N transports + a straggler deadline: the one placement API.
 ///
-/// **Determinism law**: for every fleet ([`TransportSpec`](crate::TransportSpec)
-/// or hand-built), worker count, speculation on or off, a skewed worker
-/// or not, and under any worker deaths the pool survives,
+/// **Determinism law**: for every fleet (any mix of transports), worker
+/// count, speculation on or off, a skewed worker or not, and under any
+/// worker deaths the pool survives,
 /// [`WorkerPool::dispatch`] merges to bytes identical to
 /// [`run_in_process`](sc_engine::shard::run_in_process) — tested in
 /// `tests/cluster_determinism.rs`, gated by CI's `cluster-smoke` job.
@@ -428,7 +428,7 @@ fn job_line(spec: &str, shard: usize, of: usize, tag: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::{InProcess, TransportSpec, Unreliable};
+    use crate::transport::{InProcess, Unreliable};
     use sc_engine::shard::run_in_process;
     use sc_engine::{ColorerSpec, Scenario, SourceSpec};
 
@@ -473,8 +473,7 @@ mod tests {
     #[test]
     fn in_process_fleet_reproduces_the_reference() {
         let job = two_scenario_job();
-        let fleet = TransportSpec::InProcess { workers: 2 }.build().unwrap();
-        let report = WorkerPool::new(fleet).dispatch(&job).unwrap();
+        let report = loopback_pool(2).dispatch(&job).unwrap();
         assert_eq!(report.outcome.encode(), run_in_process(&job, 1).unwrap().encode());
     }
 
@@ -485,9 +484,8 @@ mod tests {
         let job = two_scenario_job();
         let reference = run_in_process(&job, 1).unwrap().encode();
         let skewed_pool = || {
-            let mut fleet = TransportSpec::InProcess { workers: 2 }.build().unwrap();
-            let last = fleet.pop().unwrap();
-            fleet.push(Box::new(Unreliable::slowed_by(last, Duration::from_millis(500))));
+            let slowed = Unreliable::slowed_by(InProcess::new(), Duration::from_millis(500));
+            let fleet: Vec<Box<dyn Transport>> = vec![Box::new(InProcess::new()), Box::new(slowed)];
             WorkerPool::new(fleet).with_timeout(Duration::from_secs(4))
         };
         let speculating = skewed_pool().with_speculation(0.01).dispatch(&job).unwrap();

@@ -6,9 +6,9 @@
 //! The [`Reactor`] multiplexes every accepted connection onto **one**
 //! thread with the `polling` readiness API (see
 //! `crates/compat/README.md`): nonblocking accept, nonblocking reads
-//! into per-connection line buffers, nonblocking writes out of
-//! per-connection response queues. A thousand idle dashboards cost one
-//! stack, not a thousand.
+//! into per-connection [`LineBuf`]s (the framing `Service::serve` reads
+//! stdin with), nonblocking writes out of per-connection response
+//! queues. A thousand idle dashboards cost one stack, not a thousand.
 //!
 //! One consequence of the single loop: commands are answered one at a
 //! time, so a `run_job` slice occupies the loop until it finishes. A
@@ -40,12 +40,13 @@
 //!   that pipelines requests without reading replies therefore queues at
 //!   most the high watermark plus one response, and a slow reader stalls
 //!   only its own pipeline, never the loop.
-//! * Reading stops while a connection holds `MAX_LINE_BYTES` (16 MiB)
+//! * Reading stops while a connection holds [`MAX_LINE_BYTES`] (16 MiB)
 //!   of received bytes it has not answered. If none of them is a `\n`,
-//!   the line can never fit: the connection gets one `"ok":false` error
-//!   naming the limit and closes once that error is written, so a peer
-//!   that never ends its line holds at most the limit (plus one read
-//!   chunk) of server memory.
+//!   the line can never fit: the connection gets the one `"ok":false`
+//!   error of [`LineBuf::answer_next`] and closes once that error is
+//!   written, so a peer that never ends its line holds at most the
+//!   limit of server memory. A peer that half-closes gets its
+//!   unterminated last line answered, as stdin's is.
 //! * [`Reactor::with_idle_timeout`] evicts connections whose last
 //!   activity is older than the timeout (their sessions drop with
 //!   them, like a disconnect). The clock is injected
@@ -64,10 +65,9 @@
 //!   opened.
 
 use polling::{Event, Events, Poller};
-use sc_engine::flatjson::{encode_object, FlatObject, Scalar};
-use sc_service::Service;
+use sc_service::{LineBuf, Service, MAX_LINE_BYTES};
 use std::collections::BTreeMap;
-use std::io::{ErrorKind, Read, Write};
+use std::io::{ErrorKind, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -77,12 +77,6 @@ use std::time::{Duration, Instant};
 const WRITE_HIGH_WATERMARK: usize = 1 << 20;
 /// …and resume once the queue drains below this.
 const WRITE_LOW_WATERMARK: usize = 1 << 18;
-/// Nonblocking read chunk size.
-const READ_CHUNK: usize = 16 * 1024;
-/// Reading pauses while a connection holds this many unanswered bytes,
-/// so a line must be shorter; a longer one is refused. Far above the longest line
-/// any shipped client sends (documented in `docs/PROTOCOL.md`).
-const MAX_LINE_BYTES: usize = 1 << 24;
 /// The poller key reserved for the listener (connection ids start at 1).
 const LISTENER_KEY: usize = 0;
 
@@ -90,26 +84,21 @@ const LISTENER_KEY: usize = 0;
 /// so tests control time instead of sleeping through it.
 pub type Clock = Arc<dyn Fn() -> Instant + Send + Sync>;
 
-/// One multiplexed connection: its socket, its partial-line read buffer,
-/// its pending-response write buffer, and its idle clock.
+/// One multiplexed connection: its socket, its line reader, its
+/// pending-response write buffer, and its idle clock.
 struct Conn {
     stream: TcpStream,
-    /// Bytes read but not yet terminated by `\n`.
-    rbuf: Vec<u8>,
-    /// How many leading `rbuf` bytes are known to hold no `\n`, so each
-    /// byte is scanned once however many reads a line spans.
-    scanned: usize,
+    /// Bytes read and not yet answered. Its end of input is the
+    /// connection's: the peer half-closed its sending side, or sent a
+    /// line of [`MAX_LINE_BYTES`] or more. The connection closes once
+    /// every buffered line is answered and the write buffer drains.
+    lines: LineBuf,
     /// Response bytes not yet accepted by the socket; `wpos` marks how
     /// far the front has been written (drained wholesale once the
     /// buffer empties, so no per-write memmove).
     wbuf: Vec<u8>,
     wpos: usize,
     last_activity: Instant,
-    /// No more input will be read: the peer half-closed its sending
-    /// side, or sent a line of [`MAX_LINE_BYTES`] or more. The
-    /// connection closes once every buffered line is answered and the
-    /// write buffer drains.
-    eof: bool,
     /// Answering and reading are suspended (write buffer passed the high
     /// watermark) until the peer drains it below the low watermark.
     paused: bool,
@@ -323,12 +312,10 @@ impl Reactor {
                     *accepted += 1;
                     let conn = Conn {
                         stream,
-                        rbuf: Vec::new(),
-                        scanned: 0,
+                        lines: LineBuf::default(),
                         wbuf: Vec::new(),
                         wpos: 0,
                         last_activity: (self.clock)(),
-                        eof: false,
                         paused: false,
                     };
                     poller.add(&conn.stream, Event::readable(id))?;
@@ -402,11 +389,7 @@ fn step_conn(conn: &mut Conn, owner: u64, service: &mut Service, now: Instant) -
         if lines_left {
             continue;
         }
-        if conn.rbuf.len() >= MAX_LINE_BYTES {
-            refuse_long_line(conn);
-            continue;
-        }
-        if conn.eof || read {
+        if conn.lines.is_eof() || read {
             break;
         }
         read = true;
@@ -416,78 +399,45 @@ fn step_conn(conn: &mut Conn, owner: u64, service: &mut Service, now: Instant) -
     }
     // A paused connection still has responses queued; an unpaused one
     // only stops with every complete line answered.
-    conn.eof && conn.pending_write() == 0
+    conn.lines.is_eof() && conn.pending_write() == 0
 }
 
 /// Reads until the socket runs dry, reports EOF, or [`MAX_LINE_BYTES`]
 /// unanswered bytes are buffered. Returns `false` when the connection is
 /// broken.
 fn read_dry(conn: &mut Conn, now: Instant) -> bool {
-    let mut chunk = [0u8; READ_CHUNK];
-    while conn.rbuf.len() < MAX_LINE_BYTES {
-        match conn.stream.read(&mut chunk) {
-            Ok(0) => {
-                conn.eof = true;
-                return true;
-            }
-            Ok(n) => {
-                conn.rbuf.extend_from_slice(&chunk[..n]);
-                conn.last_activity = now;
-            }
+    while conn.lines.pending() < MAX_LINE_BYTES {
+        match conn.lines.fill(&mut conn.stream) {
+            Ok(0) => return true,
+            Ok(_) => conn.last_activity = now,
             Err(err) if err.kind() == ErrorKind::WouldBlock => return true,
-            Err(err) if err.kind() == ErrorKind::Interrupted => {}
             Err(_) => return false,
         }
     }
     true
 }
 
-/// Answers a line that reached [`MAX_LINE_BYTES`] without a `\n` with
-/// one error, drops it, and reads nothing more: the connection closes
-/// once the error is written.
-fn refuse_long_line(conn: &mut Conn) {
-    let mut error = FlatObject::new();
-    error.insert("ok".into(), Scalar::Bool(false));
-    let message = format!("line too long: no newline within {MAX_LINE_BYTES} bytes");
-    error.insert("error".into(), Scalar::Str(message));
-    conn.wbuf.extend_from_slice(encode_object(&error).as_bytes());
-    conn.wbuf.push(b'\n');
-    conn.rbuf = Vec::new();
-    conn.scanned = 0;
-    conn.eof = true;
-}
-
-/// Answers complete lines in arrival order from a cursor into `rbuf`
-/// while the queued responses stay under the high watermark, then drops
-/// the answered prefix with one shift: a burst of pipelined lines costs
-/// linear time, not a shift of the whole buffer per line. Returns whether
-/// a complete line is left unanswered.
+/// Answers buffered lines in arrival order (and refuses an over-long
+/// one) while the queued responses stay under the high watermark.
+/// Returns whether it stopped at the watermark, so lines may be left
+/// unanswered.
 fn answer_lines(conn: &mut Conn, owner: u64, service: &mut Service) -> bool {
-    let mut start = 0;
-    let mut left = false;
-    while let Some(len) = conn.rbuf[conn.scanned..].iter().position(|&b| b == b'\n') {
-        if conn.pending_write() >= WRITE_HIGH_WATERMARK {
-            left = true;
-            break;
-        }
+    while conn.pending_write() < WRITE_HIGH_WATERMARK {
         if conn.wpos > 0 {
             // Drop the already-written front before queueing more, so a
             // peer that drains slowly cannot grow the buffer unboundedly.
             conn.wbuf.drain(..conn.wpos);
             conn.wpos = 0;
         }
-        let end = conn.scanned + len;
-        let line = String::from_utf8_lossy(&conn.rbuf[start..end]);
-        if let Some(response) = service.respond_as(owner, line.trim_end_matches('\r')) {
+        let Some(answer) = conn.lines.answer_next(|line| service.respond_as(owner, line)) else {
+            return false;
+        };
+        if let Some(response) = answer {
             conn.wbuf.extend_from_slice(response.as_bytes());
             conn.wbuf.push(b'\n');
         }
-        start = end + 1;
-        conn.scanned = start;
     }
-    conn.rbuf.drain(..start);
-    conn.scanned = if left { 0 } else { conn.rbuf.len() };
-    left
+    true
 }
 
 /// Writes what the socket will take right now; leftovers arm write
@@ -513,7 +463,7 @@ fn flush(conn: &mut Conn) -> bool {
 /// unless backpressured, writable while responses are queued.
 fn rearm(poller: &Poller, conns: &mut BTreeMap<usize, Conn>, id: usize) -> std::io::Result<()> {
     let Some(conn) = conns.get(&id) else { return Ok(()) };
-    let read = !conn.eof && !conn.paused;
+    let read = !conn.lines.is_eof() && !conn.paused;
     let write = conn.pending_write() > 0;
     let interest = Event { key: id, readable: read, writable: write };
     poller.modify(&conn.stream, interest)
@@ -555,6 +505,7 @@ fn is_transient_accept_error(err: &std::io::Error) -> bool {
 mod tests {
     use super::*;
     use crate::transport::{Tcp, Transport as _};
+    use std::io::Read;
 
     const TICK: Duration = Duration::from_secs(10);
 
@@ -678,12 +629,10 @@ mod tests {
         stream.set_nonblocking(true).unwrap();
         let mut conn = Conn {
             stream,
-            rbuf: Vec::new(),
-            scanned: 0,
+            lines: LineBuf::default(),
             wbuf: Vec::new(),
             wpos: 0,
             last_activity: Instant::now(),
-            eof: false,
             paused: false,
         };
         let mut writer = client.try_clone().unwrap();

@@ -10,13 +10,12 @@
 //! [`Tcp`] sockets), and [`Unreliable`] injects deterministic worker
 //! death ([`Unreliable::dying_after`]) or slowness
 //! ([`Unreliable::slowed_by`]) for tests and the `exp_cluster`
-//! retry-cost and skewed-fleet measurements. [`TransportSpec`] names a
-//! whole fleet as plain data, the way `streamcolor shard --transport`
-//! selects one.
+//! retry-cost and skewed-fleet measurements. A fleet is a
+//! `Vec<Box<dyn Transport>>` of any mix of them.
 
-use sc_service::Service;
+use sc_service::{LineBuf, Service};
 use std::collections::VecDeque;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::TcpStream;
 use std::process::{Child, ChildStdin, Command, Stdio};
 use std::sync::mpsc;
@@ -31,8 +30,8 @@ pub enum TransportError {
     Closed(String),
     /// No response line arrived within the deadline (a straggler).
     Timeout(Duration),
-    /// The channel works but carried something unusable (bad UTF-8, a
-    /// response to a line we never sent).
+    /// The channel works but carried something unusable (a response to
+    /// a line we never sent).
     Protocol(String),
 }
 
@@ -249,8 +248,8 @@ impl Transport for ChildStdio {
             .stdin
             .as_mut()
             .ok_or_else(|| TransportError::Closed("stdin already closed".to_string()))?;
-        writeln!(stdin, "{line}")
-            .and_then(|()| stdin.flush())
+        stdin
+            .write_all(format!("{line}\n").as_bytes())
             .map_err(|e| TransportError::Closed(format!("worker stdin: {e}")))
     }
 
@@ -270,12 +269,12 @@ impl Transport for ChildStdio {
 // ---------------------------------------------------------------------
 
 /// A connection to a `streamcolor serve --listen` endpoint (or any
-/// socket speaking the line protocol). Reads keep a persistent buffer,
-/// so a deadline that fires mid-line loses nothing — though the pool
-/// abandons a timed-out worker anyway.
+/// socket speaking the line protocol). Reads keep a persistent
+/// [`LineBuf`], so a deadline that fires mid-line loses nothing — though
+/// the pool abandons a timed-out worker anyway.
 pub struct Tcp {
     stream: TcpStream,
-    buf: Vec<u8>,
+    lines: LineBuf,
     label: String,
 }
 
@@ -288,7 +287,7 @@ impl Tcp {
         let stream =
             TcpStream::connect(addr).map_err(|e| format!("cannot connect to {addr}: {e}"))?;
         stream.set_nodelay(true).map_err(|e| format!("set_nodelay({addr}): {e}"))?;
-        Ok(Self { stream, buf: Vec::new(), label: format!("tcp://{addr}") })
+        Ok(Self { stream, lines: LineBuf::default(), label: format!("tcp://{addr}") })
     }
 }
 
@@ -299,20 +298,15 @@ impl Transport for Tcp {
 
     fn send(&mut self, line: &str) -> Result<(), TransportError> {
         self.stream
-            .write_all(line.as_bytes())
-            .and_then(|()| self.stream.write_all(b"\n"))
-            .and_then(|()| self.stream.flush())
+            .write_all(format!("{line}\n").as_bytes())
             .map_err(|e| TransportError::Closed(format!("socket write: {e}")))
     }
 
     fn recv(&mut self, timeout: Duration) -> Result<String, TransportError> {
         let deadline = Instant::now() + timeout;
         loop {
-            if let Some(pos) = self.buf.iter().position(|&b| b == b'\n') {
-                let mut line: Vec<u8> = self.buf.drain(..=pos).collect();
-                line.pop(); // the newline
-                return String::from_utf8(line)
-                    .map_err(|_| TransportError::Protocol("response is not UTF-8".to_string()));
+            if let Some(line) = self.lines.next_line() {
+                return Ok(line.into_owned());
             }
             let remaining = deadline.saturating_duration_since(Instant::now());
             if remaining.is_zero() {
@@ -321,25 +315,19 @@ impl Transport for Tcp {
             self.stream
                 .set_read_timeout(Some(remaining))
                 .map_err(|e| TransportError::Closed(format!("set_read_timeout: {e}")))?;
-            let mut chunk = [0u8; 4096];
-            match self.stream.read(&mut chunk) {
+            match self.lines.fill(&mut self.stream) {
                 // A close with bytes still buffered means the peer died
                 // mid-line: surface how much was lost instead of
-                // silently discarding the partial response.
-                Ok(0) if !self.buf.is_empty() => {
-                    return Err(TransportError::Closed(format!(
-                        "connection closed with {} unterminated bytes",
-                        self.buf.len()
-                    )));
+                // answering the partial response as a line.
+                Ok(0) => {
+                    let closed = match std::mem::take(&mut self.lines).pending() {
+                        0 => "connection closed".to_string(),
+                        lost => format!("connection closed with {lost} unterminated bytes"),
+                    };
+                    return Err(TransportError::Closed(closed));
                 }
-                Ok(0) => return Err(TransportError::Closed("connection closed".to_string())),
-                Ok(n) => self.buf.extend_from_slice(&chunk[..n]),
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                    ) =>
-                {
+                Ok(_) => {}
+                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
                     return Err(TransportError::Timeout(timeout));
                 }
                 Err(e) => return Err(TransportError::Closed(format!("socket read: {e}"))),
@@ -532,90 +520,6 @@ impl<T: Transport> Transport for Unreliable<T> {
     }
 }
 
-// ---------------------------------------------------------------------
-// TransportSpec: a fleet as plain data.
-// ---------------------------------------------------------------------
-
-/// Which worker fleet to build — plain data a CLI flag can select, the
-/// way [`sc_engine::ColorerSpec`] names an algorithm. This is the
-/// `streamcolor shard --transport {process,stdio,tcp,ssh}` vocabulary;
-/// the built fleet goes straight into a
-/// [`WorkerPool`](crate::WorkerPool).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TransportSpec {
-    /// `workers` loopback services in this process — full protocol
-    /// fidelity, no spawn cost, no parallelism. The overhead floor.
-    InProcess {
-        /// Loopback workers to host.
-        workers: usize,
-    },
-    /// `workers` child processes of `command` (program + args), each
-    /// speaking the protocol over its stdin/stdout — e.g.
-    /// `["streamcolor", "serve"]`.
-    ChildStdio {
-        /// Program and arguments to spawn per worker.
-        command: Vec<String>,
-        /// Worker processes to spawn.
-        workers: usize,
-    },
-    /// `connections` sockets to a `streamcolor serve --listen` endpoint.
-    /// Each connection is an independent worker, but one reactor
-    /// answers them on a single loop, so their slices run one at a
-    /// time.
-    Tcp {
-        /// The listener address, e.g. `127.0.0.1:7841`.
-        addr: String,
-        /// Concurrent connections (= workers) to open.
-        connections: usize,
-    },
-    /// `connections` remote workers on one host, each an
-    /// `ssh host streamcolor serve` process spoken to over the ssh
-    /// client's pipes ([`ChildStdio::ssh`]).
-    Ssh {
-        /// The destination, `user@host[:path]` (`path` defaults to
-        /// `streamcolor` on the remote `PATH`).
-        dest: String,
-        /// Remote worker processes (= ssh connections) to start.
-        connections: usize,
-    },
-}
-
-impl TransportSpec {
-    /// Builds the fleet.
-    ///
-    /// # Errors
-    /// Errors on a zero-sized fleet, an empty command, a malformed ssh
-    /// destination, a failed spawn, or a failed connection — with a
-    /// message naming the endpoint.
-    pub fn build(&self) -> Result<Vec<Box<dyn Transport>>, String> {
-        let count = match self {
-            TransportSpec::InProcess { workers } | TransportSpec::ChildStdio { workers, .. } => {
-                *workers
-            }
-            TransportSpec::Tcp { connections, .. } | TransportSpec::Ssh { connections, .. } => {
-                *connections
-            }
-        };
-        if count == 0 {
-            return Err("transport fleet needs at least 1 worker".to_string());
-        }
-        (0..count)
-            .map(|_| -> Result<Box<dyn Transport>, String> {
-                match self {
-                    TransportSpec::InProcess { .. } => Ok(Box::new(InProcess::new())),
-                    TransportSpec::ChildStdio { command, .. } => {
-                        let (program, args) =
-                            command.split_first().ok_or("child command is empty")?;
-                        Ok(Box::new(ChildStdio::spawn(program, args)?))
-                    }
-                    TransportSpec::Tcp { addr, .. } => Ok(Box::new(Tcp::connect(addr)?)),
-                    TransportSpec::Ssh { dest, .. } => Ok(Box::new(ChildStdio::ssh(dest)?)),
-                }
-            })
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -756,20 +660,11 @@ mod tests {
 
     #[test]
     fn degenerate_fleets_are_errors() {
-        let build_err = |spec: TransportSpec| spec.build().err().expect("fleet must fail");
-        assert!(build_err(TransportSpec::InProcess { workers: 0 }).contains("at least 1"));
-        assert!(build_err(TransportSpec::ChildStdio { command: Vec::new(), workers: 1 })
-            .contains("empty"));
-        assert!(build_err(TransportSpec::ChildStdio {
-            command: vec!["/nonexistent/worker-binary".into()],
-            workers: 1
-        })
-        .contains("cannot spawn"));
-        assert!(build_err(TransportSpec::Tcp { addr: "127.0.0.1:1".into(), connections: 1 })
-            .contains("cannot connect"));
-        assert!(build_err(TransportSpec::Ssh { dest: String::new(), connections: 1 })
-            .contains("no host"));
-        assert!(build_err(TransportSpec::Ssh { dest: "host:".into(), connections: 0 })
-            .contains("at least 1"));
+        let no_args: [&str; 0] = [];
+        let spawn = ChildStdio::spawn("/nonexistent/worker-binary", &no_args);
+        assert!(spawn.err().expect("spawn must fail").contains("cannot spawn"));
+        let connect = Tcp::connect("127.0.0.1:1");
+        assert!(connect.err().expect("connect must fail").contains("cannot connect"));
+        assert!(ChildStdio::ssh("").err().expect("ssh must fail").contains("no host"));
     }
 }

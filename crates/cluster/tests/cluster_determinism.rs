@@ -9,9 +9,7 @@
 //! for this test, so the stdio cases cross the same process boundary
 //! CI's `cluster-smoke` job does.
 
-use sc_cluster::{
-    ChildStdio, InProcess, Reactor, Tcp, Transport, TransportSpec, Unreliable, WorkerPool,
-};
+use sc_cluster::{ChildStdio, InProcess, Reactor, Tcp, Transport, Unreliable, WorkerPool};
 use sc_engine::shard::{run_in_process, ShardJob};
 use sc_engine::{AdversarySpec, AttackScenario, ColorerSpec, Scenario, SourceSpec};
 use sc_graph::generators;
@@ -113,7 +111,9 @@ fn tcp_fleets_merge_byte_identically() {
     let connections = 3usize;
     let (addr, listener) = spawn_reactor(connections);
 
-    let fleet = TransportSpec::Tcp { addr, connections }.build().unwrap();
+    let fleet = (0..connections)
+        .map(|_| Box::new(Tcp::connect(&addr).unwrap()) as Box<dyn Transport>)
+        .collect();
     let report = WorkerPool::new(fleet).with_timeout(PATIENT).dispatch(&job).unwrap();
     assert_eq!(report.outcome.encode(), reference, "tcp fleet diverged");
     assert_eq!(report.shards, connections);

@@ -18,8 +18,7 @@
 //! single-process shard reference, whose outcome embeds path 1's bytes.
 
 use proptest::prelude::*;
-use sc_cluster::transport::{Tcp, Transport as _};
-use sc_cluster::{Reactor, TransportSpec, WorkerPool};
+use sc_cluster::{Reactor, Tcp, Transport, WorkerPool};
 use sc_engine::flatjson::{encode_object, parse_object, FlatObject, Scalar};
 use sc_engine::shard::{run_in_process, ShardJob};
 use sc_engine::{ColorerSpec, Runner, Scenario, SourceSpec};
@@ -184,7 +183,7 @@ proptest! {
         let job = ShardJob::Grid(vec![scenario]);
         let shard_reference = run_in_process(&job, 1).unwrap().encode();
         let (addr, listener) = spawn_reactor();
-        let fleet = TransportSpec::Tcp { addr, connections: 1 }.build().unwrap();
+        let fleet: Vec<Box<dyn Transport>> = vec![Box::new(Tcp::connect(&addr).unwrap())];
         let report = WorkerPool::new(fleet).with_timeout(TICK).dispatch(&job).unwrap();
         listener.join().unwrap();
         prop_assert_eq!(report.outcome.encode(), shard_reference, "tcp shard diverged");

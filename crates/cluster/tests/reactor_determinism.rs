@@ -360,3 +360,46 @@ fn lru_eviction_over_the_wire_errors_then_replays_on_reopen() {
     drop(t);
     handle.join().unwrap();
 }
+
+#[test]
+fn stdin_and_a_half_closed_socket_answer_a_hostile_stream_byte_identically() {
+    // CRLF endings, a line of invalid UTF-8, blank and `#` lines, and a
+    // final line with no `\n`: the stdio loop and a reactor connection
+    // that half-closes after writing it must frame and answer it alike.
+    let mut stream: Vec<u8> = Vec::new();
+    for line in [
+        &br#"{"cmd":"open","session":"h","n":12,"delta":3,"colorer":"store-all","seed":4}"#[..],
+        br#"{"cmd":"push","session":"h","edge":"0-1"}"#,
+        b"",
+        b"# a comment",
+        b"{\"cmd\":\"push\",\"session\":\"h\",\"edge\":\"\xff\xfe-2\"}",
+        br#"{"cmd":"push_batch","session":"h","edges":"1-2 2-3"}"#,
+        b"   ",
+        br#"{"cmd":"observe","session":"h"}"#,
+    ] {
+        stream.extend_from_slice(line);
+        stream.extend_from_slice(b"\r\n");
+    }
+    stream.extend_from_slice(br#"{"cmd":"finish","session":"h"}"#);
+
+    let mut stdio = Vec::new();
+    Service::new().serve(&stream[..], &mut stdio).expect("stdin serving never fails on input");
+
+    let mut reactor = Reactor::bind("127.0.0.1:0").unwrap();
+    let addr = reactor.local_addr().unwrap().to_string();
+    let handle = std::thread::spawn(move || reactor.run(Some(1)).unwrap());
+    let mut socket = std::net::TcpStream::connect(&addr).unwrap();
+    socket.set_read_timeout(Some(TICK)).unwrap();
+    std::io::Write::write_all(&mut socket, &stream).unwrap();
+    socket.shutdown(std::net::Shutdown::Write).unwrap();
+    let mut tcp = Vec::new();
+    std::io::Read::read_to_end(&mut socket, &mut tcp).unwrap();
+    handle.join().unwrap();
+
+    let text = String::from_utf8(stdio.clone()).unwrap();
+    let replies: Vec<&str> = text.lines().collect();
+    assert_eq!(replies.len(), 6, "six command lines, six answers: {text}");
+    assert!(replies[2].contains("\"ok\":false"), "the invalid UTF-8 line is an error: {text}");
+    assert!(replies[5].contains("\"cmd\":\"finish\"") && replies[5].contains("\"ok\":true"));
+    assert!(tcp == stdio, "reactor:\n{}\nstdin:\n{text}", String::from_utf8_lossy(&tcp));
+}

@@ -27,8 +27,10 @@
 //! responses to K isolated runs (property-tested in
 //! `tests/service_determinism.rs`, golden-file gated by CI's
 //! `service-smoke` job). Every surface — stdin, `--script`, and the
-//! reactor's connections — answers through the same one-line-at-a-time
-//! loop, so none of them can drift from the others.
+//! reactor's connections — frames its input with the one [`LineBuf`]
+//! (line limit, lossy UTF-8, the last line at end of input) and
+//! answers each line with [`Service::respond_as`], so none of them can
+//! drift from the others.
 //!
 //! **Ownership contract** (see ROADMAP.md, "which layer owns what"):
 //! this crate owns *session hosting and protocol dispatch* — naming,
@@ -39,7 +41,9 @@
 //! format. The full protocol reference lives in `docs/PROTOCOL.md`.
 
 pub mod game;
+pub mod lines;
 pub mod service;
 
 pub use game::run_game_via_service;
+pub use lines::{LineBuf, MAX_LINE_BYTES};
 pub use service::{HostCounters, Service};

@@ -69,15 +69,17 @@
 //! sequence — which together give the protocol law the golden-file CI
 //! job and the determinism property test pin down: **byte-identical
 //! output across runs and interleavings**. Every serving surface — the
-//! stdin loop, `serve --script`, and the reactor's connections — runs
-//! the same [`Service::respond_as`], one line at a time.
+//! stdin loop, `serve --script`, and the reactor's connections — frames
+//! its input with the one [`LineBuf`] and runs the same
+//! [`Service::respond_as`], one line at a time.
 
+use crate::lines::LineBuf;
 use sc_engine::flatjson::{encode_object, parse_object, FlatObject, Scalar};
 use sc_engine::shard::ShardJob;
 use sc_engine::{wire, ColorerSpec, Runner};
 use sc_stream::{Checkpoint, DynamicSupport, EngineConfig, Session, SessionSnapshot};
 use std::collections::BTreeMap;
-use std::io::{BufRead, Write};
+use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 
 /// The coloring text of responses and snapshot checkpoints is the
@@ -452,25 +454,31 @@ impl Service {
     }
 
     /// The serving loop behind `streamcolor serve` (stdin or
-    /// `--script FILE`): reads protocol lines from `input`, writes one
-    /// response line per command to `output` (flushed per line, so
-    /// interactive pipes see answers immediately).
+    /// `--script FILE`): reads protocol lines from `input` through a
+    /// [`LineBuf`] (the reactor's framing rules), writes one response
+    /// line per command to `output` (flushed per line, so interactive
+    /// pipes see answers immediately).
     ///
     /// # Errors
-    /// Propagates I/O errors; protocol-level problems are error
-    /// *responses*, not `Err`s.
-    pub fn serve<R: BufRead, W: Write + ?Sized>(
+    /// Propagates I/O errors; protocol-level problems, invalid UTF-8 and
+    /// an over-long line included, are error *responses*, not `Err`s.
+    pub fn serve<R: Read, W: Write + ?Sized>(
         &mut self,
-        input: R,
+        mut input: R,
         output: &mut W,
     ) -> std::io::Result<()> {
-        for line in input.lines() {
-            if let Some(response) = self.respond(&line?) {
-                writeln!(output, "{response}")?;
-                output.flush()?;
+        let mut lines = LineBuf::default();
+        loop {
+            match lines.answer_next(|line| self.respond(line)) {
+                Some(Some(response)) => {
+                    writeln!(output, "{response}")?;
+                    output.flush()?;
+                }
+                Some(None) => {}
+                None if lines.is_eof() => return Ok(()),
+                None => _ = lines.fill(&mut input)?,
             }
         }
-        Ok(())
     }
 }
 
