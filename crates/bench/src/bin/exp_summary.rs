@@ -489,9 +489,7 @@ fn emit_query_bench(profile: &Profile) {
         let (_, ri) = run_once(base.clone());
         let (_, rs) = run_once(base.clone().scratch_queries());
         assert_eq!(ri.final_coloring, rs.final_coloring, "{name}: query paths diverge");
-        for (a, b) in ri.checkpoints.iter().zip(&rs.checkpoints) {
-            assert_eq!(a.coloring, b.coloring, "{name}: checkpoint diverges at {}", a.prefix_len);
-        }
+        assert_eq!(ri.checkpoints, rs.checkpoints, "{name}: checkpoint records diverge");
         let median_ms =
             |config: EngineConfig| median((0..reps).map(|_| run_once(config.clone()).0).collect());
         let incremental_ms = median_ms(base.clone());

@@ -12,7 +12,10 @@
 
 use proptest::prelude::*;
 use sc_graph::{generators, Edge};
-use sc_stream::{EngineConfig, QuerySchedule, SignedEdge, StreamEngine, StreamingColorer};
+use sc_stream::{
+    Checkpoint, EngineConfig, Observation, QuerySchedule, Session, SignedEdge, StreamEngine,
+    StreamingColorer,
+};
 use streamcolor::robust::{auto_robust_colorer, StoreAllColorer};
 use streamcolor::{Bcg20Colorer, Bg18Colorer, RandEfficientColorer, RobustColorer, RobustParams};
 
@@ -233,6 +236,20 @@ proptest! {
             Box::new(move || Box::new(StoreAllColorer::new(n))),
             Box::new(move || Box::new(Bg18Colorer::new(n, delta as u64, seed ^ 13))),
         ];
+        // `checkpoint()` at the scheduled prefixes through a borrowing
+        // session: the colorings behind a scheduled run's records.
+        let prefixes: Vec<usize> = (every..=tokens.len()).step_by(every).collect();
+        let checkpointed = |colorer: &mut dyn StreamingColorer, config: EngineConfig| {
+            let mut session = Session::borrowing(colorer, config);
+            let observed: Vec<Observation> = prefixes
+                .iter()
+                .map(|&p| {
+                    session.push_signed_slice(&tokens[session.len()..p]).unwrap();
+                    session.checkpoint()
+                })
+                .collect();
+            observed
+        };
         for build in &specs {
             let mut a = build();
             let ra = StreamEngine::new(base.clone()).run(a.as_mut(), &tokens).unwrap();
@@ -240,12 +257,16 @@ proptest! {
             let rb =
                 StreamEngine::new(base.clone().scratch_queries()).run(b.as_mut(), &tokens).unwrap();
             prop_assert_eq!(ra.final_coloring, rb.final_coloring, "{} final", a.name());
-            prop_assert_eq!(ra.checkpoints.len(), rb.checkpoints.len());
-            for (ca, cb) in ra.checkpoints.iter().zip(&rb.checkpoints) {
+            prop_assert_eq!(&ra.checkpoints, &rb.checkpoints, "{} records", a.name());
+            let oa = checkpointed(build().as_mut(), EngineConfig::batched(8));
+            let ob = checkpointed(build().as_mut(), EngineConfig::batched(8).scratch_queries());
+            for (ca, cb) in oa.iter().zip(&ob) {
                 prop_assert_eq!(ca.prefix_len, cb.prefix_len);
                 prop_assert_eq!(&ca.coloring, &cb.coloring, "{} prefix {}", a.name(), ca.prefix_len);
                 prop_assert_eq!(ca.space_bits, cb.space_bits, "{} prefix {}", a.name(), ca.prefix_len);
             }
+            let records: Vec<Checkpoint> = oa.iter().map(Observation::record).collect();
+            prop_assert_eq!(&records, &ra.checkpoints, "{} records of the colorings", a.name());
             // The incremental run must actually have reused its cache.
             if let Some(stats) = a.query_cache_stats() {
                 prop_assert!(

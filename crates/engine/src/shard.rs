@@ -204,24 +204,11 @@ impl ShardJob {
 // Observational run summaries.
 // ---------------------------------------------------------------------
 
-/// FNV-1a over a byte stream — the digest used to pin checkpoint
-/// colorings without shipping them whole.
-fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// Everything observable about a [`RunOutcome`] except wall-clock time:
 /// the mergeable, wire-encodable unit of a sharded grid's output.
 ///
 /// The final coloring travels verbatim; mid-stream checkpoints travel as
-/// `prefix:colors:space_bits:coloring_digest` tuples (full per-prefix
-/// colorings would dwarf the rest of the file, and the digest already
-/// pins them bit-for-bit).
+/// their records ([`sc_stream::encode_checkpoints`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunSummary {
     /// The scenario's label.
@@ -244,26 +231,13 @@ pub struct RunSummary {
     pub space_bits: Option<u64>,
     /// The final coloring as `"0,1,-,2"` ([`sc_stream::coloring_string`]; `-` is uncolored).
     pub coloring: String,
-    /// Checkpoints as `"prefix:colors:space_bits:digest;…"`.
+    /// Checkpoint records as [`sc_stream::encode_checkpoints`] writes them.
     pub checkpoints: String,
 }
 
 impl RunSummary {
     /// Summarizes one outcome.
     pub fn of(outcome: &RunOutcome) -> Self {
-        let checkpoints: Vec<String> = outcome
-            .checkpoints
-            .iter()
-            .map(|cp| {
-                let digest = fnv1a((0..cp.coloring.n() as u32).flat_map(|v| {
-                    // None → u64::MAX sentinel (colors are palette indices,
-                    // far below it in practice; collisions would need a
-                    // 2^64-color palette).
-                    cp.coloring.get(v).unwrap_or(u64::MAX).to_le_bytes()
-                }));
-                format!("{}:{}:{}:{:016x}", cp.prefix_len, cp.colors, cp.space_bits, digest)
-            })
-            .collect();
         Self {
             label: outcome.label.clone(),
             algo: outcome.algo.clone(),
@@ -275,7 +249,7 @@ impl RunSummary {
             passes: outcome.passes,
             space_bits: outcome.space_bits,
             coloring: sc_stream::coloring_string(&outcome.coloring),
-            checkpoints: checkpoints.join(";"),
+            checkpoints: sc_stream::encode_checkpoints(&outcome.checkpoints),
         }
     }
 
@@ -633,6 +607,23 @@ mod tests {
         assert!(streaming.passes.is_some() && streaming.space_bits.is_some());
         assert!(offline.passes.is_none() && offline.space_bits.is_none());
         assert!(!streaming.checkpoints.is_empty());
+    }
+
+    #[test]
+    fn run_summary_checkpoint_text_is_frozen() {
+        // Merged shard outputs are compared by this text, so the record
+        // layout and the coloring digest must never drift.
+        let s = Scenario::new(SourceSpec::gnp(40, 5, 0.3, 3), ColorerSpec::StoreAll)
+            .with_schedule(QuerySchedule::EveryEdges(7));
+        let summary = RunSummary::of(&Runner::sequential().run(&s));
+        assert_eq!(
+            summary.checkpoints,
+            "7:2:84:7d5bbb030b42fea5;14:2:168:745d77cac23c8164;21:3:252:339cbea4338b66e6;\
+             28:3:336:e766919dd99cd2e7;35:3:420:e9a0a9c2bda79725;42:3:504:2b576e58f05dc665;\
+             49:3:588:60fc2b5e5b175025;56:3:672:97b42db60a1d69e4;63:3:756:5e8846aaea3d33c7;\
+             70:4:840:1c04ae12e3e39da4;77:4:924:569d1d2545000847;84:4:1008:0da37289f0d88f86;\
+             91:4:1092:24a47b5f25a82227"
+        );
     }
 
     #[test]

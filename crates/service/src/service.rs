@@ -77,14 +77,13 @@ use crate::lines::LineBuf;
 use sc_engine::flatjson::{encode_object, parse_object, FlatObject, Scalar};
 use sc_engine::shard::ShardJob;
 use sc_engine::{wire, ColorerSpec, Runner};
-use sc_stream::{Checkpoint, DynamicSupport, EngineConfig, Session, SessionSnapshot};
+use sc_stream::{DynamicSupport, EngineConfig, Session, SessionSnapshot};
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 
-/// The coloring text of responses and snapshot checkpoints is the
-/// [`sc_stream::state`] codec, so service observations and shard run
-/// summaries diff cleanly.
+/// The coloring text of responses is the [`sc_stream::state`] codec,
+/// so service observations and shard run summaries diff cleanly.
 pub use sc_stream::{coloring_string, parse_coloring};
 
 /// One hosted session: the owned engine session, the open-time
@@ -666,11 +665,8 @@ fn apply_observe(
 ) -> Result<FlatObject, String> {
     check_keys(obj, &["cmd", "session"])?;
     let tenant = slot.as_mut().ok_or("unknown session (open it first)")?;
-    let cp = if cmd == "checkpoint" {
-        tenant.session.checkpoint().clone()
-    } else {
-        tenant.session.observe()
-    };
+    let cp =
+        if cmd == "checkpoint" { tenant.session.checkpoint() } else { tenant.session.observe() };
     let mut response = FlatObject::new();
     response.insert("prefix".into(), Scalar::Uint(cp.prefix_len as u64));
     response.insert("colors".into(), Scalar::Uint(cp.colors as u64));
@@ -725,42 +721,6 @@ fn snapshot_path(dir: &Path, owner: u64, name: &str) -> PathBuf {
     dir.join(format!("{owner}-{hex}.snap"))
 }
 
-/// Checkpoint history as `prefix@space_bits@coloring` records joined by
-/// `|` (the `colors` count is derivable and recomputed on decode).
-fn encode_checkpoints(checkpoints: &[Checkpoint]) -> String {
-    let mut out = String::new();
-    for (i, cp) in checkpoints.iter().enumerate() {
-        if i > 0 {
-            out.push('|');
-        }
-        out.push_str(&format!("{}@{}@", cp.prefix_len, cp.space_bits));
-        sc_stream::write_coloring(&mut out, &cp.coloring);
-    }
-    out
-}
-
-fn decode_checkpoints(text: &str, n: usize) -> Result<Vec<Checkpoint>, String> {
-    if text.is_empty() {
-        return Ok(Vec::new());
-    }
-    let mut out = Vec::new();
-    for (i, part) in text.split('|').enumerate() {
-        let mut fields = part.splitn(3, '@');
-        let (prefix, space, coloring) = match (fields.next(), fields.next(), fields.next()) {
-            (Some(p), Some(s), Some(c)) => (p, s, c),
-            _ => return Err(format!("checkpoint {i}: {part:?} is not prefix@space_bits@coloring")),
-        };
-        let prefix_len: usize =
-            prefix.parse().map_err(|e| format!("checkpoint {i}: prefix {prefix:?}: {e}"))?;
-        let space_bits: u64 =
-            space.parse().map_err(|e| format!("checkpoint {i}: space_bits {space:?}: {e}"))?;
-        let coloring = parse_coloring(coloring, n).map_err(|e| format!("checkpoint {i}: {e}"))?;
-        let colors = coloring.num_distinct_colors();
-        out.push(Checkpoint { prefix_len, coloring, space_bits, colors });
-    }
-    Ok(out)
-}
-
 /// Serializes a tenant into the snapshot blob (a canonical flat-JSON
 /// object). Non-destructive: the tenant continues unchanged.
 fn encode_snapshot_blob(tenant: &Tenant) -> Result<String, String> {
@@ -777,7 +737,7 @@ fn encode_snapshot_blob(tenant: &Tenant) -> Result<String, String> {
     obj.insert("pending".into(), Scalar::Str(sc_stream::encode_signed_list(&snap.pending)));
     obj.insert("ingested".into(), Scalar::Uint(snap.ingested as u64));
     obj.insert("chunks".into(), Scalar::Uint(snap.chunks as u64));
-    obj.insert("checkpoints".into(), Scalar::Str(encode_checkpoints(&snap.checkpoints)));
+    obj.insert("checkpoints".into(), Scalar::Str(sc_stream::encode_checkpoints(&snap.checkpoints)));
     // The live-edge multiset travels only for dynamic colorers, so
     // insert-only snapshot blobs keep their settled vocabulary.
     if let Some(support) = &snap.support {
@@ -849,8 +809,9 @@ fn decode_snapshot_blob(blob: &str) -> Result<Tenant, String> {
         .map_err(|e| format!("snapshot: pending: {e}"))?;
     let ingested = usize_field(&obj, "ingested").map_err(fail)?;
     let chunks = usize_field(&obj, "chunks").map_err(fail)?;
-    let checkpoints = decode_checkpoints(str_field(&obj, "checkpoints").map_err(fail)?, n)
-        .map_err(|e| format!("snapshot: checkpoints: {e}"))?;
+    let checkpoints =
+        sc_stream::decode_checkpoints(str_field(&obj, "checkpoints").map_err(fail)?, n, ingested)
+            .map_err(|e| format!("snapshot: checkpoints: {e}"))?;
     // Optional: present exactly for dynamic colorers (Session::restore
     // rejects a mismatch, naming the colorer).
     let support = match obj.get("support") {
@@ -1631,6 +1592,7 @@ mod tests {
         let mut service = Service::new();
         service.respond(&open_line("a", 10, 3, "store-all", 1)).unwrap();
         service.respond(r#"{"cmd":"push","session":"a","edge":"0-1"}"#).unwrap();
+        service.respond(r#"{"cmd":"checkpoint","session":"a"}"#).unwrap();
         let snap = service.respond(r#"{"cmd":"snapshot","session":"a"}"#).unwrap();
         let blob = parse_object(&snap).unwrap()["snapshot"].as_str().unwrap().to_string();
         service.respond(&open_line("d", 10, 3, "dynamic-sr", 1)).unwrap();
@@ -1665,6 +1627,31 @@ mod tests {
                 r#"pending: token \"3-3\": edge \"3-3\" is a self-loop"#,
             ),
             (with(&dynamic, "support", "3-3:1"), r#"support entry \"3-3:1\": edge \"3-3\""#),
+            // The session has ingested one edge of ten vertices.
+            (
+                with(&blob, "checkpoints", "1:2:34:00000000000000ff;0:1:34:00000000000000ff"),
+                r#"checkpoint 1 \"0:1:34:00000000000000ff\": needs 1 ≤ prefix ≤ 1 and colors ≤ 10"#,
+            ),
+            (
+                with(&blob, "checkpoints", "999:2:80:00000000000000ff"),
+                r#"checkpoint 0 \"999:2:80:00000000000000ff\": needs 0 ≤ prefix ≤ 1 and colors ≤ 10"#,
+            ),
+            (
+                with(&blob, "checkpoints", "1:11:34:00000000000000ff"),
+                r#"checkpoint 0 \"1:11:34:00000000000000ff\": needs 0 ≤ prefix ≤ 1 and colors ≤ 10"#,
+            ),
+            (
+                with(&blob, "checkpoints", "1:2:34:00000000000000fg"),
+                r#"checkpoint 0 \"1:2:34:00000000000000fg\": digest: invalid digit"#,
+            ),
+            (
+                with(&blob, "checkpoints", "1:x:34:00000000000000ff"),
+                r#"checkpoint 0 \"1:x:34:00000000000000ff\": colors: invalid digit"#,
+            ),
+            (
+                with(&blob, "checkpoints", "1@34@0,1,-,-,-,-,-,-,-,-"),
+                r#"checkpoint 0 \"1@34@0,1,-,-,-,-,-,-,-,-\": is not prefix:colors:space_bits:digest"#,
+            ),
         ] {
             let response = service.respond(&restore_line(&mangled)).unwrap();
             assert!(
@@ -1680,6 +1667,29 @@ mod tests {
         // The untouched blob restores fine.
         let good = service.respond(&restore_line(&blob)).unwrap();
         assert!(good.contains("\"ok\":true"), "{good}");
+    }
+
+    #[test]
+    fn checkpoints_keep_a_record_not_a_coloring() {
+        // At n = 100,000 one coloring is about 200 KB of text; a
+        // recorded checkpoint must stay a few dozen bytes.
+        let mut service = Service::new();
+        service.respond(&open_line("m", 100_000, 2, "store-all", 1)).unwrap();
+        service.respond(r#"{"cmd":"push_batch","session":"m","edges":"0-1 1-2"}"#).unwrap();
+        let mut snapshot_len = |checkpoints: usize| {
+            for _ in 0..checkpoints {
+                service.respond(r#"{"cmd":"checkpoint","session":"m"}"#).unwrap();
+            }
+            let snap = service.respond(r#"{"cmd":"snapshot","session":"m"}"#).unwrap();
+            parse_object(&snap).unwrap()["snapshot"].as_str().unwrap().len()
+        };
+        let one = snapshot_len(1);
+        let many = snapshot_len(199);
+        assert!(many - one <= 64 * 199, "199 more checkpoints grew the blob {one} -> {many}");
+        for cmd in ["stats", "finish"] {
+            let line = service.respond(&format!(r#"{{"cmd":"{cmd}","session":"m"}}"#)).unwrap();
+            assert!(line.contains("\"checkpoints\":200"), "{cmd} miscounts");
+        }
     }
 
     #[test]

@@ -218,9 +218,10 @@ impl QuerySchedule {
     }
 }
 
-/// A mid-stream observation: the coloring and accounting after a prefix.
+/// A mid-stream observation: the coloring and accounting after a prefix,
+/// as [`Session::observe`] and [`Session::checkpoint`] return it.
 #[derive(Debug, Clone)]
-pub struct Checkpoint {
+pub struct Observation {
     /// Number of tokens ingested when the query ran (for turnstile
     /// streams, deletions count as tokens too).
     pub prefix_len: usize,
@@ -230,6 +231,34 @@ pub struct Checkpoint {
     pub space_bits: u64,
     /// Distinct colors in this answer.
     pub colors: usize,
+}
+
+impl Observation {
+    /// The fixed-size record a session keeps of this observation.
+    pub fn record(&self) -> Checkpoint {
+        let Self { prefix_len, ref coloring, space_bits, colors } = *self;
+        // FNV-1a over each vertex's color as 8 little-endian bytes,
+        // `u64::MAX` standing for an uncolored vertex.
+        let digest = (0..coloring.n() as u32)
+            .flat_map(|v| coloring.get(v).unwrap_or(u64::MAX).to_le_bytes())
+            .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3));
+        Checkpoint { prefix_len, colors, space_bits, digest }
+    }
+}
+
+/// A recorded checkpoint: an [`Observation`] with the coloring replaced
+/// by its digest, so a session's history costs a fixed size per
+/// checkpoint, never `O(n)`. Text form: [`crate::encode_checkpoints`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Checkpoint {
+    /// Number of tokens ingested when the query ran.
+    pub prefix_len: usize,
+    /// Distinct colors in the answer.
+    pub colors: usize,
+    /// Self-reported peak space at this point, in bits.
+    pub space_bits: u64,
+    /// FNV-1a digest of the answer (see [`Observation::record`]).
+    pub digest: u64,
 }
 
 /// The outcome of one engine run.
@@ -433,11 +462,11 @@ impl SessionState {
     /// Queries the ingested prefix as-is (no flush: scheduled
     /// checkpoints run mid-slice, with later edges still staged).
     /// Routed through the incremental path unless the config opts out.
-    fn snapshot<C: StreamingColorer + ?Sized>(&mut self, colorer: &mut C) -> Checkpoint {
+    fn observe<C: StreamingColorer + ?Sized>(&mut self, colorer: &mut C) -> Observation {
         let coloring =
             if self.config.incremental { colorer.query_incremental() } else { colorer.query() };
         let colors = coloring.num_distinct_colors();
-        Checkpoint {
+        Observation {
             prefix_len: self.ingested,
             coloring,
             space_bits: colorer.peak_space_bits(),
@@ -445,9 +474,11 @@ impl SessionState {
         }
     }
 
-    fn record_checkpoint<C: StreamingColorer + ?Sized>(&mut self, colorer: &mut C) {
-        let cp = self.snapshot(colorer);
-        self.checkpoints.push(cp);
+    /// Observes the ingested prefix and keeps the observation's record.
+    fn record_checkpoint<C: StreamingColorer + ?Sized>(&mut self, colorer: &mut C) -> Observation {
+        let observed = self.observe(colorer);
+        self.checkpoints.push(observed.record());
+        observed
     }
 
     fn finish<C: StreamingColorer + ?Sized>(
@@ -636,20 +667,19 @@ impl<C: StreamingColorer> Session<C> {
         self.state.flush(&mut self.colorer);
     }
 
-    /// Flushes, queries, and records + returns a checkpoint for the
-    /// current prefix.
-    pub fn checkpoint(&mut self) -> &Checkpoint {
+    /// Flushes and queries the current prefix, returns the observation
+    /// and records its fixed-size [`Checkpoint`]: the session keeps the
+    /// record, never the coloring.
+    pub fn checkpoint(&mut self) -> Observation {
         self.flush();
-        self.state.record_checkpoint(&mut self.colorer);
-        self.state.checkpoints.last().expect("checkpoint just recorded")
+        self.state.record_checkpoint(&mut self.colorer)
     }
 
-    /// Flushes and queries the current prefix *without* recording — the
-    /// adversarial game observes after every round and keeping each
-    /// round's coloring would cost `O(rounds · n)` memory.
-    pub fn observe(&mut self) -> Checkpoint {
+    /// Flushes and queries the current prefix *without* recording (the
+    /// adversarial game observes after every round).
+    pub fn observe(&mut self) -> Observation {
         self.flush();
-        self.state.snapshot(&mut self.colorer)
+        self.state.observe(&mut self.colorer)
     }
 
     /// Flushes, runs the final query, and assembles the report; elapsed
@@ -784,6 +814,28 @@ mod tests {
         edges.iter().copied().map(SignedEdge::insert).collect()
     }
 
+    /// Pushes `edges` into a store-all session with no schedule, `step`
+    /// edges per push, calling `checkpoint()` at each of the ascending
+    /// `prefixes`: the colorings a scheduled run keeps only as records.
+    fn checkpoint_at(
+        n: usize,
+        chunk: usize,
+        edges: &[Edge],
+        prefixes: &[usize],
+        step: usize,
+    ) -> Vec<Observation> {
+        let mut c = StoreAll::new(n);
+        let mut session = Session::borrowing(&mut c, EngineConfig::batched(chunk));
+        let mut observed = Vec::new();
+        for &p in prefixes {
+            for piece in edges[session.len()..p].chunks(step) {
+                session.push_signed_slice(&inserts(piece)).unwrap();
+            }
+            observed.push(session.checkpoint());
+        }
+        observed
+    }
+
     #[test]
     fn engine_run_matches_run_oblivious() {
         let (g, edges) = edges_of(40, 1);
@@ -823,8 +875,12 @@ mod tests {
         let report = StreamEngine::new(cfg).run(&mut c, &inserts(&edges)).unwrap();
         let prefixes: Vec<usize> = report.checkpoints.iter().map(|c| c.prefix_len).collect();
         assert_eq!(prefixes, vec![5, 17, 25]);
-        // Each checkpoint is proper for its prefix.
-        for cp in &report.checkpoints {
+        // Each checkpoint is proper for its prefix: the colorings come
+        // from `checkpoint()` at the same prefixes, whose records match.
+        let observed = checkpoint_at(60, 8, &edges, &[5, 17, 25], 8);
+        let records: Vec<Checkpoint> = observed.iter().map(Observation::record).collect();
+        assert_eq!(records, report.checkpoints);
+        for cp in &observed {
             let prefix = Graph::from_edges(60, edges[..cp.prefix_len].iter().copied());
             assert!(cp.coloring.is_proper_total(&prefix), "prefix {}", cp.prefix_len);
             assert!(cp.space_bits > 0);
@@ -897,15 +953,18 @@ mod tests {
             session.push_signed(SignedEdge::insert(e)).unwrap();
         }
         let push_report = session.finish();
-        let slice_prefixes: Vec<usize> =
-            slice_report.checkpoints.iter().map(|c| c.prefix_len).collect();
-        let push_prefixes: Vec<usize> =
-            push_report.checkpoints.iter().map(|c| c.prefix_len).collect();
-        assert_eq!(slice_prefixes, push_prefixes);
-        assert_eq!(slice_prefixes, vec![4, 9, 25]);
-        for (x, y) in slice_report.checkpoints.iter().zip(&push_report.checkpoints) {
-            assert_eq!(x.coloring, y.coloring);
+        assert_eq!(slice_report.checkpoints, push_report.checkpoints);
+        let prefixes: Vec<usize> = slice_report.checkpoints.iter().map(|c| c.prefix_len).collect();
+        assert_eq!(prefixes, vec![4, 9, 25]);
+        // The colorings behind those records, taken by `checkpoint()` at
+        // the same prefixes, one slice or one edge at a time.
+        let sliced = checkpoint_at(50, 8, &edges, &prefixes, usize::MAX);
+        let per_edge = checkpoint_at(50, 8, &edges, &prefixes, 1);
+        for (x, y) in sliced.iter().zip(&per_edge) {
+            assert_eq!((x.prefix_len, &x.coloring), (y.prefix_len, &y.coloring));
         }
+        let records: Vec<Checkpoint> = per_edge.iter().map(Observation::record).collect();
+        assert_eq!(records, slice_report.checkpoints);
     }
 
     #[test]
@@ -959,16 +1018,16 @@ mod tests {
         assert_eq!(mid_borrowed.coloring, mid_owned.coloring);
         assert_eq!(mid_borrowed.space_bits, owned.peak_space_bits());
         assert_eq!(owned.pending(), 0, "observe flushes");
+        let (x, y) = (session.checkpoint(), owned.checkpoint());
+        assert_eq!((x.prefix_len, &x.coloring), (y.prefix_len, &y.coloring));
         let a = session.finish();
         let b = owned.finish();
         assert_eq!(a.final_coloring, b.final_coloring);
         assert_eq!(a.edges, b.edges);
         assert_eq!(a.chunks, b.chunks);
         assert_eq!(a.peak_space_bits, b.peak_space_bits);
-        assert_eq!(a.checkpoints.len(), b.checkpoints.len());
-        for (x, y) in a.checkpoints.iter().zip(&b.checkpoints) {
-            assert_eq!((x.prefix_len, &x.coloring), (y.prefix_len, &y.coloring));
-        }
+        assert_eq!(a.checkpoints, b.checkpoints);
+        assert_eq!(a.checkpoints.last(), Some(&x.record()));
     }
 
     #[test]

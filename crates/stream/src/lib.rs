@@ -49,16 +49,17 @@ pub mod trace;
 
 pub use colorer::{run_oblivious, BoxedColorer, StreamingColorer};
 pub use engine::{
-    Checkpoint, EngineConfig, EngineReport, QuerySchedule, Session, SessionSnapshot, StreamEngine,
+    Checkpoint, EngineConfig, EngineReport, Observation, QuerySchedule, Session, SessionSnapshot,
+    StreamEngine,
 };
 pub use order::StreamOrder;
 pub use query_cache::{CacheState, CacheStats, QueryCache};
 pub use source::{PassCounter, StoredStream, StreamSource};
 pub use space::{color_bits, counter_bits, edge_bits, vertex_bits, SpaceMeter};
 pub use state::{
-    coloring_string, decode_edges, decode_signed_list, decode_u64_list, encode_edges,
-    encode_signed_list, encode_u64_list, parse_coloring, parse_edge, write_coloring, write_edges,
-    write_signed_list, write_u64_list, StateReader, StateWriter,
+    coloring_string, decode_checkpoints, decode_edges, decode_signed_list, decode_u64_list,
+    encode_checkpoints, encode_edges, encode_signed_list, encode_u64_list, parse_coloring,
+    parse_edge, write_edges, write_signed_list, write_u64_list, StateReader, StateWriter,
 };
 pub use support::DynamicSupport;
 pub use token::{Sign, SignedEdge, StreamItem};

@@ -19,6 +19,7 @@
 //! truncated or typo'd blobs fail loudly instead of restoring a
 //! half-session.
 
+use crate::engine::Checkpoint;
 use crate::token::{Sign, SignedEdge};
 use sc_graph::{Coloring, Edge};
 use std::borrow::Borrow;
@@ -229,21 +230,14 @@ pub fn decode_signed_list(text: &str, n: usize) -> Result<Vec<SignedEdge>, Strin
 
 /// Renders a coloring as `"0,1,-,2"` (one `,`-joined cell per vertex;
 /// `-` marks an uncolored vertex) — the one coloring text of protocol
-/// responses, snapshot checkpoints and shard run summaries:
-/// [`write_coloring`] run into a fresh string.
+/// responses and shard run summaries.
 pub fn coloring_string(c: &Coloring) -> String {
-    let mut out = String::new();
-    write_coloring(&mut out, c);
-    out
-}
-
-/// Appends the [`coloring_string`] text of `c` to `out`.
-pub fn write_coloring(out: &mut String, c: &Coloring) {
-    out.reserve(2 * c.n()); // every cell takes at least one byte and a comma
-    write_joined(out, 0..c.n() as u32, ',', |out, v| match c.get(v) {
+    let mut out = String::with_capacity(2 * c.n()); // a byte and a comma per cell at least
+    write_joined(&mut out, 0..c.n() as u32, ',', |out, v| match c.get(v) {
         Some(color) => write_u64(out, color),
         None => out.push('-'),
     });
+    out
 }
 
 /// Parses a [`coloring_string`] back into a coloring over `n` vertices.
@@ -269,6 +263,46 @@ pub fn parse_coloring(text: &str, n: usize) -> Result<Coloring, String> {
         coloring.set(v as u32, color);
     }
     Ok(coloring)
+}
+
+/// Encodes checkpoint records as `"prefix:colors:space_bits:digest"`
+/// entries joined by `;` (the digest as 16 hex digits; empty string for
+/// none) — the one text of snapshot histories and shard run summaries.
+pub fn encode_checkpoints(checkpoints: &[Checkpoint]) -> String {
+    let records: Vec<String> = checkpoints
+        .iter()
+        .map(|cp| format!("{}:{}:{}:{:016x}", cp.prefix_len, cp.colors, cp.space_bits, cp.digest))
+        .collect();
+    records.join(";")
+}
+
+/// Decodes an [`encode_checkpoints`] string recorded by a session over
+/// `n` vertices that has fed `tokens` tokens to its colorer.
+///
+/// # Errors
+/// Names the record (index and text) and its fault: a malformed field,
+/// a prefix below the one before it or above `tokens`, or colors > `n`.
+pub fn decode_checkpoints(text: &str, n: usize, tokens: usize) -> Result<Vec<Checkpoint>, String> {
+    let mut out: Vec<Checkpoint> = Vec::new();
+    for (i, record) in text.split(';').enumerate().filter(|_| !text.is_empty()) {
+        let fail = |why: String| format!("checkpoint {i} {record:?}: {why}");
+        let &[prefix, colors, space, digest] = &record.split(':').collect::<Vec<_>>()[..] else {
+            return Err(fail("is not prefix:colors:space_bits:digest".into()));
+        };
+        let num = |k, v, r| u64::from_str_radix(v, r).map_err(|e| fail(format!("{k}: {e}")));
+        let cp = Checkpoint {
+            prefix_len: num("prefix", prefix, 10)? as usize,
+            colors: num("colors", colors, 10)? as usize,
+            space_bits: num("space_bits", space, 10)?,
+            digest: num("digest", digest, 16)?,
+        };
+        let low = out.last().map_or(0, |last| last.prefix_len);
+        if !(low..=tokens).contains(&cp.prefix_len) || cp.colors > n {
+            return Err(fail(format!("needs {low} ≤ prefix ≤ {tokens} and colors ≤ {n}")));
+        }
+        out.push(cp);
+    }
+    Ok(out)
 }
 
 /// Encodes counters as `"0,3,1"` (`,`-joined; empty string for none):
@@ -413,11 +447,7 @@ mod tests {
             );
             let text = coloring_string(&coloring);
             prop_assert_eq!(&text, &frozen::coloring_string(&coloring));
-            prop_assert_eq!(parse_coloring(&text, coloring.n()), Ok(coloring.clone()));
-            // The writer appends: existing text is kept, never cleared.
-            let mut out = String::from("x");
-            write_coloring(&mut out, &coloring);
-            prop_assert_eq!(out, format!("x{text}"));
+            prop_assert_eq!(parse_coloring(&text, coloring.n()), Ok(coloring));
         }
 
         #[test]
@@ -472,6 +502,20 @@ mod tests {
             parse_coloring("0,,1", 3).unwrap_err(),
             "cell 1 \"\": cannot parse integer from empty string"
         );
+    }
+
+    #[test]
+    fn checkpoint_records_round_trip() {
+        let records = vec![
+            Checkpoint { prefix_len: 3, colors: 2, space_bits: 40, digest: 0xff },
+            Checkpoint { prefix_len: 3, colors: 4, space_bits: 41, digest: u64::MAX },
+            Checkpoint { prefix_len: 9, colors: 0, space_bits: 0, digest: 0 },
+        ];
+        let text = encode_checkpoints(&records);
+        assert_eq!(text, "3:2:40:00000000000000ff;3:4:41:ffffffffffffffff;9:0:0:0000000000000000");
+        assert_eq!(decode_checkpoints(&text, 4, 9), Ok(records));
+        assert_eq!(decode_checkpoints("", 0, 0), Ok(Vec::new()));
+        assert_eq!(encode_checkpoints(&[]), "");
     }
 
     #[test]
