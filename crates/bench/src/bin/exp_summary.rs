@@ -11,7 +11,8 @@
 //! machine-readable curves:
 //!
 //! * `BENCH_engine.json` — batched vs per-edge **ingestion**, plus the
-//!   turnstile sketch's update-vs-decode balance (`sketch-decode`),
+//!   turnstile sketch's update-vs-decode balance (`sketch-decode`), the
+//!   at-budget failure counts behind its sizing rule (`sketch-sizing`),
 //!   Theorem 1's hash tournament against one evaluation per function
 //!   (`det-tournament`) and alg3's slot-table fill against scalar
 //!   evaluation (`table-build`);
@@ -31,6 +32,7 @@ use sc_engine::{ColorerSpec, RunOutcome, Runner, Scenario, SourceSpec};
 use sc_graph::generators;
 use sc_stream::{EngineConfig, QuerySchedule, SignedEdge, StreamEngine, StreamOrder};
 use std::time::Instant;
+use streamcolor::dynamic::sparse_recovery::Layout;
 use streamcolor::{list_coloring, DetConfig, ListConfig, SparseRecovery};
 
 /// Instance sizes for the full run vs the CI smoke run.
@@ -52,6 +54,8 @@ struct Profile {
     /// Det tournament bench (BENCH_engine.json): vertices, ∆,
     /// repetitions.
     tournament: (usize, usize, usize),
+    /// Sketch sizing table (BENCH_engine.json): trials per budget.
+    sizing_trials: usize,
 }
 
 impl Profile {
@@ -64,6 +68,7 @@ impl Profile {
             query: (3000, 32, 5, 64),
             game: (400, 16, 1600, 3),
             tournament: (2000, 48, 5),
+            sizing_trials: 20_000,
         }
     }
 
@@ -77,6 +82,7 @@ impl Profile {
             query: (800, 16, 3, 32),
             game: (200, 8, 600, 3),
             tournament: (600, 16, 5),
+            sizing_trials: 300,
         }
     }
 }
@@ -245,6 +251,7 @@ fn emit_engine_bench(profile: &Profile) {
             .num("speedup", per_edge_ms / batched_ms.max(1e-9)),
     );
     entries.push(sketch_decode_entry(n, dyn_delta, &tokens, reps));
+    entries.extend(sketch_sizing_entries(profile.sizing_trials));
     entries.push(det_tournament_entry(profile));
 
     write_rows(
@@ -260,7 +267,7 @@ fn emit_engine_bench(profile: &Profile) {
 /// one `decode` of the result (`decode_ms`), medians over `reps`.
 ///
 /// `ratio = update_ms / decode_ms` is the gated figure. A decode that
-/// peels in `O(cells + support · ROWS)` costs within a small factor of
+/// peels in `O(cells + support · rows)` costs within a small factor of
 /// one pass of updates, so the ratio stays near one; a decode that goes
 /// quadratic in the support (rescanning the cells per peeled id) drops
 /// it by an order of magnitude or more. Both sides are timed in the same run, so
@@ -304,6 +311,64 @@ fn sketch_decode_entry(
         .num("update_ms", update_ms)
         .num("decode_ms", decode_ms)
         .num("ratio", update_ms / decode_ms.max(1e-9))
+}
+
+/// The failure table behind [`Layout::for_sparsity`]: at each budget
+/// `s`, `trials` sketches of each layout hold `s` distinct random ids
+/// from the edge universe of an n = 3000 session, and a decode that
+/// refuses counts as a failure. Both layouts see the same ids and seed
+/// in a trial. An `Ok` decode must be the exact support, and the rule's
+/// layout must fail no more often than the classic one at every size.
+fn sketch_sizing_entries(trials: usize) -> Vec<Row> {
+    use sc_hash::SplitMix64;
+    let universe = 3000u64 * 3000;
+    let sizes = (0..12).map(|k| 1usize << k).chain([3200]);
+    sizes
+        .map(|s| {
+            let layouts = [Layout::classic(s), Layout::compact(s)];
+            let mut fails = [0usize; 2];
+            let mut rng = SplitMix64::new(s as u64);
+            let mut ids: Vec<u64> = Vec::with_capacity(s);
+            for _ in 0..trials {
+                let seed = rng.next_u64();
+                ids.clear();
+                while ids.len() < s {
+                    ids.extend((ids.len()..s).map(|_| rng.below(universe)));
+                    ids.sort_unstable();
+                    ids.dedup();
+                }
+                for (layout, failed) in layouts.iter().zip(&mut fails) {
+                    let mut sketch = SparseRecovery::with_layout(universe, s, *layout, seed);
+                    for &id in &ids {
+                        sketch.update(id, 1);
+                    }
+                    match sketch.decode() {
+                        Ok(support) => assert!(
+                            support.iter().map(|&(id, _)| id).eq(ids.iter().copied())
+                                && support.iter().all(|&(_, count)| count == 1),
+                            "{layout:?} decoded a wrong support at s={s}"
+                        ),
+                        Err(_) => *failed += 1,
+                    }
+                }
+            }
+            let rule = Layout::for_sparsity(s);
+            let (name, rule_fails) =
+                if rule == layouts[0] { ("classic", fails[0]) } else { ("compact", fails[1]) };
+            assert!(
+                rule_fails <= fails[0],
+                "s={s}: the sizing rule failed {rule_fails} times, the classic layout {}",
+                fails[0]
+            );
+            Row::new("sketch-sizing")
+                .count("sparsity", s)
+                .count("trials", trials)
+                .count("classic_fails", fails[0])
+                .count("compact_fails", fails[1])
+                .text("rule", name)
+                .count("rule_fails", rule_fails)
+        })
+        .collect()
 }
 
 /// Times Theorem 1's hash tournament on one synthetic stage shaped like

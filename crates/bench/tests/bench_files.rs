@@ -51,3 +51,30 @@ fn every_gated_field_is_in_the_committed_full_profile_file() {
         );
     }
 }
+
+#[test]
+fn the_committed_sizing_table_backs_the_sketch_layout_rule() {
+    use streamcolor::dynamic::sparse_recovery::{Layout, COMPACT_FROM};
+    let table: Vec<FlatObject> = rows("BENCH_engine.json")
+        .into_iter()
+        .filter(|row| row.get("algo").and_then(|a| a.as_str()) == Some("sketch-sizing"))
+        .collect();
+    let count = |row: &FlatObject, field: &str| {
+        row[field].as_u64().unwrap_or_else(|| panic!("sketch-sizing row has no {field:?}"))
+    };
+    let mut sizes = Vec::new();
+    for row in &table {
+        let s = count(row, "sparsity") as usize;
+        let (classic, compact) = (count(row, "classic_fails"), count(row, "compact_fails"));
+        let compact_rule = Layout::for_sparsity(s) == Layout::compact(s);
+        assert_eq!(row["rule"].as_str(), Some(if compact_rule { "compact" } else { "classic" }));
+        assert_eq!(count(row, "rule_fails"), if compact_rule { compact } else { classic });
+        assert!(count(row, "trials") >= 20_000, "s={s}: too few trials");
+        assert!(count(row, "rule_fails") <= classic, "s={s}: the rule fails more than before");
+        sizes.push(s);
+    }
+    // The table must reach both sides of the threshold and the largest
+    // budget a benchmark opens (turnstile-churn's n = 400, Δ = 16).
+    assert!(sizes.iter().any(|&s| s < COMPACT_FROM), "{sizes:?}");
+    assert!(sizes.contains(&COMPACT_FROM) && sizes.contains(&3200), "{sizes:?}");
+}

@@ -238,8 +238,17 @@ impl StreamingColorer for DynamicColorer {
         let epoch = r.u64_field("epoch")?;
         r.done()?;
         self.sketch.decode_cells(cells).map_err(|e| format!("state: cells: {e}"))?;
-        self.meter =
-            SpaceMeter::restored(space_cur, space_peak).map_err(|e| format!("state: {e}"))?;
+        // The meter is charged once, at construction, with this layout's
+        // cells: a blob charged for another layout is not this sketch's.
+        let charged = self.meter.peak_bits();
+        if (space_cur, space_peak) != (charged, charged) {
+            let layout = self.sketch.layout();
+            return Err(format!(
+                "state: space_cur={space_cur} space_peak={space_peak}, but a {}x{} sketch \
+                 charges {charged} bits",
+                layout.rows, layout.cols
+            ));
+        }
         self.cache.restore_at_epoch(epoch);
         Ok(())
     }

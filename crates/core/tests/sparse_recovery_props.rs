@@ -16,9 +16,13 @@
 //!    gives the same answer (or the same refusal) as the textbook peel
 //!    that rescans the cells from index 0 after every extraction,
 //!    within budget and beyond it.
+//!
+//! The proptests draw small budgets, which get the classic layout; a
+//! deterministic test covers the compact layout of large budgets.
 
 use proptest::prelude::*;
 use std::collections::BTreeMap;
+use streamcolor::dynamic::sparse_recovery::{Layout, COMPACT_FROM};
 use streamcolor::SparseRecovery;
 
 /// Applies `updates` to a fresh sketch and the true net-count map.
@@ -209,6 +213,38 @@ proptest! {
                 "refusal must name the budget: {}", message
             ),
             (got, want) => prop_assert!(false, "decode {:?} but oracle {:?}", got, want),
+        }
+    }
+}
+
+/// The compact layout of large budgets, on fixed seeds: every at-budget
+/// support (distinct random ids, multiplicities 1–3, some negative)
+/// decodes exactly, and four times the budget is refused, naming it.
+#[test]
+fn compact_layout_decodes_at_budget_and_refuses_overloads() {
+    let universe = 3000u64 * 3000;
+    for sparsity in [COMPACT_FROM, 2 * COMPACT_FROM, 3200] {
+        assert_eq!(Layout::for_sparsity(sparsity), Layout::compact(sparsity));
+        for seed in [1u64, 2, 3] {
+            let mut rng = sc_hash::SplitMix64::new(seed ^ sparsity as u64);
+            let mut truth: BTreeMap<u64, i64> = BTreeMap::new();
+            while truth.len() < sparsity {
+                let count = [1, 2, 3, -1][truth.len() % 4];
+                truth.entry(rng.below(universe)).or_insert(count);
+            }
+            let updates: Vec<(u64, i64)> = truth.iter().map(|(&id, &c)| (id, c)).collect();
+            let (sketch, _) = load(universe, sparsity, seed, &updates);
+            let expected: Vec<(u64, i64)> = truth.into_iter().collect();
+            assert_eq!(sketch.decode(), Ok(expected), "s={sparsity} seed={seed}");
+
+            let overload: Vec<(u64, i64)> =
+                (0..4 * sparsity as u64).map(|i| (i * 701 + seed, 1)).collect();
+            let (sketch, _) = load(universe, sparsity, seed, &overload);
+            let message = sketch.decode().expect_err("4s ids in 3s cells cannot peel");
+            assert!(
+                message.contains(&format!("s={sparsity} ")) && message.contains("4-row"),
+                "{message}"
+            );
         }
     }
 }

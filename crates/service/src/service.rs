@@ -1599,6 +1599,49 @@ mod tests {
         service.respond(r#"{"cmd":"push","session":"d","edge":"0-1"}"#).unwrap();
         let snap = service.respond(r#"{"cmd":"snapshot","session":"d"}"#).unwrap();
         let dynamic = parse_object(&snap).unwrap()["snapshot"].as_str().unwrap().to_string();
+        // A dynamic-sr session whose budget gets the compact layout, and
+        // the same blobs as the classic layout (the only one before the
+        // sizing rule) would have written them.
+        use streamcolor::dynamic::sparse_recovery::{Layout, SparseRecovery, COMPACT_FROM};
+        let s = COMPACT_FROM;
+        let big_open = format!(
+            r#"{{"cmd":"open","session":"b","n":100,"delta":3,"colorer":"dynamic-sr","seed":1,"sparsity":{s}}}"#
+        );
+        service.respond(&big_open).unwrap();
+        let snap = service.respond(r#"{"cmd":"snapshot","session":"b"}"#).unwrap();
+        let big_empty = parse_object(&snap).unwrap()["snapshot"].as_str().unwrap().to_string();
+        service.respond(r#"{"cmd":"push","session":"b","edge":"0-1"}"#).unwrap();
+        service.respond(r#"{"cmd":"observe","session":"b"}"#).unwrap(); // feeds the sketch
+        let snap = service.respond(r#"{"cmd":"snapshot","session":"b"}"#).unwrap();
+        let big = parse_object(&snap).unwrap()["snapshot"].as_str().unwrap().to_string();
+        let sketch = |layout: Layout| {
+            let mut sketch = SparseRecovery::with_layout(100 * 100, s, layout, 1);
+            sketch.update(1, 1); // edge 0-1 is id 0·n + 1
+            sketch
+        };
+        let (compact, classic) = (sketch(Layout::compact(s)), sketch(Layout::classic(s)));
+        assert!(big.contains(&format!("cells={};", compact.encode_cells())), "{big}");
+        let classic_cells = big.replace(&compact.encode_cells(), &classic.encode_cells());
+        let cells = compact.layout().rows * compact.layout().cols;
+        let out_of_range = classic
+            .encode_cells()
+            .split(' ')
+            .find(|cell| cell.split(':').next().unwrap().parse::<usize>().unwrap() >= cells)
+            .expect("the classic layout's last row lies past the compact array")
+            .to_string();
+        let cell_needle = format!(r#"sketch cell \"{out_of_range}\": idx out of range"#);
+        let bits = |sketch: &SparseRecovery| {
+            let keys = 8 * 64; // the colorer's charge beyond its cells
+            let b = sketch.cell_bits() + keys;
+            format!("space_cur={b};space_peak={b}")
+        };
+        assert!(big_empty.contains(&bits(&compact)), "{big_empty}");
+        let classic_space = big_empty.replace(&bits(&compact), &bits(&classic));
+        let space_needle = format!(
+            "state: space_cur={0} space_peak={0}, but a 4x768 sketch charges {1} bits",
+            classic.cell_bits() + 512,
+            compact.cell_bits() + 512
+        );
         let with = |blob: &str, key: &str, value: &str| {
             let mut obj = parse_object(blob).unwrap();
             assert!(obj.insert(key.into(), Scalar::Str(value.into())).is_some(), "{key}");
@@ -1627,6 +1670,8 @@ mod tests {
                 r#"pending: token \"3-3\": edge \"3-3\" is a self-loop"#,
             ),
             (with(&dynamic, "support", "3-3:1"), r#"support entry \"3-3:1\": edge \"3-3\""#),
+            (classic_cells, cell_needle.as_str()),
+            (classic_space, space_needle.as_str()),
             // The session has ingested one edge of ten vertices.
             (
                 with(&blob, "checkpoints", "1:2:34:00000000000000ff;0:1:34:00000000000000ff"),

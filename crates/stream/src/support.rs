@@ -16,10 +16,17 @@
 //! [`SpaceMeter`](crate::SpaceMeter) (the whole point of a sketch-based
 //! dynamic colorer is that *it* does not store the support — the referee
 //! may).
+//!
+//! The multiplicities live in a std [`HashMap`] with its default keyed
+//! [`RandomState`](std::collections::hash_map::RandomState): clients
+//! choose the edges, so an unkeyed hasher would let one line force
+//! collisions. Nothing observable depends on the map's order — the
+//! outputs that list edges ([`DynamicSupport::live_edges`],
+//! [`DynamicSupport::encode`]) sort them.
 
 use crate::token::{Sign, SignedEdge};
 use sc_graph::Edge;
-use std::collections::BTreeMap;
+use std::collections::hash_map::{Entry, HashMap};
 
 /// The live edge multiset of a turnstile stream.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -27,7 +34,7 @@ pub struct DynamicSupport {
     /// Multiplicity per edge; entries are strictly positive (an edge
     /// deleted down to zero leaves the map, keeping the encoding
     /// canonical).
-    counts: BTreeMap<Edge, u64>,
+    counts: HashMap<Edge, u64>,
     /// Total multiplicity (sum over `counts`).
     total: u64,
 }
@@ -55,7 +62,14 @@ impl DynamicSupport {
 
     /// The distinct live edges in ascending order.
     pub fn live_edges(&self) -> impl Iterator<Item = Edge> + '_ {
-        self.counts.keys().copied()
+        self.sorted().into_iter().map(|(e, _)| e)
+    }
+
+    /// The `(edge, multiplicity)` entries, ascending by edge.
+    fn sorted(&self) -> Vec<(Edge, u64)> {
+        let mut entries: Vec<(Edge, u64)> = self.counts.iter().map(|(&e, &c)| (e, c)).collect();
+        entries.sort_unstable();
+        entries
     }
 
     /// Applies one token.
@@ -71,18 +85,17 @@ impl DynamicSupport {
                 self.total += 1;
                 Ok(())
             }
-            Sign::Delete => match self.counts.get_mut(&t.edge) {
-                Some(c) if *c > 1 => {
-                    *c -= 1;
+            Sign::Delete => match self.counts.entry(t.edge) {
+                Entry::Occupied(mut live) => {
+                    if *live.get() > 1 {
+                        *live.get_mut() -= 1;
+                    } else {
+                        live.remove();
+                    }
                     self.total -= 1;
                     Ok(())
                 }
-                Some(_) => {
-                    self.counts.remove(&t.edge);
-                    self.total -= 1;
-                    Ok(())
-                }
-                None => Err(format!(
+                Entry::Vacant(_) => Err(format!(
                     "delete of edge {} which was never inserted (multiplicity 0)",
                     t.edge
                 )),
@@ -90,27 +103,24 @@ impl DynamicSupport {
         }
     }
 
-    /// Validates and applies a whole token slice **atomically**: either
-    /// every token is applied, or none is and the error names the first
-    /// offending deletion. Internal insert-then-delete sequences within
-    /// the slice are legal (the overlay sees them in order).
+    /// Applies a whole token slice **atomically**: either every token
+    /// is applied, or none is and the error names the first offending
+    /// deletion. Internal insert-then-delete sequences within the slice
+    /// are legal (the tokens apply in order).
     pub fn apply_all(&mut self, tokens: &[SignedEdge]) -> Result<(), String> {
-        // Dry-run against an overlay of net deltas so a failed batch
-        // leaves the support untouched (the service protocol promises
-        // request atomicity).
-        let mut overlay: BTreeMap<Edge, i64> = BTreeMap::new();
-        for t in tokens {
-            let delta = overlay.entry(t.edge).or_insert(0);
-            if t.sign == Sign::Delete && self.multiplicity(t.edge) as i64 + *delta <= 0 {
-                return Err(format!(
-                    "delete of edge {} which was never inserted (multiplicity 0)",
-                    t.edge
-                ));
+        for (applied, t) in tokens.iter().enumerate() {
+            if let Err(e) = self.apply(*t) {
+                // Undo the applied prefix, newest first: each token's
+                // inverse is legal in the state right after it applied.
+                for t in tokens[..applied].iter().rev() {
+                    let inverse = match t.sign {
+                        Sign::Insert => SignedEdge::delete(t.edge),
+                        Sign::Delete => SignedEdge::insert(t.edge),
+                    };
+                    self.apply(inverse).expect("reverting an applied token");
+                }
+                return Err(e);
             }
-            *delta += t.sign.unit();
-        }
-        for t in tokens {
-            self.apply(*t).expect("validated above");
         }
         Ok(())
     }
@@ -120,7 +130,7 @@ impl DynamicSupport {
     /// `;` and `=`, so it embeds in [`crate::state`] blobs.
     pub fn encode(&self) -> String {
         let parts: Vec<String> = self
-            .counts
+            .sorted()
             .iter()
             .map(|(e, c)| format!("{}:{c}", crate::state::encode_edges([e])))
             .collect();
@@ -201,6 +211,46 @@ mod tests {
         assert_eq!(s, before, "failed batch must roll back entirely");
         s.apply_all(&[SignedEdge::insert(e(1, 2)), SignedEdge::delete(e(0, 1))]).unwrap();
         assert_eq!(s.live_edges().collect::<Vec<_>>(), vec![e(1, 2)]);
+
+        // A batch that deletes a live edge down to zero (it leaves the
+        // map) and then underflows must put that edge back.
+        s.apply_all(&[SignedEdge::insert(e(0, 1)), SignedEdge::insert(e(1, 2))]).unwrap();
+        let (before, text, total) = (s.clone(), s.encode(), s.total());
+        let err = s
+            .apply_all(&[
+                SignedEdge::insert(e(2, 3)),
+                SignedEdge::delete(e(0, 1)),
+                SignedEdge::delete(e(1, 2)),
+                SignedEdge::delete(e(1, 2)),
+                SignedEdge::delete(e(1, 2)), // underflows: (1, 2) had 2
+            ])
+            .unwrap_err();
+        assert!(err.contains("(1, 2)") && err.contains("never inserted"), "{err}");
+        assert_eq!(s, before, "failed batch must restore the edges it zeroed");
+        assert_eq!((s.encode(), s.total()), (text, total));
+        assert_eq!(s.multiplicity(e(0, 1)), 1);
+        assert_eq!(s.multiplicity(e(2, 3)), 0);
+
+        // Listings ascend whatever order the batch inserted in.
+        let edges: Vec<Edge> = (0..40u32).flat_map(|u| (u + 1..40).map(move |v| e(u, v))).collect();
+        let mut expected = edges.clone();
+        expected.sort_unstable();
+        let text: Vec<String> =
+            expected.iter().map(|&x| format!("{}:1", crate::state::encode_edges([x]))).collect();
+        for order in [0u64, 1, 2] {
+            let mut shuffled = edges.clone();
+            // Reverse, stride and interleaved orders.
+            match order {
+                0 => shuffled.reverse(),
+                1 => shuffled.sort_by_key(|x| (x.v(), std::cmp::Reverse(x.u()))),
+                _ => shuffled.sort_by_key(|x| (x.u() * 7 + x.v() * 13) % 31),
+            }
+            let mut s = DynamicSupport::new();
+            s.apply_all(&shuffled.iter().map(|&x| SignedEdge::insert(x)).collect::<Vec<_>>())
+                .unwrap();
+            assert_eq!(s.live_edges().collect::<Vec<_>>(), expected, "order {order}");
+            assert_eq!(s.encode(), text.join(" "), "order {order}");
+        }
     }
 
     #[test]
