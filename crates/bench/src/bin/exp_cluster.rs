@@ -9,8 +9,10 @@
 //!
 //! * `process` — loopback [`InProcess`] workers: full protocol
 //!   encode/decode, no extra parallelism, so its `efficiency =
-//!   in_process_ms / cluster_ms` is the pure protocol-overhead floor
-//!   (≈ 1.0; a sustained drop means the `run_job` line codec or spec
+//!   in_process_ms / cluster_ms` is the protocol-overhead floor plus
+//!   lost sharing: the reference generates each source once for the
+//!   whole grid, a worker once per slice (0.75–0.85 on the smoke grid;
+//!   a sustained drop means the `run_job` line codec or spec
 //!   re-encoding got expensive);
 //! * `stdio` — real `cluster_worker` child processes: protocol
 //!   overhead plus spawn cost, minus process-level parallelism, so

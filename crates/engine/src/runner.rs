@@ -2,14 +2,15 @@
 
 use crate::parallel::{default_threads, par_map};
 use crate::scenario::Scenario;
+use crate::source::Generated;
 use crate::spec::ColorerSpec;
 use sc_graph::Coloring;
 use sc_stream::{Checkpoint, StoredStream, StreamEngine};
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Mutex};
 use streamcolor::{batch_greedy_coloring, deterministic_coloring, offline_greedy};
 
 /// What one scenario produced.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunOutcome {
     /// The scenario's label.
     pub label: String,
@@ -34,8 +35,6 @@ pub struct RunOutcome {
     pub space_bits: Option<u64>,
     /// Mid-stream checkpoints (streaming runs with a schedule).
     pub checkpoints: Vec<Checkpoint>,
-    /// Wall-clock time of the run.
-    pub elapsed: Duration,
 }
 
 /// Executes scenarios — one at a time or grids in parallel.
@@ -78,67 +77,136 @@ impl Runner {
     /// Panics, naming the offender, when a dynamic source meets a
     /// non-streaming spec or an insert-only colorer.
     pub fn run(&self, scenario: &Scenario) -> RunOutcome {
-        let started = Instant::now();
-        let (g, delta, tokens) = scenario.source.stream(scenario.order);
-        let label = scenario.colorer.label().to_string();
-        let (algo, coloring, passes, space_bits, checkpoints) = match &scenario.colorer {
-            // First, so the offline arms below never color a live graph.
-            spec if scenario.source.is_dynamic() && !spec.is_streaming() => panic!(
-                "{label} cannot run a dynamic source (it owns its pass structure; turnstile \
-                 streams are single-pass)"
-            ),
-            spec if spec.is_streaming() => {
-                let mut colorer = spec
-                    .build(g.n(), delta, scenario.seed, Some(&g))
-                    .expect("streaming spec with a materialized graph always builds");
-                let report = StreamEngine::new(scenario.engine.clone())
-                    .run(&mut colorer, &tokens)
-                    .unwrap_or_else(|e| panic!("scenario {:?}: {e}", scenario.label));
-                (
-                    colorer.name().to_string(),
-                    report.final_coloring,
-                    Some(1),
-                    Some(report.peak_space_bits),
-                    report.checkpoints,
-                )
-            }
-            ColorerSpec::Det(config) => {
-                let stream = StoredStream::from_edges(tokens.iter().map(|t| t.edge));
-                let r = deterministic_coloring(&stream, g.n(), delta, config);
-                (label, r.coloring, Some(r.passes), Some(r.peak_space_bits), Vec::new())
-            }
-            ColorerSpec::BatchGreedy => {
-                let stream = StoredStream::from_edges(tokens.iter().map(|t| t.edge));
-                let r = batch_greedy_coloring(&stream, g.n(), delta.max(1));
-                (label, r.coloring, Some(r.passes), Some(r.peak_space_bits), Vec::new())
-            }
-            ColorerSpec::OfflineGreedy => (label, offline_greedy(&g), None, None, Vec::new()),
-            ColorerSpec::Brooks => (label, sc_graph::brooks_coloring(&g), None, None, Vec::new()),
-            streaming => unreachable!("{streaming:?} is a streaming spec"),
-        };
-
-        let proper = coloring.is_proper_total(&g);
-        let colors = coloring.num_distinct_colors();
-        RunOutcome {
-            label: scenario.label.clone(),
-            algo,
-            n: g.n(),
-            m: g.m(),
-            delta,
-            coloring,
-            proper,
-            colors,
-            passes,
-            space_bits,
-            checkpoints,
-            elapsed: started.elapsed(),
-        }
+        run_generated(scenario, &scenario.source.generate())
     }
 
     /// Runs independent scenarios across the worker pool, preserving
     /// input order in the results.
+    ///
+    /// Scenarios naming the same source (a stored graph: the same
+    /// `Arc`) share one generation of it, on every thread count: the
+    /// first to need it generates it, and it is dropped once the last
+    /// has taken it. Each outcome equals [`Runner::run`] of its
+    /// scenario alone.
     pub fn run_all(&self, scenarios: &[Scenario]) -> Vec<RunOutcome> {
-        par_map(self.threads, scenarios, |_, s| self.run(s))
+        let shared = SharedSources::new(scenarios);
+        par_map(self.threads, scenarios, |i, s| run_generated(s, &shared.take(i, s)))
+    }
+}
+
+/// Runs `scenario` on `generated`, one generation of its source.
+fn run_generated(scenario: &Scenario, generated: &Generated) -> RunOutcome {
+    let (g, delta) = (&*generated.graph, generated.delta);
+    let tokens = generated.tokens(scenario.order);
+    let label = scenario.colorer.label().to_string();
+    let (algo, coloring, passes, space_bits, checkpoints) = match &scenario.colorer {
+        // First, so the offline arms below never color a live graph.
+        spec if scenario.source.is_dynamic() && !spec.is_streaming() => panic!(
+            "{label} cannot run a dynamic source (it owns its pass structure; turnstile \
+             streams are single-pass)"
+        ),
+        spec if spec.is_streaming() => {
+            let mut colorer = spec
+                .build(g.n(), delta, scenario.seed, Some(g))
+                .expect("streaming spec with a materialized graph always builds");
+            let report = StreamEngine::new(scenario.engine.clone())
+                .run(&mut colorer, &tokens)
+                .unwrap_or_else(|e| panic!("scenario {:?}: {e}", scenario.label));
+            (
+                colorer.name().to_string(),
+                report.final_coloring,
+                Some(1),
+                Some(report.peak_space_bits),
+                report.checkpoints,
+            )
+        }
+        ColorerSpec::Det(config) => {
+            let stream = StoredStream::from_edges(tokens.iter().map(|t| t.edge));
+            let r = deterministic_coloring(&stream, g.n(), delta, config);
+            (label, r.coloring, Some(r.passes), Some(r.peak_space_bits), Vec::new())
+        }
+        ColorerSpec::BatchGreedy => {
+            let stream = StoredStream::from_edges(tokens.iter().map(|t| t.edge));
+            let r = batch_greedy_coloring(&stream, g.n(), delta.max(1));
+            (label, r.coloring, Some(r.passes), Some(r.peak_space_bits), Vec::new())
+        }
+        ColorerSpec::OfflineGreedy => (label, offline_greedy(g), None, None, Vec::new()),
+        ColorerSpec::Brooks => (label, sc_graph::brooks_coloring(g), None, None, Vec::new()),
+        streaming => unreachable!("{streaming:?} is a streaming spec"),
+    };
+
+    let proper = coloring.is_proper_total(g);
+    let colors = coloring.num_distinct_colors();
+    RunOutcome {
+        label: scenario.label.clone(),
+        algo,
+        n: g.n(),
+        m: g.m(),
+        delta,
+        coloring,
+        proper,
+        colors,
+        passes,
+        space_bits,
+        checkpoints,
+    }
+}
+
+/// One slot per distinct source of a grid: the first scenario that
+/// needs the source generates it into the slot while the others that
+/// need it wait on the slot's lock, and the slot is emptied when its
+/// last scenario has taken the generation — so at most one generation
+/// per source is held beyond the runs using it. A scenario finds its
+/// slot by `SourceSpec::same_generation` against the distinct sources
+/// before it.
+struct SharedSources {
+    /// Per scenario: the index of its source's slot.
+    slot_of: Vec<usize>,
+    slots: Vec<Mutex<Slot>>,
+}
+
+struct Slot {
+    generated: Option<Arc<Generated>>,
+    /// Scenarios yet to take the generation.
+    takers: usize,
+}
+
+impl SharedSources {
+    fn new(scenarios: &[Scenario]) -> Self {
+        // Per slot: the first scenario naming its source, and its takers.
+        let mut firsts: Vec<(usize, usize)> = Vec::new();
+        let slot_of = scenarios
+            .iter()
+            .enumerate()
+            .map(|(i, s)| {
+                let k = firsts
+                    .iter()
+                    .position(|&(f, _)| scenarios[f].source.same_generation(&s.source))
+                    .unwrap_or_else(|| {
+                        firsts.push((i, 0));
+                        firsts.len() - 1
+                    });
+                firsts[k].1 += 1;
+                k
+            })
+            .collect();
+        let slots = firsts
+            .into_iter()
+            .map(|(_, takers)| Mutex::new(Slot { generated: None, takers }))
+            .collect();
+        Self { slot_of, slots }
+    }
+
+    /// Scenario `i`'s generation of its source `s.source`, generated
+    /// here if it is the first to ask.
+    fn take(&self, i: usize, s: &Scenario) -> Arc<Generated> {
+        let mut slot = self.slots[self.slot_of[i]].lock().expect("a generation panicked");
+        let generated = slot.generated.take().unwrap_or_else(|| Arc::new(s.source.generate()));
+        slot.takers -= 1;
+        if slot.takers > 0 {
+            slot.generated = Some(Arc::clone(&generated));
+        }
+        generated
     }
 }
 
@@ -196,6 +264,46 @@ mod tests {
             assert_eq!(a.coloring, b.coloring, "parallelism changed a result");
             assert_eq!(a.space_bits, b.space_bits);
             assert!(a.proper && b.proper);
+        }
+    }
+
+    /// Law: sharing one generation per source changes no outcome. Two
+    /// family sources (each under several orders), a churn source and a
+    /// stored source are interleaved, each named at least three times.
+    #[test]
+    fn run_all_sharing_matches_each_scenario_alone() {
+        let gnp = SourceSpec::gnp(70, 6, 0.3, 11);
+        let exact = SourceSpec::exact_degree(50, 5, 12);
+        let churn = SourceSpec::churn(40, 5, 13, 10);
+        let stored = SourceSpec::stored(generators::random_with_exact_max_degree(60, 7, 5));
+        let mut grid = Vec::new();
+        for round in 0..3u64 {
+            grid.extend([
+                Scenario::new(gnp.clone(), ColorerSpec::Robust { beta: None })
+                    .with_order(StreamOrder::Shuffled(round)),
+                Scenario::new(churn.clone(), ColorerSpec::DynamicSr { sparsity: None })
+                    .with_seed(round),
+                Scenario::new(exact.clone(), ColorerSpec::Det(DetConfig::default()))
+                    .with_order(StreamOrder::Interleaved(round)),
+                Scenario::new(stored.clone(), ColorerSpec::StoreAll)
+                    .with_order(StreamOrder::VertexContiguous)
+                    .with_schedule(QuerySchedule::EveryEdges(25)),
+                Scenario::new(gnp.clone(), ColorerSpec::BatchGreedy)
+                    .with_order(StreamOrder::HubsFirst),
+                Scenario::new(exact.clone(), ColorerSpec::RandEfficient)
+                    .with_order(StreamOrder::Shuffled(round + 7))
+                    .with_seed(round),
+            ]);
+        }
+        assert_eq!(SharedSources::new(&grid).slots.len(), 4, "one slot per distinct source");
+        let alone: Vec<RunOutcome> = grid.iter().map(|s| Runner::sequential().run(s)).collect();
+        assert!(alone.iter().any(|o| !o.checkpoints.is_empty()));
+        for runner in [Runner::sequential(), Runner::with_threads(4)] {
+            let shared = runner.run_all(&grid);
+            assert_eq!(shared.len(), grid.len());
+            for ((got, want), s) in shared.iter().zip(&alone).zip(&grid) {
+                assert_eq!(got, want, "{} threads changed {:?}", runner.threads, s.label);
+            }
         }
     }
 

@@ -3,6 +3,7 @@
 use sc_graph::{generators, Edge, Graph};
 use sc_hash::SplitMix64;
 use sc_stream::{SignedEdge, StreamOrder};
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// Where a scenario's graph comes from.
@@ -210,25 +211,35 @@ impl SourceSpec {
         }
     }
 
-    /// What a scenario run needs, from one generation: the graph its
-    /// output is judged against, the degree bound its colorer is built
-    /// with, and its token stream. Insert-only sources give the
-    /// [`SourceSpec::materialize`] graph, its max degree, and its edges
-    /// in `order` as insertions; dynamic sources give the live graph,
-    /// the [`SourceSpec::stream_delta`] bound and their signed stream
-    /// as-is (`order` is ignored, see [`SourceSpec::is_dynamic`]).
-    pub(crate) fn stream(&self, order: StreamOrder) -> (Arc<Graph>, usize, Vec<SignedEdge>) {
+    /// One generation of what a scenario run needs: the graph its output
+    /// is judged against, the degree bound its colorer is built with, and
+    /// — for dynamic sources — the signed token stream. Insert-only
+    /// sources give the [`SourceSpec::materialize`] graph and its max
+    /// degree; dynamic sources give the live graph and the
+    /// [`SourceSpec::stream_delta`] bound. [`Generated::tokens`] then
+    /// arranges it for one scenario.
+    pub(crate) fn generate(&self) -> Generated {
         match self {
             SourceSpec::Stored(_) | SourceSpec::Family { .. } => {
-                let g = self.materialize();
-                let tokens = order.arrange(&g).into_iter().map(SignedEdge::insert).collect();
-                let delta = g.max_degree();
-                (g, delta, tokens)
+                let graph = self.materialize();
+                let delta = graph.max_degree();
+                Generated { graph, delta, signed: None }
             }
             SourceSpec::Churn { n, .. } | SourceSpec::SlidingWindow { n, .. } => {
                 let (tokens, delta) = self.signed_stream();
-                (Arc::new(live_graph(*n, &tokens)), delta, tokens)
+                Generated { graph: Arc::new(live_graph(*n, &tokens)), delta, signed: Some(tokens) }
             }
+        }
+    }
+
+    /// Whether two sources generate the same thing, judged without
+    /// generating either: [`SourceSpec::Stored`] graphs by pointer
+    /// ([`Arc::ptr_eq`]), everything else by value.
+    pub(crate) fn same_generation(&self, other: &SourceSpec) -> bool {
+        match (self, other) {
+            (SourceSpec::Stored(a), SourceSpec::Stored(b)) => Arc::ptr_eq(a, b),
+            (SourceSpec::Stored(_), _) | (_, SourceSpec::Stored(_)) => false,
+            _ => self == other,
         }
     }
 
@@ -300,6 +311,33 @@ fn live_graph(n: usize, tokens: &[SignedEdge]) -> Graph {
     Graph::from_edges(n, live)
 }
 
+/// One generation of a [`SourceSpec`] ([`SourceSpec::generate`]),
+/// shareable by every scenario that names the source.
+pub(crate) struct Generated {
+    /// The graph outputs are judged against (the live graph for dynamic
+    /// sources).
+    pub(crate) graph: Arc<Graph>,
+    /// The degree bound colorers are built with.
+    pub(crate) delta: usize,
+    /// A dynamic source's signed token stream; `None` for insert-only
+    /// sources, whose stream is the graph's edges.
+    signed: Option<Vec<SignedEdge>>,
+}
+
+impl Generated {
+    /// One scenario's token stream: an insert-only source's edges in
+    /// `order` as insertions, or a dynamic source's signed stream as-is
+    /// (`order` is ignored, see [`SourceSpec::is_dynamic`]).
+    pub(crate) fn tokens(&self, order: StreamOrder) -> Cow<'_, [SignedEdge]> {
+        match &self.signed {
+            Some(tokens) => Cow::Borrowed(tokens),
+            None => {
+                Cow::Owned(order.arrange(&self.graph).into_iter().map(SignedEdge::insert).collect())
+            }
+        }
+    }
+}
+
 impl GraphFamily {
     /// Whether [`GraphFamily::generate`] accepts `n` and `delta` — the
     /// one place family preconditions are decided, so every front end
@@ -359,6 +397,18 @@ mod tests {
     }
 
     #[test]
+    fn same_generation_compares_stored_graphs_by_pointer() {
+        let g = generators::complete(5);
+        let stored = SourceSpec::stored(g.clone());
+        assert!(stored.same_generation(&stored.clone()));
+        assert!(!stored.same_generation(&SourceSpec::stored(g)), "equal graphs, two Arcs");
+        let gnp = SourceSpec::gnp(60, 6, 0.4, 9);
+        assert!(gnp.same_generation(&SourceSpec::gnp(60, 6, 0.4, 9)));
+        assert!(!gnp.same_generation(&SourceSpec::gnp(60, 6, 0.4, 10)));
+        assert!(!gnp.same_generation(&stored) && !stored.same_generation(&gnp));
+    }
+
+    #[test]
     fn family_sources_are_reproducible() {
         let spec = SourceSpec::gnp(60, 6, 0.4, 9);
         let a = spec.materialize();
@@ -383,7 +433,9 @@ mod tests {
         let inserts = a.iter().filter(|t| t.is_insert()).count();
         let deletes = a.len() - inserts;
         assert_eq!(live.m(), inserts - deletes);
-        assert_eq!(spec.stream(StreamOrder::HubsLast), (live, spec.stream_delta(), a));
+        let generated = spec.generate();
+        assert_eq!((&generated.graph, generated.delta), (&live, spec.stream_delta()));
+        assert_eq!(generated.tokens(StreamOrder::HubsLast), a, "a signed stream ignores the order");
     }
 
     #[test]
@@ -414,10 +466,12 @@ mod tests {
         assert!(tokens.iter().all(|t| t.is_insert()));
         assert_eq!(tokens.len(), spec.materialize().m());
         assert_eq!(spec.stream_delta(), spec.materialize().max_degree());
-        let (g, delta, tokens) = spec.stream(StreamOrder::Shuffled(3));
-        assert_eq!((&*g, delta), (&*spec.materialize(), spec.stream_delta()));
+        let generated = spec.generate();
+        let g = &generated.graph;
+        assert_eq!((&**g, generated.delta), (&*spec.materialize(), spec.stream_delta()));
+        let tokens = generated.tokens(StreamOrder::Shuffled(3));
         let edges: Vec<Edge> = tokens.iter().map(|t| t.edge).collect();
-        assert_eq!(edges, StreamOrder::Shuffled(3).arrange(&g), "tokens follow the order");
+        assert_eq!(edges, StreamOrder::Shuffled(3).arrange(g), "tokens follow the order");
     }
 
     #[test]
