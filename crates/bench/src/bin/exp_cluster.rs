@@ -1,19 +1,21 @@
 //! Experiment — the cluster layer's overhead curve: what dispatching a
-//! shard job through `sc-cluster` transports costs relative to the
-//! single-process `run_in_process` reference, and what a worker death's
+//! shard job through `sc-cluster` transports costs relative to running
+//! the same slices in one process, and what a worker death's
 //! re-dispatch costs on top.
 //!
 //! Three fleet shapes, each first asserted **byte-identical** to the
-//! reference (the determinism law re-checked where the numbers are
-//! produced), then timed:
+//! single-process `run_in_process` reference (the determinism law
+//! re-checked where the numbers are produced), then timed against
+//! `in_process_ms`: the fleet's own slices (`min(fleet size, items)` of
+//! them, the [`WorkerPool`] rule) run back to back by `run_job` in this
+//! process. Each slice generates its sources once, as a worker's does,
+//! so the ratio holds no sharing that a fleet cannot have:
 //!
 //! * `process` — loopback [`InProcess`] workers: full protocol
 //!   encode/decode, no extra parallelism, so its `efficiency =
-//!   in_process_ms / cluster_ms` is the protocol-overhead floor plus
-//!   lost sharing: the reference generates each source once for the
-//!   whole grid, a worker once per slice (0.75–0.85 on the smoke grid;
-//!   a sustained drop means the `run_job` line codec or spec
-//!   re-encoding got expensive);
+//!   in_process_ms / cluster_ms` is the protocol-overhead floor (a
+//!   sustained drop means the `run_job` line codec or spec re-encoding
+//!   got expensive);
 //! * `stdio` — real `cluster_worker` child processes: protocol
 //!   overhead plus spawn cost, minus process-level parallelism, so
 //!   efficiency can exceed 1.0 on multi-core hosts;
@@ -33,9 +35,10 @@
 
 use sc_bench::{median, median_time_ms, smoke_run, write_rows, Row};
 use sc_cluster::{ChildStdio, InProcess, Transport, Unreliable, WorkerPool};
-use sc_engine::shard::{run_in_process, smoke_grid, ShardJob};
-use sc_engine::{ColorerSpec, Scenario, SourceSpec};
+use sc_engine::shard::{run_in_process, run_job, shard_range, smoke_grid, ShardJob};
+use sc_engine::{ColorerSpec, Runner, Scenario, ShardOutcome, SourceSpec};
 use sc_stream::{QuerySchedule, StreamOrder};
+use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
 struct Profile {
@@ -150,6 +153,16 @@ impl Fleet {
     }
 }
 
+/// Runs `job` in this process as a pool of `workers` slices it: one
+/// sequential `run_job` per shard, back to back.
+fn run_slices(job: &ShardJob, workers: usize) -> Vec<ShardOutcome> {
+    let job = job.canonicalize().expect("canonical job");
+    let shards = workers.min(job.len()).max(1);
+    (0..shards)
+        .map(|i| run_job(&Runner::sequential(), &job, shard_range(job.len(), i, shards)))
+        .collect()
+}
+
 fn main() {
     let smoke = smoke_run();
     let profile = if smoke { Profile::smoke() } else { Profile::full() };
@@ -166,15 +179,22 @@ fn main() {
     let reference_bytes = reference.encode();
     // Warm caches (and the allocator) before any timed run.
     let _ = run_in_process(&job, 1).expect("warmup run");
-    let in_process_ms =
-        median_time_ms(profile.reps, || run_in_process(&job, 1).expect("reference run"));
-    println!("in-process reference: {in_process_ms:.1} ms");
 
+    // In-process times by fleet size, so fleets of one size share one.
+    let mut sliced_ms = BTreeMap::new();
     let mut entries = Vec::new();
     for fleet in [Fleet::Process, Fleet::Stdio, Fleet::Retry] {
         // Determinism first: the dispatched merge must be byte-identical
         // to the reference (including the retry fleet's re-dispatch).
         let transports = fleet.build(profile.workers).expect("fleet build");
+        let size = transports.len();
+        let in_process_ms = *sliced_ms
+            .entry(size)
+            .or_insert_with(|| median_time_ms(profile.reps, || run_slices(&job, size)));
+        println!(
+            "{:>8}: {size} slice(s) in process, back to back: {in_process_ms:.1} ms",
+            fleet.name()
+        );
         let mut pool = WorkerPool::new(transports).with_timeout(Duration::from_secs(600));
         let report = pool.dispatch(&job).expect("dispatch");
         assert_eq!(

@@ -380,10 +380,12 @@ fn sketch_sizing_entries(trials: usize) -> Vec<Row> {
 /// `per_function_ms` sums [`phi_of_hash`] over all `l²` grid members:
 /// one evaluation per function, the kernel the tournament ran before its
 /// row kernel, kept as the calibration side of the ratio.
-/// `tournament_ms` is [`select_hash`]'s two passes. `speedup` is their
-/// ratio, so a slower row kernel shows up on either machine. The
-/// winner's `Φ` is asserted bit-identical to its per-function value
-/// before anything is timed.
+/// `tournament_ms` is [`select_hash`]'s two passes: pass 2 by the lanes
+/// kernel (this stage has 2 patterns and `p < 2^31`), pass 3 by the row
+/// kernel. `speedup` is their ratio, so a slower tournament, or a pass 2
+/// that has fallen back to rows, reads as a lower speedup on any
+/// machine. The winner's `Φ` is asserted bit-identical to its
+/// per-function value before anything is timed.
 ///
 /// [`phi_of_hash`]: streamcolor::det::derand::phi_of_hash
 /// [`select_hash`]: streamcolor::det::derand::select_hash

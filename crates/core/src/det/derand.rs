@@ -24,6 +24,29 @@
 //! evaluation as the reference the law module and `exp_summary`'s
 //! `det-tournament` row hold the kernel to.
 //!
+//! **Pass 2 by lanes.** On the stages the count of block starts serves
+//! (1, 2, 4 or 8 patterns), [`select_hash`]'s pass 2 turns the loop
+//! around: it steps 16 parts together instead of one part's row at a
+//! time. Per qualifying edge, the two endpoints' points under the first
+//! members of 16 consecutive parts sit in `[u32; 16]` lanes, seeded from
+//! [`GridSubfamily::part_starts`]. For each member `j < l`, every lane
+//! counts its block starts, adds the edge's `1/slack(u) + 1/slack(v)` (or
+//! `0.0` where the patterns differ) into a `[f64; 16]` accumulator loaded
+//! from the parts' sums, and steps by the grid stride with one add and a
+//! conditional subtract. Parts run in blocks of 16; the last block is
+//! padded, and its padding lanes are dropped. The body is compiled twice,
+//! portable and under AVX2, and one feature check per pass picks the
+//! arm. It is exact: each part's sum receives the same terms in the same
+//! order as under the row kernel (edges in stream order, then members
+//! `0..l`); where the patterns differ both kernels add `+0.0`, which
+//! leaves a sum of nonnegative terms unchanged; and Rust never contracts
+//! the add into a fused multiply-add. The lanes are `u32`, so they need
+//! `p < 2^31`: then `t + s < 2p < 2^32`, and the block starts, at most
+//! `9p/8`, fit too. The row kernel stays the one path for pass 3, for
+//! stages of more than 8 patterns (the walk), for edges whose blocks
+//! fall short of `[p]`, for `p ≥ 2^31`, and for Theorem 2's singleton
+//! tournament.
+//!
 //! The accumulators are `f64` (far exceeding the `(1 + 1/(8 log n))`
 //! relative precision the analysis grants each pass); callers charge
 //! them to the space meter at the paper's `O(log n)` bits each. Pass 2
@@ -64,24 +87,54 @@ pub(crate) fn tournament<S: StreamSource + ?Sized, E>(
     qualify: impl Fn(&StreamItem) -> Option<([u64; 2], E)>,
     fill: impl Fn(&E, [u64; 2], &mut [f64]),
 ) -> SelectedHash {
-    let mut row = vec![0.0f64; grid.part_size()];
+    let part_sums = part_sums_by_rows(stream, grid, &qualify, &fill);
+    best_member(stream, grid, &part_sums, qualify, fill)
+}
 
-    // ---- Pass 2: part sums. ----
-    let parts = grid.num_parts();
-    let mut part_sums = vec![0.0f64; parts];
+/// Pass 2 by the row kernel: the sum of each part's row costs.
+fn part_sums_by_rows<S: StreamSource + ?Sized, E>(
+    stream: &S,
+    grid: &GridSubfamily,
+    qualify: impl Fn(&StreamItem) -> Option<([u64; 2], E)>,
+    fill: impl Fn(&E, [u64; 2], &mut [f64]),
+) -> Vec<f64> {
+    let mut row = vec![0.0f64; grid.part_size()];
+    let mut part_sums = vec![0.0f64; grid.num_parts()];
     for item in stream.pass() {
-        let Some(([u, v], ctx)) = qualify(&item) else { continue };
-        let starts = grid.part_starts(u).zip(grid.part_starts(v));
-        for (sum, (su, sv)) in part_sums.iter_mut().zip(starts) {
-            fill(&ctx, [su, sv], &mut row);
-            for &cost in &row {
-                *sum += cost;
-            }
+        let Some((points, ctx)) = qualify(&item) else { continue };
+        add_rows(&mut part_sums, grid, points, &mut row, |starts, row| fill(&ctx, starts, row));
+    }
+    part_sums
+}
+
+/// Adds one token's row for every part into `part_sums`, each row left
+/// to right.
+fn add_rows(
+    part_sums: &mut [f64],
+    grid: &GridSubfamily,
+    [u, v]: [u64; 2],
+    row: &mut [f64],
+    fill: impl Fn([u64; 2], &mut [f64]),
+) {
+    let starts = grid.part_starts(u).zip(grid.part_starts(v));
+    for (sum, (su, sv)) in part_sums.iter_mut().zip(starts) {
+        fill([su, sv], row);
+        for &cost in row.iter() {
+            *sum += cost;
         }
     }
+}
 
-    // ---- Pass 3: members of the winning part. ----
-    let part = first_min(&part_sums);
+/// Pass 3: the first part of minimum sum, and its cheapest member.
+fn best_member<S: StreamSource + ?Sized, E>(
+    stream: &S,
+    grid: &GridSubfamily,
+    part_sums: &[f64],
+    qualify: impl Fn(&StreamItem) -> Option<([u64; 2], E)>,
+    fill: impl Fn(&E, [u64; 2], &mut [f64]),
+) -> SelectedHash {
+    let part = first_min(part_sums);
+    let mut row = vec![0.0f64; grid.part_size()];
     let mut member_sums = vec![0.0f64; grid.part_size()];
     for item in stream.pass() {
         let Some(([u, v], ctx)) = qualify(&item) else { continue };
@@ -95,7 +148,7 @@ pub(crate) fn tournament<S: StreamSource + ?Sized, E>(
     SelectedHash {
         hash: grid.member(part, best),
         phi: member_sums[best],
-        accumulators: parts.max(member_sums.len()),
+        accumulators: part_sums.len().max(member_sums.len()),
     }
 }
 
@@ -121,15 +174,176 @@ pub fn select_hash<S: StreamSource + ?Sized>(
     strategy: DerandStrategy,
 ) -> SelectedHash {
     let grid = strategy.grid(tables.p());
-    tournament(
+    let part_sums = phi_part_sums(stream, group, tables, &grid, has_avx2());
+    best_member(
         stream,
         &grid,
-        |item| {
-            let (u, v, du, dv) = qualifying(item, group, tables)?;
-            Some(([u64::from(u), u64::from(v)], PhiEdge::new(tables, [du, dv])))
-        },
+        &part_sums,
+        |item| phi_edge(item, group, tables),
         |edge, starts, row| phi_row(tables, &grid, edge, starts, row),
     )
+}
+
+/// [`select_hash`]'s pass 2: by lanes where the module doc says they
+/// serve, through the AVX2 arm when `avx2` (which the caller has
+/// detected), else by rows.
+fn phi_part_sums<S: StreamSource + ?Sized>(
+    stream: &S,
+    group: &[u64],
+    tables: &StageTables,
+    grid: &GridSubfamily,
+    avx2: bool,
+) -> Vec<f64> {
+    if tables.p() < 1 << 31 {
+        match tables.num_patterns() {
+            1 => return part_sums_by_lanes::<S, 0>(stream, group, tables, grid, avx2),
+            2 => return part_sums_by_lanes::<S, 1>(stream, group, tables, grid, avx2),
+            4 => return part_sums_by_lanes::<S, 3>(stream, group, tables, grid, avx2),
+            8 => return part_sums_by_lanes::<S, 7>(stream, group, tables, grid, avx2),
+            _ => {}
+        }
+    }
+    part_sums_by_rows(
+        stream,
+        grid,
+        |item| phi_edge(item, group, tables),
+        |edge, starts, row| phi_row(tables, grid, edge, starts, row),
+    )
+}
+
+/// Whether this host runs the lanes kernel's AVX2 arm.
+fn has_avx2() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        std::arch::is_x86_feature_detected!("avx2")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
+/// Parts stepped together by the lanes kernel.
+const LANES: usize = 16;
+
+/// One endpoint's points under 16 parts' members, one part per lane.
+type Lanes = [u32; LANES];
+
+/// Pass 2 by lanes for a stage of `K + 1 ≤ 8` patterns and `p < 2^31`.
+/// An edge whose blocks fall short of `[p]` takes the row kernel.
+fn part_sums_by_lanes<S: StreamSource + ?Sized, const K: usize>(
+    stream: &S,
+    group: &[u64],
+    tables: &StageTables,
+    grid: &GridSubfamily,
+    avx2: bool,
+) -> Vec<f64> {
+    assert!(tables.num_patterns() == K + 1 && tables.p() < 1 << 31, "no lanes for this stage");
+    let (p, stride) = (grid.modulus() as u32, grid.stride() as u32);
+    let parts = grid.num_parts();
+    let blocks = parts.div_ceil(LANES);
+    let mut part_sums = vec![0.0f64; blocks * LANES];
+    // Padding lanes keep the start 0 < p; their sums are dropped.
+    let mut starts = vec![[[0u32; LANES]; 2]; blocks];
+    let mut row = vec![0.0f64; grid.part_size()];
+    for item in stream.pass() {
+        let Some((points, edge)) = phi_edge(&item, group, tables) else { continue };
+        let [du, dv] = edge.dense;
+        let (Some(cu), Some(cv)) = (tables.cuts::<K>(du), tables.cuts::<K>(dv)) else {
+            add_rows(&mut part_sums[..parts], grid, points, &mut row, |s, row| {
+                phi_row_by_walk(tables, grid, &edge, s, row)
+            });
+            continue;
+        };
+        for (side, z) in points.into_iter().enumerate() {
+            for (i, t) in grid.part_starts(z).enumerate() {
+                starts[i / LANES][side][i % LANES] = t as u32;
+            }
+        }
+        // Clamped to `u32::MAX`, a block start stays above every t < p.
+        let cuts = [cu, cv].map(|c| c.map(|c| c.min(u64::from(u32::MAX)) as u32));
+        let [iu, iv] = &edge.inv;
+        let hit: [f64; STACK_PATTERNS] = std::array::from_fn(|j| iu[j] + iv[j]);
+        let lanes = LaneEdge { cuts, hit, members: grid.part_size(), stride, p };
+        #[cfg(target_arch = "x86_64")]
+        if avx2 {
+            // SAFETY: the caller detected AVX2 on this host.
+            unsafe { add_lanes_avx2(&lanes, &starts, &mut part_sums) };
+            continue;
+        }
+        let _ = avx2;
+        add_lanes(&lanes, &starts, &mut part_sums);
+    }
+    part_sums.truncate(parts);
+    part_sums
+}
+
+/// A qualifying edge as the lanes kernel sees it.
+struct LaneEdge<const K: usize> {
+    /// Each endpoint's block starts from [`StageTables::cuts`], clamped
+    /// to `u32`.
+    cuts: [[u32; K]; 2],
+    /// `hit[j] = 1/slack(u | j) + 1/slack(v | j)`: the edge's cost under
+    /// a function that sends both endpoints to pattern `j`.
+    hit: [f64; STACK_PATTERNS],
+    /// Members per part.
+    members: usize,
+    /// The grid stride `s`.
+    stride: u32,
+    /// The modulus `p < 2^31`.
+    p: u32,
+}
+
+/// [`add_lanes`] compiled for AVX2.
+///
+/// # Safety
+/// Requires the `avx2` target feature at runtime.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn add_lanes_avx2<const K: usize>(
+    edge: &LaneEdge<K>,
+    starts: &[[Lanes; 2]],
+    part_sums: &mut [f64],
+) {
+    add_lanes(edge, starts, part_sums)
+}
+
+/// Adds `edge`'s cost under every member of every part into
+/// `part_sums`, 16 parts at a time: `starts[b]` holds the points of
+/// block `b`'s first members, and `part_sums` is padded to whole blocks.
+#[inline(always)]
+fn add_lanes<const K: usize>(edge: &LaneEdge<K>, starts: &[[Lanes; 2]], part_sums: &mut [f64]) {
+    let LaneEdge { cuts: [cu, cv], hit, members, stride, p } = edge;
+    // t, s < p < 2^31, so t + s cannot wrap; when t + s < p the
+    // subtract wraps past it and `min` keeps the sum.
+    let step = |t: u32| {
+        let t = t + stride;
+        t.min(t.wrapping_sub(*p))
+    };
+    for (sums, [tu, tv]) in part_sums.chunks_exact_mut(LANES).zip(starts) {
+        let mut acc = [0.0f64; LANES];
+        acc.copy_from_slice(sums);
+        let (mut tu, mut tv) = (*tu, *tv);
+        for _ in 0..*members {
+            let (mut ju, mut jv) = ([0u32; LANES], [0u32; LANES]);
+            for k in 0..LANES {
+                (ju[k], jv[k]) = (pattern_below(cu, tu[k]), pattern_below(cv, tv[k]));
+                tu[k] = step(tu[k]);
+                tv[k] = step(tv[k]);
+            }
+            for k in 0..LANES {
+                // `hit[ju]` by a chain of selects rather than a gather,
+                // compared at the width of the f64 lanes it selects.
+                let j = u64::from(ju[k]);
+                let mut cost = hit[0];
+                for (c, &h) in hit[1..=K].iter().enumerate() {
+                    cost = if j > c as u64 { h } else { cost };
+                }
+                acc[k] += if ju[k] == jv[k] { cost } else { 0.0 };
+            }
+        }
+        sums.copy_from_slice(&acc);
+    }
 }
 
 /// Stages with at most this many patterns cost their edges from stack
@@ -157,6 +371,12 @@ impl PhiEdge {
         }
         Self { dense, inv }
     }
+}
+
+/// A qualifying edge's two hashed points and its [`PhiEdge`].
+fn phi_edge(item: &StreamItem, group: &[u64], tables: &StageTables) -> Option<([u64; 2], PhiEdge)> {
+    let (u, v, du, dv) = qualifying(item, group, tables)?;
+    Some(([u64::from(u), u64::from(v)], PhiEdge::new(tables, [du, dv])))
 }
 
 /// Fills `row[j]` with `edge`'s contribution to `Φ(P_h)` for member `j`
@@ -197,7 +417,7 @@ fn phi_row_by_cuts<const K: usize>(
     let [iu, iv] = &edge.inv;
     let ts = grid.member_values(starts[0]).zip(grid.member_values(starts[1]));
     for (cost, (tu, tv)) in row.iter_mut().zip(ts) {
-        let (ju, jv) = (pattern_below(&cu, tu), pattern_below(&cv, tv));
+        let (ju, jv) = (pattern_below(&cu, tu) as usize, pattern_below(&cv, tv) as usize);
         let hit = iu[ju] + iv[jv];
         *cost = if ju == jv { hit } else { 0.0 };
     }

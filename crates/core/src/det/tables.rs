@@ -211,8 +211,8 @@ impl StageTables {
 /// `g_w(x, t)` from [`StageTables::cuts`]: the number of block starts at
 /// or below `t`.
 #[inline]
-pub(crate) fn pattern_below<const K: usize>(cuts: &[u64; K], t: u64) -> usize {
-    cuts.iter().map(|&c| usize::from(c <= t)).sum()
+pub(crate) fn pattern_below<const K: usize, T: Copy + PartialOrd>(cuts: &[T; K], t: T) -> u32 {
+    cuts.iter().map(|&c| u32::from(c <= t)).sum()
 }
 
 #[cfg(test)]
@@ -326,7 +326,7 @@ mod tests {
         for dense in 0..t.num_vertices() {
             let cuts = t.cuts::<K>(dense).expect("the blocks cover [p]");
             for tt in 0..t.p() {
-                assert_eq!(pattern_below(&cuts, tt), t.gw(dense, tt), "t = {tt}");
+                assert_eq!(pattern_below(&cuts, tt) as usize, t.gw(dense, tt), "t = {tt}");
             }
         }
     }

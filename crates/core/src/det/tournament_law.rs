@@ -8,6 +8,11 @@
 //! count and the same final singleton colors. Uniform slack rows and
 //! small color universes make ties common, so the first-minimum
 //! tie-break is exercised too.
+//!
+//! The unit tests below hold pass 2's lanes kernel to the row kernel:
+//! its portable and AVX2 arms give the same part sums bit for bit, and
+//! at `p ≥ 2^31`, past the `u32` lanes, the row kernel still selects
+//! what the frozen loop selects.
 
 use super::*;
 use crate::listcolor::algorithm::select_singleton_colors;
@@ -173,6 +178,28 @@ fn stage_shape(rng: &mut SplitMix64, lo: u64, full: bool) -> (usize, u64) {
     (patterns, p.expect("Bertrand"))
 }
 
+/// Tables for the uncolored vertices `u_set` of an `n`-vertex stage:
+/// slack rows over `patterns` patterns, entries in `0..4` (all 2 when
+/// `uniform`) with one bumped so each row's total is positive, hashed
+/// mod `p` with `log n = 1`.
+fn stage_tables(
+    rng: &mut SplitMix64,
+    n: usize,
+    u_set: &[u32],
+    patterns: usize,
+    p: u64,
+    uniform: bool,
+) -> StageTables {
+    let mut slack = Vec::with_capacity(u_set.len() * patterns);
+    for _ in u_set {
+        let mut row: Vec<u64> =
+            (0..patterns).map(|_| if uniform { 2 } else { rng.below(4) }).collect();
+        row[rng.below(patterns as u64) as usize] += 1;
+        slack.extend(row);
+    }
+    StageTables::build(n, u_set, patterns, slack, p, 1)
+}
+
 fn random_stage(n: usize, seed: u64, uniform: bool, lo: u64, full: bool) -> Stage {
     let mut rng = SplitMix64::new(seed);
     let mut edges = Vec::new();
@@ -188,14 +215,7 @@ fn random_stage(n: usize, seed: u64, uniform: bool, lo: u64, full: bool) -> Stag
     let in_u: Vec<bool> = group.iter().map(|&g| g != u64::MAX).collect();
     let u_set: Vec<u32> = (0..n as u32).filter(|&x| in_u[x as usize]).collect();
     let (patterns, p) = stage_shape(&mut rng, lo, full);
-    let mut slack = Vec::with_capacity(u_set.len() * patterns);
-    for _ in &u_set {
-        let mut row: Vec<u64> =
-            (0..patterns).map(|_| if uniform { 2 } else { rng.below(4) }).collect();
-        row[rng.below(patterns as u64) as usize] += 1;
-        slack.extend(row);
-    }
-    let tables = StageTables::build(n, &u_set, patterns, slack, p, 1);
+    let tables = stage_tables(&mut rng, n, &u_set, patterns, p, uniform);
     let avail = (0..n)
         .map(|x| {
             if !in_u[x] {
@@ -215,9 +235,11 @@ proptest! {
 
     #[test]
     fn tournament_matches_the_frozen_loops(
-        (n, seed, l, lo, uniform) in (2usize..14, any::<u64>(), 0usize..=8, 0u64..1500, any::<bool>()),
+        (n, seed, l, lo, uniform) in (2usize..14, any::<u64>(), 0usize..=40, 0u64..1500, any::<bool>()),
     ) {
-        // l = 0 stands for the full family, kept below p = 100.
+        // l = 0 stands for the full family, kept below p = 100. Above it,
+        // l = 16 is the default grid, and l = 17 and l = 33 pad pass 2's
+        // last block of lanes.
         let strategy = if l == 0 { DerandStrategy::FullFamily } else { DerandStrategy::Grid { l } };
         let stage = random_stage(n, seed, uniform, lo, l == 0);
         let p = stage.p;
@@ -236,5 +258,77 @@ proptest! {
         prop_assert_eq!(got.hash, hash);
         prop_assert_eq!(got.phi.to_bits(), (count as f64).to_bits());
         prop_assert_eq!(got.accumulators, accumulators);
+    }
+}
+
+/// [`random_stage`]'s graph and groups on `n` vertices, with tables over
+/// `patterns` patterns hashed mod the prime `p ≥ 8·patterns`.
+fn stage_over(n: usize, seed: u64, patterns: usize, p: u64) -> Stage {
+    let mut stage = random_stage(n, seed, false, 0, false);
+    let u_set: Vec<u32> = (0..n as u32).filter(|&x| stage.in_u[x as usize]).collect();
+    let mut rng = SplitMix64::new(seed ^ 0x7AB1E5);
+    stage.tables = stage_tables(&mut rng, n, &u_set, patterns, p, false);
+    stage.p = p;
+    stage
+}
+
+/// Both arms of pass 2's lanes kernel give the row kernel's part sums
+/// bit for bit: one block (`l = 16`), a padded block (`l = 1`, `l = 17`)
+/// and several (`l = 40`), at 1, 2, 4 and 8 patterns, for a small prime
+/// and for `2^31 − 1`, the largest the `u32` lanes take. The AVX2 arm
+/// runs only on hosts that have AVX2.
+#[test]
+fn lanes_kernel_arms_match_the_row_kernel() {
+    let avx2 = has_avx2();
+    let bits = |sums: Vec<f64>| sums.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+    let mut seed = 0xA11CE;
+    for largest in [false, true] {
+        for l in [1usize, 16, 17, 40] {
+            for patterns in [1usize, 2, 4, 8] {
+                seed += 1;
+                let p = if largest {
+                    (1 << 31) - 1
+                } else {
+                    prime_in_range(1000 + seed % 1000, 4000).expect("Bertrand")
+                };
+                let stage = stage_over(24, seed, patterns, p);
+                let (stream, group, tables) = (&stage.stream, &stage.group[..], &stage.tables);
+                let grid = DerandStrategy::Grid { l }.grid(p);
+                let rows = part_sums_by_rows(
+                    stream,
+                    &grid,
+                    |item| phi_edge(item, group, tables),
+                    |edge, starts, row| phi_row(tables, &grid, edge, starts, row),
+                );
+                assert!(rows.iter().any(|&s| s > 0.0), "l = {l}, {patterns} patterns: no cost");
+                let want = bits(rows);
+                let portable = phi_part_sums(stream, group, tables, &grid, false);
+                assert_eq!(bits(portable), want, "portable: p = {p}, l = {l}, {patterns} patterns");
+                if avx2 {
+                    let lanes = phi_part_sums(stream, group, tables, &grid, true);
+                    assert_eq!(bits(lanes), want, "AVX2: p = {p}, l = {l}, {patterns} patterns");
+                }
+            }
+        }
+    }
+}
+
+/// At `p ≥ 2^31` a `u32` lane could overflow at `t + s`, so pass 2 keeps
+/// the row kernel, which selects what the frozen loop selects, with the
+/// winner's `Φ` bit for bit.
+#[test]
+fn row_kernel_serves_primes_past_the_u32_lanes() {
+    let p = prime_in_range(1 << 31, 1 << 32).expect("Bertrand");
+    for (seed, patterns) in [(1u64, 1usize), (2, 2), (3, 4), (4, 8), (5, 16)] {
+        let stage = stage_over(14, seed, patterns, p);
+        let (stream, group, tables) = (&stage.stream, &stage.group[..], &stage.tables);
+        let strategy = DerandStrategy::Grid { l: 16 };
+        let want = reference_select_hash(stream, group, tables, strategy);
+        let got = select_hash(stream, group, tables, strategy);
+        assert_eq!(got.hash, want.hash, "{patterns} patterns");
+        assert_eq!(got.phi.to_bits(), want.phi.to_bits(), "{patterns} patterns");
+        assert_eq!(got.accumulators, want.accumulators);
+        let phi = phi_of_hash(stream, group, tables, got.hash);
+        assert_eq!(got.phi.to_bits(), phi.to_bits(), "{patterns} patterns");
     }
 }

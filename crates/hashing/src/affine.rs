@@ -192,6 +192,14 @@ impl GridSubfamily {
     pub fn modulus(&self) -> u64 {
         self.p
     }
+
+    /// The grid step `s = ⌊p/l⌋` (at least 1): the offset gap between
+    /// consecutive members of a part, so the step of
+    /// [`GridSubfamily::member_values`].
+    #[inline]
+    pub fn stride(&self) -> u64 {
+        self.stride
+    }
 }
 
 /// `x, x + d, x + 2d, …` modulo `p`, for `x < p` and `d ≤ p`.
@@ -283,6 +291,9 @@ mod tests {
             [(2u64, 1usize), (2, 2), (13, 13), (101, 8), (101, 100), (4099, 16), (big, 16)]
         {
             let grid = AffineFamily::new(p).grid(l);
+            if l > 1 {
+                assert_eq!(grid.member(0, 1).b, grid.stride(), "p={p} l={l}");
+            }
             for z in [0u64, 1, 5, 12, 123_456_789, u64::MAX] {
                 let starts: Vec<u64> = grid.part_starts(z).collect();
                 assert_eq!(starts.len(), grid.num_parts());
