@@ -4,7 +4,8 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use sc_graph::{
-    degeneracy_ordering, generators, greedy_complete, turan_independent_set, Coloring, Edge, Graph,
+    degeneracy_ordering, generators, greedy_complete, greedy_repair_ascending,
+    turan_independent_set, Coloring, Edge, Graph,
 };
 use sc_hash::SplitMix64;
 
@@ -39,12 +40,40 @@ fn bench_turan(c: &mut Criterion) {
     });
 }
 
+/// First-fit from scratch on a dense `G(2000, ∆32, 0.2)` and on
+/// `bulk-ingest`'s store-all graph `G(3000, ∆32, 0.03)`, then the repairs
+/// of the latter's edges arriving in 4096-edge steps, each seeded by the
+/// higher endpoints of its step.
 fn bench_greedy(c: &mut Criterion) {
-    let g = generators::gnp_with_max_degree(2000, 32, 0.2, 3);
-    c.bench_function("greedy_complete_n2000", |b| {
+    let dense = generators::gnp_with_max_degree(2000, 32, 0.2, 3);
+    let bulk = generators::gnp_with_max_degree(3000, 32, 0.03, 3);
+    for (name, g) in [("greedy_complete_n2000", &dense), ("greedy_complete_n3000_d32", &bulk)] {
+        c.bench_function(name, |b| {
+            b.iter(|| {
+                let mut coloring = Coloring::empty(g.n());
+                greedy_complete(black_box(g), &mut coloring);
+                coloring
+            })
+        });
+    }
+    // Each step's graph is built once, so the loop times repairs only.
+    let mut mirror = Graph::empty(bulk.n());
+    let steps: Vec<(Graph, Vec<u32>)> = generators::shuffled_edges(&bulk, 4)
+        .chunks(4096)
+        .map(|step| {
+            for &e in step {
+                mirror.add_edge(e);
+            }
+            (mirror.clone(), step.iter().map(|e| e.u().max(e.v())).collect())
+        })
+        .collect();
+    let start = Coloring::from_vec(vec![Some(0); bulk.n()]);
+    c.bench_function("repair_store_all_n3000_d32", |b| {
         b.iter(|| {
-            let mut coloring = Coloring::empty(2000);
-            greedy_complete(black_box(&g), &mut coloring);
+            let mut coloring = start.clone();
+            for (g, seeds) in &steps {
+                greedy_repair_ascending(black_box(g), &mut coloring, seeds.iter().copied());
+            }
             coloring
         })
     });

@@ -87,7 +87,19 @@ impl Coloring {
     }
 
     /// Number of **distinct** colors used.
+    ///
+    /// Marks a bitmap of `palette_span` bits when that is at most one word
+    /// per vertex, the case for every `[∆+1]`-style palette; sorts above
+    /// that, where Algorithms 2 and 3's pair encodings reach large `u64`s.
     pub fn num_distinct_colors(&self) -> usize {
+        let span = self.palette_span();
+        if span <= 64 * self.n() as Color {
+            let mut words = vec![0u64; span.div_ceil(64) as usize];
+            for &c in self.colors.iter().flatten() {
+                words[(c / 64) as usize] |= 1 << (c % 64);
+            }
+            return words.iter().map(|w| w.count_ones() as usize).sum();
+        }
         let mut used: Vec<Color> = self.colors.iter().flatten().copied().collect();
         used.sort_unstable();
         used.dedup();
@@ -214,6 +226,35 @@ mod tests {
         assert_eq!(c.num_distinct_colors(), 2);
         assert_eq!(c.palette_span(), 10);
         assert_eq!(Coloring::empty(2).palette_span(), 0);
+    }
+
+    /// The bitmap count against the sort it replaces, on both sides of the
+    /// `64·n` span cap.
+    #[test]
+    fn distinct_count_matches_the_sorted_count() {
+        let sorted = |c: &Coloring| {
+            let mut used: Vec<Color> = c.colors.iter().flatten().copied().collect();
+            used.sort_unstable();
+            used.dedup();
+            used.len()
+        };
+        let n = 4;
+        let cases: [&[Option<Color>]; 6] = [
+            &[None; 4],
+            &[Some(2), None, Some(2), None],
+            &[Some(0), Some(0), Some(0), Some(0)],
+            &[Some(63), Some(64), Some(0), Some(255)],
+            &[Some(256), Some(3), None, Some(3)],
+            &[Some(u64::MAX - 1), Some(1 << 40), Some(1 << 40), None],
+        ];
+        for colors in cases {
+            let c = Coloring::from_vec(colors.to_vec());
+            assert_eq!(c.num_distinct_colors(), sorted(&c), "{colors:?}");
+        }
+        // Span 256 = 64·n takes the bitmap, span 257 the sort.
+        assert_eq!(Coloring::from_vec(cases[3].to_vec()).palette_span(), 64 * n);
+        assert_eq!(Coloring::from_vec(cases[4].to_vec()).palette_span(), 64 * n + 1);
+        assert_eq!(Coloring::empty(0).num_distinct_colors(), 0);
     }
 
     #[test]
