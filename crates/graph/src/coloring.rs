@@ -88,17 +88,22 @@ impl Coloring {
 
     /// Number of **distinct** colors used.
     ///
-    /// Marks a bitmap of `palette_span` bits when that is at most one word
-    /// per vertex, the case for every `[∆+1]`-style palette; sorts above
-    /// that, where Algorithms 2 and 3's pair encodings reach large `u64`s.
+    /// Marks a bitmap up to the largest color when that color is below
+    /// `64·n` (one word per vertex), the case for every `[∆+1]`-style
+    /// palette; sorts above that, where Algorithms 2 and 3's pair encodings
+    /// reach large `u64`s. The arm is chosen from the largest color itself,
+    /// so a color of `u64::MAX` takes the sort without overflowing.
     pub fn num_distinct_colors(&self) -> usize {
-        let span = self.palette_span();
-        if span <= 64 * self.n() as Color {
-            let mut words = vec![0u64; span.div_ceil(64) as usize];
-            for &c in self.colors.iter().flatten() {
-                words[(c / 64) as usize] |= 1 << (c % 64);
+        match self.colors.iter().flatten().copied().max() {
+            None => return 0,
+            Some(max) if max < 64 * self.n() as Color => {
+                let mut words = vec![0u64; (max / 64 + 1) as usize];
+                for &c in self.colors.iter().flatten() {
+                    words[(c / 64) as usize] |= 1 << (c % 64);
+                }
+                return words.iter().map(|w| w.count_ones() as usize).sum();
             }
-            return words.iter().map(|w| w.count_ones() as usize).sum();
+            Some(_) => {}
         }
         let mut used: Vec<Color> = self.colors.iter().flatten().copied().collect();
         used.sort_unstable();
@@ -239,19 +244,21 @@ mod tests {
             used.len()
         };
         let n = 4;
-        let cases: [&[Option<Color>]; 6] = [
+        let cases: [&[Option<Color>]; 8] = [
             &[None; 4],
             &[Some(2), None, Some(2), None],
             &[Some(0), Some(0), Some(0), Some(0)],
             &[Some(63), Some(64), Some(0), Some(255)],
             &[Some(256), Some(3), None, Some(3)],
             &[Some(u64::MAX - 1), Some(1 << 40), Some(1 << 40), None],
+            &[Some(u64::MAX), Some(0), None, Some(u64::MAX)],
+            &[None, None, None, Some(u64::MAX)],
         ];
         for colors in cases {
             let c = Coloring::from_vec(colors.to_vec());
             assert_eq!(c.num_distinct_colors(), sorted(&c), "{colors:?}");
         }
-        // Span 256 = 64·n takes the bitmap, span 257 the sort.
+        // Largest color 255 < 64·n takes the bitmap, 256 the sort.
         assert_eq!(Coloring::from_vec(cases[3].to_vec()).palette_span(), 64 * n);
         assert_eq!(Coloring::from_vec(cases[4].to_vec()).palette_span(), 64 * n + 1);
         assert_eq!(Coloring::empty(0).num_distinct_colors(), 0);

@@ -13,10 +13,9 @@
 //!
 //! The same fact bounds the kernel: a vertex with `k` neighbours gets its
 //! first-fit color in `offset..=offset + k`, so only neighbour colors in
-//! that window of `k + 1` slots matter. `first_fit` marks them in one
-//! `u64` when `k < 64` (a bitmap of `⌈(k+1)/64⌉` words otherwise) and takes
-//! the first unmarked slot; every greedy coloring and repair here goes
-//! through it.
+//! that window of `k + 1` slots matter. `first_fit` marks them in a reused
+//! bitmap of `k / 64 + 1` words and takes the first unmarked slot; every
+//! greedy coloring and repair here goes through it.
 
 use crate::coloring::{Color, Coloring};
 use crate::edge::VertexId;
@@ -25,8 +24,8 @@ use crate::graph::Graph;
 /// The smallest color `≥ offset` not in `colors`, where `colors` yields
 /// at most `k` items (one per neighbour). Only colors in the window
 /// `offset..=offset + k` matter, since `k` colors cannot fill `k + 1`
-/// slots: they are marked in one `u64` when `k < 64`, else in `words`, a
-/// bitmap reused across calls.
+/// slots: they are marked in `words`, a bitmap of `k / 64 + 1` words
+/// reused across calls.
 #[inline]
 fn first_fit(
     colors: impl Iterator<Item = Color>,
@@ -34,20 +33,10 @@ fn first_fit(
     offset: Color,
     words: &mut Vec<u64>,
 ) -> Color {
-    if k < 64 {
-        let mut mask = 0u64;
-        for c in colors {
-            // Colors below `offset` wrap to huge slots and drop out.
-            let d = c.wrapping_sub(offset);
-            if d < 64 {
-                mask |= 1 << d;
-            }
-        }
-        return offset + u64::from((!mask).trailing_zeros());
-    }
     words.clear();
     words.resize(k / 64 + 1, 0);
     for c in colors {
+        // Colors below `offset` wrap to huge slots and drop out.
         let d = c.wrapping_sub(offset);
         if d <= k as u64 {
             words[(d / 64) as usize] |= 1 << (d % 64);
@@ -287,7 +276,7 @@ mod tests {
     }
 
     /// A Δ-capped `G(n, p)` whose degrees reach past 64 when `n` and `p`
-    /// allow, so both arms of the mex run.
+    /// allow, so the mex bitmap spans more than one word.
     fn law_graph(n: usize, rng: &mut StdRng) -> Graph {
         let p = [0.05, 0.2, 0.5, 0.9][rng.gen_range(0..4)];
         generators::gnp_with_max_degree(n, rng.gen_range(1..n + 1), p, rng.gen_range(0..1 << 20))
